@@ -187,15 +187,19 @@ def _parse_grid(identity_id: str, text: str):
         if not sep or not name or not values:
             raise ParameterError("malformed grid clause %r" % clause)
         alts: list = []
-        for alt in values.split("|"):
-            if name in _LIST_FLAGS:
-                alts.append(() if alt == "-"
-                            else tuple(int(v) for v in alt.split("+")))
-            elif ".." in alt:
-                lo, _, hi = alt.partition("..")
-                alts.append(range(int(lo), int(hi) + 1))
-            else:
-                alts.append([int(alt)])
+        try:
+            for alt in values.split("|"):
+                if name in _LIST_FLAGS:
+                    alts.append(() if alt == "-"
+                                else tuple(int(v) for v in alt.split("+")))
+                elif ".." in alt:
+                    lo, _, hi = alt.partition("..")
+                    alts.append(range(int(lo), int(hi) + 1))
+                else:
+                    alts.append([int(alt)])
+        except ValueError:
+            raise ParameterError("grid clause %r needs integer values"
+                                 % clause)
         flat: list = []
         for item in alts:
             flat.extend([item] if isinstance(item, tuple) else list(item))

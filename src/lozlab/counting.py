@@ -23,14 +23,18 @@ its dual graph), tilings invariant under a symmetry group (by direct
 orbit search, by filtering the full enumeration, or by counting
 matchings of the quotient graph when the group is a rotation group),
 and free-boundary tilings where marked boundary cells may stay
-uncovered (summing counts over subsets, or attaching an optional
+uncovered (by the cell search of the orbit route, or attaching an optional
 pendant per free cell in the oracle cross-check).
+
+The orbit and free-boundary routes share one engine on region cells,
+never on the dual graph or a determinant: it settles cells in sorted
+order, column by column, and memoizes the ways to reach each set of
+cells left, a broken-profile transfer-matrix count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import isqrt, lcm
 from typing import Iterator, Sequence
 
@@ -42,12 +46,13 @@ from .duality import (
     remove_loop_vertex,
     symmetry,
     symmetry_group,
-    without_vertices,
 )
 from .errors import BudgetError, ContractError
-from .lattice import Region, TriCell, cell_neighbors, shared_edge
+from .lattice import Region, cell_neighbors
 
 ORACLE_CAP = 64
+# memo states the cell search may create before it gives up
+SEARCH_STATE_CAP = 1_000_000
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -112,7 +117,8 @@ def count_matchings_oracle(g: MatchGraph, *, max_vertices: int = ORACLE_CAP,
     """Perfect matching count by recursive search; loopless, weight-1 input."""
     if g.loops:
         raise ContractError("oracle counts need a loopless graph")
-    assert all(w == ONE for _, _, w in g.edges), "use mgf_oracle for weights"
+    if any(w != ONE for _, _, w in g.edges):
+        raise ContractError("oracle counts need unit weights; use mgf_oracle")
     val = mgf_oracle(g, max_vertices=max_vertices, force=force)
     assert val.denominator == 1
     return int(val)
@@ -335,22 +341,68 @@ def count_tilings(region: Region) -> int:
     return count_matchings(dual_graph(region))
 
 
+def _cell_moves(region: Region, maps) -> list[list[int]]:
+    """For each region cell in sorted order, the bitmasks of cells that
+    may be removed together with it: the union of the orbit of each
+    edge to a neighbour under the maps, kept when its pairs are disjoint."""
+    index = {c: k for k, c in enumerate(region.cells)}
+    moves: list[list[int]] = [[] for _ in region.cells]
+    for c, k in index.items():
+        for d in cell_neighbors(c):
+            if d not in index:
+                continue
+            pairs = {frozenset((m[c], m[d])) for m in maps}
+            cells = set().union(*pairs)
+            if len(cells) == 2 * len(pairs):
+                moves[k].append(sum(1 << index[x] for x in cells))
+    return moves
+
+
+def _cell_search(moves: list[list[int]]) -> int:
+    """Ways to remove every cell by moves, each move taken by its least cell.
+
+    Cells left are an int bitmask, so the least cell is the lowest set
+    bit.  Each state waits in the bucket of its least cell together with
+    the number of ways to reach it, and the buckets are settled in cell
+    order, so every state is expanded once and a settled bucket is
+    dropped.  The sweep is a loop, not a recursion, so a deep region
+    runs into the state cap, never into the interpreter's stack limit.
+    """
+    n = len(moves)
+    waiting: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    waiting[0][(1 << n) - 1] = 1
+    states = 1
+    for p in range(n):
+        for left, ways in waiting[p].items():
+            for m in moves[p]:
+                if left & m != m:
+                    continue
+                rest = left ^ m
+                bucket = waiting[(rest & -rest).bit_length() - 1 if rest else n]
+                if rest in bucket:
+                    bucket[rest] += ways
+                    continue
+                bucket[rest] = ways
+                states += 1
+                if states > SEARCH_STATE_CAP:
+                    raise BudgetError("cell search exceeds the cap of %d "
+                                      "memo states" % SEARCH_STATE_CAP)
+        waiting[p] = {}
+    return waiting[n].get(0, 0)
+
+
 def count_tilings_free(region: Region) -> int:
     """Tilings where each free-edge cell may also protrude outward.
 
     Equals the sum over subsets S of the free cells of the tiling count
-    of the region minus S.
+    of the region minus S.  Counted by the memoized cell search, where a
+    cell hosting a free edge may also be removed alone.
     """
-    g = dual_graph(region)
-    hosts = sorted(g.index_of(c) for c in region.free_cell_map().values())
-    assert len(set(hosts)) == len(hosts)
-    total = 0
-    for bits in product((0, 1), repeat=len(hosts)):
-        drop = {h for h, b in zip(hosts, bits) if b}
-        if (g.n - len(drop)) % 2:
-            continue
-        total += count_matchings(without_vertices(g, drop))
-    return total
+    moves = _cell_moves(region, [{c: c for c in region.cells}])
+    for host in region.free_cell_map().values():
+        k = region.cells.index(host)
+        moves[k].append(1 << k)
+    return _cell_search(moves)
 
 
 def free_gadget_graph(region: Region) -> MatchGraph:
@@ -388,41 +440,6 @@ def _rotation_generator(group):
                 and e.order() == len(group)):
             return e
     return None
-
-
-def _orbit_count(region: Region, group) -> int:
-    have = region.cell_set
-    maps = [e.mapping for e in group]
-
-    def edge_orbit(c: TriCell, d: TriCell):
-        out = set()
-        for m in maps:
-            a, b = m[c], m[d]
-            out.add((a, b) if a < b else (b, a))
-        return out
-
-    def rec(left: frozenset) -> int:
-        if not left:
-            return 1
-        c = min(left)
-        total = 0
-        for d in sorted(cell_neighbors(c)):
-            if d not in left or d not in have:
-                continue
-            orbit = edge_orbit(c, d)
-            used: set[TriCell] = set()
-            ok = True
-            for a, b in orbit:
-                if a in used or b in used or a not in left or b not in left:
-                    ok = False
-                    break
-                used.add(a)
-                used.add(b)
-            if ok:
-                total += rec(left - used)
-        return total
-
-    return rec(frozenset(region.cells))
 
 
 def _filter_count(region: Region, group) -> int:
@@ -465,7 +482,7 @@ def count_symmetric_tilings(region: Region, kinds: Sequence[str],
             return count_tilings(region)
         return count_matchings(quotient_graph(dual_graph(region), gen))
     if method == "orbit":
-        return _orbit_count(region, group)
+        return _cell_search(_cell_moves(region, [e.mapping for e in group]))
     if method == "filter":
         return _filter_count(region, group)
     raise ContractError("unknown method %r" % (method,))

@@ -13,9 +13,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .counting import enumerate_matchings
+from .counting import first_matching
 from .duality import MatchGraph, dual_graph
-from .errors import BudgetError
+from .errors import BudgetError, ParameterError
 from .lattice import (Point, Region, TriCell, cell_corners, cell_edges,
                       hexagon, shared_edge)
 
@@ -122,7 +122,10 @@ def first_tiling(region: Region, max_cells: int = 128) -> tuple[Pair, ...]:
         raise BudgetError("sample tiling on %d cells exceeds the cap of %d"
                           % (len(region.cells), max_cells))
     g = dual_graph(region)
-    matching = next(enumerate_matchings(g))
+    matching = first_matching(g)
+    if matching is None:
+        note = " (free edges stay closed)" if region.free_edges else ""
+        raise ParameterError("the region has no lozenge tiling to draw" + note)
     return tuple((g.tags[i], g.tags[j]) for i, j in matching)
 
 

@@ -118,9 +118,10 @@ def _axis_split_value(region) -> Fraction:
 
 def _check_i1_9(a: int, b: int):
     region = hexagon(a, a, 2 * b)
-    lhs = count_tilings(region)
+    # the budgeted side first, so an oversized region fails fast
     f1 = _sym_filter(region, ("ReflV",))
     f2 = _sym_filter(region, ("ReflH",))
+    lhs = count_tilings(region)
     return lhs, (f1, f2), "pfaffian", "enumeration+filter"
 
 

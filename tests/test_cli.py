@@ -119,6 +119,12 @@ def test_sweep_malformed_grid(capsys):
     assert code == 2 and "malformed grid" in err
 
 
+def test_sweep_non_integer_grid_value(capsys):
+    code, out, err = run(capsys, "sweep", "--id", "E3_5", "--grid", "a=x")
+    assert (code, out) == (2, "")
+    assert "needs integer values" in err
+
+
 def test_sweep_to_file(tmp_path, capsys):
     out_file = tmp_path / "report.csv"
     code, out, _ = run(capsys, "sweep", "--id", "I1_10", "--grid", "default",
@@ -150,6 +156,13 @@ def test_render_overlays(capsys):
                        "--a", "3", "--b", "1", "--ks", "",
                        "--graph", "quotient")
     assert code == 0 and out.count("#b03030") > 0
+
+
+def test_render_tiling_of_untileable_region(capsys):
+    code, out, err = run(capsys, "render", "--tiling", "--family", "d",
+                         "--a", "2", "--b", "1", "--eps", "-1", "--is", "1,2")
+    assert (code, out) == (2, "")
+    assert "no lozenge tiling" in err
 
 
 def test_quotient_graph_text(capsys):

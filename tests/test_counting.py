@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from lozlab import counting
 from lozlab.counting import (
     count_matchings,
     count_matchings_oracle,
@@ -28,6 +30,7 @@ from lozlab.duality import (
     without_vertices,
 )
 from lozlab.errors import BudgetError, ContractError, SymmetryAbsentError
+from lozlab.formulas import d_count
 from lozlab.lattice import d_region, hexagon, holed_hexagon, rbar_region
 
 
@@ -190,6 +193,57 @@ def test_free_boundary_counts():
     assert count_tilings_free(d_region(1, 1, 0, [1])) == 3
 
 
+def _free_subset_sum(region):
+    # the free-boundary count as a sum of Pfaffian counts, one per subset
+    # of the free cells left uncovered
+    g = dual_graph(region)
+    hosts = [g.index_of(c) for c in region.free_cell_map().values()]
+    return sum(count_matchings(without_vertices(g, set(drop)))
+               for r in range(len(hosts) + 1)
+               for drop in combinations(hosts, r)
+               if (g.n - r) % 2 == 0)
+
+
+def test_free_boundary_search_matches_subset_sum_and_formula():
+    for a in range(1, 5):
+        for b in (1, 2):
+            for eps in (-1, 0):
+                for r in range(a + 1):
+                    for is_ in combinations(range(1, a + 1), r):
+                        region = d_region(a, b, eps, list(is_))
+                        got = count_tilings_free(region)
+                        want = d_count(a, b, eps, is_)
+                        assert got == want, (a, b, eps, is_, got, want)
+                        assert got == _free_subset_sum(region), (a, b, eps, is_)
+
+
+def test_orbit_search_matches_filter_and_quotient_on_holed_hexagons():
+    for a, b, ks in ((2, 1, []), (2, 2, []), (3, 1, []), (3, 2, []),
+                     (4, 1, [2]), (4, 1, [1, 2]), (5, 1, [2])):
+        region = holed_hexagon(a, b, ks)
+        for kinds in (["Rot180"], ["ReflV"], ["ReflH"], ["Rot180", "ReflV"]):
+            orbit = count_symmetric_tilings(region, kinds, method="orbit")
+            filtered = count_symmetric_tilings(region, kinds, method="filter")
+            assert orbit == filtered, (a, b, ks, kinds)
+        assert count_symmetric_tilings(region, ["Rot180"], method="orbit") == \
+            count_symmetric_tilings(region, ["Rot180"], method="quotient")
+
+
+def test_cell_search_state_cap(monkeypatch):
+    monkeypatch.setattr(counting, "SEARCH_STATE_CAP", 10)
+    with pytest.raises(BudgetError):
+        count_tilings_free(d_region(3, 2, 0, [1, 2, 3]))
+    with pytest.raises(BudgetError):
+        count_symmetric_tilings(holed_hexagon(4, 2, [2]), ["Rot180"],
+                                method="orbit")
+
+
+def test_deep_free_region_hits_state_cap_not_recursion():
+    # 590 cells: deeper than a recursive search could go, and past the cap
+    with pytest.raises(BudgetError):
+        count_tilings_free(d_region(10, 10, -1, list(range(1, 11))))
+
+
 def test_free_boundary_gadget_cross_check():
     for a, b, eps in ((1, 1, -1), (1, 2, -1), (2, 1, -1), (1, 1, 0),
                       (2, 1, 0), (1, 2, 0)):
@@ -204,5 +258,7 @@ def test_count_matchings_rejects_weighted():
     g = axis_pair_dual_graph(rbar_region([], [1], 1))
     val = mgf(g)
     assert val == 2
+    with pytest.raises(ContractError):
+        count_matchings_oracle(g)
     with pytest.raises(ContractError):
         count_matchings_pfaffian(free_gadget_graph(d_region(1, 1, -1, [1])))
