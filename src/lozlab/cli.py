@@ -115,9 +115,9 @@ def _cmd_count(args) -> int:
     region, params = _build_region(args)
     n = count_tilings_free(region) if region.free_edges else count_tilings(region)
     if args.json:
-        sys.stdout.write(_envelope("count", {"family": args.family, **params}, n))
+        _emit(args, _envelope("count", {"family": args.family, **params}, n))
     else:
-        print(n)
+        _emit(args, "%d\n" % n)
     return 0
 
 
@@ -132,12 +132,12 @@ def _cmd_count_sym(args) -> int:
         kinds.append(_SYM_KINDS[token])
     n = count_symmetric_tilings(region, tuple(kinds), args.method)
     if args.json:
-        sys.stdout.write(_envelope(
+        _emit(args, _envelope(
             "count-sym",
             {"family": args.family, **params, "sym": kinds,
              "method": args.method}, n))
     else:
-        print(n)
+        _emit(args, "%d\n" % n)
     return 0
 
 
@@ -166,7 +166,7 @@ def _cmd_verify(args) -> int:
         line = "%s = %s %s" % (_fmt_count(result.lhs),
                                _fmt_count(result.rhs), word)
     if args.json:
-        sys.stdout.write(_envelope(
+        _emit(args, _envelope(
             "verify", {"id": args.id, **{k: list(v) if isinstance(v, tuple)
                                          else v for k, v in params.items()}},
             {"lhs": _json_count(result.lhs), "rhs": _json_count(result.rhs),
@@ -174,7 +174,7 @@ def _cmd_verify(args) -> int:
              "verdict": result.verdict, "lhs_route": result.lhs_route,
              "rhs_route": result.rhs_route}))
     else:
-        print(line)
+        _emit(args, line + "\n")
     return 0 if result.verdict else 1
 
 
@@ -309,6 +309,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("count", help="exact tiling count of a region")
     _add_region_flags(sub)
+    sub.add_argument("--out", help="write the output here instead of stdout")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_count)
 
@@ -318,6 +319,7 @@ def _parser() -> argparse.ArgumentParser:
                      help="comma list: rot60,rot120,rot180,reflh,reflv,id")
     sub.add_argument("--method", default="auto",
                      choices=("auto", "orbit", "filter", "quotient"))
+    sub.add_argument("--out", help="write the output here instead of stdout")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_count_sym)
 
@@ -329,6 +331,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--eq", type=int)
     sub.add_argument("--ks", type=_ints)
     sub.add_argument("--is", dest="is_", type=_ints)
+    sub.add_argument("--out", help="write the output here instead of stdout")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_verify)
 

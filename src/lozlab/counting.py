@@ -4,12 +4,14 @@ Two independent engines are provided on purpose.  The oracle routines
 count by plain recursive search (minimum-degree branching, splitting
 off connected components, pruning odd components) and serve as ground
 truth on small graphs.  The production routines build a Kasteleyn
-orientation from the planar embedding and evaluate an integer
-determinant by fraction-free elimination; for bipartite components the
-signed biadjacency determinant gives the count directly, otherwise the
-determinant of the skew adjacency matrix is a perfect square whose
-root is the count.  Weighted graphs are scaled to integers first, so
-every result is exact.
+orientation from the planar embedding and the signed matrix as sparse
+rows; for bipartite components the signed biadjacency determinant gives
+the count directly, otherwise the determinant of the skew adjacency
+matrix is a perfect square whose root is the count.  Weighted graphs
+are scaled to integers first.  One engine takes every determinant:
+sparse elimination modulo primes below 2**61, combined by the Chinese
+remainder theorem until the modulus exceeds twice the Hadamard bound,
+which certifies the result exact.
 
 Loop conventions: a loop covers its own vertex and a matching may use
 it, so on a graph with an even vertex count loops are dead weight,
@@ -103,6 +105,12 @@ def _mgf_rec(adj: dict[int, dict[int, Fraction]],
     return total
 
 
+def _as_count(val: Fraction) -> int:
+    if val.denominator != 1:
+        raise ContractError("weighted graph has no integer count (%s)" % val)
+    return int(val)
+
+
 def mgf_oracle(g: MatchGraph, *, max_vertices: int = ORACLE_CAP,
                force: bool = False) -> Fraction:
     """Matching generating function by recursive search; loops allowed."""
@@ -119,9 +127,7 @@ def count_matchings_oracle(g: MatchGraph, *, max_vertices: int = ORACLE_CAP,
         raise ContractError("oracle counts need a loopless graph")
     if any(w != ONE for _, _, w in g.edges):
         raise ContractError("oracle counts need unit weights; use mgf_oracle")
-    val = mgf_oracle(g, max_vertices=max_vertices, force=force)
-    assert val.denominator == 1
-    return int(val)
+    return _as_count(mgf_oracle(g, max_vertices=max_vertices, force=force))
 
 
 def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -153,32 +159,10 @@ def first_matching(g: MatchGraph) -> tuple[tuple[int, int], ...] | None:
 # Kasteleyn orientation and determinants
 
 
-def _faces(g: MatchGraph) -> tuple[list[list[tuple[int, int]]],
-                                   dict[tuple[int, int], int]]:
-    assert g.rotations is not None, "no embedding"
-    succ: dict[tuple[int, int], tuple[int, int]] = {}
-    for i, rot in enumerate(g.rotations):
-        for pos, j in enumerate(rot):
-            succ[(j, i)] = (i, rot[(pos + 1) % len(rot)])
-    faces: list[list[tuple[int, int]]] = []
-    face_of: dict[tuple[int, int], int] = {}
-    for dart in sorted(succ):
-        if dart in face_of:
-            continue
-        cycle = []
-        d = dart
-        while d not in face_of:
-            face_of[d] = len(faces)
-            cycle.append(d)
-            d = succ[d]
-        faces.append(cycle)
-    return faces, face_of
-
-
 def _kasteleyn_orientation(g: MatchGraph) -> dict[tuple[int, int], bool]:
     """Edge (i, j) -> True when oriented i to j, with an odd number of
     agreeing edges around every face except one root face per component."""
-    faces, face_of = _faces(g)
+    faces, face_of = g.faces()
     orient = {(i, j): True for i, j, _ in g.edges}
     parity = [0] * len(faces)
     for f, cycle in enumerate(faces):
@@ -217,26 +201,130 @@ def _kasteleyn_orientation(g: MatchGraph) -> dict[tuple[int, int], bool]:
     return orient
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, which is exact for
+    odd n > 37 below 3.3e24, so for every candidate below 2**61 here."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+_PRIMES: list[int] = []
+
+
+def _prime(k: int) -> int:
+    """The k-th prime below 2**61, counting down from 2**61 - 1."""
+    while len(_PRIMES) <= k:
+        p = _PRIMES[-1] - 2 if _PRIMES else (1 << 61) - 1
+        while not _is_prime(p):
+            p -= 2
+        _PRIMES.append(p)
+    return _PRIMES[k]
+
+
+def _det_mod(rows: list[dict[int, int]], n: int, p: int) -> int:
+    """Determinant modulo the prime p by sparse elimination.
+
+    Columns are eliminated in order; the pivot is the candidate row with
+    the fewest entries, which keeps the fill-in low.  The determinant is
+    the product of the pivots times the sign of the row permutation.
+    """
+    rows = [{j: v % p for j, v in r.items() if v % p} for r in rows]
+    rows_at: list[set[int]] = [set() for _ in range(n)]
+    for i, r in enumerate(rows):
+        for j in r:
+            rows_at[j].add(i)
+    det = 1
+    pivot_row = [0] * n
+    for c in range(n):
+        if not rows_at[c]:
+            return 0
+        piv = min(rows_at[c], key=lambda i: (len(rows[i]), i))
+        prow = rows[piv]
+        for j in prow:
+            rows_at[j].discard(piv)
+        pivot_row[c] = piv
+        pv = prow.pop(c)
+        det = det * pv % p
+        inv = pow(pv, -1, p)
+        for r in rows_at[c]:
+            row = rows[r]
+            f = row.pop(c) * inv % p
+            for j, v in prow.items():
+                x = (row.get(j, 0) - f * v) % p
+                if x:
+                    if j not in row:
+                        rows_at[j].add(r)
+                    row[j] = x
+                elif j in row:
+                    del row[j]
+                    rows_at[j].discard(r)
+    seen = [False] * n
+    for c in range(n):
+        # each cycle of length k contributes k - 1 transpositions
+        k = c
+        while not seen[k]:
+            seen[k] = True
+            k = pivot_row[k]
+            if k != c:
+                det = -det
+    return det % p
+
+
+def _det_exact(rows: list[dict[int, int]], n: int) -> int:
+    """Exact determinant of the n x n integer matrix with the given
+    sparse rows (column -> entry).
+
+    |det| is at most the Hadamard bound H, whose square is the product
+    of the rows' sums of squares.  Residues modulo descending primes
+    below 2**61 are combined by the Chinese remainder theorem until the
+    modulus M exceeds 2H; the symmetric residue in (-M/2, M/2] is then
+    the determinant itself.  A determinant mod p is exact for every
+    prime, so no prime is unlucky and the stop is a certificate.
+    """
+    bound = 1
+    for r in rows:
+        norm = sum(v * v for v in r.values())
+        if not norm:
+            return 0
+        bound *= norm
+    residue, modulus = 0, 1
+    k = 0
+    while modulus * modulus <= 4 * bound:
+        p = _prime(k)
+        k += 1
+        t = (_det_mod(rows, n, p) - residue) * pow(modulus, -1, p) % p
+        residue += modulus * t
+        modulus *= p
+    return residue - modulus if residue > modulus // 2 else residue
+
+
+def _kasteleyn_rows(cedges, orient, scale: int, row_of: dict[int, int],
+                    col_of: dict[int, int]) -> list[dict[int, int]]:
+    """Sparse rows of the signed matrix: an edge oriented a -> b puts its
+    scaled weight at (a, b) and its negative at (b, a), wherever the
+    index maps place that pair."""
+    rows: list[dict[int, int]] = [{} for _ in row_of]
+    for i, j, w in cedges:
+        val = int(w * scale)
+        a, b = (i, j) if orient[(i, j)] else (j, i)
+        if a in row_of and b in col_of:
+            rows[row_of[a]][col_of[b]] = val
+        if b in row_of and a in col_of:
+            rows[row_of[b]][col_of[a]] = -val
+    return rows
 
 
 def _two_color(comp: list[int], adj: list[set[int]]) -> dict[int, int] | None:
@@ -260,46 +348,35 @@ def count_matchings_pfaffian(g: MatchGraph) -> Fraction:
     if g.rotations is None:
         raise ContractError("determinant counting needs an embedding")
     orient = _kasteleyn_orientation(g)
-    wmap = g.weight_map()
     adj = g.neighbor_sets()
     result = ONE
     for comp_set in g.components():
         comp = sorted(comp_set)
         if len(comp) % 2:
             return ZERO
-        loc = {v: k for k, v in enumerate(comp)}
         cedges = [(i, j, w) for i, j, w in g.edges if i in comp_set]
         scale = lcm(*[w.denominator for _, _, w in cedges]) if cedges else 1
         color = _two_color(comp, adj)
         if color is not None:
+            # bipartite: the signed biadjacency determinant is the count
             us = [v for v in comp if color[v] == 0]
             ds = [v for v in comp if color[v] == 1]
             if len(us) != len(ds):
                 return ZERO
-            ui = {v: k for k, v in enumerate(us)}
-            di = {v: k for k, v in enumerate(ds)}
-            mat = [[0] * len(ds) for _ in us]
-            for i, j, w in cedges:
-                u, d = (i, j) if color[i] == 0 else (j, i)
-                s = 1 if orient[(min(i, j), max(i, j))] == (u == min(i, j)) else -1
-                mat[ui[u]][di[d]] = s * int(w * scale)
-            det = _det_bareiss(mat)
-            result *= Fraction(abs(det), scale ** len(us))
+            rows = _kasteleyn_rows(cedges, orient, scale,
+                                   {v: k for k, v in enumerate(us)},
+                                   {v: k for k, v in enumerate(ds)})
+            det = abs(_det_exact(rows, len(us)))
+            result *= Fraction(det, scale ** len(us))
         else:
-            mat = [[0] * len(comp) for _ in comp]
-            for i, j, w in cedges:
-                val = int(w * scale)
-                if orient[(i, j)]:
-                    mat[loc[i]][loc[j]] = val
-                    mat[loc[j]][loc[i]] = -val
-                else:
-                    mat[loc[i]][loc[j]] = -val
-                    mat[loc[j]][loc[i]] = val
-            det = _det_bareiss(mat)
-            assert det >= 0, "skew determinant must be nonnegative"
-            root = isqrt(det)
-            assert root * root == det, "skew determinant not a perfect square"
-            result *= Fraction(root, scale ** (len(comp) // 2))
+            # the skew determinant is the square of the Pfaffian
+            loc = {v: k for k, v in enumerate(comp)}
+            det = _det_exact(_kasteleyn_rows(cedges, orient, scale, loc, loc),
+                             len(comp))
+            if det < 0 or isqrt(det) ** 2 != det:
+                raise ContractError("skew determinant %d is not a square"
+                                    % det)
+            result *= Fraction(isqrt(det), scale ** (len(comp) // 2))
     return result
 
 
@@ -327,9 +404,7 @@ def mgf(g: MatchGraph) -> Fraction:
 
 
 def count_matchings(g: MatchGraph) -> int:
-    val = mgf(g)
-    assert val.denominator == 1, "weighted graph has no integer count"
-    return int(val)
+    return _as_count(mgf(g))
 
 
 # ---------------------------------------------------------------------

@@ -121,29 +121,37 @@ class MatchGraph:
 
     # -- embedding ----------------------------------------------------
 
-    def face_count(self) -> int:
-        """Number of face orbits of the loopless skeleton, isolated
-        vertices counting one face each."""
-        assert self.rotations is not None, "no embedding"
+    def faces(self) -> tuple[list[list[tuple[int, int]]],
+                             dict[tuple[int, int], int]]:
+        """Faces of the embedding as cycles of darts (i, j) and the face
+        index of every dart."""
+        if self.rotations is None:
+            raise ContractError("the graph has no embedding")
         succ: dict[tuple[int, int], tuple[int, int]] = {}
         for i, rot in enumerate(self.rotations):
             for pos, j in enumerate(rot):
                 # dart (j -> i) continues to the next neighbor after j in
                 # the cyclic order at i
                 succ[(j, i)] = (i, rot[(pos + 1) % len(rot)])
-        faces = 0
-        seen: set[tuple[int, int]] = set()
+        faces: list[list[tuple[int, int]]] = []
+        face_of: dict[tuple[int, int], int] = {}
         for dart in succ:
-            if dart in seen:
+            if dart in face_of:
                 continue
-            faces += 1
+            cycle = []
             d = dart
-            while d not in seen:
-                seen.add(d)
+            while d not in face_of:
+                face_of[d] = len(faces)
+                cycle.append(d)
                 d = succ[d]
             assert d == dart, "face trace did not close"
-        faces += sum(1 for rot in self.rotations if not rot)
-        return faces
+            faces.append(cycle)
+        return faces, face_of
+
+    def face_count(self) -> int:
+        """Number of face orbits of the loopless skeleton, isolated
+        vertices counting one face each."""
+        return len(self.faces()[0]) + sum(1 for rot in self.rotations if not rot)
 
     def _assert_planar(self):
         v = self.n

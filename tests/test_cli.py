@@ -133,6 +133,22 @@ def test_sweep_to_file(tmp_path, capsys):
     assert out_file.read_text().startswith("identity,params,lhs,rhs,verdict")
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--family", "holed", "--a", "4", "--b", "1", "--ks", "2"),
+    ("count-sym", "--family", "hexagon", "--a", "2", "--b", "2", "--c", "2",
+     "--sym", "rot180"),
+    ("verify", "--id", "I1_9", "--a", "1", "--b", "1"),
+])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_out_file_matches_stdout(tmp_path, capsys, argv, json_flag):
+    code, out, _ = run(capsys, *argv, *json_flag)
+    assert code == 0 and out
+    out_file = tmp_path / "out.txt"
+    code, file_out, _ = run(capsys, *argv, *json_flag, "--out", str(out_file))
+    assert code == 0 and file_out == ""
+    assert out_file.read_bytes() == out.encode("utf-8")
+
+
 def test_render_to_file_and_stdout(tmp_path, capsys):
     out_file = tmp_path / "fig.svg"
     code, out, _ = run(capsys, "render", "--family", "holed",

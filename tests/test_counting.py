@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -21,6 +22,7 @@ from lozlab.counting import (
     mgf_oracle,
 )
 from lozlab.duality import (
+    MatchGraph,
     axis_pair_dual_graph,
     dual_graph,
     factorization_split,
@@ -30,7 +32,7 @@ from lozlab.duality import (
     without_vertices,
 )
 from lozlab.errors import BudgetError, ContractError, SymmetryAbsentError
-from lozlab.formulas import d_count
+from lozlab.formulas import d_count, macmahon_box
 from lozlab.lattice import d_region, hexagon, holed_hexagon, rbar_region
 
 
@@ -262,3 +264,153 @@ def test_count_matchings_rejects_weighted():
         count_matchings_oracle(g)
     with pytest.raises(ContractError):
         count_matchings_pfaffian(free_gadget_graph(d_region(1, 1, -1, [1])))
+
+
+def test_count_matchings_rejects_non_integer_count():
+    g = MatchGraph((0, 1), ((0, 1, Fraction(1, 2)),), (), ((1,), (0,)))
+    assert mgf(g) == Fraction(1, 2)
+    with pytest.raises(ContractError):
+        count_matchings(g)
+
+
+def test_oracle_count_rejects_non_integer_value(monkeypatch):
+    monkeypatch.setattr(counting, "mgf_oracle",
+                        lambda g, **kw: Fraction(3, 2))
+    with pytest.raises(ContractError):
+        count_matchings_oracle(dual_graph(hexagon(1, 1, 1)))
+
+
+def test_orientation_needs_an_embedding():
+    g = dual_graph(hexagon(1, 1, 1))
+    bare = MatchGraph(g.tags, g.edges)
+    with pytest.raises(ContractError):
+        counting._kasteleyn_orientation(bare)
+    with pytest.raises(ContractError):
+        bare.face_count()
+
+
+@pytest.mark.parametrize("det", [-4, 2])
+def test_skew_determinant_must_be_a_square(monkeypatch, det):
+    r = hexagon(2, 2, 2)
+    q = quotient_graph(dual_graph(r), symmetry(r, "Rot60"))
+    assert count_matchings(q) == 1
+    monkeypatch.setattr(counting, "_det_exact", lambda rows, n: det)
+    with pytest.raises(ContractError):
+        count_matchings(q)
+
+
+# ---------------------------------------------------------------------
+# the sparse multi-modular determinant
+
+
+def _bareiss(m):
+    # fraction-free dense elimination over the integers, the reference
+    m = [row[:] for row in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
+
+
+def _det_exact(m):
+    return counting._det_exact(
+        [{j: v for j, v in enumerate(row) if v} for row in m], len(m))
+
+
+def _sylvester(k):
+    h = [[1]]
+    for _ in range(k):
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return h
+
+
+def test_det_exact_edge_cases():
+    assert _det_exact([]) == 1
+    assert _det_exact([[-7]]) == -7
+    assert _det_exact([[0]]) == 0
+    assert _det_exact([[1, 2], [2, 4]]) == 0                   # singular
+    assert _det_exact([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0  # zero row
+    assert _det_exact([[0, 1], [1, 0]]) == -1                  # row swap
+    assert _det_exact([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+    # just below the first prime 2**61 - 1: its residue fits one prime,
+    # its sign does not, so the stop must wait for a second prime
+    big = (1 << 61) - 2
+    assert _det_exact([[big]]) == big
+    assert _det_exact([[0, -big], [1, 0]]) == big
+    # |det| equals the Hadamard bound: the CRT stop has no slack here,
+    # and the scaled entries need several primes
+    for k in (2, 3):
+        h = _sylvester(k)
+        n = len(h)
+        big = [[v << 40 for v in row] for row in h]
+        flipped = [[-v for v in big[0]]] + big[1:]
+        want = _bareiss(big)
+        assert abs(want) == n ** (n // 2) << (40 * n)
+        assert _det_exact(big) == want
+        assert _det_exact(flipped) == -want
+
+
+def test_det_exact_matches_bareiss_on_random_matrices():
+    rng = random.Random(20261018)
+    multi_prime = negative = 0
+    for trial in range(300):
+        n = rng.randrange(1, 13)
+        span = rng.choice((1, 3, 1000, 1 << 70))
+        density = rng.choice((0.2, 0.5, 1.0))
+        m = [[rng.randint(-span, span) if rng.random() < density else 0
+              for _ in range(n)] for _ in range(n)]
+        if trial % 7 == 0 and n > 1:
+            m[rng.randrange(n)] = list(m[rng.randrange(n)])  # likely singular
+        want = _bareiss(m)
+        assert _det_exact(m) == want, (m, want)
+        multi_prime += abs(want) >= 1 << 61
+        negative += want < 0
+    assert multi_prime > 20 and negative > 50
+
+
+def test_hexagon_counts_beyond_dense_elimination():
+    for n in range(13, 17):
+        assert count_tilings(hexagon(n, n, n)) == macmahon_box(n, n, n), n
+
+
+def _cspp(n):
+    # cyclically symmetric plane partitions in an n-cube (Andrews)
+    out = Fraction(1)
+    for i in range(1, n + 1):
+        out *= Fraction(3 * i - 1, 3 * i - 2)
+        for j in range(i, n + 1):
+            out *= Fraction(n + i + j - 1, 2 * i + j - 1)
+    return out
+
+
+def _asm(m):
+    # alternating sign matrices of order m
+    out = Fraction(1)
+    for k in range(m):
+        out *= Fraction(factorial(3 * k + 1), factorial(m + k))
+    return out
+
+
+def test_rotation_quotient_counts_match_product_formulas():
+    for n in range(1, 11):
+        r = hexagon(n, n, n)
+        assert count_symmetric_tilings(r, ["Rot120"], "quotient") == \
+            _cspp(n), n
+    for n in (2, 4, 6, 8, 10):
+        r = hexagon(n, n, n)
+        q, _ = counting.normalize_loops(
+            quotient_graph(dual_graph(r), symmetry(r, "Rot60")))
+        # the loop-free quotient is not bipartite: the skew route runs
+        assert counting._two_color(list(range(q.n)), q.neighbor_sets()) is None
+        assert count_symmetric_tilings(r, ["Rot60"], "quotient") == \
+            _asm(n // 2) ** 2, n

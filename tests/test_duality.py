@@ -43,6 +43,17 @@ def test_dual_embedding_face_count():
     assert g2.n - len(g2.edges) + g2.face_count() == 2
 
 
+def test_faces_partition_the_darts():
+    g = dual_graph(holed_hexagon(4, 1, [2]))
+    faces, face_of = g.faces()
+    darts = {(i, j) for i, j, _ in g.edges} | {(j, i) for i, j, _ in g.edges}
+    assert sorted(d for cycle in faces for d in cycle) == sorted(darts)
+    for f, cycle in enumerate(faces):
+        for (a, b), (c, d) in zip(cycle, cycle[1:] + cycle[:1]):
+            assert b == c and face_of[(a, b)] == f
+    assert len(faces) == g.face_count()
+
+
 def test_symmetry_elements_exist_and_have_right_orders():
     r = hexagon(2, 2, 2)
     assert symmetry(r, "Rot60").order() == 6
