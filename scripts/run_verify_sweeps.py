@@ -1,8 +1,7 @@
 """Sweep the whole identity catalog over the stock grids.
 
 Prints one line per identity with row count, verdict, and wall time,
-then exits 0 only when every row of every sweep held.  Set
-LOZLAB_SWEEP_WORKERS to parallelize the grid cells.
+then exits 0 only when every row of every sweep held.
 """
 
 import argparse

@@ -19,7 +19,7 @@ from .errors import (BudgetError, ContractError, FormatError,
                      ParameterError, SymmetryAbsentError)
 from .formulas import (HoleLists, cored_count, d_count, eval_Q, eval_S,
                        hole_lists, holed_count_even, holed_count_odd,
-                       macmahon_box, reduce_k1)
+                       macmahon_box)
 from .lattice import (Region, TriCell, cell_at, cored_hexagon, d_region,
                       deserialize_region, hexagon, holed_hexagon,
                       rbar_region, serialize_region)

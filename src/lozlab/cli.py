@@ -12,7 +12,8 @@ Subcommands
 All numeric output is exact (integers in decimal, ratios as p/q) and
 every invocation is byte-deterministic.  Exit codes: 0 on success, 1
 when a verified identity fails, 2 for usage errors.  --json wraps the
-result as {"command", "params", "result"}.
+result as {"command", "params", "result"}; --out writes exactly the
+bytes stdout would get (text or envelope) to a file instead.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from itertools import product
 
 from .counting import (count_symmetric_tilings, count_tilings,
                        count_tilings_free)
-from .duality import (dual_graph, factorization_split, graph_text,
-                      quotient_graph, remove_loop_vertex, symmetry)
+from .duality import (central_axis_split, dual_graph, graph_text,
+                      quotient_graph, symmetry)
 from .errors import LozlabError, ParameterError
 from .lattice import cored_hexagon, d_region, hexagon, holed_hexagon, rbar_region
 from .svg import first_tiling, region_svg
-from .verify import check, default_grid, params_text, sweep
+from .verify import check, count_text, default_grid, sweep
 
 _SYM_KINDS = {"id": "Identity", "reflh": "ReflH", "reflv": "ReflV",
               "rot60": "Rot60", "rot120": "Rot120", "rot180": "Rot180"}
@@ -47,64 +48,59 @@ def _ints(text: str) -> list[int]:
                              % text)
 
 
-def _fmt_count(value) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return "%d/%d" % (value.numerator, value.denominator)
-    return str(int(value))
-
-
-def _json_count(value):
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return "%d/%d" % (value.numerator, value.denominator)
-    return int(value)
-
-
 def _require(args, family: str, names: tuple[str, ...]) -> dict:
     out = {}
     for name in names:
-        value = getattr(args, name.rstrip("_"), None)
+        value = getattr(args, name, None)
         if value is None:
-            raise ParameterError("family %s needs --%s"
-                                 % (family, name.rstrip("_")))
+            raise ParameterError("family %s needs --%s" % (family, name))
         out[name] = value
     return out
 
 
 def _build_region(args):
+    """The region the family flags describe, and its JSON params."""
     family = args.family
     if family == "hexagon":
         p = _require(args, family, ("a", "b", "c"))
-        return hexagon(**p), p
-    if family == "holed":
+        region = hexagon(**p)
+    elif family == "holed":
         p = _require(args, family, ("a", "b"))
         p["ks"] = args.ks if args.ks is not None else []
-        return holed_hexagon(p["a"], p["b"], p["ks"]), p
-    if family == "cored":
+        region = holed_hexagon(p["a"], p["b"], p["ks"])
+    elif family == "cored":
         p = _require(args, family, ("a", "b", "x"))
         p["ks"] = args.ks if args.ks is not None else []
-        return cored_hexagon(p["a"], p["b"], p["ks"], p["x"]), p
-    if family == "d":
+        region = cored_hexagon(p["a"], p["b"], p["ks"], p["x"])
+    elif family == "d":
         p = _require(args, family, ("a", "b", "eps"))
         p["is"] = args.is_ if args.is_ is not None else []
-        return d_region(p["a"], p["b"], p["eps"], p["is"]), p
-    if family == "rbar":
+        region = d_region(p["a"], p["b"], p["eps"], p["is"])
+    elif family == "rbar":
         p = _require(args, family, ("q", "base"))
         p["l"] = args.l if args.l is not None else []
-        return rbar_region(p["l"], p["q"], p["base"]), p
-    raise ParameterError("unknown family %r" % family)
+        region = rbar_region(p["l"], p["q"], p["base"])
+    else:
+        raise ParameterError("unknown family %r" % family)
+    return region, {"family": family, **p}
 
 
-def _emit(args, text: str) -> None:
+def _fraction_json(value: Fraction):
+    # json.dumps hook: an integral count stays a number, a ratio is p/q
+    return int(value) if value.denominator == 1 else count_text(value)
+
+
+def _emit(args, params: dict, result, text: str) -> None:
+    """The one output rule: the text, or with --json the envelope around
+    result; --out sends exactly those bytes to a file, none to stdout."""
+    if args.json:
+        text = json.dumps({"command": args.command, "params": params,
+                           "result": result}, default=_fraction_json) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _envelope(command: str, params: dict, result) -> str:
-    return json.dumps({"command": command, "params": params,
-                       "result": result}) + "\n"
 
 
 # ---------------------------------------------------------------------
@@ -114,10 +110,7 @@ def _envelope(command: str, params: dict, result) -> str:
 def _cmd_count(args) -> int:
     region, params = _build_region(args)
     n = count_tilings_free(region) if region.free_edges else count_tilings(region)
-    if args.json:
-        _emit(args, _envelope("count", {"family": args.family, **params}, n))
-    else:
-        _emit(args, "%d\n" % n)
+    _emit(args, params, n, "%d\n" % n)
     return 0
 
 
@@ -131,13 +124,8 @@ def _cmd_count_sym(args) -> int:
                                  % (token, ", ".join(sorted(_SYM_KINDS))))
         kinds.append(_SYM_KINDS[token])
     n = count_symmetric_tilings(region, tuple(kinds), args.method)
-    if args.json:
-        _emit(args, _envelope(
-            "count-sym",
-            {"family": args.family, **params, "sym": kinds,
-             "method": args.method}, n))
-    else:
-        _emit(args, "%d\n" % n)
+    _emit(args, {**params, "sym": kinds, "method": args.method}, n,
+          "%d\n" % n)
     return 0
 
 
@@ -147,8 +135,8 @@ def _verify_params(args) -> dict:
         value = getattr(args, name)
         if value is not None:
             out[name] = value
-    for name in ("ks", "is"):
-        value = getattr(args, name.rstrip("_") if name != "is" else "is_")
+    for name, attr in (("ks", "ks"), ("is", "is_")):
+        value = getattr(args, attr)
         if value is not None:
             out[name] = tuple(value)
     return out
@@ -159,22 +147,17 @@ def _cmd_verify(args) -> int:
     result = check(args.id, params)
     word = "OK" if result.verdict else "FAIL"
     if len(result.factors) == 2:
-        line = "%s = %s × %s %s" % (_fmt_count(result.lhs),
-                                    _fmt_count(result.factors[0]),
-                                    _fmt_count(result.factors[1]), word)
+        line = "%s = %s × %s %s" % (count_text(result.lhs),
+                                    count_text(result.factors[0]),
+                                    count_text(result.factors[1]), word)
     else:
-        line = "%s = %s %s" % (_fmt_count(result.lhs),
-                               _fmt_count(result.rhs), word)
-    if args.json:
-        _emit(args, _envelope(
-            "verify", {"id": args.id, **{k: list(v) if isinstance(v, tuple)
-                                         else v for k, v in params.items()}},
-            {"lhs": _json_count(result.lhs), "rhs": _json_count(result.rhs),
-             "factors": [_json_count(f) for f in result.factors],
-             "verdict": result.verdict, "lhs_route": result.lhs_route,
-             "rhs_route": result.rhs_route}))
-    else:
-        _emit(args, line + "\n")
+        line = "%s = %s %s" % (count_text(result.lhs),
+                               count_text(result.rhs), word)
+    _emit(args, {"id": args.id, **params},
+          {"lhs": result.lhs, "rhs": result.rhs, "factors": result.factors,
+           "verdict": result.verdict, "lhs_route": result.lhs_route,
+           "rhs_route": result.rhs_route},
+          line + "\n")
     return 0 if result.verdict else 1
 
 
@@ -213,16 +196,9 @@ def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.id, args.grid)
     report = sweep(args.id, grid)
     text = report.csv_text()
-    if args.json:
-        sys.stdout.write(_envelope(
-            "sweep", {"id": args.id, "grid": args.grid},
-            {"rows": len(report.rows), "all_true": report.all_true,
-             "csv": text}))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    else:
-        _emit(args, text)
+    _emit(args, {"id": args.id, "grid": args.grid},
+          {"rows": len(report.rows), "all_true": report.all_true,
+           "csv": text}, text)
     return 0 if report.all_true else 1
 
 
@@ -235,17 +211,9 @@ def _cmd_render(args) -> int:
     elif args.graph == "quotient":
         graph = quotient_graph(dual_graph(region), symmetry(region, "Rot180"))
     text = region_svg(region, tiling=tiling, graph=graph)
-    if args.json:
-        sys.stdout.write(_envelope(
-            "render", {"family": args.family, **params,
-                       "tiling": args.tiling, "graph": args.graph,
-                       "out": args.out},
-            {"svg": text}))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    else:
-        _emit(args, text)
+    _emit(args, {**params, "tiling": args.tiling, "graph": args.graph,
+                 "out": args.out},
+          {"svg": text}, text)
     return 0
 
 
@@ -254,31 +222,19 @@ def _cmd_quotient(args) -> int:
     kind = _SYM_KINDS[args.rot]
     g = quotient_graph(dual_graph(region), symmetry(region, kind))
     text = graph_text(g)
-    if args.json:
-        sys.stdout.write(_envelope(
-            "quotient", {"family": args.family, **params, "rot": args.rot},
-            {"vertices": g.n, "loops": len(g.loops), "graph": text}))
-    else:
-        _emit(args, text)
+    _emit(args, {**params, "rot": args.rot},
+          {"vertices": g.n, "loops": len(g.loops), "graph": text}, text)
     return 0
 
 
 def _cmd_split(args) -> int:
     region, params = _build_region(args)
-    q = quotient_graph(dual_graph(region), symmetry(region, "Rot180"))
-    weight = Fraction(1)
-    if q.loops:
-        q, weight = remove_loop_vertex(q)
-    result = factorization_split(q, symmetry(region, "ReflH"))
-    text = graph_text(result.subgraph)
-    if args.json:
-        sys.stdout.write(_envelope(
-            "split", {"family": args.family, **params},
-            {"vertices": result.subgraph.n,
-             "multiplier_log2": result.multiplier_log2,
-             "loop_weight": _json_count(weight), "graph": text}))
-    else:
-        _emit(args, text)
+    split, loop_weight = central_axis_split(region)
+    text = graph_text(split.subgraph)
+    _emit(args, params,
+          {"vertices": split.subgraph.n,
+           "multiplier_log2": split.multiplier_log2,
+           "loop_weight": loop_weight, "graph": text}, text)
     return 0
 
 
@@ -301,6 +257,11 @@ def _add_region_flags(sub) -> None:
     sub.add_argument("--q", type=_ints)
 
 
+def _add_output_flags(sub) -> None:
+    sub.add_argument("--out", help="write the output here instead of stdout")
+    sub.add_argument("--json", action="store_true")
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lozlab",
@@ -309,8 +270,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("count", help="exact tiling count of a region")
     _add_region_flags(sub)
-    sub.add_argument("--out", help="write the output here instead of stdout")
-    sub.add_argument("--json", action="store_true")
+    _add_output_flags(sub)
     sub.set_defaults(fn=_cmd_count)
 
     sub = subs.add_parser("count-sym", help="symmetry-invariant tiling count")
@@ -319,8 +279,7 @@ def _parser() -> argparse.ArgumentParser:
                      help="comma list: rot60,rot120,rot180,reflh,reflv,id")
     sub.add_argument("--method", default="auto",
                      choices=("auto", "orbit", "filter", "quotient"))
-    sub.add_argument("--out", help="write the output here instead of stdout")
-    sub.add_argument("--json", action="store_true")
+    _add_output_flags(sub)
     sub.set_defaults(fn=_cmd_count_sym)
 
     sub = subs.add_parser("verify", help="check one identity instance")
@@ -331,16 +290,14 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--eq", type=int)
     sub.add_argument("--ks", type=_ints)
     sub.add_argument("--is", dest="is_", type=_ints)
-    sub.add_argument("--out", help="write the output here instead of stdout")
-    sub.add_argument("--json", action="store_true")
+    _add_output_flags(sub)
     sub.set_defaults(fn=_cmd_verify)
 
     sub = subs.add_parser("sweep", help="check one identity over a grid")
     sub.add_argument("--id", required=True)
     sub.add_argument("--grid", required=True,
                      help="'default' or e.g. 'a=1..3;b=1|2;ks=-|1|1+2'")
-    sub.add_argument("--out", help="write the CSV here instead of stdout")
-    sub.add_argument("--json", action="store_true")
+    _add_output_flags(sub)
     sub.set_defaults(fn=_cmd_sweep)
 
     sub = subs.add_parser("render", help="draw a region as SVG")
@@ -349,8 +306,7 @@ def _parser() -> argparse.ArgumentParser:
                      help="overlay a sample tiling")
     sub.add_argument("--graph", choices=("dual", "quotient"),
                      help="overlay the dual or central-quotient graph")
-    sub.add_argument("--out", help="write the SVG here instead of stdout")
-    sub.add_argument("--json", action="store_true")
+    _add_output_flags(sub)
     sub.set_defaults(fn=_cmd_render)
 
     sub = subs.add_parser("quotient",
@@ -358,15 +314,13 @@ def _parser() -> argparse.ArgumentParser:
     _add_region_flags(sub)
     sub.add_argument("--rot", default="rot180",
                      choices=("rot60", "rot120", "rot180"))
-    sub.add_argument("--out")
-    sub.add_argument("--json", action="store_true")
+    _add_output_flags(sub)
     sub.set_defaults(fn=_cmd_quotient)
 
     sub = subs.add_parser("split",
                           help="axis surgery on the central quotient")
     _add_region_flags(sub)
-    sub.add_argument("--out")
-    sub.add_argument("--json", action="store_true")
+    _add_output_flags(sub)
     sub.set_defaults(fn=_cmd_split)
 
     return parser

@@ -220,9 +220,6 @@ class SymmetryElement:
     def key(self) -> frozenset:
         return frozenset(self.mapping.items())
 
-    def apply(self, cell: TriCell) -> TriCell:
-        return self.mapping[cell]
-
     def order(self) -> int:
         n = 0
         cells = list(self.mapping)
@@ -534,6 +531,20 @@ def factorization_split(g: MatchGraph, axis: SymmetryElement) -> FactorSplit:
                           for i in range(g.n))
     sub = MatchGraph(g.tags, tuple(edges), (), rotations)
     return FactorSplit(sub, len(halved))
+
+
+def central_axis_split(region: Region) -> tuple[FactorSplit, Fraction]:
+    """Axis surgery on the central (Rot180) quotient of a region.
+
+    An odd quotient first loses its looped vertex.  Returns the split
+    and that loop's weight (1 without a loop), so the quotient has
+    loop_weight * 2**multiplier_log2 * MGF(subgraph) matchings.
+    """
+    q = quotient_graph(dual_graph(region), symmetry(region, "Rot180"))
+    loop_weight = Fraction(1)
+    if q.loops:
+        q, loop_weight = remove_loop_vertex(q)
+    return factorization_split(q, symmetry(region, "ReflH")), loop_weight
 
 
 def split_dual_region(split: FactorSplit) -> Region:

@@ -39,7 +39,6 @@ __all__ = [
     "holed_count_odd",
     "cored_count",
     "d_count",
-    "reduce_k1",
 ]
 
 
@@ -114,18 +113,15 @@ def hole_lists(a: int, ks) -> HoleLists:
     return HoleLists(l, q)
 
 
-def eval_Q(l, q, x: int, a: int, s: int) -> int:
+def eval_Q(q, x: int, s: int) -> int:
     """Hole polynomial for even sides, evaluated at an integer point.
 
     Value: c * (prod over q_i of the 2q_i - 1 consecutive integers
     centered at x + s)^2, where c = 4 when 1 is in q and
-    c = 2 * prod q_i / (q_i - 1) otherwise.  The l list does not enter
-    the value; the parameter mirrors hole_lists output so call sites
-    can unpack one object.  holed_count_even calls this at x = a+b-s,
-    where the result is always integral; elsewhere a non-integral
-    value raises FormulaRangeError.
+    c = 2 * prod q_i / (q_i - 1) otherwise.  holed_count_even calls
+    this at x = a+b-s, where the result is always integral; elsewhere a
+    non-integral value raises FormulaRangeError.
     """
-    del l, a
     g = 1
     for qi in q:
         g *= _rising(x + s - qi + 1, 2 * qi - 1)
@@ -142,14 +138,13 @@ def eval_Q(l, q, x: int, a: int, s: int) -> int:
     return int(out)
 
 
-def eval_S(q, x: int, a: int, s: int) -> int:
+def eval_S(q, x: int, s: int) -> int:
     """Hole polynomial for odd sides: an explicit perfect square.
 
     Each q_i contributes the 2q_i consecutive integers starting at
     x + s - q_i + 1; the full product is squared.  Integral at every
     integer x.
     """
-    del a
     h = 1
     for qi in q:
         h *= _rising(x + s - qi + 1, 2 * qi)
@@ -205,7 +200,7 @@ def holed_count_even(a: int, b: int, ks) -> int:
     _require_int_at_least("b", b, 1)
     l, q = hole_lists(a, ks)
     s = a - len(q)
-    out = _even_prefactor(l, q) * eval_Q(l, q, a + b - s, a, s)
+    out = _even_prefactor(l, q) * eval_Q(q, a + b - s, s)
     return _clear(out, "even hole count")
 
 
@@ -219,7 +214,7 @@ def holed_count_odd(a: int, b: int, ks) -> int:
     _require_int_at_least("b", b, 1)
     _, q = hole_lists(a, ks)
     s = a - len(q)
-    out = _odd_prefactor(q) * eval_S(q, a + b - s, a, s)
+    out = _odd_prefactor(q) * eval_S(q, a + b - s, s)
     return _clear(out, "odd hole count")
 
 
@@ -247,7 +242,7 @@ def cored_count(a: int, b: int, ks, x: int) -> int:
     d = tuple(v for v in range(x, a) if v not in drop)
     alpha = a - 1
     s = alpha - len(d)
-    out = _odd_prefactor(d) * eval_S(d, alpha + b - s, alpha, s)
+    out = _odd_prefactor(d) * eval_S(d, alpha + b - s, s)
     return _clear(out, "cored count")
 
 
@@ -271,24 +266,3 @@ def d_count(a: int, b: int, eps: int, is_) -> int:
         for k in range(j + 1, len(is_)):
             out *= Fraction(is_[k] - is_[j], is_[j] + is_[k] - off)
     return _clear(out, "free-boundary count")
-
-
-def reduce_k1(a: int, b: int, ks):
-    """Strip leading k=1 holes from a holed-hexagon parameter triple.
-
-    While the smallest hole index is 1, shrink the side a by two and
-    shift the remaining indices down by one; the side may reach zero
-    (an empty region).  Returns the new (a, b, ks) triple; inputs with
-    k_1 != 1 come back unchanged.  This is a parameter rewrite only:
-    the two regions generally have different tiling counts, and the
-    closed forms in this module accept k_1 = 1 directly, so nothing
-    here needs to be called before them.
-    """
-    _require_int_at_least("a", a, 1)
-    _require_int_at_least("b", b, 1)
-    ks = list(_require_hole_indices(ks, a // 2))
-    side = a
-    while ks and ks[0] == 1:
-        side -= 2
-        ks = [k - 1 for k in ks[1:]]
-    return side, b, tuple(ks)

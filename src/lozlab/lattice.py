@@ -160,8 +160,9 @@ class Region:
         if self.free_edges:
             incidence = self._edge_incidence()
             for e in self.free_edges:
-                assert len(incidence.get(e, ())) == 1, \
-                    "free edge %r not on the boundary" % (e,)
+                if len(incidence.get(e, ())) != 1:
+                    raise ParameterError("free edge %r not on the boundary"
+                                         % (e,))
 
     def _edge_incidence(self) -> dict[Edge, list[TriCell]]:
         out: dict[Edge, list[TriCell]] = {}
@@ -535,5 +536,5 @@ def deserialize_region(data: bytes) -> Region:
         free_edges.append(e)
     try:
         return Region(family, tuple(params), tuple(cells), tuple(free_edges))
-    except AssertionError as exc:
+    except ParameterError as exc:
         raise FormatError("inconsistent region document: %s" % exc, offset=0)

@@ -17,18 +17,16 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Callable, Mapping, Sequence
 
 from .counting import (count_matchings, count_symmetric_tilings,
                        count_tilings, count_tilings_free, mgf)
-from .duality import (dual_graph, factorization_split, quotient_graph,
-                      remove_loop_vertex, symmetry)
-from .errors import BudgetError, LozlabError, ParameterError
+from .duality import central_axis_split, dual_graph, quotient_graph, symmetry
+from .errors import BudgetError, ParameterError
 from .formulas import cored_count, d_count, holed_count_even, holed_count_odd
 from .lattice import cored_hexagon, d_region, hexagon, holed_hexagon
 
@@ -40,7 +38,6 @@ __all__ = [
     "check",
     "default_grid",
     "sweep",
-    "sweep_workers",
 ]
 
 # desk-scale guard rails: enumeration style routes refuse regions whose
@@ -102,16 +99,6 @@ def _rot_quotient_count(region, kind: str) -> int:
     return count_matchings(g)
 
 
-def _axis_split_value(region) -> Fraction:
-    """MGF of the axis-surgered half of the central quotient."""
-    q = quotient_graph(dual_graph(region), symmetry(region, "Rot180"))
-    weight = Fraction(1)
-    if q.loops:
-        q, weight = remove_loop_vertex(q)
-    split = factorization_split(q, symmetry(region, "ReflH"))
-    return weight * Fraction(2) ** split.multiplier_log2 * mgf(split.subgraph)
-
-
 # ---------------------------------------------------------------------
 # per-identity checks; each returns (lhs, factors, lhs_route, rhs_route)
 
@@ -147,23 +134,26 @@ def _check_i1_12(a: int):
     return lhs, (f, f), "rot60-quotient+pfaffian", route
 
 
-def _check_t2_1_even(a: int, b: int, ks: tuple[int, ...]):
-    region = holed_hexagon(a, b, list(ks))
+def _square_check(region):
     lhs = _rot_quotient_count(region, "Rot180")
     f = _sym_orbit(region, ("Rot180", "ReflV"))
     return lhs, (f, f), "rot180-quotient+pfaffian", "orbit-enumeration"
+
+
+def _check_t2_1_even(a: int, b: int, ks: tuple[int, ...]):
+    return _square_check(holed_hexagon(a, b, list(ks)))
 
 
 def _check_t2_1_cored(a: int, b: int, ks: tuple[int, ...], x: int):
-    region = cored_hexagon(a, b, list(ks), x)
-    lhs = _rot_quotient_count(region, "Rot180")
-    f = _sym_orbit(region, ("Rot180", "ReflV"))
-    return lhs, (f, f), "rot180-quotient+pfaffian", "orbit-enumeration"
+    return _square_check(cored_hexagon(a, b, list(ks), x))
 
 
 def _split_check(region, a: int, s: int):
     lhs = _sym_orbit(region, ("Rot180",))
-    value = _axis_split_value(region)
+    # matchings of the central quotient, from its split half
+    split, loop_weight = central_axis_split(region)
+    value = (loop_weight * Fraction(2) ** split.multiplier_log2
+             * mgf(split.subgraph))
     scale = Fraction(2) ** (a - s)
     return lhs, (scale, value / scale), "orbit-enumeration", "axis-split+mgf"
 
@@ -176,70 +166,62 @@ def _check_e3_9(a: int, b: int, ks: tuple[int, ...]):
     return _split_check(holed_hexagon(2 * a + 1, b, list(ks)), a, len(ks))
 
 
-def _check_e3_5(a: int, b: int, ks: tuple[int, ...]):
-    lhs = holed_count_even(a, b, ks)
-    region = holed_hexagon(2 * a, b, list(ks))
+def _formula_check(lhs: int, region):
     f = count_symmetric_tilings(region, ("Rot180",), "quotient")
     return lhs, (f,), "product-formula", "rot180-quotient+pfaffian"
+
+
+def _check_e3_5(a: int, b: int, ks: tuple[int, ...]):
+    return _formula_check(holed_count_even(a, b, ks),
+                          holed_hexagon(2 * a, b, list(ks)))
 
 
 def _check_e3_10(a: int, b: int, ks: tuple[int, ...]):
-    lhs = holed_count_odd(a, b, ks)
-    region = holed_hexagon(2 * a + 1, b, list(ks))
-    f = count_symmetric_tilings(region, ("Rot180",), "quotient")
-    return lhs, (f,), "product-formula", "rot180-quotient+pfaffian"
+    return _formula_check(holed_count_odd(a, b, ks),
+                          holed_hexagon(2 * a + 1, b, list(ks)))
 
 
 def _check_e3_13(a: int, b: int, ks: tuple[int, ...], x: int):
-    lhs = cored_count(a, b, ks, x)
-    region = cored_hexagon(a, b, list(ks), x)
-    f = count_symmetric_tilings(region, ("Rot180",), "quotient")
-    return lhs, (f,), "product-formula", "rot180-quotient+pfaffian"
+    return _formula_check(cored_count(a, b, ks, x),
+                          cored_hexagon(a, b, list(ks), x))
+
+
+def _free_boundary_check(a: int, b: int, eps: int, is_: tuple[int, ...]):
+    lhs = d_count(a, b, eps, is_)
+    f = count_tilings_free(d_region(a, b, eps, list(is_)))
+    return lhs, (f,), "product-formula", "free-boundary-sum"
 
 
 def _check_e3_7(a: int, b: int, is_: tuple[int, ...]):
-    lhs = d_count(a, b, -1, is_)
-    f = count_tilings_free(d_region(a, b, -1, list(is_)))
-    return lhs, (f,), "product-formula", "free-boundary-sum"
+    return _free_boundary_check(a, b, -1, is_)
 
 
 def _check_e3_12(a: int, b: int, is_: tuple[int, ...]):
-    lhs = d_count(a, b, 0, is_)
-    f = count_tilings_free(d_region(a, b, 0, list(is_)))
-    return lhs, (f,), "product-formula", "free-boundary-sum"
-
-
-def _four_class_region(eq: int, a: int, b: int | None):
-    if eq in (1, 2):
-        if b is None:
-            raise ParameterError("equations 1 and 2 need both a and b")
-        return hexagon(a, a, 2 * b)
-    if b is not None:
-        raise ParameterError("equations 3 and 4 take a alone")
-    return hexagon(2 * a, 2 * a, 2 * a)
+    return _free_boundary_check(a, b, 0, is_)
 
 
 def _check_four_class(eq: int, a: int, b: int | None = None):
+    """Equations 2, 3 and 4 are I1_10, I1_11 and I1_12.  Equation 1 is
+    the I1_9 identity, but its reflection counts take the enumeration the
+    other three use (filter when small, else orbit search), not I1_9's
+    budgeted filter."""
     if eq not in (1, 2, 3, 4):
         raise ParameterError("eq selects one of the four equations (1..4)")
-    region = _four_class_region(eq, a, b)
-    if eq == 1:
-        lhs = count_tilings(region)
-        f1, route = _sym_enumerated(region, ("ReflV",))
-        f2, _ = _sym_enumerated(region, ("ReflH",))
-        return lhs, (f1, f2), "pfaffian", route
+    if eq in (1, 2) and b is None:
+        raise ParameterError("equations 1 and 2 need both a and b")
+    if eq in (3, 4) and b is not None:
+        raise ParameterError("equations 3 and 4 take a alone")
     if eq == 2:
-        lhs = _rot_quotient_count(region, "Rot180")
-        f, route = _sym_enumerated(region, ("Rot180", "ReflV"))
-        return lhs, (f, f), "rot180-quotient+pfaffian", route
+        return _check_i1_10(a, b)
     if eq == 3:
-        lhs = _rot_quotient_count(region, "Rot120")
-        f1, route = _sym_enumerated(region, ("Rot120", "ReflV"))
-        f2, _ = _sym_enumerated(region, ("Rot120", "ReflH"))
-        return lhs, (f1, f2), "rot120-quotient+pfaffian", route
-    lhs = _rot_quotient_count(region, "Rot60")
-    f, route = _sym_enumerated(region, ("Rot60", "ReflV"))
-    return lhs, (f, f), "rot60-quotient+pfaffian", route
+        return _check_i1_11(a)
+    if eq == 4:
+        return _check_i1_12(a)
+    region = hexagon(a, a, 2 * b)
+    lhs = count_tilings(region)
+    f1, route = _sym_enumerated(region, ("ReflV",))
+    f2, _ = _sym_enumerated(region, ("ReflH",))
+    return lhs, (f1, f2), "pfaffian", route
 
 
 # ---------------------------------------------------------------------
@@ -327,11 +309,8 @@ def check(identity_id: str, params: Mapping | None = None, **extra) -> IdentityC
     norm = _norm_params(identity_id, merged)
     _names, _kinds, fn = _CATALOG[identity_id]
     lhs, factors, lhs_route, rhs_route = fn(**dict(_rename(norm)))
-    rhs = factors[0]
-    for f in factors[1:]:
-        rhs = rhs * f
+    rhs = _as_exact(prod(factors))
     lhs = _as_exact(lhs)
-    rhs = _as_exact(rhs)
     factors = tuple(_as_exact(f) for f in factors)
     return IdentityCheck(identity_id, norm, lhs, rhs,
                          lhs_route, rhs_route, factors)
@@ -380,12 +359,13 @@ class SweepReport:
                 writer.writerow([r.identity_id, r.params_text, "", "", "error"])
             else:
                 writer.writerow([r.identity_id, r.params_text,
-                                 _count_text(r.lhs), _count_text(r.rhs),
+                                 count_text(r.lhs), count_text(r.rhs),
                                  "true" if r.verdict else "false"])
         return buf.getvalue()
 
 
-def _count_text(value: Count | None) -> str:
+def count_text(value: Count | None) -> str:
+    """An exact count as text: integers in decimal, ratios as p/q."""
     if value is None:
         return ""
     if isinstance(value, Fraction) and value.denominator != 1:
@@ -405,18 +385,7 @@ def params_text(params: Mapping | Sequence[tuple[str, object]]) -> str:
     return ";".join(parts)
 
 
-def sweep_workers() -> int:
-    """Worker count for sweeps, from LOZLAB_SWEEP_WORKERS (default 1)."""
-    raw = os.environ.get("LOZLAB_SWEEP_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError("LOZLAB_SWEEP_WORKERS must be an integer")
-    return max(1, n)
-
-
-def _sweep_cell(task: tuple[str, dict]) -> SweepRow:
-    identity_id, params = task
+def _sweep_row(identity_id: str, params: dict) -> SweepRow:
     text = params_text(params)
     try:
         result = check(identity_id, params)
@@ -431,19 +400,12 @@ def sweep(identity_id: str, param_grid) -> SweepReport:
     """Check one identity over a whole grid of parameter mappings.
 
     Rows appear in grid order; a row that raises is recorded as an
-    error and the sweep continues.  Grid cells run in parallel when
-    LOZLAB_SWEEP_WORKERS asks for more than one worker.
+    error and the sweep continues.
     """
     if identity_id not in _CATALOG:
         raise ParameterError("unknown identity %r" % (identity_id,))
-    tasks = [(identity_id, dict(p)) for p in param_grid]
-    workers = sweep_workers()
-    if workers == 1 or len(tasks) <= 1:
-        rows = [_sweep_cell(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, tasks))
-    return SweepReport(tuple(rows))
+    return SweepReport(tuple(_sweep_row(identity_id, dict(p))
+                             for p in param_grid))
 
 
 # ---------------------------------------------------------------------
@@ -467,28 +429,16 @@ def default_grid(identity_id: str) -> tuple[dict, ...]:
         return tuple({"a": a, "b": b, "ks": ks}
                      for a in (1, 2, 3, 4) for b in (1, 2)
                      for ks in _legal_ks(a // 2))
-    if identity_id == "T2_1_cored":
+    if identity_id in ("T2_1_cored", "E3_13"):
         return tuple({"a": a, "b": b, "ks": ks, "x": x}
                      for a in (1, 2, 3) for b in (1, 2)
                      for x in range(1, a + 1)
                      for ks in _legal_ks(a - x))
-    if identity_id in ("E3_1", "E3_9"):
-        return tuple({"a": a, "b": b, "ks": ks}
+    if identity_id in ("E3_1", "E3_5", "E3_7", "E3_9", "E3_10", "E3_12"):
+        holes = "is" if identity_id in ("E3_7", "E3_12") else "ks"
+        return tuple({"a": a, "b": b, holes: ks}
                      for a in (1, 2, 3) for b in (1, 2)
                      for ks in _legal_ks(a))
-    if identity_id in ("E3_5", "E3_10"):
-        return tuple({"a": a, "b": b, "ks": ks}
-                     for a in (1, 2, 3) for b in (1, 2)
-                     for ks in _legal_ks(a))
-    if identity_id == "E3_13":
-        return tuple({"a": a, "b": b, "ks": ks, "x": x}
-                     for a in (1, 2, 3) for b in (1, 2)
-                     for x in range(1, a + 1)
-                     for ks in _legal_ks(a - x))
-    if identity_id in ("E3_7", "E3_12"):
-        return tuple({"a": a, "b": b, "is": is_}
-                     for a in (1, 2, 3) for b in (1, 2)
-                     for is_ in _legal_ks(a))
     if identity_id == "FOUR_CLASS":
         grid: list[dict] = []
         for eq in (1, 2):

@@ -1,8 +1,10 @@
 """End-to-end checks of the command line surface."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,12 +140,19 @@ def test_sweep_to_file(tmp_path, capsys):
     ("count-sym", "--family", "hexagon", "--a", "2", "--b", "2", "--c", "2",
      "--sym", "rot180"),
     ("verify", "--id", "I1_9", "--a", "1", "--b", "1"),
+    ("sweep", "--id", "I1_10", "--grid", "a=1|2;b=1"),
+    ("render", "--family", "hexagon", "--a", "1", "--b", "1", "--c", "1"),
+    ("quotient", "--family", "hexagon", "--a", "1", "--b", "1", "--c", "1"),
+    ("split", "--family", "holed", "--a", "3", "--b", "1", "--ks", ""),
 ])
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
 def test_out_file_matches_stdout(tmp_path, capsys, argv, json_flag):
     code, out, _ = run(capsys, *argv, *json_flag)
     assert code == 0 and out
     out_file = tmp_path / "out.txt"
+    if argv[0] == "render" and json_flag:
+        # the render envelope echoes its --out argument
+        out = out.replace('"out": null', '"out": ' + json.dumps(str(out_file)))
     code, file_out, _ = run(capsys, *argv, *json_flag, "--out", str(out_file))
     assert code == 0 and file_out == ""
     assert out_file.read_bytes() == out.encode("utf-8")
@@ -230,6 +239,20 @@ def test_byte_determinism(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_golden_invocations_replay(capsys):
+    # every recorded benchmark invocation, byte for byte, in-process
+    golden = json.loads((Path(__file__).resolve().parent.parent / "lozbench"
+                         / "cli_golden.json").read_text(encoding="utf-8"))
+    assert len(golden) == 276
+    mismatched = []
+    for key, expected in golden.items():
+        code = main(key.split(" "))
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8"))
+        if (code, digest.hexdigest()) != (expected["exit"], expected["sha256"]):
+            mismatched.append(key)
+    assert mismatched == []
 
 
 def test_module_entry_point():

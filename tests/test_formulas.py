@@ -20,7 +20,6 @@ from lozlab.formulas import (
     holed_count_even,
     holed_count_odd,
     macmahon_box,
-    reduce_k1,
 )
 from lozlab.lattice import cored_hexagon, d_region, hexagon, holed_hexagon
 
@@ -85,10 +84,10 @@ def test_hole_lists_validation():
 
 def test_eval_q_degenerate_shapes():
     # empty lists: the bare constant for the no-survivor case
-    assert eval_Q((), (), 5, 3, 3) == 2
+    assert eval_Q((), 5, 3) == 2
     # single survivor 1: four times the square of x+s
     for x in range(0, 6):
-        assert eval_Q((), (1,), x, 2, 1) == 4 * (x + 1) ** 2
+        assert eval_Q((1,), x, 1) == 4 * (x + 1) ** 2
 
 
 def test_eval_s_is_a_perfect_square():
@@ -97,7 +96,7 @@ def test_eval_s_is_a_perfect_square():
             for ks in itertools.combinations(range(1, a + 1), s):
                 _, q = hole_lists(a, ks)
                 for x in range(0, 5):
-                    v = eval_S(q, x, a, s)
+                    v = eval_S(q, x, s)
                     assert v >= 0
                     assert math.isqrt(v) ** 2 == v
 
@@ -110,6 +109,12 @@ def test_even_counts_match_enumeration_small():
                     region = holed_hexagon(2 * a, b, list(ks))
                     want = count_symmetric_tilings(region, ["Rot180"])
                     assert holed_count_even(a, b, ks) == want
+    # k_1 = 1 needs no parameter rewrite: the closed form takes it as is
+    assert count_symmetric_tilings(holed_hexagon(4, 1, [1]), ["Rot180"]) \
+        == holed_count_even(2, 1, [1]) == 9
+    assert count_symmetric_tilings(holed_hexagon(2, 1, []), ["Rot180"]) == 4
+    # holes at k = 1 and 2 leave a single tiling
+    assert count_tilings(holed_hexagon(4, 2, [1, 2])) == 1
 
 
 def test_odd_counts_match_enumeration_small():
@@ -250,34 +255,6 @@ def test_cored_squares_give_dcount():
                         assert cored_count(a, b, ks, x) == want
 
 
-def test_reduce_k1_transform():
-    assert reduce_k1(6, 2, [2, 3]) == (6, 2, (2, 3))
-    assert reduce_k1(6, 1, [1, 3]) == (4, 1, (2,))
-    # repeated stripping may exhaust the region entirely
-    assert reduce_k1(4, 2, [1, 2]) == (0, 2, ())
-    assert reduce_k1(7, 1, [1, 2, 3]) == (1, 1, ())
-
-
-def test_reduce_k1_degenerate_instance_agrees():
-    # the fully reduced triple names an empty region (side 0), whose
-    # count is 1 by convention; the original is forced to a single
-    # tiling as well
-    assert count_tilings(holed_hexagon(4, 2, [1, 2])) == 1
-    assert reduce_k1(4, 2, [1, 2])[0] == 0
-
-
-def test_reduce_k1_is_parameter_rewrite_only():
-    # counts are generally not preserved: the closed forms take the
-    # original parameters, never the reduced ones
-    side, b, ks = 4, 1, [1]
-    rside, rb, rks = reduce_k1(side, b, ks)
-    original = count_symmetric_tilings(holed_hexagon(side, b, ks), ["Rot180"])
-    reduced = count_symmetric_tilings(holed_hexagon(rside, rb, list(rks)),
-                                      ["Rot180"])
-    assert original == holed_count_even(side // 2, b, ks) == 9
-    assert reduced == 4
-
-
 def test_formula_validation_errors():
     with pytest.raises(HoleCollisionError) as info:
         cored_count(4, 1, [3], 2)
@@ -303,8 +280,8 @@ def test_every_formula_returns_python_int():
         holed_count_odd(4, 2, [2]),
         cored_count(4, 2, [2], 1),
         d_count(4, 2, -1, [1, 4]),
-        eval_Q((1, 3), (2, 4), 7, 4, 2),
-        eval_S((2, 4), 7, 4, 2),
+        eval_Q((2, 4), 7, 2),
+        eval_S((2, 4), 7, 2),
     ]
     for v in values:
         assert type(v) is int

@@ -1,7 +1,12 @@
 """Geometry layer: cells, adjacency, region families, serialization."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import lozlab
 from lozlab.errors import FormatError, HoleCollisionError, ParameterError
 from lozlab.lattice import (
     DOWN,
@@ -249,3 +254,25 @@ def test_deserialize_errors_carry_offsets():
     assert info.value.offset == bad.find(b'[0,0,"U"]')
     with pytest.raises(FormatError):
         deserialize_region(blob.replace(b'"v":1', b'"v":2'))
+
+
+def test_free_edge_off_the_boundary_is_a_format_error_under_O():
+    # the check must not be an assert, which python -O strips
+    script = """
+import json
+from lozlab.errors import FormatError
+from lozlab.lattice import deserialize_region, hexagon, serialize_region
+doc = json.loads(serialize_region(hexagon(2, 2, 2)))
+doc["free_edges"] = [[[1, 1], [2, 1]]]
+try:
+    deserialize_region(json.dumps(doc).encode("utf-8"))
+except FormatError as exc:
+    print("FormatError", exc)
+"""
+    src = str(Path(lozlab.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("FormatError ")
+    assert "not on the boundary" in proc.stdout

@@ -127,7 +127,7 @@ def test_eval_S_is_a_perfect_square(x, data):
     q = tuple(sorted(data.draw(st.sets(st.sampled_from(range(1, 6)),
                                        max_size=3))))
     s = data.draw(st.integers(min_value=0, max_value=3))
-    value = eval_S(q, x, max(q, default=0) + s, s)
+    value = eval_S(q, x, s)
     if value.denominator == 1:
         root = math.isqrt(int(value))
         assert root * root == int(value)

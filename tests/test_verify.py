@@ -1,12 +1,13 @@
 """Identity catalog checks: routes, verdicts, sweeps, budgets."""
 
+import hashlib
+
 import pytest
 
 from lozlab.counting import count_symmetric_tilings, count_tilings
 from lozlab.errors import BudgetError, ParameterError
 from lozlab.lattice import hexagon
-from lozlab.verify import (IDENTITY_IDS, check, default_grid, params_text,
-                           sweep, sweep_workers)
+from lozlab.verify import IDENTITY_IDS, check, default_grid, params_text, sweep
 
 
 def test_catalog_lists_every_identity():
@@ -155,23 +156,67 @@ def test_params_text_rendering():
     assert params_text({"ks": ()}) == "ks=-"
 
 
-def test_sweep_worker_env(monkeypatch):
-    monkeypatch.setenv("LOZLAB_SWEEP_WORKERS", "3")
-    assert sweep_workers() == 3
-    monkeypatch.setenv("LOZLAB_SWEEP_WORKERS", "x")
-    with pytest.raises(ParameterError):
-        sweep_workers()
-    monkeypatch.delenv("LOZLAB_SWEEP_WORKERS")
-    assert sweep_workers() == 1
+_PFAFFIAN_FILTER = {("pfaffian", "enumeration+filter")}
+_ROT180_FILTER = {("rot180-quotient+pfaffian", "enumeration+filter")}
+_ROT120_SEARCH = {("rot120-quotient+pfaffian", "enumeration+filter"),
+                  ("rot120-quotient+pfaffian", "orbit-enumeration")}
+_ROT60_SEARCH = {("rot60-quotient+pfaffian", "enumeration+filter"),
+                 ("rot60-quotient+pfaffian", "orbit-enumeration")}
+_ROT180_ORBIT = {("rot180-quotient+pfaffian", "orbit-enumeration")}
+_ORBIT_SPLIT = {("orbit-enumeration", "axis-split+mgf")}
+_FORMULA_QUOTIENT = {("product-formula", "rot180-quotient+pfaffian")}
+_FORMULA_FREE = {("product-formula", "free-boundary-sum")}
+
+# (identity, FOUR_CLASS equation or None) -> routes over its default grid
+CATALOG_ROUTES = {
+    ("I1_9", None): _PFAFFIAN_FILTER,
+    ("I1_10", None): _ROT180_FILTER,
+    ("I1_11", None): _ROT120_SEARCH,
+    ("I1_12", None): _ROT60_SEARCH,
+    ("T2_1_even", None): _ROT180_ORBIT,
+    ("T2_1_cored", None): _ROT180_ORBIT,
+    ("E3_1", None): _ORBIT_SPLIT,
+    ("E3_5", None): _FORMULA_QUOTIENT,
+    ("E3_7", None): _FORMULA_FREE,
+    ("E3_9", None): _ORBIT_SPLIT,
+    ("E3_10", None): _FORMULA_QUOTIENT,
+    ("E3_12", None): _FORMULA_FREE,
+    ("E3_13", None): _FORMULA_QUOTIENT,
+    ("FOUR_CLASS", 1): _PFAFFIAN_FILTER,
+    ("FOUR_CLASS", 2): _ROT180_FILTER,
+    ("FOUR_CLASS", 3): _ROT120_SEARCH,
+    ("FOUR_CLASS", 4): _ROT60_SEARCH,
+}
+
+DEFAULT_GRID_CSV_SHA256 = (
+    "b9f140714c3088cbae4fd0dc5f42e2e22c7b55f1d096da1c3f0dcfeb20e14dd5")
 
 
-def test_parallel_sweep_matches_sequential(monkeypatch):
-    grid = default_grid("I1_10")
-    sequential = sweep("I1_10", grid)
-    monkeypatch.setenv("LOZLAB_SWEEP_WORKERS", "2")
-    parallel = sweep("I1_10", grid)
-    assert parallel == sequential
-    assert parallel.csv_text() == sequential.csv_text()
+def test_catalog_routes_and_default_grid_csv_are_pinned():
+    routes: dict = {}
+    texts = []
+    for identity_id in IDENTITY_IDS:
+        grid = default_grid(identity_id)
+        texts.append(sweep(identity_id, grid).csv_text())
+        for params in grid:
+            c = check(identity_id, params)
+            routes.setdefault((identity_id, params.get("eq")), set()).add(
+                (c.lhs_route, c.rhs_route))
+    assert routes == CATALOG_ROUTES
+    text = "".join(texts)
+    assert len(text.splitlines()) == 270
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
+        == DEFAULT_GRID_CSV_SHA256
+
+
+def test_four_class_eq1_keeps_its_own_enumeration():
+    # eq=1 takes the cell-count switch between filter and orbit search,
+    # I1_9 always filters under the tighter budget
+    assert check("FOUR_CLASS", eq=1, a=3, b=2).rhs_route == "orbit-enumeration"
+    assert check("I1_9", a=3, b=2).rhs_route == "enumeration+filter"
+    assert check("FOUR_CLASS", eq=1, a=5, b=2).verdict
+    with pytest.raises(BudgetError, match="130 cells"):
+        check("I1_9", a=5, b=2)
 
 
 def test_route_tags_are_disjoint_where_required():
@@ -185,7 +230,13 @@ def test_route_tags_are_disjoint_where_required():
               ("E3_9", {"a": 1, "b": 1, "ks": ()}),
               ("E3_10", {"a": 1, "b": 1, "ks": ()}),
               ("E3_12", {"a": 1, "b": 1, "is": ()}),
-              ("E3_13", {"a": 1, "b": 1, "ks": (), "x": 1})]
+              ("E3_13", {"a": 1, "b": 1, "ks": (), "x": 1}),
+              ("T2_1_even", {"a": 2, "b": 1, "ks": (1,)}),
+              ("T2_1_cored", {"a": 2, "b": 1, "ks": (1,), "x": 1}),
+              ("FOUR_CLASS", {"eq": 1, "a": 1, "b": 1}),
+              ("FOUR_CLASS", {"eq": 2, "a": 1, "b": 1}),
+              ("FOUR_CLASS", {"eq": 3, "a": 1}),
+              ("FOUR_CLASS", {"eq": 4, "a": 1})]
     for identity_id, params in probes:
         c = check(identity_id, params)
         assert c.lhs_route and c.rhs_route
