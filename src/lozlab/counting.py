@@ -131,24 +131,47 @@ def count_matchings_oracle(g: MatchGraph, *, max_vertices: int = ORACLE_CAP,
 
 
 def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect matchings as sorted tuples of vertex pairs."""
+    """All perfect matchings as sorted tuples of vertex pairs.
+
+    The least uncovered vertex is matched to each uncovered neighbor in
+    increasing order, depth first.  The search keeps an explicit stack
+    of (vertex, next neighbor index) frames, so its depth is not bound
+    by the interpreter's recursion limit.
+    """
     if g.loops:
         raise ContractError("enumeration needs a loopless graph")
+    n = g.n
+    if n == 0:
+        yield ()
+        return
     adj = [sorted(s) for s in g.neighbor_sets()]
-    uncovered = frozenset(range(g.n))
-
-    def rec(left: frozenset, acc: list) -> Iterator[tuple]:
-        if not left:
-            yield tuple(sorted(acc))
-            return
-        v = min(left)
-        for u in adj[v]:
-            if u in left:
-                acc.append((v, u) if v < u else (u, v))
-                yield from rec(left - {v, u}, acc)
-                acc.pop()
-
-    yield from rec(uncovered, [])
+    covered = [False] * n
+    pairs: list[tuple[int, int]] = []
+    stack = [[0, 0]]
+    while stack:
+        frame = stack[-1]
+        v, i = frame
+        if len(pairs) == len(stack):
+            _, u = pairs.pop()
+            covered[v] = covered[u] = False
+        nbrs = adj[v]
+        while i < len(nbrs) and covered[nbrs[i]]:
+            i += 1
+        if i == len(nbrs):
+            stack.pop()
+            continue
+        u = nbrs[i]
+        frame[1] = i + 1
+        covered[v] = covered[u] = True
+        pairs.append((v, u))
+        w = v + 1
+        while w < n and covered[w]:
+            w += 1
+        if w == n:
+            # v < u in every pair, and the v increase down the stack
+            yield tuple(pairs)
+        else:
+            stack.append([w, 0])
 
 
 def first_matching(g: MatchGraph) -> tuple[tuple[int, int], ...] | None:

@@ -17,7 +17,23 @@ and serialized data readable.  Neighbors (cells sharing a lattice edge):
     D(u, v) ~ U(u, v-1), U(u, v+1), U(u+1, v)
 
 so the adjacency structure is bipartite with parts "U" and "D" and every
-cell has at most three neighbors.
+cell has at most three neighbors.  edge_cells(edge) inverts cell_edges:
+it returns the two cells bordering a lattice edge (endpoints in sorted
+order) and () for anything else.  Regions check their free edges with
+it, one edge at a time.
+
+Geometry is computed, not searched.  The cells of hexagon(a, b, c) in
+strip u (0 <= u < a + b) are the "U" cells (u + v odd) with
+
+    max(u+1-2b-2c, 1-u-2c) <= v <= min(u-1, 2a-u-1)
+
+and the "D" cells (u + v even) with
+
+    max(u+2-2b-2c, -u-2c) <= v <= min(u, 2a-u-2);
+
+every bound already has its orientation's parity.  cell_from_corners
+reads a cell off the two corners that share a column and the apex one
+column away, level with their midpoint.
 
 Region families:
 
@@ -90,23 +106,25 @@ def cell_from_corners(corners: Iterable[Point]) -> TriCell:
 
     Raises ValueError when the points do not form a unit triangle.
     """
-    pts = sorted(corners)
-    if len(pts) != 3:
-        raise ValueError("need exactly three corners")
-    xs = [p[0] for p in pts]
-    lo, hi = min(xs), max(xs)
-    if hi != lo + 1:
-        raise ValueError("corners do not span adjacent columns: %r" % (pts,))
-    side = [p for p in pts if p[0] == lo]
-    if len(side) == 2:
-        apex = next(p for p in pts if p[0] == hi)
-        cell = TriCell(lo, apex[1], UP)
+    try:
+        p, q, r = corners
+    except ValueError:
+        raise ValueError("need exactly three corners") from None
+    # the vertical side is the pair sharing a column; the third is the apex
+    if p[0] == q[0]:
+        (x, y0), (_, y1), (ax, ay) = p, q, r
+    elif p[0] == r[0]:
+        (x, y0), (_, y1), (ax, ay) = p, r, q
+    elif q[0] == r[0]:
+        (x, y0), (_, y1), (ax, ay) = q, r, p
     else:
-        apex = side[0]
-        cell = TriCell(lo, apex[1], DOWN)
-    if set(cell_corners(cell)) != set(pts):
-        raise ValueError("corners do not form a unit triangle: %r" % (pts,))
-    return cell
+        raise ValueError("no two corners share a column: %r" % ((p, q, r),))
+    if abs(y1 - y0) == 2 and 2 * ay == y0 + y1:
+        if ax == x + 1:
+            return TriCell(x, ay, UP)
+        if ax == x - 1:
+            return TriCell(ax, ay, DOWN)
+    raise ValueError("corners do not form a unit triangle: %r" % ((p, q, r),))
 
 
 def cell_neighbors(cell: TriCell) -> tuple[TriCell, TriCell, TriCell]:
@@ -141,12 +159,33 @@ def _edge(a: Point, b: Point) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
+def edge_cells(edge: Edge) -> tuple[TriCell, ...]:
+    """The two cells bordering a lattice edge, () for any other edge.
+
+    The edge's endpoints must come in sorted order, as cell_edges and
+    Region.free_edges give them.
+    """
+    (x, y), (x1, y1) = edge
+    if (x + y) & 1:
+        return ()
+    if x1 == x and y1 == y + 2:
+        return (TriCell(x - 1, y + 1, DOWN), TriCell(x, y + 1, UP))
+    if x1 == x + 1 and y1 == y + 1:
+        return (TriCell(x, y, DOWN), TriCell(x, y + 1, UP))
+    if x1 == x + 1 and y1 == y - 1:
+        return (TriCell(x, y - 1, UP), TriCell(x, y, DOWN))
+    return ()
+
+
 @dataclass(frozen=True)
 class Region:
     """A finite set of cells plus optional free boundary edges.
 
     cells are sorted lexicographically; params is an ordered tuple of
-    (name, value) pairs echoing the construction call.
+    (name, value) pairs echoing the construction call.  Free edges are
+    checked edge by edge on construction: each must be a lattice edge
+    (endpoints in sorted order) with exactly one bordering cell in the
+    region, else ParameterError.
     """
 
     family: str
@@ -157,19 +196,7 @@ class Region:
     def __post_init__(self):
         assert list(self.cells) == sorted(set(self.cells)), "cells not sorted/unique"
         assert all(cell_ok(c) for c in self.cells), "malformed cell"
-        if self.free_edges:
-            incidence = self._edge_incidence()
-            for e in self.free_edges:
-                if len(incidence.get(e, ())) != 1:
-                    raise ParameterError("free edge %r not on the boundary"
-                                         % (e,))
-
-    def _edge_incidence(self) -> dict[Edge, list[TriCell]]:
-        out: dict[Edge, list[TriCell]] = {}
-        for c in self.cells:
-            for e in cell_edges(c):
-                out.setdefault(e, []).append(c)
-        return out
+        self.free_cell_map()  # raises ParameterError for a bad free edge
 
     @property
     def cell_set(self) -> frozenset[TriCell]:
@@ -201,9 +228,21 @@ class Region:
         return len(seen) == len(self.cells)
 
     def free_cell_map(self) -> dict[Edge, TriCell]:
-        """Each free edge with the unique region cell it borders."""
-        incidence = self._edge_incidence()
-        return {e: incidence[e][0] for e in self.free_edges}
+        """Each free edge with the unique region cell it borders.
+
+        Raises ParameterError for a free edge that is not a lattice edge
+        with exactly one side in the region.
+        """
+        if not self.free_edges:
+            return {}
+        have = self.cell_set
+        out = {}
+        for e in self.free_edges:
+            inside = [c for c in edge_cells(e) if c in have]
+            if len(inside) != 1:
+                raise ParameterError("free edge %r not on the boundary" % (e,))
+            out[e] = inside[0]
+        return out
 
 
 def region_corner_bounds(r: Region) -> tuple[int, int, int, int]:
@@ -239,19 +278,16 @@ def _require_increasing(name: str, values) -> tuple[int, ...]:
     return out
 
 
-def _in_hexagon(pt: Point, a: int, b: int, c: int) -> bool:
-    x, y = pt
-    return (x >= 0 and x <= a + b and x - y >= 0 and 2 * a - x - y >= 0
-            and y - x + 2 * b + 2 * c >= 0 and x + y + 2 * c >= 0)
-
-
 def _hexagon_cells(a: int, b: int, c: int) -> set[TriCell]:
+    # every bound has the parity of its orientation, so step 2 from it
     cells = set()
     for u in range(a + b):
-        for v in range(-b - 2 * c - 1, a + 2):
-            cell = cell_at(u, v)
-            if all(_in_hexagon(p, a, b, c) for p in cell_corners(cell)):
-                cells.add(cell)
+        for v in range(max(u + 1 - 2 * b - 2 * c, 1 - u - 2 * c),
+                       min(u - 1, 2 * a - u - 1) + 1, 2):
+            cells.add(TriCell(u, v, UP))
+        for v in range(max(u + 2 - 2 * b - 2 * c, -u - 2 * c),
+                       min(u, 2 * a - u - 2) + 1, 2):
+            cells.add(TriCell(u, v, DOWN))
     return cells
 
 

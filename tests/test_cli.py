@@ -167,10 +167,14 @@ def test_render_to_file_and_stdout(tmp_path, capsys):
     text = out_file.read_text()
     assert text.startswith("<svg ")
     assert 'fill="#555555"' in text
-    code, out, _ = run(capsys, "render", "--family", "hexagon",
-                       "--a", "1", "--b", "1", "--c", "1")
-    assert code == 0 and out == text.replace(text, out)  # stdout mode emits SVG
-    assert out.startswith("<svg ")
+    small = ("render", "--family", "hexagon", "--a", "1", "--b", "1",
+             "--c", "1")
+    small_file = tmp_path / "small.svg"
+    code, out, _ = run(capsys, *small, "--out", str(small_file))
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, *small)
+    assert code == 0 and out.startswith("<svg ")
+    assert out == small_file.read_bytes().decode("utf-8")
 
 
 def test_render_overlays(capsys):

@@ -103,6 +103,44 @@ def test_enumerate_matchings_are_perfect_and_distinct():
     assert first_matching(g) in seen
 
 
+def test_enumerate_matchings_runs_deeper_than_the_recursion_limit():
+    # 2 400 vertices: the search goes 1 200 pairs deep
+    g = dual_graph(hexagon(20, 20, 20))
+    m = next(enumerate_matchings(g))
+    assert len(m) == g.n // 2
+    assert sorted(v for e in m for v in e) == list(range(g.n))
+    adj = g.neighbor_sets()
+    assert all(j in adj[i] for i, j in m)
+
+
+def _recursive_matchings(g):
+    """Reference order: match the least uncovered vertex, neighbors ascending."""
+    adj = [sorted(s) for s in g.neighbor_sets()]
+
+    def rec(left, acc):
+        if not left:
+            yield tuple(sorted(acc))
+            return
+        v = min(left)
+        for u in adj[v]:
+            if u in left:
+                acc.append((v, u))
+                yield from rec(left - {v, u}, acc)
+                acc.pop()
+
+    return rec(frozenset(range(g.n)), [])
+
+
+def test_enumerate_matchings_keeps_the_recursive_order():
+    for region in (hexagon(1, 1, 1), hexagon(3, 2, 2), hexagon(2, 3, 1),
+                   holed_hexagon(4, 1, [2]), holed_hexagon(3, 1, [1]),
+                   d_region(2, 1, -1, [1, 2])):
+        g = dual_graph(region)
+        assert list(enumerate_matchings(g)) == list(_recursive_matchings(g))
+    empty = MatchGraph((), ())
+    assert list(enumerate_matchings(empty)) == [()]
+
+
 def test_mgf_of_folded_bottom_half():
     g = axis_pair_dual_graph(rbar_region([], [1], 1))
     assert mgf(g) == Fraction(2)

@@ -1,7 +1,9 @@
 """Geometry layer: cells, adjacency, region families, serialization."""
 
+import json
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -11,21 +13,25 @@ from lozlab.errors import FormatError, HoleCollisionError, ParameterError
 from lozlab.lattice import (
     DOWN,
     UP,
+    Region,
     TriCell,
     cell_at,
     cell_corners,
+    cell_edges,
     cell_from_corners,
     cell_neighbors,
     cells_adjacent,
     cored_hexagon,
     d_region,
     deserialize_region,
+    edge_cells,
     hexagon,
     holed_hexagon,
     rbar_region,
     serialize_region,
     shared_edge,
 )
+from lozlab.lattice import _hexagon_cells
 
 
 def test_cell_parity_and_corners():
@@ -40,9 +46,76 @@ def test_cell_parity_and_corners():
 def test_cell_from_corners_roundtrip():
     for cell in (TriCell(0, 1, UP), TriCell(3, -4, UP),
                  TriCell(0, 0, DOWN), TriCell(-2, 4, DOWN)):
-        assert cell_from_corners(cell_corners(cell)) == cell
+        for corners in permutations(cell_corners(cell)):
+            assert cell_from_corners(corners) == cell
+            assert cell_from_corners(iter(corners)) == cell
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (0, 2), (0, 4)],              # collinear, vertical
+    [(0, 0), (1, 1), (2, 2)],              # collinear, slanted
+    [(0, 0), (0, 0), (1, 1)],              # doubled point
+    [(0, 0), (0, 2), (0, 2)],              # doubled point on the side
+    [(0, 0), (0, 2), (2, 1)],              # apex two columns away
+    [(0, 0), (0, 2), (2, 0)],              # 2-wide triangle
+    [(0, -2), (0, 2), (2, 0)],             # side-2 triangle
+    [(0, 0), (0, 2), (1, 0)],              # apex off the midpoint
+    [(0, 0), (0, 2)],                      # two points
+    [(0, 0), (0, 2), (1, 1), (1, 3)],      # four points
+])
+def test_cell_from_corners_rejects_non_triangles(points):
     with pytest.raises(ValueError):
-        cell_from_corners([(0, 0), (0, 2), (2, 0)])
+        cell_from_corners(points)
+
+
+def _box_scan_hexagon_cells(a, b, c):
+    """Reference: every cell of a bounding box whose corners pass the six
+    half-plane tests of the hexagon."""
+    def inside(x, y):
+        return (0 <= x <= a + b and x - y >= 0 and 2 * a - x - y >= 0
+                and y - x + 2 * b + 2 * c >= 0 and x + y + 2 * c >= 0)
+    return {cell_at(u, v)
+            for u in range(a + b) for v in range(-b - 2 * c - 1, a + 2)
+            if all(inside(*p) for p in cell_corners(cell_at(u, v)))}
+
+
+def test_hexagon_cells_match_the_box_scan():
+    for a in range(1, 9):
+        for b in range(1, 9):
+            for c in range(1, 9):
+                assert _hexagon_cells(a, b, c) == _box_scan_hexagon_cells(a, b, c)
+
+
+def test_edge_cells_lists_both_sides_of_every_edge():
+    for region in (hexagon(3, 2, 2), holed_hexagon(6, 1, [2]),
+                   d_region(3, 2, -1, [2])):
+        for cell in region.cells:
+            for e in cell_edges(cell):
+                sides = edge_cells(e)
+                assert len(sides) == 2 and cell in sides
+                assert cells_adjacent(*sides) and shared_edge(*sides) == e
+    for e in (((0, 1), (0, 3)),            # endpoints off the lattice
+              ((0, 0), (0, 4)),            # two edges long
+              ((0, 0), (2, 0)),            # not a lattice direction
+              ((0, 2), (0, 0)),            # endpoints out of order
+              ((1, 1), (1, 1))):           # a point
+        assert edge_cells(e) == ()
+
+
+@pytest.mark.parametrize("edge,inside", [
+    (((1, -1), (1, 1)), 2),                # interior of hexagon(2, 2, 2)
+    (((1, 1), (2, 1)), 0),                 # not a lattice edge
+    (((10, 0), (10, 2)), 0),               # beside no cell of the region
+])
+def test_free_edge_not_on_the_boundary_is_rejected(edge, inside):
+    r = hexagon(2, 2, 2)
+    assert len([c for c in r.cells if edge in cell_edges(c)]) == inside
+    with pytest.raises(ParameterError):
+        Region(r.family, r.params, r.cells, (edge,))
+    doc = json.loads(serialize_region(r))
+    doc["free_edges"] = [[list(edge[0]), list(edge[1])]]
+    with pytest.raises(FormatError):
+        deserialize_region(json.dumps(doc).encode("utf-8"))
 
 
 def test_adjacency_is_symmetric_and_shares_an_edge():
