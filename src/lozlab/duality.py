@@ -7,15 +7,20 @@ correspond to perfect matchings of the dual graph.  Vertices carry tags
 rotation system: the cyclic counterclockwise order of neighbors, which
 fixes a planar embedding.  Edge weights are exact fractions; loops are
 stored separately from ordinary edges and never take part in the
-rotation system.
+rotation system.  A graph is checked when it is built, and its derived
+structures (adjacency, connected components, the face trace of the
+embedding) are computed at most once per graph; the face trace serves
+both the Euler check and the Kasteleyn orientation.
 
-Symmetries of a region are stored as explicit cell permutations.  The
-quotient of a dual graph under a rotation identifies each orbit of
-cells to one vertex; an orbit of edges whose endpoints fall into the
-same vertex orbit becomes a loop.  Parallel edge orbits between the
-same pair of vertex orbits are merged into a single edge whose weight
-is the multiplicity, which leaves matching generating functions
-unchanged.
+Symmetries of a region are stored as explicit cell permutations.  A
+cell is mapped by arithmetic on its tripled centroid, an integer point,
+and a group is closed by composing its generators with the newest
+elements.  The quotient of a dual graph under a rotation identifies
+each orbit of cells to one vertex; an orbit of edges whose endpoints
+fall into the same vertex orbit becomes a loop when a symmetric
+matching can use it.  Parallel edge orbits between the same pair of
+vertex orbits are merged into a single edge whose weight is the
+multiplicity, which leaves matching generating functions unchanged.
 
 factorization_split performs the axis surgery on a graph that is
 mirror-symmetric about a horizontal axis of vertices: every axis
@@ -28,6 +33,7 @@ function of the surgered graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
@@ -37,8 +43,6 @@ from .lattice import (
     UP,
     Region,
     TriCell,
-    cell_corners,
-    cell_from_corners,
     cell_neighbors,
     region_corner_bounds,
 )
@@ -49,7 +53,13 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class MatchGraph:
-    """Weighted loopy graph with tagged vertices and a planar embedding."""
+    """Weighted loopy graph with tagged vertices and a planar embedding.
+
+    The constructor checks its input: sorted unique tags, edges and
+    loops, endpoints in range, positive Fraction weights, a rotation
+    system that lists exactly each vertex's neighbours, and Euler's
+    formula for the embedding.  A violation raises ContractError.
+    """
 
     tags: tuple[Hashable, ...]
     edges: tuple[tuple[int, int, Fraction], ...]
@@ -58,24 +68,41 @@ class MatchGraph:
 
     def __post_init__(self):
         n = len(self.tags)
-        assert list(self.tags) == sorted(set(self.tags)), "tags not sorted/unique"
+        if list(self.tags) != sorted(set(self.tags)):
+            raise ContractError("tags not sorted/unique")
         pairs = [(i, j) for i, j, _ in self.edges]
-        assert pairs == sorted(set(pairs)), "edges not sorted/unique"
+        if pairs != sorted(set(pairs)):
+            raise ContractError("edges not sorted/unique")
         for i, j, w in self.edges:
-            assert 0 <= i < j < n, "bad edge endpoints (%d, %d)" % (i, j)
-            assert isinstance(w, Fraction) and w > 0, "bad weight %r" % (w,)
+            if not 0 <= i < j < n:
+                raise ContractError("bad edge endpoints (%r, %r)" % (i, j))
+            if not (isinstance(w, Fraction) and w.numerator > 0):
+                raise ContractError("bad weight %r" % (w,))
         loop_vs = [v for v, _ in self.loops]
-        assert loop_vs == sorted(set(loop_vs)), "loops not sorted/unique"
+        if loop_vs != sorted(set(loop_vs)):
+            raise ContractError("loops not sorted/unique")
         for v, w in self.loops:
-            assert 0 <= v < n
-            assert isinstance(w, Fraction) and w > 0
+            if not 0 <= v < n:
+                raise ContractError("bad loop vertex %r" % (v,))
+            if not (isinstance(w, Fraction) and w.numerator > 0):
+                raise ContractError("bad loop weight %r" % (w,))
         if self.rotations is not None:
-            assert len(self.rotations) == n
-            adj = self.neighbor_sets()
-            for i, rot in enumerate(self.rotations):
-                assert len(rot) == len(set(rot)), "repeated neighbor in rotation"
-                assert set(rot) == adj[i], "rotation disagrees with edges at %d" % i
-            self._assert_planar()
+            if len(self.rotations) != n:
+                raise ContractError("rotation system has %d entries for %d "
+                                    "vertices" % (len(self.rotations), n))
+            for i, (rot, nbrs) in enumerate(zip(self.rotations,
+                                                self._adjacency)):
+                if len(rot) != len(set(rot)):
+                    raise ContractError("repeated neighbor in rotation at %d"
+                                        % i)
+                if set(rot) != nbrs:
+                    raise ContractError("rotation disagrees with edges at %d"
+                                        % i)
+            v, e = n, len(self.edges)
+            f, c = self.face_count(), len(self._components)
+            if v - e + f != 2 * c:
+                raise ContractError("embedding not planar: V=%d E=%d F=%d C=%d"
+                                    % (v, e, f, c))
 
     # -- basic queries ------------------------------------------------
 
@@ -84,17 +111,49 @@ class MatchGraph:
         return len(self.tags)
 
     def neighbor_sets(self) -> list[set[int]]:
+        return [set(s) for s in self._adjacency]
+
+    def components(self) -> list[set[int]]:
+        return [set(c) for c in self._components]
+
+    def index_of(self, tag) -> int:
+        from bisect import bisect_left
+
+        i = bisect_left(self.tags, tag)
+        if i == len(self.tags) or self.tags[i] != tag:
+            raise KeyError(tag)
+        return i
+
+    # -- embedding ----------------------------------------------------
+
+    def faces(self) -> tuple[list[list[tuple[int, int]]],
+                             dict[tuple[int, int], int]]:
+        """Faces of the embedding as cycles of darts (i, j) and the face
+        index of every dart."""
+        faces = [list(cycle) for cycle in self._face_trace]
+        return faces, {d: f for f, cycle in enumerate(faces) for d in cycle}
+
+    def face_count(self) -> int:
+        """Number of face orbits of the loopless skeleton, isolated
+        vertices counting one face each."""
+        return (len(self._face_trace)
+                + sum(1 for rot in self.rotations if not rot))
+
+    # -- derived structures, computed once per graph -------------------
+    # neighbor_sets, components and faces hand out copies of these, so
+    # no caller can alter what later callers see.
+
+    @cached_property
+    def _adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for i, j, _ in self.edges:
             adj[i].add(j)
             adj[j].add(i)
         return adj
 
-    def weight_map(self) -> dict[tuple[int, int], Fraction]:
-        return {(i, j): w for i, j, w in self.edges}
-
-    def components(self) -> list[set[int]]:
-        adj = self.neighbor_sets()
+    @cached_property
+    def _components(self) -> list[set[int]]:
+        adj = self._adjacency
         seen: set[int] = set()
         out = []
         for start in range(self.n):
@@ -111,20 +170,8 @@ class MatchGraph:
             out.append(comp)
         return out
 
-    def index_of(self, tag) -> int:
-        from bisect import bisect_left
-
-        i = bisect_left(self.tags, tag)
-        if i == len(self.tags) or self.tags[i] != tag:
-            raise KeyError(tag)
-        return i
-
-    # -- embedding ----------------------------------------------------
-
-    def faces(self) -> tuple[list[list[tuple[int, int]]],
-                             dict[tuple[int, int], int]]:
-        """Faces of the embedding as cycles of darts (i, j) and the face
-        index of every dart."""
+    @cached_property
+    def _face_trace(self) -> list[list[tuple[int, int]]]:
         if self.rotations is None:
             raise ContractError("the graph has no embedding")
         succ: dict[tuple[int, int], tuple[int, int]] = {}
@@ -146,20 +193,7 @@ class MatchGraph:
                 d = succ[d]
             assert d == dart, "face trace did not close"
             faces.append(cycle)
-        return faces, face_of
-
-    def face_count(self) -> int:
-        """Number of face orbits of the loopless skeleton, isolated
-        vertices counting one face each."""
-        return len(self.faces()[0]) + sum(1 for rot in self.rotations if not rot)
-
-    def _assert_planar(self):
-        v = self.n
-        e = len(self.edges)
-        f = self.face_count()
-        c = len(self.components())
-        assert v - e + f == 2 * c, \
-            "embedding not planar: V=%d E=%d F=%d C=%d" % (v, e, f, c)
+        return faces
 
 
 def graph_text(g: MatchGraph) -> str:
@@ -184,22 +218,18 @@ def dual_graph(region: Region) -> MatchGraph:
     """
     cells = region.cells
     index = {c: i for i, c in enumerate(cells)}
-    have = region.cell_set
     edges = []
     rotations = []
     for i, c in enumerate(cells):
         u, v = c.u, c.v
+        # plain tuples hash and compare like the TriCells they spell
         if c.orient == UP:
-            ccw = (TriCell(u, v + 1, DOWN), TriCell(u - 1, v, DOWN),
-                   TriCell(u, v - 1, DOWN))
+            ccw = ((u, v + 1, DOWN), (u - 1, v, DOWN), (u, v - 1, DOWN))
         else:
-            ccw = (TriCell(u + 1, v, UP), TriCell(u, v + 1, UP),
-                   TriCell(u, v - 1, UP))
-        rot = tuple(index[d] for d in ccw if d in have)
+            ccw = ((u + 1, v, UP), (u, v + 1, UP), (u, v - 1, UP))
+        rot = tuple(index[d] for d in ccw if d in index)
         rotations.append(rot)
-        for d in ccw:
-            if d in have and index[d] > i:
-                edges.append((i, index[d], ONE))
+        edges.extend((i, j, ONE) for j in rot if j > i)
     return MatchGraph(tuple(cells), tuple(sorted(edges)), (),
                       tuple(rotations))
 
@@ -216,9 +246,6 @@ class SymmetryElement:
 
     kind: str
     mapping: dict[TriCell, TriCell]
-
-    def key(self) -> frozenset:
-        return frozenset(self.mapping.items())
 
     def order(self) -> int:
         n = 0
@@ -267,23 +294,29 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
     """The named symmetry as a cell permutation of the region.
 
     The center and axes are taken from the bounding box of the region's
-    corners.  Raises SymmetryAbsentError when the map is not a lattice
-    isometry or does not send the region onto itself.
+    corners.  Each cell is mapped through its tripled centroid, (3u+1, 3v)
+    for "U" and (3u+2, 3v) for "D", which the point map sends to the
+    tripled centroid of the image cell.  Raises SymmetryAbsentError when
+    the map is not a lattice isometry or does not send the region onto
+    itself.
     """
     xmin, xmax, ymin, ymax = region_corner_bounds(region)
-    pmap = _point_map(kind, xmin + xmax, ymin + ymax)
+    # tripling the center keeps every condition _point_map checks on it
+    pmap = _point_map(kind, 3 * (xmin + xmax), 3 * (ymin + ymax))
     have = region.cell_set
     mapping: dict[TriCell, TriCell] = {}
     for cell in region.cells:
-        pts = [pmap(p) for p in cell_corners(cell)]
-        if any((x + y) % 2 for x, y in pts):
-            raise SymmetryAbsentError(
-                "%s does not preserve the lattice on %s" % (kind, region.family))
-        try:
-            image = cell_from_corners(pts)
-        except ValueError:
+        x, y = pmap((3 * cell.u + (1 if cell.orient == UP else 2), 3 * cell.v))
+        u, r = divmod(x, 3)
+        v, s = divmod(y, 3)
+        if s or not r:
             raise SymmetryAbsentError(
                 "%s does not preserve unit cells" % (kind,))
+        # "U" (r = 1) needs u + v odd, "D" (r = 2) needs u + v even
+        if (u + v + r) % 2:
+            raise SymmetryAbsentError(
+                "%s does not preserve the lattice on %s" % (kind, region.family))
+        image = TriCell(u, v, UP if r == 1 else DOWN)
         if image not in have:
             raise SymmetryAbsentError(
                 "%s does not map the region to itself (cell %r -> %r)"
@@ -291,9 +324,10 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
         mapping[cell] = image
     assert len(set(mapping.values())) == len(mapping), "map not injective"
     for cell in region.cells:
+        image_nbrs = cell_neighbors(mapping[cell])
         for nb in cell_neighbors(cell):
             if nb in have:
-                assert mapping[nb] in cell_neighbors(mapping[cell]), \
+                assert mapping[nb] in image_nbrs, \
                     "image is not a graph automorphism"
     return SymmetryElement(kind, mapping)
 
@@ -310,23 +344,33 @@ def identity_element(region: Region) -> SymmetryElement:
 
 
 def symmetry_group(region: Region, kinds: Sequence[str]) -> list[SymmetryElement]:
-    """Closure of the named symmetries under composition."""
-    elems = {identity_element(region).key(): identity_element(region)}
-    for kind in kinds:
-        e = symmetry(region, kind)
-        elems.setdefault(e.key(), e)
-    while True:
-        new = {}
-        items = list(elems.values())
-        for f in items:
-            for g in items:
-                h = compose(f, g)
-                k = h.key()
-                if k not in elems and k not in new:
-                    new[k] = h
-        if not new:
-            return list(elems.values())
-        elems.update(new)
+    """Closure of the named symmetries under composition.
+
+    The identity comes first, then the named symmetries in order (each
+    unless it repeats an earlier element), then their products.  Each
+    round composes every generator with the elements the previous round
+    found; in a finite group that reaches every product.
+    """
+    def key(e: SymmetryElement) -> tuple[TriCell, ...]:
+        return tuple(map(e.mapping.__getitem__, region.cells))
+
+    ident = identity_element(region)
+    elems = {key(ident): ident}
+    gens = [symmetry(region, kind) for kind in kinds]
+    for e in gens:
+        elems.setdefault(key(e), e)
+    frontier = list(elems.values())
+    while frontier:
+        new = []
+        for f in frontier:
+            for g in gens:
+                h = compose(g, f)
+                k = key(h)
+                if k not in elems:
+                    elems[k] = h
+                    new.append(h)
+        frontier = new
+    return list(elems.values())
 
 
 # ---------------------------------------------------------------------
@@ -339,16 +383,21 @@ def quotient_graph(g: MatchGraph, elem: SymmetryElement) -> MatchGraph:
 
     The action must be free on vertices.  Orbits become vertices tagged
     with the sorted tuple of their cells; edge orbits with endpoints in
-    one vertex orbit become loops of weight 1.  An edge orbit that is
-    not itself a partial matching can never be used by a symmetric
-    matching; such orbits only arise here when the quotient has an even
-    number of vertices, where parity already forbids using the loop.
+    one vertex orbit become loops.  Only an orbit around the rotation
+    center can do so, so a quotient has at most one loop.  An edge orbit
+    that is not itself a partial matching (its edges share cells, as the
+    six around the center of Rot60) can never be used by a symmetric
+    matching.  With an odd number of quotient vertices every perfect
+    matching would have to use the loop, so such an orbit is dropped.
+    With an even number parity already keeps the loop out of every
+    perfect matching, and it stays in the graph as printed.
     """
     assert all(isinstance(t, TriCell) for t in g.tags), "need a cell-tagged graph"
     if elem.kind not in ("Rot60", "Rot120", "Rot180"):
         raise ContractError(
             "quotient requires a rotation generator, got %r" % (elem.kind,))
-    perm = [g.index_of(elem.mapping[t]) for t in g.tags]
+    index = {t: i for i, t in enumerate(g.tags)}
+    perm = [index[elem.mapping[t]] for t in g.tags]
     orbits: list[list[int]] = []
     orbit_of = [-1] * g.n
     for start in range(g.n):
@@ -389,12 +438,12 @@ def quotient_graph(g: MatchGraph, elem: SymmetryElement) -> MatchGraph:
             # this edge is a valid symmetric partial matching
             orbit = orbits[orbit_of[i]]
             t = orbit.index(j) - orbit.index(i)
-            if (2 * t) % len(orbit) != 0:
-                assert n_q % 2 == 0, "unusable loop in odd-order quotient"
-            loops[oi] = loops.get(oi, Fraction(0)) + w
+            if (2 * t) % len(orbit) and n_q % 2:
+                continue
+            loops[oi] = loops[oi] + w if oi in loops else w
         else:
             key = (min(oi, oj), max(oi, oj))
-            weights[key] = weights.get(key, Fraction(0)) + w
+            weights[key] = weights[key] + w if key in weights else w
 
     edges = tuple(sorted((i, j, w) for (i, j), w in weights.items()))
     loop_list = tuple(sorted(loops.items()))
@@ -403,7 +452,7 @@ def quotient_graph(g: MatchGraph, elem: SymmetryElement) -> MatchGraph:
     if g.rotations is not None:
         rots = []
         for o_new in range(n_q):
-            rep = g.index_of(min(tags[order[o_new]]))
+            rep = min(orbits[order[o_new]])
             rot = []
             for nb in g.rotations[rep]:
                 q = rank[orbit_of[nb]]
@@ -472,7 +521,7 @@ def induced_vertex_map(g: MatchGraph, elem: SymmetryElement) -> list[int]:
             out.append(g.index_of(_tag_image(t, elem.mapping)))
         except KeyError:
             raise SymmetryAbsentError("symmetry does not permute the graph's tags")
-    wmap = g.weight_map()
+    wmap = {(i, j): w for i, j, w in g.edges}
     for i, j, w in g.edges:
         a, b = out[i], out[j]
         if wmap.get((min(a, b), max(a, b))) != w:

@@ -31,9 +31,7 @@ and the "D" cells (u + v even) with
 
     max(u+2-2b-2c, -u-2c) <= v <= min(u, 2a-u-2);
 
-every bound already has its orientation's parity.  cell_from_corners
-reads a cell off the two corners that share a column and the apex one
-column away, level with their midpoint.
+every bound already has its orientation's parity.
 
 Region families:
 
@@ -63,7 +61,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import FormatError, HoleCollisionError, ParameterError
 
@@ -99,32 +97,6 @@ def cell_corners(cell: TriCell) -> tuple[Point, Point, Point]:
     if cell.orient == UP:
         return ((u, v - 1), (u, v + 1), (u + 1, v))
     return ((u + 1, v - 1), (u + 1, v + 1), (u, v))
-
-
-def cell_from_corners(corners: Iterable[Point]) -> TriCell:
-    """Reconstruct the cell from its three corner points.
-
-    Raises ValueError when the points do not form a unit triangle.
-    """
-    try:
-        p, q, r = corners
-    except ValueError:
-        raise ValueError("need exactly three corners") from None
-    # the vertical side is the pair sharing a column; the third is the apex
-    if p[0] == q[0]:
-        (x, y0), (_, y1), (ax, ay) = p, q, r
-    elif p[0] == r[0]:
-        (x, y0), (_, y1), (ax, ay) = p, r, q
-    elif q[0] == r[0]:
-        (x, y0), (_, y1), (ax, ay) = q, r, p
-    else:
-        raise ValueError("no two corners share a column: %r" % ((p, q, r),))
-    if abs(y1 - y0) == 2 and 2 * ay == y0 + y1:
-        if ax == x + 1:
-            return TriCell(x, ay, UP)
-        if ax == x - 1:
-            return TriCell(ax, ay, DOWN)
-    raise ValueError("corners do not form a unit triangle: %r" % ((p, q, r),))
 
 
 def cell_neighbors(cell: TriCell) -> tuple[TriCell, TriCell, TriCell]:
@@ -246,14 +218,14 @@ class Region:
 
 
 def region_corner_bounds(r: Region) -> tuple[int, int, int, int]:
-    """(min X, max X, min Y, max Y) over all cell corners."""
-    xs = []
-    ys = []
-    for c in r.cells:
-        for (x, y) in cell_corners(c):
-            xs.append(x)
-            ys.append(y)
-    return (min(xs), max(xs), min(ys), max(ys))
+    """(min X, max X, min Y, max Y) over all cell corners.
+
+    Either orientation of cell (u, v) has corners in columns u and u + 1
+    and rows v - 1 .. v + 1, so the bounds follow from those of u and v.
+    """
+    us = [c.u for c in r.cells]
+    vs = [c.v for c in r.cells]
+    return (min(us), max(us) + 1, min(vs) - 1, max(vs) + 1)
 
 
 # ---------------------------------------------------------------------

@@ -23,9 +23,9 @@ from itertools import combinations
 from math import prod
 from typing import Callable, Mapping, Sequence
 
-from .counting import (count_matchings, count_symmetric_tilings,
-                       count_tilings, count_tilings_free, mgf)
-from .duality import central_axis_split, dual_graph, quotient_graph, symmetry
+from .counting import (count_symmetric_tilings, count_tilings,
+                       count_tilings_free, mgf)
+from .duality import central_axis_split
 from .errors import BudgetError, ParameterError
 from .formulas import cored_count, d_count, holed_count_even, holed_count_odd
 from .lattice import cored_hexagon, d_region, hexagon, holed_hexagon
@@ -94,11 +94,6 @@ def _sym_enumerated(region, kinds) -> tuple[int, str]:
     return _sym_orbit(region, kinds), "orbit-enumeration"
 
 
-def _rot_quotient_count(region, kind: str) -> int:
-    g = quotient_graph(dual_graph(region), symmetry(region, kind))
-    return count_matchings(g)
-
-
 # ---------------------------------------------------------------------
 # per-identity checks; each returns (lhs, factors, lhs_route, rhs_route)
 
@@ -114,14 +109,14 @@ def _check_i1_9(a: int, b: int):
 
 def _check_i1_10(a: int, b: int):
     region = hexagon(a, a, 2 * b)
-    lhs = _rot_quotient_count(region, "Rot180")
+    lhs = count_symmetric_tilings(region, ("Rot180",), "quotient")
     f, route = _sym_enumerated(region, ("Rot180", "ReflV"))
     return lhs, (f, f), "rot180-quotient+pfaffian", route
 
 
 def _check_i1_11(a: int):
     region = hexagon(2 * a, 2 * a, 2 * a)
-    lhs = _rot_quotient_count(region, "Rot120")
+    lhs = count_symmetric_tilings(region, ("Rot120",), "quotient")
     f1, route = _sym_enumerated(region, ("Rot120", "ReflV"))
     f2, _ = _sym_enumerated(region, ("Rot120", "ReflH"))
     return lhs, (f1, f2), "rot120-quotient+pfaffian", route
@@ -129,13 +124,13 @@ def _check_i1_11(a: int):
 
 def _check_i1_12(a: int):
     region = hexagon(2 * a, 2 * a, 2 * a)
-    lhs = _rot_quotient_count(region, "Rot60")
+    lhs = count_symmetric_tilings(region, ("Rot60",), "quotient")
     f, route = _sym_enumerated(region, ("Rot60", "ReflV"))
     return lhs, (f, f), "rot60-quotient+pfaffian", route
 
 
 def _square_check(region):
-    lhs = _rot_quotient_count(region, "Rot180")
+    lhs = count_symmetric_tilings(region, ("Rot180",), "quotient")
     f = _sym_orbit(region, ("Rot180", "ReflV"))
     return lhs, (f, f), "rot180-quotient+pfaffian", "orbit-enumeration"
 

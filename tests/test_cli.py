@@ -48,6 +48,18 @@ def test_count_sym(capsys):
     assert (code, out) == (0, "2\n")
 
 
+def test_rot60_on_odd_hexagons_counts_zero(capsys):
+    for n in ("1", "3"):
+        side = ("--family", "hexagon", "--a", n, "--b", n, "--c", n)
+        code, out, err = run(capsys, "count-sym", *side, "--sym", "rot60")
+        assert (code, out, err) == (0, "0\n", "")
+        code, out, err = run(capsys, "quotient", *side, "--rot", "rot60")
+        assert (code, err) == (0, "")
+        # no loop line: the center's edge orbit is not a usable loop
+        assert all(len(set(line.split()[:2])) == 2
+                   for line in out.splitlines())
+
+
 def test_count_sym_rejects_unknown_kind(capsys):
     code, _, err = run(capsys, "count-sym", "--family", "hexagon",
                        "--a", "1", "--b", "1", "--c", "2", "--sym", "spin")

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -29,11 +29,13 @@ from lozlab.duality import (
     quotient_graph,
     remove_loop_vertex,
     symmetry,
+    symmetry_group,
     without_vertices,
 )
 from lozlab.errors import BudgetError, ContractError, SymmetryAbsentError
 from lozlab.formulas import d_count, macmahon_box
-from lozlab.lattice import d_region, hexagon, holed_hexagon, rbar_region
+from lozlab.lattice import (cored_hexagon, d_region, hexagon, holed_hexagon,
+                           rbar_region)
 
 
 def test_six_cycle_has_two_matchings():
@@ -267,6 +269,51 @@ def test_orbit_search_matches_filter_and_quotient_on_holed_hexagons():
             assert orbit == filtered, (a, b, ks, kinds)
         assert count_symmetric_tilings(region, ["Rot180"], method="orbit") == \
             count_symmetric_tilings(region, ["Rot180"], method="quotient")
+
+
+# the eight groups every route is pinned on
+CROSS_GROUPS = (("Rot180",), ("Rot120",), ("Rot60",), ("ReflH",), ("ReflV",),
+                ("Rot180", "ReflH"), ("Rot120", "ReflV"), ("Rot60", "ReflH"))
+# the filter enumerates every tiling; past this it costs seconds a region
+CROSS_FILTER_CELLS = 60
+
+
+def test_orbit_quotient_and_filter_agree_on_every_group():
+    regions = [hexagon(a, b, c) for a, b, c in product(range(1, 5), repeat=3)]
+    regions += [holed_hexagon(a, b, ks) for a in range(2, 6) for b in (1, 2)
+                for ks in ([], [1], [2], [1, 2]) if not ks or 2 * ks[-1] <= a]
+    regions += [cored_hexagon(a, b, ks, 1) for a in (2, 3) for b in (1, 2)
+                for ks in ([], [1])]
+    routes = {"orbit": 0, "quotient": 0, "filter": 0}
+    for region in regions:
+        for kinds in CROSS_GROUPS:
+            try:
+                symmetry_group(region, kinds)
+            except SymmetryAbsentError:
+                continue
+            counts = {"orbit": count_symmetric_tilings(region, kinds, "orbit")}
+            if not any(k.startswith("Refl") for k in kinds):
+                counts["quotient"] = count_symmetric_tilings(region, kinds,
+                                                             "quotient")
+            if len(region.cells) <= CROSS_FILTER_CELLS:
+                counts["filter"] = count_symmetric_tilings(region, kinds,
+                                                           "filter")
+            assert len(set(counts.values())) == 1, \
+                (region.family, region.params, kinds, counts)
+            for route in counts:
+                routes[route] += 1
+    assert routes == {"orbit": 264, "quotient": 108, "filter": 158}
+
+
+def test_rot60_on_odd_hexagons_counts_zero():
+    # the quotient has an odd vertex count and its only loop is an edge
+    # orbit around the center that no symmetric tiling can use
+    for n in (1, 3, 5):
+        r = hexagon(n, n, n)
+        q = quotient_graph(dual_graph(r), symmetry(r, "Rot60"))
+        assert q.n == n * n and not q.loops
+        assert count_symmetric_tilings(r, ["Rot60"], "quotient") == 0
+        assert count_symmetric_tilings(r, ["Rot60"], "orbit") == 0
 
 
 def test_cell_search_state_cap(monkeypatch):

