@@ -1,37 +1,38 @@
 """Exact matching and tiling counts.
 
 Two independent engines are provided on purpose.  The oracle routines
-count by plain recursive search (minimum-degree branching, splitting
-off connected components, pruning odd components) and serve as ground
-truth on small graphs.  The production routines build a Kasteleyn
-orientation from the planar embedding and the signed matrix as sparse
-rows; for bipartite components the signed biadjacency determinant gives
-the count directly, otherwise the determinant of the skew adjacency
-matrix is a perfect square whose root is the count.  Weighted graphs
-are scaled to integers first.  One engine takes every determinant:
-sparse elimination modulo primes below 2**61, combined by the Chinese
-remainder theorem until the modulus exceeds twice the Hadamard bound,
-which certifies the result exact.
+count by the memoized search described below, run on the graph's
+vertices, and serve as ground truth on small graphs.  The production
+routines build a Kasteleyn orientation from the planar embedding and
+the signed matrix as sparse rows; for bipartite components the signed
+biadjacency determinant gives the count directly, otherwise the
+determinant of the skew adjacency matrix is a perfect square whose
+root is the count.  Weighted graphs are scaled to integers first.  One
+engine takes every determinant: sparse elimination modulo primes below
+2**61, combined by the Chinese remainder theorem until the modulus
+exceeds twice the Hadamard bound, which certifies the result exact.
 
 Loop conventions: a loop covers its own vertex and a matching may use
-it, so on a graph with an even vertex count loops are dead weight,
-while on an odd component exactly one loop must be used.  The oracle
+it, so on a graph with an even vertex count a single loop is dead
+weight, while on an odd graph a single loop must be used.  The oracle
 handles loops natively; the determinant path requires the caller to
-normalize them away, which normalize_loops does for the two shapes
-that occur here.
+normalize them away, which normalize_loops does for a graph with one
+loop, the most a quotient has.
 
 Tiling-level wrappers count tilings of a region (perfect matchings of
 its dual graph), tilings invariant under a symmetry group (by direct
 orbit search, by filtering the full enumeration, or by counting
 matchings of the quotient graph when the group is a rotation group),
 and free-boundary tilings where marked boundary cells may stay
-uncovered (by the cell search of the orbit route, or attaching an optional
-pendant per free cell in the oracle cross-check).
+uncovered (by the search on region cells, or by the oracle on a graph
+attaching an optional pendant per free cell, as a cross-check).
 
-The orbit and free-boundary routes share one engine on region cells,
-never on the dual graph or a determinant: it settles cells in sorted
-order, column by column, and memoizes the ways to reach each set of
-cells left, a broken-profile transfer-matrix count.
+One search engine serves the oracle, the orbit route and the
+free-boundary route: it settles items (graph vertices or region cells)
+in sorted order and memoizes the weighted ways to reach each set of
+items left, a broken-profile transfer-matrix count.  The orbit and
+free-boundary routes run it on region cells, never on the dual graph
+or a determinant.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .errors import BudgetError, ContractError
 from .lattice import Region, cell_neighbors
 
 ORACLE_CAP = 64
-# memo states the cell search may create before it gives up
+# memo states the search may create before it gives up
 SEARCH_STATE_CAP = 1_000_000
 
 ZERO = Fraction(0)
@@ -61,48 +62,43 @@ ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------
-# search-based oracles
+# the memoized search engine and the oracle
 
 
-def _adjacency(g: MatchGraph) -> dict[int, dict[int, Fraction]]:
-    adj: dict[int, dict[int, Fraction]] = {i: {} for i in range(g.n)}
-    for i, j, w in g.edges:
-        adj[i][j] = w
-        adj[j][i] = w
-    return adj
+def _sweep(moves: list[list[tuple[int, int | Fraction]]]) -> int | Fraction:
+    """Weighted ways to remove every item by moves, each taken by its
+    least item.
 
-
-def _mgf_rec(adj: dict[int, dict[int, Fraction]],
-             loops: dict[int, Fraction]) -> Fraction:
-    if not adj:
-        return ONE
-    start = min(adj)
-    comp = {start}
-    stack = [start]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in comp:
-                comp.add(u)
-                stack.append(u)
-    if len(comp) < len(adj):
-        rest = {v: {u: w for u, w in nbrs.items()}
-                for v, nbrs in adj.items() if v not in comp}
-        here = {v: adj[v] for v in comp}
-        return (_mgf_rec(here, loops) * _mgf_rec(rest, loops))
-    if len(comp) % 2 and not any(v in loops for v in comp):
-        return ZERO
-    v = min(comp, key=lambda x: (len(adj[x]) + (1 if x in loops else 0), x))
-    total = ZERO
-    for u in sorted(adj[v]):
-        w = adj[v][u]
-        sub = {x: {y: wy for y, wy in nbrs.items() if y != v and y != u}
-               for x, nbrs in adj.items() if x != v and x != u}
-        total += w * _mgf_rec(sub, loops)
-    if v in loops:
-        sub = {x: {y: wy for y, wy in nbrs.items() if y != v}
-               for x, nbrs in adj.items() if x != v}
-        total += loops[v] * _mgf_rec(sub, loops)
-    return total
+    moves[p] lists (mask, weight) pairs whose least set bit is p.  Items
+    left are an int bitmask, so the least item is the lowest set bit.
+    Each state waits in the bucket of its least item together with the
+    weighted number of ways to reach it, and the buckets are settled in
+    item order, so every state is expanded once and a settled bucket is
+    dropped.  The sweep is a loop, not a recursion, so a deep input runs
+    into the state cap, never into the interpreter's stack limit.  Int
+    weights give an int, Fraction weights a Fraction.
+    """
+    n = len(moves)
+    waiting: list[dict] = [{} for _ in range(n + 1)]
+    waiting[0][(1 << n) - 1] = 1
+    states = 1
+    for p in range(n):
+        for left, ways in waiting[p].items():
+            for m, w in moves[p]:
+                if left & m != m:
+                    continue
+                rest = left ^ m
+                bucket = waiting[(rest & -rest).bit_length() - 1 if rest else n]
+                if rest in bucket:
+                    bucket[rest] += ways * w
+                    continue
+                bucket[rest] = ways * w
+                states += 1
+                if states > SEARCH_STATE_CAP:
+                    raise BudgetError("search exceeds the cap of %d "
+                                      "memo states" % SEARCH_STATE_CAP)
+        waiting[p] = {}
+    return waiting[n].get(0, 0)
 
 
 def _as_count(val: Fraction) -> int:
@@ -113,16 +109,25 @@ def _as_count(val: Fraction) -> int:
 
 def mgf_oracle(g: MatchGraph, *, max_vertices: int = ORACLE_CAP,
                force: bool = False) -> Fraction:
-    """Matching generating function by recursive search; loops allowed."""
+    """Matching generating function by the memoized search; loops allowed.
+
+    Each edge is a move of its lower endpoint and each loop a move of
+    its own vertex, weighted by its weight.
+    """
     if g.n > max_vertices and not force:
         raise BudgetError("graph has %d vertices, oracle cap is %d"
                           % (g.n, max_vertices))
-    return _mgf_rec(_adjacency(g), dict(g.loops))
+    moves: list[list[tuple[int, Fraction]]] = [[] for _ in range(g.n)]
+    for i, j, w in g.edges:
+        moves[i].append(((1 << i) | (1 << j), w))
+    for v, w in g.loops:
+        moves[v].append((1 << v, w))
+    return Fraction(_sweep(moves))
 
 
 def count_matchings_oracle(g: MatchGraph, *, max_vertices: int = ORACLE_CAP,
                            force: bool = False) -> int:
-    """Perfect matching count by recursive search; loopless, weight-1 input."""
+    """Perfect matching count by memoized search; loopless, weight-1 input."""
     if g.loops:
         raise ContractError("oracle counts need a loopless graph")
     if any(w != ONE for _, _, w in g.edges):
@@ -341,7 +346,7 @@ def _kasteleyn_rows(cedges, orient, scale: int, row_of: dict[int, int],
     index maps place that pair."""
     rows: list[dict[int, int]] = [{} for _ in row_of]
     for i, j, w in cedges:
-        val = int(w * scale)
+        val = w.numerator * (scale // w.denominator)
         a, b = (i, j) if orient[(i, j)] else (j, i)
         if a in row_of and b in col_of:
             rows[row_of[a]][col_of[b]] = val
@@ -406,18 +411,18 @@ def count_matchings_pfaffian(g: MatchGraph) -> Fraction:
 def normalize_loops(g: MatchGraph) -> tuple[MatchGraph, Fraction]:
     """Strip loops so determinant counting applies, keeping the count.
 
-    Even vertex count: no matching can use a loop, drop them all.  Odd
-    count with a single loop: the loop is forced, remove its vertex and
-    remember the weight.  Anything else is out of scope.
+    With a single loop parity decides: on an even vertex count no
+    perfect matching can use it, so it is dropped; on an odd count it is
+    forced, so its vertex is removed and its weight remembered.  Two or
+    more loops can be used in pairs, which is out of scope.
     """
     if not g.loops:
         return g, ONE
+    if len(g.loops) > 1:
+        raise ContractError("cannot normalize %d loops" % len(g.loops))
     if g.n % 2 == 0:
         return MatchGraph(g.tags, g.edges, (), g.rotations), ONE
-    if len(g.loops) == 1:
-        return remove_loop_vertex(g)
-    raise ContractError("cannot normalize %d loops on an odd graph"
-                        % len(g.loops))
+    return remove_loop_vertex(g)
 
 
 def mgf(g: MatchGraph) -> Fraction:
@@ -439,12 +444,13 @@ def count_tilings(region: Region) -> int:
     return count_matchings(dual_graph(region))
 
 
-def _cell_moves(region: Region, maps) -> list[list[int]]:
-    """For each region cell in sorted order, the bitmasks of cells that
-    may be removed together with it: the union of the orbit of each
-    edge to a neighbour under the maps, kept when its pairs are disjoint."""
+def _cell_moves(region: Region, maps) -> list[list[tuple[int, int]]]:
+    """For each region cell in sorted order, the moves of the search that
+    remove it: the bitmask of the union of the orbit of each edge to a
+    neighbour under the maps, kept when its pairs are disjoint, with
+    weight 1."""
     index = {c: k for k, c in enumerate(region.cells)}
-    moves: list[list[int]] = [[] for _ in region.cells]
+    moves: list[list[tuple[int, int]]] = [[] for _ in region.cells]
     for c, k in index.items():
         for d in cell_neighbors(c):
             if d not in index:
@@ -452,55 +458,22 @@ def _cell_moves(region: Region, maps) -> list[list[int]]:
             pairs = {frozenset((m[c], m[d])) for m in maps}
             cells = set().union(*pairs)
             if len(cells) == 2 * len(pairs):
-                moves[k].append(sum(1 << index[x] for x in cells))
+                moves[k].append((sum(1 << index[x] for x in cells), 1))
     return moves
-
-
-def _cell_search(moves: list[list[int]]) -> int:
-    """Ways to remove every cell by moves, each move taken by its least cell.
-
-    Cells left are an int bitmask, so the least cell is the lowest set
-    bit.  Each state waits in the bucket of its least cell together with
-    the number of ways to reach it, and the buckets are settled in cell
-    order, so every state is expanded once and a settled bucket is
-    dropped.  The sweep is a loop, not a recursion, so a deep region
-    runs into the state cap, never into the interpreter's stack limit.
-    """
-    n = len(moves)
-    waiting: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    waiting[0][(1 << n) - 1] = 1
-    states = 1
-    for p in range(n):
-        for left, ways in waiting[p].items():
-            for m in moves[p]:
-                if left & m != m:
-                    continue
-                rest = left ^ m
-                bucket = waiting[(rest & -rest).bit_length() - 1 if rest else n]
-                if rest in bucket:
-                    bucket[rest] += ways
-                    continue
-                bucket[rest] = ways
-                states += 1
-                if states > SEARCH_STATE_CAP:
-                    raise BudgetError("cell search exceeds the cap of %d "
-                                      "memo states" % SEARCH_STATE_CAP)
-        waiting[p] = {}
-    return waiting[n].get(0, 0)
 
 
 def count_tilings_free(region: Region) -> int:
     """Tilings where each free-edge cell may also protrude outward.
 
     Equals the sum over subsets S of the free cells of the tiling count
-    of the region minus S.  Counted by the memoized cell search, where a
-    cell hosting a free edge may also be removed alone.
+    of the region minus S.  Counted by the memoized search on cells,
+    where a cell hosting a free edge may also be removed alone.
     """
     moves = _cell_moves(region, [{c: c for c in region.cells}])
     for host in region.free_cell_map().values():
         k = region.cells.index(host)
-        moves[k].append(1 << k)
-    return _cell_search(moves)
+        moves[k].append((1 << k, 1))
+    return _sweep(moves)
 
 
 def free_gadget_graph(region: Region) -> MatchGraph:
@@ -580,7 +553,7 @@ def count_symmetric_tilings(region: Region, kinds: Sequence[str],
             return count_tilings(region)
         return count_matchings(quotient_graph(dual_graph(region), gen))
     if method == "orbit":
-        return _cell_search(_cell_moves(region, [e.mapping for e in group]))
+        return _sweep(_cell_moves(region, [e.mapping for e in group]))
     if method == "filter":
         return _filter_count(region, group)
     raise ContractError("unknown method %r" % (method,))

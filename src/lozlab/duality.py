@@ -334,7 +334,8 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
 
 def compose(f: SymmetryElement, g: SymmetryElement) -> SymmetryElement:
     """f after g, on a common region."""
-    assert set(f.mapping) == set(g.mapping), "elements live on different regions"
+    if set(f.mapping) != set(g.mapping):
+        raise ContractError("elements live on different regions")
     mapping = {c: f.mapping[g.mapping[c]] for c in g.mapping}
     return SymmetryElement("%s*%s" % (f.kind, g.kind), mapping)
 
@@ -392,7 +393,8 @@ def quotient_graph(g: MatchGraph, elem: SymmetryElement) -> MatchGraph:
     With an even number parity already keeps the loop out of every
     perfect matching, and it stays in the graph as printed.
     """
-    assert all(isinstance(t, TriCell) for t in g.tags), "need a cell-tagged graph"
+    if not all(isinstance(t, TriCell) for t in g.tags):
+        raise ContractError("need a cell-tagged graph")
     if elem.kind not in ("Rot60", "Rot120", "Rot180"):
         raise ContractError(
             "quotient requires a rotation generator, got %r" % (elem.kind,))
@@ -542,7 +544,8 @@ def factorization_split(g: MatchGraph, axis: SymmetryElement) -> FactorSplit:
     if g.loops:
         raise ContractError("remove loops before splitting")
     sigma = induced_vertex_map(g, axis)
-    assert all(sigma[sigma[i]] == i for i in range(g.n)), "axis map not an involution"
+    if not all(sigma[sigma[i]] == i for i in range(g.n)):
+        raise ContractError("axis map not an involution")
     fixed = {i for i in range(g.n) if sigma[i] == i}
 
     def rep_v(i: int) -> int:
@@ -550,7 +553,8 @@ def factorization_split(g: MatchGraph, axis: SymmetryElement) -> FactorSplit:
 
     if fixed:
         levels = {rep_v(i) for i in fixed}
-        assert len(levels) == 1, "axis vertices not at a single height"
+        if len(levels) != 1:
+            raise ContractError("axis vertices not at a single height")
         level = levels.pop()
     else:
         level = None
@@ -606,11 +610,13 @@ def split_dual_region(split: FactorSplit) -> Region:
         members = _tag_cells(t)
         below = [c for c in members if 2 * c.v < lvl2]
         if below:
-            assert len(below) == 1
+            if len(below) != 1:
+                raise ContractError("orbit has several cells below the axis")
             cells.append(below[0])
         else:
             on_axis = sorted(c for c in members if 2 * c.v == lvl2)
-            assert on_axis, "orbit entirely above the axis"
+            if not on_axis:
+                raise ContractError("orbit entirely above the axis")
             cells.append(on_axis[0])
     return Region("SplitDual", (), tuple(sorted(cells)))
 

@@ -34,7 +34,8 @@ class BudgetError(LozlabError):
 
 
 class ContractError(LozlabError):
-    """A graph reduction met a shape it cannot normalize."""
+    """An input breaks a routine's contract, such as a graph reduction
+    meeting a shape it cannot normalize."""
 
 
 class FormulaRangeError(LozlabError):

@@ -63,7 +63,8 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import FormatError, HoleCollisionError, ParameterError
+from .errors import (ContractError, FormatError, HoleCollisionError,
+                     ParameterError)
 
 UP = "U"
 DOWN = "D"
@@ -154,7 +155,8 @@ class Region:
     """A finite set of cells plus optional free boundary edges.
 
     cells are sorted lexicographically; params is an ordered tuple of
-    (name, value) pairs echoing the construction call.  Free edges are
+    (name, value) pairs echoing the construction call.  Unsorted,
+    repeated or malformed cells raise ContractError.  Free edges are
     checked edge by edge on construction: each must be a lattice edge
     (endpoints in sorted order) with exactly one bordering cell in the
     region, else ParameterError.
@@ -166,8 +168,10 @@ class Region:
     free_edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        assert list(self.cells) == sorted(set(self.cells)), "cells not sorted/unique"
-        assert all(cell_ok(c) for c in self.cells), "malformed cell"
+        if list(self.cells) != sorted(set(self.cells)):
+            raise ContractError("cells not sorted/unique")
+        if not all(cell_ok(c) for c in self.cells):
+            raise ContractError("malformed cell")
         self.free_cell_map()  # raises ParameterError for a bad free edge
 
     @property

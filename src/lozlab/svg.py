@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .counting import first_matching
 from .duality import MatchGraph, dual_graph
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, ContractError, ParameterError
 from .lattice import (Point, Region, TriCell, cell_corners, cell_edges,
                       hexagon, shared_edge)
 
@@ -160,7 +160,8 @@ def region_svg(region: Region,
     if tiling is not None:
         for c, d in sorted(tiling):
             common = shared_edge(c, d)
-            assert common is not None, "tiling pair is not adjacent"
+            if common is None:
+                raise ContractError("tiling pair is not adjacent")
             outline = [p for p in cell_corners(c) + cell_corners(d)
                        if p not in common]
             west, east = sorted(common)

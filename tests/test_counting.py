@@ -86,6 +86,117 @@ def test_odd_graph_counts_zero():
     assert count_matchings_oracle(sub) == 0
 
 
+def _mgf_reference(g):
+    """The recursive search the oracle used to run: split off connected
+    components, prune odd ones without a loop, branch on a vertex of
+    least degree."""
+    adj = {i: {} for i in range(g.n)}
+    for i, j, w in g.edges:
+        adj[i][j] = adj[j][i] = w
+    loops = dict(g.loops)
+
+    def rec(adj):
+        if not adj:
+            return Fraction(1)
+        comp, stack = {min(adj)}, [min(adj)]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        if len(comp) < len(adj):
+            return (rec({v: adj[v] for v in comp})
+                    * rec({v: nb for v, nb in adj.items() if v not in comp}))
+        if len(comp) % 2 and not any(v in loops for v in comp):
+            return Fraction(0)
+        v = min(comp, key=lambda x: (len(adj[x]) + (x in loops), x))
+        total = Fraction(0)
+        for u in sorted(adj[v]):
+            total += adj[v][u] * rec(
+                {x: {y: wy for y, wy in nb.items() if y not in (v, u)}
+                 for x, nb in adj.items() if x not in (v, u)})
+        if v in loops:
+            total += loops[v] * rec(
+                {x: {y: wy for y, wy in nb.items() if y != v}
+                 for x, nb in adj.items() if x != v})
+        return total
+
+    return rec(adj)
+
+
+# even graphs with two loops: parity does not rule the loops out
+TWO_LOOP_GRAPHS = (
+    (MatchGraph((0, 1), (), ((0, Fraction(1)), (1, Fraction(1))), ((), ())),
+     1),
+    (MatchGraph((0, 1, 2, 3), ((0, 1, Fraction(1)),),
+                ((2, Fraction(1)), (3, Fraction(3))), ((1,), (0,), (), ())),
+     3),
+)
+
+
+def _oracle_reference_graphs():
+    graphs = [dual_graph(hexagon(a, b, c))
+              for a, b, c in product((1, 2, 3), repeat=3) if a + b + c <= 7]
+    rng = random.Random(11)
+    g = dual_graph(hexagon(3, 3, 3))
+    for _ in range(30):
+        keep = rng.sample(range(g.n), rng.randrange(2, 24))
+        graphs.append(without_vertices(g, set(range(g.n)) - set(keep)))
+    for region, kind in ((hexagon(2, 2, 2), "Rot180"),
+                         (hexagon(2, 2, 2), "Rot120"),
+                         (hexagon(2, 2, 2), "Rot60"),
+                         (hexagon(3, 3, 3), "Rot120"),
+                         (hexagon(3, 3, 3), "Rot60"),
+                         (hexagon(4, 4, 4), "Rot60"),
+                         (holed_hexagon(2, 1, []), "Rot180"),
+                         (holed_hexagon(3, 1, []), "Rot180"),
+                         (holed_hexagon(3, 2, []), "Rot180"),
+                         (holed_hexagon(4, 1, [2]), "Rot180")):
+        graphs.append(quotient_graph(dual_graph(region),
+                                     symmetry(region, kind)))
+    for region in (holed_hexagon(2, 1, []), holed_hexagon(3, 1, []),
+                   holed_hexagon(4, 1, [2]), holed_hexagon(4, 1, [])):
+        q = quotient_graph(dual_graph(region), symmetry(region, "Rot180"))
+        if q.loops:
+            q, _ = remove_loop_vertex(q)
+        split = factorization_split(q, symmetry(region, "ReflH"))
+        graphs.append(split.subgraph)
+    graphs.append(axis_pair_dual_graph(rbar_region([], [1], 1)))
+    for a, b, eps in ((1, 1, -1), (1, 1, 0), (2, 1, -1), (1, 2, -1)):
+        graphs.append(free_gadget_graph(
+            d_region(a, b, eps, list(range(1, a + 1)))))
+    graphs += [g for g, _ in TWO_LOOP_GRAPHS]
+    # two odd components, each of which must use one of its loops
+    graphs.append(MatchGraph(
+        (0, 1, 2, 3, 4, 5),
+        ((0, 1, Fraction(1)), (1, 2, Fraction(1)), (3, 4, Fraction(1)),
+         (4, 5, Fraction(1, 2))),
+        ((0, Fraction(2)), (2, Fraction(1)), (5, Fraction(3)))))
+    return graphs
+
+
+def test_oracle_matches_the_recursive_reference():
+    graphs = _oracle_reference_graphs()
+    values = [mgf_oracle(g, max_vertices=80) for g in graphs]
+    assert values == [_mgf_reference(g) for g in graphs]
+    assert all(type(v) is Fraction for v in values)
+    assert values[-1] == 9 and len(graphs) == 75
+
+
+def test_oracle_counts_a_hexagon_past_its_default_cap():
+    g = dual_graph(hexagon(6, 6, 6))
+    assert mgf_oracle(g, force=True) == macmahon_box(6, 6, 6)
+
+
+def test_determinant_route_refuses_several_loops():
+    for g, want in TWO_LOOP_GRAPHS:
+        assert mgf_oracle(g) == want
+        with pytest.raises(ContractError, match="cannot normalize 2 loops"):
+            mgf(g)
+        with pytest.raises(ContractError, match="cannot normalize 2 loops"):
+            count_matchings(g)
+
+
 def test_oracle_budget():
     g = dual_graph(hexagon(4, 4, 4))
     with pytest.raises(BudgetError):
@@ -323,6 +434,17 @@ def test_cell_search_state_cap(monkeypatch):
     with pytest.raises(BudgetError):
         count_symmetric_tilings(holed_hexagon(4, 2, [2]), ["Rot180"],
                                 method="orbit")
+    # the oracle runs the same search: 2 400 vertices meet the state cap,
+    # not the recursion limit
+    with pytest.raises(BudgetError):
+        mgf_oracle(dual_graph(hexagon(20, 20, 20)), force=True)
+
+
+def test_search_counts_on_cells_are_ints():
+    # weight-1 moves keep the counts exact ints, as CSV and JSON print them
+    assert type(count_tilings_free(d_region(2, 1, 0, [1, 2]))) is int
+    assert type(count_symmetric_tilings(hexagon(2, 2, 2), ["Rot180"],
+                                        "orbit")) is int
 
 
 def test_deep_free_region_hits_state_cap_not_recursion():
@@ -338,7 +460,10 @@ def test_free_boundary_gadget_cross_check():
         r = d_region(a, b, eps, full)
         direct = count_tilings_free(r)
         via_gadget = mgf_oracle(free_gadget_graph(r), max_vertices=80)
-        assert direct == via_gadget, (a, b, eps, direct, via_gadget)
+        # both run the one search engine, on cells and on the gadget graph,
+        # so the closed form is the leg that shares no code with them
+        want = d_count(a, b, eps, full)
+        assert direct == via_gadget == want, (a, b, eps, direct, via_gadget)
 
 
 def test_count_matchings_rejects_weighted():

@@ -28,9 +28,11 @@ from lozlab.duality import (
 )
 from lozlab.errors import ContractError, SymmetryAbsentError
 from lozlab.lattice import (
+    Region,
     TriCell,
     cell_at,
     cell_corners,
+    cells_adjacent,
     cored_hexagon,
     d_region,
     hexagon,
@@ -38,6 +40,7 @@ from lozlab.lattice import (
     rbar_region,
     region_corner_bounds,
 )
+from lozlab.svg import region_svg
 from test_lattice import cell_from_corners
 
 ONE = Fraction(1)
@@ -369,6 +372,89 @@ for name, (tags, edges, loops, rotations, fragment) in sorted(MALFORMED.items())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["%s | True" % name
                                         for name in sorted(MALFORMED)]
+
+
+# ---------------------------------------------------------------------
+# public routines check hand-built objects, also under python -O
+
+
+def _hand_split(*tags):
+    return FactorSplit(MatchGraph(tuple(sorted(tags)), ()), 0)
+
+
+def _svg_with_distant_pair():
+    r = hexagon(1, 1, 1)
+    c = r.cells[0]
+    d = next(x for x in r.cells if x != c and not cells_adjacent(c, x))
+    return region_svg(r, tiling=[(c, d)])
+
+
+def _split_on(kind):
+    r = hexagon(1, 1, 1)
+    axis = identity_element(r) if kind == "Identity" else symmetry(r, kind)
+    return factorization_split(dual_graph(r), axis)
+
+
+# name -> (call, message fragment)
+HAND_BUILT = {
+    "region cells unsorted": (
+        lambda: Region("hand", (), (cell_at(1, 0), cell_at(0, 0))),
+        "cells not sorted/unique"),
+    "region cell malformed": (
+        lambda: Region("hand", (), (TriCell(0, 0, "U"),)), "malformed cell"),
+    "compose across regions": (
+        lambda: compose(identity_element(hexagon(1, 1, 1)),
+                        identity_element(hexagon(2, 1, 1))),
+        "elements live on different regions"),
+    "quotient of an untagged graph": (
+        lambda: quotient_graph(MatchGraph((0, 1), ((0, 1, ONE),)),
+                               symmetry(hexagon(1, 1, 1), "Rot180")),
+        "need a cell-tagged graph"),
+    "split on a non-involution": (lambda: _split_on("Rot60"),
+                                  "axis map not an involution"),
+    "split with a tilted axis": (lambda: _split_on("Identity"),
+                                 "axis vertices not at a single height"),
+    "split orbit twice below": (
+        lambda: split_dual_region(_hand_split((cell_at(0, 0), cell_at(1, 0)),
+                                              (cell_at(0, 2),))),
+        "orbit has several cells below the axis"),
+    "split orbit above": (
+        lambda: split_dual_region(_hand_split((cell_at(0, 0),),
+                                              (cell_at(0, 2),))),
+        "orbit entirely above the axis"),
+    "svg tiling pair apart": (_svg_with_distant_pair,
+                              "tiling pair is not adjacent"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_public_routines_reject_hand_built_objects(name):
+    call, fragment = HAND_BUILT[name]
+    with pytest.raises(ContractError, match=fragment):
+        call()
+
+
+def test_public_routines_reject_hand_built_objects_under_O():
+    # the checks must not be asserts, which python -O strips
+    script = """
+from lozlab.errors import ContractError
+from test_duality import HAND_BUILT
+for name, (call, fragment) in sorted(HAND_BUILT.items()):
+    try:
+        call()
+    except ContractError as exc:
+        print(name, "|", fragment in str(exc))
+    else:
+        print(name, "| accepted")
+"""
+    src = str(Path(lozlab.__file__).resolve().parent.parent)
+    here = str(Path(__file__).resolve().parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src + os.pathsep + here})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["%s | True" % name
+                                        for name in sorted(HAND_BUILT)]
 
 
 # ---------------------------------------------------------------------
