@@ -15,9 +15,10 @@ exceeds twice the Hadamard bound, which certifies the result exact.
 Loop conventions: a loop covers its own vertex and a matching may use
 it, so on a graph with an even vertex count a single loop is dead
 weight, while on an odd graph a single loop must be used.  The oracle
-handles loops natively; the determinant path requires the caller to
-normalize them away, which normalize_loops does for a graph with one
-loop, the most a quotient has.
+handles loops natively.  The determinant path ignores a dead-weight
+loop, which is in neither the embedding nor the matrix, and
+normalize_loops removes a forced one; one loop is the most a quotient
+has.
 
 Tiling-level wrappers count tilings of a region (perfect matchings of
 its dual graph), tilings invariant under a symmetry group (by direct
@@ -33,6 +34,10 @@ in sorted order and memoizes the weighted ways to reach each set of
 items left, a broken-profile transfer-matrix count.  The orbit and
 free-boundary routes run it on region cells, never on the dual graph
 or a determinant.
+
+SEARCH_STATE_CAP is the one budget: it bounds the sweep's memo states
+and the partial matchings the enumerator visits, whatever the size of
+the input.
 """
 
 from __future__ import annotations
@@ -53,8 +58,7 @@ from .duality import (
 from .errors import BudgetError, ContractError
 from .lattice import Region, cell_neighbors
 
-ORACLE_CAP = 64
-# memo states the search may create before it gives up
+# search states a search may visit before it gives up
 SEARCH_STATE_CAP = 1_000_000
 
 ZERO = Fraction(0)
@@ -95,10 +99,14 @@ def _sweep(moves: list[list[tuple[int, int | Fraction]]]) -> int | Fraction:
                 bucket[rest] = ways * w
                 states += 1
                 if states > SEARCH_STATE_CAP:
-                    raise BudgetError("search exceeds the cap of %d "
-                                      "memo states" % SEARCH_STATE_CAP)
+                    raise _over_budget()
         waiting[p] = {}
     return waiting[n].get(0, 0)
+
+
+def _over_budget() -> BudgetError:
+    return BudgetError("search exceeds the cap of %d search states"
+                       % SEARCH_STATE_CAP)
 
 
 def _as_count(val: Fraction) -> int:
@@ -107,16 +115,12 @@ def _as_count(val: Fraction) -> int:
     return int(val)
 
 
-def mgf_oracle(g: MatchGraph, *, max_vertices: int = ORACLE_CAP,
-               force: bool = False) -> Fraction:
+def mgf_oracle(g: MatchGraph) -> Fraction:
     """Matching generating function by the memoized search; loops allowed.
 
     Each edge is a move of its lower endpoint and each loop a move of
     its own vertex, weighted by its weight.
     """
-    if g.n > max_vertices and not force:
-        raise BudgetError("graph has %d vertices, oracle cap is %d"
-                          % (g.n, max_vertices))
     moves: list[list[tuple[int, Fraction]]] = [[] for _ in range(g.n)]
     for i, j, w in g.edges:
         moves[i].append(((1 << i) | (1 << j), w))
@@ -125,14 +129,13 @@ def mgf_oracle(g: MatchGraph, *, max_vertices: int = ORACLE_CAP,
     return Fraction(_sweep(moves))
 
 
-def count_matchings_oracle(g: MatchGraph, *, max_vertices: int = ORACLE_CAP,
-                           force: bool = False) -> int:
+def count_matchings_oracle(g: MatchGraph) -> int:
     """Perfect matching count by memoized search; loopless, weight-1 input."""
     if g.loops:
         raise ContractError("oracle counts need a loopless graph")
     if any(w != ONE for _, _, w in g.edges):
         raise ContractError("oracle counts need unit weights; use mgf_oracle")
-    return _as_count(mgf_oracle(g, max_vertices=max_vertices, force=force))
+    return _as_count(mgf_oracle(g))
 
 
 def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -141,7 +144,8 @@ def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
     The least uncovered vertex is matched to each uncovered neighbor in
     increasing order, depth first.  The search keeps an explicit stack
     of (vertex, next neighbor index) frames, so its depth is not bound
-    by the interpreter's recursion limit.
+    by the interpreter's recursion limit.  Each frame pushed is one
+    partial matching, a search state counted against SEARCH_STATE_CAP.
     """
     if g.loops:
         raise ContractError("enumeration needs a loopless graph")
@@ -153,6 +157,7 @@ def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
     covered = [False] * n
     pairs: list[tuple[int, int]] = []
     stack = [[0, 0]]
+    states = 1
     while stack:
         frame = stack[-1]
         v, i = frame
@@ -176,6 +181,9 @@ def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
             # v < u in every pair, and the v increase down the stack
             yield tuple(pairs)
         else:
+            states += 1
+            if states > SEARCH_STATE_CAP:
+                raise _over_budget()
             stack.append([w, 0])
 
 
@@ -370,8 +378,9 @@ def _two_color(comp: list[int], adj: list[set[int]]) -> dict[int, int] | None:
 
 
 def count_matchings_pfaffian(g: MatchGraph) -> Fraction:
-    """Weighted perfect matching count from the planar embedding."""
-    if g.loops:
+    """Weighted perfect matching count from the planar embedding; a
+    single loop on an even graph is dead weight and is ignored."""
+    if len(g.loops) > 1 or (g.loops and g.n % 2):
         raise ContractError("normalize loops before determinant counting")
     if g.rotations is None:
         raise ContractError("determinant counting needs an embedding")
@@ -409,19 +418,18 @@ def count_matchings_pfaffian(g: MatchGraph) -> Fraction:
 
 
 def normalize_loops(g: MatchGraph) -> tuple[MatchGraph, Fraction]:
-    """Strip loops so determinant counting applies, keeping the count.
+    """Remove a forced loop so the determinant applies, keeping the count.
 
     With a single loop parity decides: on an even vertex count no
-    perfect matching can use it, so it is dropped; on an odd count it is
-    forced, so its vertex is removed and its weight remembered.  Two or
-    more loops can be used in pairs, which is out of scope.
+    perfect matching can use it, so the graph is returned as it is and
+    the determinant ignores the loop; on an odd count it is forced, so
+    its vertex is removed and its weight remembered.  Two or more loops
+    can be used in pairs, which is out of scope.
     """
-    if not g.loops:
-        return g, ONE
     if len(g.loops) > 1:
         raise ContractError("cannot normalize %d loops" % len(g.loops))
-    if g.n % 2 == 0:
-        return MatchGraph(g.tags, g.edges, (), g.rotations), ONE
+    if not g.loops or g.n % 2 == 0:
+        return g, ONE
     return remove_loop_vertex(g)
 
 

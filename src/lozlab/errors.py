@@ -30,7 +30,7 @@ class SymmetryAbsentError(LozlabError):
 
 
 class BudgetError(LozlabError):
-    """A brute-force routine refused an input above its size cap."""
+    """A search visited more states than counting.SEARCH_STATE_CAP."""
 
 
 class ContractError(LozlabError):

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .counting import first_matching
 from .duality import MatchGraph, dual_graph
-from .errors import BudgetError, ContractError, ParameterError
+from .errors import ContractError, ParameterError
 from .lattice import (Point, Region, TriCell, cell_corners, cell_edges,
                       hexagon, shared_edge)
 
@@ -116,11 +116,9 @@ def _tag_center(tag) -> tuple[float, float]:
     return _cell_center(first)
 
 
-def first_tiling(region: Region, max_cells: int = 128) -> tuple[Pair, ...]:
-    """A deterministic sample tiling: first in enumeration order."""
-    if len(region.cells) > max_cells:
-        raise BudgetError("sample tiling on %d cells exceeds the cap of %d"
-                          % (len(region.cells), max_cells))
+def first_tiling(region: Region) -> tuple[Pair, ...]:
+    """A deterministic sample tiling: first in enumeration order, found
+    under the search state cap."""
     g = dual_graph(region)
     matching = first_matching(g)
     if matching is None:

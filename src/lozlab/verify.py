@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 from .counting import (count_symmetric_tilings, count_tilings,
                        count_tilings_free, mgf)
 from .duality import central_axis_split
-from .errors import BudgetError, ParameterError
+from .errors import ParameterError
 from .formulas import cored_count, d_count, holed_count_even, holed_count_odd
 from .lattice import cored_hexagon, d_region, hexagon, holed_hexagon
 
@@ -39,12 +39,6 @@ __all__ = [
     "default_grid",
     "sweep",
 ]
-
-# desk-scale guard rails: enumeration style routes refuse regions whose
-# cell count makes the search unreasonable on a laptop, the polynomial
-# routes (formula, Pfaffian, quotient) run at any size
-FILTER_CELL_CAP = 128
-ORBIT_CELL_CAP = 256
 
 Count = int | Fraction
 
@@ -71,27 +65,12 @@ class IdentityCheck:
         return self.lhs == self.rhs
 
 
-def _cells_budget(region, cap: int, route: str) -> None:
-    if len(region.cells) > cap:
-        raise BudgetError("%s on %d cells exceeds the desk budget of %d"
-                          % (route, len(region.cells), cap))
-
-
-def _sym_filter(region, kinds) -> int:
-    _cells_budget(region, FILTER_CELL_CAP, "tiling enumeration")
-    return count_symmetric_tilings(region, kinds, "filter")
-
-
-def _sym_orbit(region, kinds) -> int:
-    _cells_budget(region, ORBIT_CELL_CAP, "orbit search")
-    return count_symmetric_tilings(region, kinds, "orbit")
-
-
 def _sym_enumerated(region, kinds) -> tuple[int, str]:
     """Symmetric count by direct tiling enumeration, filter when small."""
     if len(region.cells) <= 48:
-        return _sym_filter(region, kinds), "enumeration+filter"
-    return _sym_orbit(region, kinds), "orbit-enumeration"
+        return (count_symmetric_tilings(region, kinds, "filter"),
+                "enumeration+filter")
+    return count_symmetric_tilings(region, kinds, "orbit"), "orbit-enumeration"
 
 
 # ---------------------------------------------------------------------
@@ -101,8 +80,8 @@ def _sym_enumerated(region, kinds) -> tuple[int, str]:
 def _check_i1_9(a: int, b: int):
     region = hexagon(a, a, 2 * b)
     # the budgeted side first, so an oversized region fails fast
-    f1 = _sym_filter(region, ("ReflV",))
-    f2 = _sym_filter(region, ("ReflH",))
+    f1 = count_symmetric_tilings(region, ("ReflV",), "filter")
+    f2 = count_symmetric_tilings(region, ("ReflH",), "filter")
     lhs = count_tilings(region)
     return lhs, (f1, f2), "pfaffian", "enumeration+filter"
 
@@ -131,7 +110,7 @@ def _check_i1_12(a: int):
 
 def _square_check(region):
     lhs = count_symmetric_tilings(region, ("Rot180",), "quotient")
-    f = _sym_orbit(region, ("Rot180", "ReflV"))
+    f = count_symmetric_tilings(region, ("Rot180", "ReflV"), "orbit")
     return lhs, (f, f), "rot180-quotient+pfaffian", "orbit-enumeration"
 
 
@@ -144,7 +123,7 @@ def _check_t2_1_cored(a: int, b: int, ks: tuple[int, ...], x: int):
 
 
 def _split_check(region, a: int, s: int):
-    lhs = _sym_orbit(region, ("Rot180",))
+    lhs = count_symmetric_tilings(region, ("Rot180",), "orbit")
     # matchings of the central quotient, from its split half
     split, loop_weight = central_axis_split(region)
     value = (loop_weight * Fraction(2) ** split.multiplier_log2
@@ -198,8 +177,8 @@ def _check_e3_12(a: int, b: int, is_: tuple[int, ...]):
 def _check_four_class(eq: int, a: int, b: int | None = None):
     """Equations 2, 3 and 4 are I1_10, I1_11 and I1_12.  Equation 1 is
     the I1_9 identity, but its reflection counts take the enumeration the
-    other three use (filter when small, else orbit search), not I1_9's
-    budgeted filter."""
+    other three use (filter when small, else orbit search), where I1_9
+    always filters."""
     if eq not in (1, 2, 3, 4):
         raise ParameterError("eq selects one of the four equations (1..4)")
     if eq in (1, 2) and b is None:
@@ -296,8 +275,8 @@ def check(identity_id: str, params: Mapping | None = None, **extra) -> IdentityC
     Parameters may be given as a mapping, as keywords, or both; list
     valued parameters accept any iterable of integers.  Raises
     ParameterError for malformed input, SymmetryAbsentError when a
-    required symmetry is missing, and BudgetError when an enumeration
-    route would leave desk scale.
+    required symmetry is missing, and BudgetError when a search route
+    meets the search state cap.
     """
     merged = dict(params or {})
     merged.update(extra)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from lozlab import counting
 from lozlab.cli import main
 
 
@@ -46,6 +47,15 @@ def test_count_sym(capsys):
                        "--a", "2", "--b", "2", "--c", "2",
                        "--sym", "rot180,reflv")
     assert (code, out) == (0, "2\n")
+
+
+def test_count_sym_filter_meets_the_state_cap(capsys, monkeypatch):
+    monkeypatch.setattr(counting, "SEARCH_STATE_CAP", 100)
+    code, out, err = run(capsys, "count-sym", "--family", "hexagon",
+                         "--a", "3", "--b", "3", "--c", "4",
+                         "--sym", "reflv", "--method", "filter")
+    assert (code, out) == (2, "")
+    assert err == "error: search exceeds the cap of 100 search states\n"
 
 
 def test_rot60_on_odd_hexagons_counts_zero(capsys):

@@ -177,15 +177,19 @@ def _oracle_reference_graphs():
 
 def test_oracle_matches_the_recursive_reference():
     graphs = _oracle_reference_graphs()
-    values = [mgf_oracle(g, max_vertices=80) for g in graphs]
+    values = [mgf_oracle(g) for g in graphs]
     assert values == [_mgf_reference(g) for g in graphs]
     assert all(type(v) is Fraction for v in values)
     assert values[-1] == 9 and len(graphs) == 75
 
 
 def test_oracle_counts_a_hexagon_past_its_default_cap():
+    # no vertex cap: only the search state cap bounds the oracle
+    g = dual_graph(hexagon(4, 4, 4))
+    assert count_matchings_oracle(g) == macmahon_box(4, 4, 4)
+    assert mgf_oracle(g) == macmahon_box(4, 4, 4)
     g = dual_graph(hexagon(6, 6, 6))
-    assert mgf_oracle(g, force=True) == macmahon_box(6, 6, 6)
+    assert mgf_oracle(g) == macmahon_box(6, 6, 6)
 
 
 def test_determinant_route_refuses_several_loops():
@@ -195,14 +199,6 @@ def test_determinant_route_refuses_several_loops():
             mgf(g)
         with pytest.raises(ContractError, match="cannot normalize 2 loops"):
             count_matchings(g)
-
-
-def test_oracle_budget():
-    g = dual_graph(hexagon(4, 4, 4))
-    with pytest.raises(BudgetError):
-        count_matchings_oracle(g)
-    with pytest.raises(BudgetError):
-        mgf_oracle(g)
 
 
 def test_enumerate_matchings_are_perfect_and_distinct():
@@ -265,6 +261,24 @@ def test_loop_forced_on_odd_quotient():
     q = quotient_graph(dual_graph(r), symmetry(r, "Rot180"))
     assert mgf_oracle(q) == 9
     assert count_matchings(q) == 9
+
+
+def test_single_loop_on_even_graph_is_dead_weight():
+    # the loop is in neither the embedding nor the matrix, so the
+    # determinant takes the quotient as it is, with no loopless copy
+    r = hexagon(2, 2, 2)
+    q = quotient_graph(dual_graph(r), symmetry(r, "Rot60"))
+    assert len(q.loops) == 1 and q.n % 2 == 0
+    g, factor = counting.normalize_loops(q)
+    assert g is q and factor == 1
+    assert count_matchings_pfaffian(q) == mgf_oracle(q) == 1
+    # a forced loop, or two loops, must still be normalized first
+    r = holed_hexagon(3, 1, [])
+    odd = quotient_graph(dual_graph(r), symmetry(r, "Rot180"))
+    assert len(odd.loops) == 1 and odd.n % 2 == 1
+    for g in (odd, TWO_LOOP_GRAPHS[0][0]):
+        with pytest.raises(ContractError, match="normalize loops"):
+            count_matchings_pfaffian(g)
 
 
 def test_central_symmetry_counts_small_hexagons():
@@ -437,7 +451,10 @@ def test_cell_search_state_cap(monkeypatch):
     # the oracle runs the same search: 2 400 vertices meet the state cap,
     # not the recursion limit
     with pytest.raises(BudgetError):
-        mgf_oracle(dual_graph(hexagon(20, 20, 20)), force=True)
+        mgf_oracle(dual_graph(hexagon(20, 20, 20)))
+    # the enumerator counts partial matchings against the same cap
+    with pytest.raises(BudgetError, match="cap of 10 search states"):
+        list(enumerate_matchings(dual_graph(hexagon(2, 2, 2))))
 
 
 def test_search_counts_on_cells_are_ints():
@@ -459,7 +476,7 @@ def test_free_boundary_gadget_cross_check():
         full = tuple(range(1, a + 1))
         r = d_region(a, b, eps, full)
         direct = count_tilings_free(r)
-        via_gadget = mgf_oracle(free_gadget_graph(r), max_vertices=80)
+        via_gadget = mgf_oracle(free_gadget_graph(r))
         # both run the one search engine, on cells and on the gadget graph,
         # so the closed form is the leg that shares no code with them
         want = d_count(a, b, eps, full)

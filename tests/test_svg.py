@@ -2,6 +2,7 @@
 
 import pytest
 
+from lozlab import counting
 from lozlab.duality import dual_graph, quotient_graph, symmetry
 from lozlab.errors import BudgetError
 from lozlab.lattice import cored_hexagon, d_region, hexagon, holed_hexagon
@@ -56,8 +57,11 @@ def test_tiling_overlay_draws_every_lozenge():
     assert text.count('stroke="#1a6fb5"') == len(t)
 
 
-def test_first_tiling_is_deterministic_and_capped():
+def test_first_tiling_is_deterministic_and_capped(monkeypatch):
     assert first_tiling(hexagon(2, 2, 2)) == first_tiling(hexagon(2, 2, 2))
+    # no cell cap: a big region draws, a deep search meets the state cap
+    assert len(first_tiling(hexagon(6, 6, 6))) == 108
+    monkeypatch.setattr(counting, "SEARCH_STATE_CAP", 10)
     with pytest.raises(BudgetError):
         first_tiling(hexagon(6, 6, 6))
 

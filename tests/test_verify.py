@@ -95,6 +95,14 @@ def test_enumeration_budget_guard():
         check("E3_9", a=9, b=9, ks=())
 
 
+def test_orbit_search_runs_on_hundreds_of_cells():
+    # 298 cells: the state cap, not the cell count, bounds the orbit route
+    c = check("E3_9", a=4, b=2, ks=(1,))
+    assert c.verdict and c.lhs == 16941456
+    assert (c.lhs_route, c.rhs_route) == ("orbit-enumeration",
+                                          "axis-split+mgf")
+
+
 def test_four_class_full_grid():
     rep = sweep("FOUR_CLASS", default_grid("FOUR_CLASS"))
     assert len(rep.rows) == 12
@@ -211,11 +219,11 @@ def test_catalog_routes_and_default_grid_csv_are_pinned():
 
 def test_four_class_eq1_keeps_its_own_enumeration():
     # eq=1 takes the cell-count switch between filter and orbit search,
-    # I1_9 always filters under the tighter budget
+    # I1_9 always filters, and at a=5 its enumeration meets the state cap
     assert check("FOUR_CLASS", eq=1, a=3, b=2).rhs_route == "orbit-enumeration"
     assert check("I1_9", a=3, b=2).rhs_route == "enumeration+filter"
     assert check("FOUR_CLASS", eq=1, a=5, b=2).verdict
-    with pytest.raises(BudgetError, match="130 cells"):
+    with pytest.raises(BudgetError, match="search states"):
         check("I1_9", a=5, b=2)
 
 
