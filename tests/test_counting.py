@@ -201,6 +201,17 @@ def test_determinant_route_refuses_several_loops():
             count_matchings(g)
 
 
+def test_oracle_budget(monkeypatch):
+    # the search state cap is the oracle's only budget: the hexagon that
+    # counts under the default cap is refused under a small one
+    g = dual_graph(hexagon(4, 4, 4))
+    monkeypatch.setattr(counting, "SEARCH_STATE_CAP", 10)
+    with pytest.raises(BudgetError, match="cap of 10 search states"):
+        count_matchings_oracle(g)
+    with pytest.raises(BudgetError, match="cap of 10 search states"):
+        mgf_oracle(g)
+
+
 def test_enumerate_matchings_are_perfect_and_distinct():
     g = dual_graph(hexagon(2, 2, 2))
     seen = set()
