@@ -2,8 +2,9 @@
 
 Three passes:
 
-1. box counts against the graph engine at desk scale, then the pure
-   permutation symmetry of the closed form at larger scale;
+1. box counts against the graph engine at desk scale and on the
+   hexagon ladder n = 4..20, then the pure permutation symmetry of the
+   closed form at larger scale;
 2. the central counts of holed hexagons against rotation quotients of
    the actual regions at desk scale;
 3. the square relations tying central counts to free-boundary counts,
@@ -42,6 +43,12 @@ def pass_boxes() -> int:
         if count_tilings(hexagon(a, b, c)) != macmahon_box(a, b, c):
             print(f"  MISMATCH box {a},{b},{c}")
             bad += 1
+    t0 = time.monotonic()
+    for n in range(4, 21):
+        if count_tilings(hexagon(n, n, n)) != macmahon_box(n, n, n):
+            print(f"  MISMATCH box {n},{n},{n}")
+            bad += 1
+    print(f"  hexagon ladder n=4..20 ({time.monotonic() - t0:.1f}s)")
     for a, b, c in itertools.product(range(1, 11), repeat=3):
         want = macmahon_box(a, b, c)
         for perm in itertools.permutations((a, b, c)):

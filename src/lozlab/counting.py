@@ -8,9 +8,9 @@ the signed matrix as sparse rows; for bipartite components the signed
 biadjacency determinant gives the count directly, otherwise the
 determinant of the skew adjacency matrix is a perfect square whose
 root is the count.  Weighted graphs are scaled to integers first.  One
-engine takes every determinant: sparse elimination modulo primes below
-2**61, combined by the Chinese remainder theorem until the modulus
-exceeds twice the Hadamard bound, which certifies the result exact.
+engine takes every determinant: one sparse elimination modulo a product
+of primes below 2**61, retried on a non-unit pivot; the product exceeds
+twice the Hadamard bound, which certifies the result exact.
 
 Loop conventions: a loop covers its own vertex and a matching may use
 it, so on a graph with an even vertex count a single loop is dead
@@ -270,14 +270,16 @@ def _prime(k: int) -> int:
     return _PRIMES[k]
 
 
-def _det_mod(rows: list[dict[int, int]], n: int, p: int) -> int:
-    """Determinant modulo the prime p by sparse elimination.
+def _det_mod(rows: list[dict[int, int]], n: int, m: int) -> int:
+    """Determinant modulo m by sparse elimination.
 
     Columns are eliminated in order; the pivot is the candidate row with
     the fewest entries, which keeps the fill-in low.  The determinant is
     the product of the pivots times the sign of the row permutation.
+    Row operations with a unit pivot are valid modulo any m, prime or
+    not; a pivot that is not a unit mod m makes pow raise ValueError.
     """
-    rows = [{j: v % p for j, v in r.items() if v % p} for r in rows]
+    rows = [{j: v % m for j, v in r.items() if v % m} for r in rows]
     rows_at: list[set[int]] = [set() for _ in range(n)]
     for i, r in enumerate(rows):
         for j in r:
@@ -293,13 +295,13 @@ def _det_mod(rows: list[dict[int, int]], n: int, p: int) -> int:
             rows_at[j].discard(piv)
         pivot_row[c] = piv
         pv = prow.pop(c)
-        det = det * pv % p
-        inv = pow(pv, -1, p)
+        det = det * pv % m
+        inv = pow(pv, -1, m)
         for r in rows_at[c]:
             row = rows[r]
-            f = row.pop(c) * inv % p
+            f = row.pop(c) * inv % m
             for j, v in prow.items():
-                x = (row.get(j, 0) - f * v) % p
+                x = (row.get(j, 0) - f * v) % m
                 if x:
                     if j not in row:
                         rows_at[j].add(r)
@@ -316,7 +318,7 @@ def _det_mod(rows: list[dict[int, int]], n: int, p: int) -> int:
             k = pivot_row[k]
             if k != c:
                 det = -det
-    return det % p
+    return det % m
 
 
 def _det_exact(rows: list[dict[int, int]], n: int) -> int:
@@ -324,11 +326,13 @@ def _det_exact(rows: list[dict[int, int]], n: int) -> int:
     sparse rows (column -> entry).
 
     |det| is at most the Hadamard bound H, whose square is the product
-    of the rows' sums of squares.  Residues modulo descending primes
-    below 2**61 are combined by the Chinese remainder theorem until the
-    modulus M exceeds 2H; the symmetric residue in (-M/2, M/2] is then
-    the determinant itself.  A determinant mod p is exact for every
-    prime, so no prime is unlucky and the stop is a certificate.
+    of the rows' sums of squares.  One elimination runs modulo M, the
+    product of descending primes below 2**61 taken until M exceeds 2H;
+    the symmetric residue in (-M/2, M/2] is then the determinant itself.
+    Elimination with unit pivots gives det mod M for composite M too, so
+    the stop is a certificate.  A pivot that shares a prime with M stops
+    the elimination, which is retried modulo the next disjoint block of
+    primes.
     """
     bound = 1
     for r in rows:
@@ -336,15 +340,17 @@ def _det_exact(rows: list[dict[int, int]], n: int) -> int:
         if not norm:
             return 0
         bound *= norm
-    residue, modulus = 0, 1
     k = 0
-    while modulus * modulus <= 4 * bound:
-        p = _prime(k)
-        k += 1
-        t = (_det_mod(rows, n, p) - residue) * pow(modulus, -1, p) % p
-        residue += modulus * t
-        modulus *= p
-    return residue - modulus if residue > modulus // 2 else residue
+    while True:
+        modulus = 1
+        while modulus * modulus <= 4 * bound:
+            modulus *= _prime(k)
+            k += 1
+        try:
+            residue = _det_mod(rows, n, modulus)
+        except ValueError:
+            continue
+        return residue - modulus if residue > modulus // 2 else residue
 
 
 def _kasteleyn_rows(cedges, orient, scale: int, row_of: dict[int, int],

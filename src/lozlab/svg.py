@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .counting import first_matching
+from .counting import count_matchings, first_matching
 from .duality import MatchGraph, dual_graph
 from .errors import ContractError, ParameterError
 from .lattice import (Point, Region, TriCell, cell_corners, cell_edges,
@@ -118,13 +118,13 @@ def _tag_center(tag) -> tuple[float, float]:
 
 def first_tiling(region: Region) -> tuple[Pair, ...]:
     """A deterministic sample tiling: first in enumeration order, found
-    under the search state cap."""
+    under the search state cap.  The determinant settles an untileable
+    region first, so it fails at once instead of searching to the cap."""
     g = dual_graph(region)
-    matching = first_matching(g)
-    if matching is None:
+    if count_matchings(g) == 0:
         note = " (free edges stay closed)" if region.free_edges else ""
         raise ParameterError("the region has no lozenge tiling to draw" + note)
-    return tuple((g.tags[i], g.tags[j]) for i, j in matching)
+    return tuple((g.tags[i], g.tags[j]) for i, j in first_matching(g))
 
 
 def region_svg(region: Region,

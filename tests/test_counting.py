@@ -538,7 +538,7 @@ def test_skew_determinant_must_be_a_square(monkeypatch, det):
 
 
 # ---------------------------------------------------------------------
-# the sparse multi-modular determinant
+# the sparse determinant modulo a product of primes
 
 
 def _bareiss(m):
@@ -585,7 +585,7 @@ def test_det_exact_edge_cases():
     big = (1 << 61) - 2
     assert _det_exact([[big]]) == big
     assert _det_exact([[0, -big], [1, 0]]) == big
-    # |det| equals the Hadamard bound: the CRT stop has no slack here,
+    # |det| equals the Hadamard bound: the stop at M > 2H has no slack,
     # and the scaled entries need several primes
     for k in (2, 3):
         h = _sylvester(k)
@@ -596,6 +596,37 @@ def test_det_exact_edge_cases():
         assert abs(want) == n ** (n // 2) << (40 * n)
         assert _det_exact(big) == want
         assert _det_exact(flipped) == -want
+
+
+def _count_det_mod_calls(monkeypatch):
+    calls = []
+    det_mod = counting._det_mod
+
+    def counted(rows, n, m):
+        calls.append(m)
+        return det_mod(rows, n, m)
+
+    monkeypatch.setattr(counting, "_det_mod", counted)
+    return calls
+
+
+def test_det_exact_retries_on_a_pivot_sharing_a_prime(monkeypatch):
+    calls = _count_det_mod_calls(monkeypatch)
+    p0, p1, p2, p3 = (counting._prime(k) for k in range(4))
+    # the Hadamard bound asks for two primes; the one entry is a
+    # multiple of the first, so p2 * p3 certifies it on the retry
+    assert counting._det_exact([{0: 3 * p0}], 1) == 3 * p0
+    assert calls == [p0 * p1, p2 * p3]
+    # the first pivot is p0 itself; the second block gives det = p0 - 1
+    calls.clear()
+    assert _det_exact([[p0, 1], [1, 1]]) == p0 - 1
+    assert calls == [p0 * p1, p2 * p3]
+
+
+def test_one_elimination_per_determinant(monkeypatch):
+    calls = _count_det_mod_calls(monkeypatch)
+    assert count_tilings(hexagon(8, 8, 8)) == macmahon_box(8, 8, 8)
+    assert len(calls) == 1 and calls[0] > counting._prime(0)
 
 
 def test_det_exact_matches_bareiss_on_random_matrices():
@@ -648,7 +679,8 @@ def test_rotation_quotient_counts_match_product_formulas():
         r = hexagon(n, n, n)
         q, _ = counting.normalize_loops(
             quotient_graph(dual_graph(r), symmetry(r, "Rot60")))
-        # the loop-free quotient is not bipartite: the skew route runs
+        # the quotient keeps its dead-weight loop, which the determinant
+        # ignores; it is not bipartite, so the skew route runs
         assert counting._two_color(list(range(q.n)), q.neighbor_sets()) is None
         assert count_symmetric_tilings(r, ["Rot60"], "quotient") == \
             _asm(n // 2) ** 2, n
