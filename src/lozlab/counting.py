@@ -519,12 +519,8 @@ def free_gadget_graph(region: Region) -> MatchGraph:
                       tuple(sorted(loops)), None)
 
 
-def _rotation_generator(group):
-    for e in group:
-        if (e.kind in ("Identity", "Rot60", "Rot120", "Rot180")
-                and e.order() == len(group)):
-            return e
-    return None
+# the rotation generating a pure rotation group, by the group's order
+_ROTATION_OF_ORDER = {1: "Identity", 2: "Rot180", 3: "Rot120", 6: "Rot60"}
 
 
 def _filter_count(region: Region, group) -> int:
@@ -554,17 +550,26 @@ def count_symmetric_tilings(region: Region, kinds: Sequence[str],
     method: "orbit" searches over edge orbits directly, "filter" filters
     the full tiling enumeration, "quotient" counts matchings of the
     quotient graph (rotation groups only), "auto" picks quotient when
-    available and orbit otherwise.
+    every named kind is a rotation or the identity and orbit otherwise.
+    A region with free edges is refused with ContractError: no route
+    lets a tile protrude across them.
     """
+    if region.free_edges:
+        raise ContractError("symmetric counts of a region with free edges "
+                            "are not supported")
     group = symmetry_group(region, kinds)
+    pure_rotation = all(k in _ROTATION_OF_ORDER.values() for k in kinds)
     if method == "auto":
-        method = "quotient" if _rotation_generator(group) else "orbit"
+        method = "quotient" if pure_rotation else "orbit"
     if method == "quotient":
-        gen = _rotation_generator(group)
-        if gen is None:
+        if not pure_rotation:
             raise ContractError("quotient counting needs a rotation group")
-        if gen.kind == "Identity":
+        kind = _ROTATION_OF_ORDER[len(group)]
+        if kind == "Identity":
             return count_tilings(region)
+        # a group named by other rotations holds its generator unnamed
+        gen = (next((e for e in group if e.kind == kind), None)
+               or symmetry(region, kind))
         return count_matchings(quotient_graph(dual_graph(region), gen))
     if method == "orbit":
         return _sweep(_cell_moves(region, [e.mapping for e in group]))

@@ -247,16 +247,6 @@ class SymmetryElement:
     kind: str
     mapping: dict[TriCell, TriCell]
 
-    def order(self) -> int:
-        n = 0
-        cells = list(self.mapping)
-        current = cells
-        while True:
-            current = [self.mapping[c] for c in current]
-            n += 1
-            if current == cells:
-                return n
-
 
 def _point_map(kind: str, cx2: int, cy2: int):
     if kind == "Identity":

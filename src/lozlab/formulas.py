@@ -11,8 +11,10 @@ in the verify module and in the test suite, not assumed.
 Conventions shared by all entry points:
 
 * a is the half-side of the ambient hexagon (side 2a or 2a+1).
-* Hole indices ks are strictly increasing with 1 <= k <= a, matching
-  the region constructors.  k_1 = 1 is accepted everywhere; the
+* Parameters are checked by the region constructors' own checks from
+  the lattice module, so a formula and its region refuse the same
+  input with the same message.  Hole indices ks are strictly
+  increasing with 1 <= k <= a.  k_1 = 1 is accepted everywhere; the
   products below cover that case directly, no parameter rewrite is
   needed first.
 * Every function evaluates an exact Fraction and raises
@@ -27,7 +29,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
 
-from .errors import FormulaRangeError, HoleCollisionError, ParameterError
+from .errors import FormulaRangeError
+from .lattice import require_core, require_eps, require_indices, require_int
 
 __all__ = [
     "HoleLists",
@@ -49,29 +52,6 @@ class HoleLists(NamedTuple):
     q: tuple[int, ...]
 
 
-def _require_int_at_least(name: str, value, floor: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < floor:
-        raise ParameterError("%s must be an integer >= %d, got %r"
-                             % (name, floor, value))
-    return value
-
-
-def _require_hole_indices(ks, bound: int) -> tuple[int, ...]:
-    out = []
-    for k in ks:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ParameterError("hole index %r must be a positive integer"
-                                 % (k,))
-        if out and k <= out[-1]:
-            raise ParameterError("hole indices must be strictly increasing, "
-                                 "got %r after %d" % (k, out[-1]))
-        out.append(k)
-    if out and out[-1] > bound:
-        raise ParameterError("hole index %d out of range 1..%d"
-                             % (out[-1], bound))
-    return tuple(out)
-
-
 def _rising(start: int, length: int) -> int:
     # start (start+1) ... (start+length-1); empty product is 1
     out = 1
@@ -86,7 +66,7 @@ def macmahon_box(a: int, b: int, c: int) -> int:
     Symmetric in its arguments; any zero argument gives 1.
     """
     for name, v in (("a", a), ("b", b), ("c", c)):
-        _require_int_at_least(name, v, 0)
+        require_int(name, v, 0)
     out = Fraction(1)
     for i in range(1, a + 1):
         for j in range(1, b + 1):
@@ -104,8 +84,8 @@ def hole_lists(a: int, ks) -> HoleLists:
     (its l-removal a-k = 0 falls outside 1..a-1), in which case l has
     one entry more than that.
     """
-    _require_int_at_least("a", a, 1)
-    ks = _require_hole_indices(ks, a)
+    require_int("a", a)
+    ks = require_indices("ks", ks, a)
     drop_l = {a - k for k in ks}
     drop_q = {a - k + 1 for k in ks}
     l = tuple(v for v in range(1, a) if v not in drop_l)
@@ -197,7 +177,7 @@ def holed_count_even(a: int, b: int, ks) -> int:
     eval_Q at x = a+b-s.  Valid for every legal ks, including
     k_1 = 1 and k_s = a.
     """
-    _require_int_at_least("b", b, 1)
+    require_int("b", b)
     l, q = hole_lists(a, ks)
     s = a - len(q)
     out = _even_prefactor(l, q) * eval_Q(q, a + b - s, s)
@@ -211,7 +191,7 @@ def holed_count_odd(a: int, b: int, ks) -> int:
     q, divided by all pairwise sums q_i + q_j (i and j both ranging
     over the whole list), times eval_S at x = a+b-s.
     """
-    _require_int_at_least("b", b, 1)
+    require_int("b", b)
     _, q = hole_lists(a, ks)
     s = a - len(q)
     out = _odd_prefactor(q) * eval_S(q, a + b - s, s)
@@ -224,20 +204,14 @@ def cored_count(a: int, b: int, ks, x: int) -> int:
     The core enlarges the removal set: the survivors are
     D = {x, ..., a-1} minus {a-k : k in ks}, and the count is the odd
     pipeline of holed_count_odd run on half-side a-1 with list D.
-    Raises HoleCollisionError when some k > a-x, mirroring the region
-    constructor.
+    Raises HoleCollisionError when some k > a-x, by the region
+    constructor's own check.
     """
-    _require_int_at_least("a", a, 1)
-    _require_int_at_least("b", b, 1)
-    _require_int_at_least("x", x, 1)
-    if x > a:
-        raise ParameterError("core parameter x=%d exceeds a=%d" % (x, a))
-    ks = _require_hole_indices(ks, a)
-    colliding = [k for k in ks if k > a - x]
-    if colliding:
-        raise HoleCollisionError(
-            "holes %r overlap the core (need k <= a - x = %d)"
-            % (colliding, a - x), colliding)
+    require_int("a", a)
+    require_int("b", b)
+    require_int("x", x)
+    ks = require_indices("ks", ks)
+    require_core(a, ks, x)
     drop = {a - k for k in ks}
     d = tuple(v for v in range(x, a) if v not in drop)
     alpha = a - 1
@@ -253,11 +227,10 @@ def d_count(a: int, b: int, eps: int, is_) -> int:
     by pairwise difference-over-sum factors.  The -1 offset inside the
     binomial and the pair sums applies exactly when eps is -1.
     """
-    _require_int_at_least("a", a, 1)
-    _require_int_at_least("b", b, 1)
-    if eps not in (-1, 0):
-        raise ParameterError("eps must be -1 or 0, got %r" % (eps,))
-    is_ = _require_hole_indices(is_, a)
+    require_int("a", a)
+    require_int("b", b)
+    require_eps(eps)
+    is_ = require_indices("is", is_, a)
     off = 1 if eps == -1 else 0
     out = Fraction(1)
     for i in is_:

@@ -236,22 +236,54 @@ def region_corner_bounds(r: Region) -> tuple[int, int, int, int]:
 # region families
 
 
-def _require_positive(name: str, value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ParameterError("%s must be a positive integer, got %r" % (name, value))
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# The parameter rules of every region family, shared with the formulas
+# and the verify catalog so that both sides of an identity refuse the
+# same input with the same message.
+
+
+def require_int(name: str, value, floor: int = 1) -> int:
+    """value itself when it is an integer >= floor, else ParameterError."""
+    if not _is_int(value) or value < floor:
+        raise ParameterError("%s must be an integer >= %d, got %r"
+                             % (name, floor, value))
     return value
 
 
-def _require_increasing(name: str, values) -> tuple[int, ...]:
-    out = tuple(values)
-    for x in out:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ParameterError("%s must contain integers, got %r" % (name, x))
-    if any(x < 1 for x in out):
-        raise ParameterError("%s entries must be >= 1, got %r" % (name, list(out)))
-    if any(x >= y for x, y in zip(out, out[1:])):
-        raise ParameterError("%s must be strictly increasing, got %r" % (name, list(out)))
+def require_indices(name: str, values, top: int | None = None) -> tuple[int, ...]:
+    """values as a strictly increasing tuple of integers in 1..top."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        out = None
+    # prepending 0 makes "strictly increasing" also demand entries >= 1
+    if (out is None or not all(_is_int(x) for x in out)
+            or any(x >= y for x, y in zip((0,) + out, out))
+            or (top is not None and out and out[-1] > top)):
+        where = "" if top is None else " up to %d" % top
+        raise ParameterError(
+            "%s must be strictly increasing positive integers%s, got %r"
+            % (name, where, values))
     return out
+
+
+def require_core(a: int, ks: tuple[int, ...], x: int) -> None:
+    """The core of side 2x-1 fits (x <= a) and no hole k > a - x meets it."""
+    if x > a:
+        raise ParameterError("core parameter x=%d exceeds a=%d" % (x, a))
+    colliding = [k for k in ks if k > a - x]
+    if colliding:
+        raise HoleCollisionError(
+            "holes %r overlap the side-%d core (need k <= a - x = %d)"
+            % (colliding, 2 * x - 1, a - x), colliding)
+
+
+def require_eps(eps) -> None:
+    if not _is_int(eps) or eps not in (-1, 0):
+        raise ParameterError("eps must be -1 or 0, got %r" % (eps,))
 
 
 def _hexagon_cells(a: int, b: int, c: int) -> set[TriCell]:
@@ -269,54 +301,34 @@ def _hexagon_cells(a: int, b: int, c: int) -> set[TriCell]:
 
 def hexagon(a: int, b: int, c: int) -> Region:
     """Hexagonal region with sides a, b, c, a, b, c clockwise from NW."""
-    _require_positive("a", a)
-    _require_positive("b", b)
-    _require_positive("c", c)
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        require_int(name, value)
     cells = _hexagon_cells(a, b, c)
     assert len(cells) == 2 * (a * b + b * c + c * a)
     return Region("Hexagon", (("a", a), ("b", b), ("c", c)),
                   tuple(sorted(cells)))
 
 
-def _west_triangle(apex_x: int, apex_y: int, size: int) -> set[TriCell]:
-    """Triangle of the given side with west-pointing apex at a lattice point."""
+def _triangle(apex_x: int, apex_y: int, size: int, east: bool) -> set[TriCell]:
+    """Triangle of the given side with its apex at a lattice point,
+    pointing east or west."""
+    tip, back = (UP, DOWN) if east else (DOWN, UP)
     cells = set()
     for j in range(size):
-        u = apex_x + j
+        u = apex_x - 1 - j if east else apex_x + j
         for t in range(j + 1):
-            cells.add(TriCell(u, apex_y - j + 2 * t, DOWN))
+            cells.add(TriCell(u, apex_y - j + 2 * t, tip))
         for t in range(j):
-            cells.add(TriCell(u, apex_y - j + 1 + 2 * t, UP))
+            cells.add(TriCell(u, apex_y - j + 1 + 2 * t, back))
     return cells
-
-
-def _east_triangle(apex_x: int, apex_y: int, size: int) -> set[TriCell]:
-    """Mirror image of _west_triangle: apex points east."""
-    cells = set()
-    for j in range(size):
-        u = apex_x - 1 - j
-        for t in range(j + 1):
-            cells.add(TriCell(u, apex_y - j + 2 * t, UP))
-        for t in range(j):
-            cells.add(TriCell(u, apex_y - j + 1 + 2 * t, DOWN))
-    return cells
-
-
-def _validate_ks(ks, side: int) -> tuple[int, ...]:
-    out = _require_increasing("ks", ks)
-    if out and 2 * out[-1] > side:
-        raise ParameterError(
-            "hole index %d too large for side %d (need 2k <= side)"
-            % (out[-1], side))
-    return out
 
 
 def _holed_cells(side: int, b: int, ks: tuple[int, ...]) -> set[TriCell]:
     cells = _hexagon_cells(side, side, 2 * b)
     holes: set[TriCell] = set()
     for k in ks:
-        holes |= _west_triangle(2 * k - 2, -2 * b, 2)
-        holes |= _east_triangle(2 * side - 2 * k + 2, -2 * b, 2)
+        holes |= _triangle(2 * k - 2, -2 * b, 2, False)
+        holes |= _triangle(2 * side - 2 * k + 2, -2 * b, 2, True)
     assert len(holes) == 8 * len(ks) and holes <= cells
     return cells - holes
 
@@ -331,9 +343,9 @@ def holed_hexagon(a: int, b: int, ks) -> Region:
     regions may fall apart into independent pieces, which is fine for
     counting (matchings multiply over pieces).
     """
-    _require_positive("a", a)
-    _require_positive("b", b)
-    ks = _validate_ks(ks, a)
+    require_int("a", a)
+    require_int("b", b)
+    ks = require_indices("ks", ks, a // 2)
     cells = _holed_cells(a, b, ks)
     assert len(cells) == 2 * (a * a + 4 * a * b) - 8 * len(ks)
     return Region("HoledHexagon", (("a", a), ("b", b), ("ks", ks)),
@@ -347,21 +359,15 @@ def cored_hexagon(a: int, b: int, ks, x: int) -> Region:
     Raises HoleCollisionError when a hole would overlap the core, which
     happens exactly for k > a - x.
     """
-    _require_positive("a", a)
-    _require_positive("b", b)
-    _require_positive("x", x)
-    if x > a:
-        raise ParameterError("core parameter x=%d exceeds a=%d" % (x, a))
-    ks = _require_increasing("ks", ks)
-    colliding = [k for k in ks if k > a - x]
-    if colliding:
-        raise HoleCollisionError(
-            "holes %r overlap the side-%d core (need k <= a - x = %d)"
-            % (colliding, 2 * x - 1, a - x), colliding)
+    require_int("a", a)
+    require_int("b", b)
+    require_int("x", x)
+    ks = require_indices("ks", ks)
+    require_core(a, ks, x)
     side = 2 * a - 1
     m = 2 * x - 1
-    core = (_west_triangle(side - m, -2 * b, m)
-            | _east_triangle(side + m, -2 * b, m))
+    core = (_triangle(side - m, -2 * b, m, False)
+            | _triangle(side + m, -2 * b, m, True))
     assert len(core) == 2 * m * m
     base = _holed_cells(side, b, ks)
     assert core <= base
@@ -382,13 +388,10 @@ def d_region(a: int, b: int, eps: int, is_) -> Region:
     cell whose east side lies on the vertical axis gets a free edge
     there, across which a tile may protrude.
     """
-    _require_positive("a", a)
-    _require_positive("b", b)
-    if eps not in (-1, 0):
-        raise ParameterError("eps must be -1 or 0, got %r" % (eps,))
-    is_ = _require_increasing("is", is_)
-    if is_ and is_[-1] > a:
-        raise ParameterError("index %d out of range 1..%d" % (is_[-1], a))
+    require_int("a", a)
+    require_int("b", b)
+    require_eps(eps)
+    is_ = require_indices("is", is_, a)
     n = 2 * a + (1 if eps == 0 else 0)
     ks = tuple(sorted(a - i + 1 for i in set(range(1, a + 1)) - set(is_)))
     base = _holed_cells(n, b, ks)
@@ -412,21 +415,16 @@ def rbar_region(l, q, base: int) -> Region:
     even-side shape.  For the odd-side shape the easternmost on-axis
     cell (the one fixed by the fold) is removed as well.
     """
-    _require_positive("base", base)
-    q = _require_increasing("q", q)
-    l = _require_increasing("l", l)
+    require_int("base", base)
+    q = require_indices("q", q)
+    l = require_indices("l", l)
     if not q:
         raise ParameterError("q must be nonempty")
     a = q[-1]
     missing = sorted(set(range(1, a + 1)) - set(q))
     ks = tuple(sorted(a - d + 1 for d in missing))
-    bb = base
-    if list(l) == list(q):
+    if l == q:
         n = 2 * a + 1
-        cells = _holed_cells(n, bb, ks)
-        keep = {c for c in cells
-                if c.v <= -2 * bb - 1 or (c.v == -2 * bb and c.u <= n - 1)}
-        keep.discard(TriCell(n - 1, -2 * bb, DOWN))
     else:
         removed = {d - 1 for d in missing} - {0}
         expected_l = sorted(set(range(1, a)) - removed)
@@ -435,9 +433,10 @@ def rbar_region(l, q, base: int) -> Region:
                 "lower bump list %r inconsistent with upper %r (expected %r)"
                 % (list(l), list(q), expected_l))
         n = 2 * a
-        cells = _holed_cells(n, bb, ks)
-        keep = {c for c in cells
-                if c.v <= -2 * bb - 1 or (c.v == -2 * bb and c.u <= n - 1)}
+    keep = {c for c in _holed_cells(n, base, ks)
+            if c.v <= -2 * base - 1 or (c.v == -2 * base and c.u <= n - 1)}
+    if n % 2:
+        keep.discard(TriCell(n - 1, -2 * base, DOWN))
     return Region("RBarRegion", (("l", l), ("q", q), ("base", base)),
                   tuple(sorted(keep)))
 
@@ -451,6 +450,7 @@ _FAMILY_PARAMS = {
     "CoredHexagon": ("a", "b", "ks", "x"),
     "DRegion": ("a", "b", "eps", "is"),
     "RBarRegion": ("l", "q", "base"),
+    "SplitDual": (),
 }
 
 _LIST_PARAMS = {"ks", "is", "l", "q"}
@@ -474,10 +474,6 @@ def serialize_region(r: Region) -> bytes:
 def _fail(data: bytes, needle: str, message: str):
     pos = data.find(needle.encode("utf-8")) if needle else -1
     raise FormatError(message, offset=pos if pos >= 0 else 0)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def deserialize_region(data: bytes) -> Region:

@@ -28,7 +28,8 @@ from .counting import (count_symmetric_tilings, count_tilings,
 from .duality import central_axis_split
 from .errors import ParameterError
 from .formulas import cored_count, d_count, holed_count_even, holed_count_odd
-from .lattice import cored_hexagon, d_region, hexagon, holed_hexagon
+from .lattice import (cored_hexagon, d_region, hexagon, holed_hexagon,
+                      require_indices, require_int)
 
 __all__ = [
     "IDENTITY_IDS",
@@ -229,24 +230,6 @@ _CATALOG: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable]] = {
 IDENTITY_IDS = tuple(_CATALOG)
 
 
-def _coerce_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError("parameter %s must be an integer" % name)
-    return value
-
-
-def _coerce_list(name: str, value) -> tuple[int, ...]:
-    if isinstance(value, (str, bytes)):
-        raise ParameterError("parameter %s must be a sequence of integers"
-                             % name)
-    try:
-        items = tuple(value)
-    except TypeError:
-        raise ParameterError("parameter %s must be a sequence of integers"
-                             % name)
-    return tuple(_coerce_int(name, v) for v in items)
-
-
 def _norm_params(identity_id: str, raw: Mapping) -> tuple[tuple[str, object], ...]:
     if identity_id not in _CATALOG:
         raise ParameterError("unknown identity %r" % (identity_id,))
@@ -263,20 +246,21 @@ def _norm_params(identity_id: str, raw: Mapping) -> tuple[tuple[str, object], ..
             raise ParameterError("%s needs parameter %s" % (identity_id, name))
         value = raw[name]
         if kind == _LIST:
-            out.append((name, _coerce_list(name, value)))
+            out.append((name, require_indices(name, value)))
         else:
-            out.append((name, _coerce_int(name, value)))
+            out.append((name, require_int(name, value)))
     return tuple(out)
 
 
 def check(identity_id: str, params: Mapping | None = None, **extra) -> IdentityCheck:
     """Evaluate both sides of one identity instance.
 
-    Parameters may be given as a mapping, as keywords, or both; list
-    valued parameters accept any iterable of integers.  Raises
-    ParameterError for malformed input, SymmetryAbsentError when a
-    required symmetry is missing, and BudgetError when a search route
-    meets the search state cap.
+    Parameters may be given as a mapping, as keywords, or both; they
+    pass the lattice module's checks, so integers are at least 1 and
+    list valued parameters accept any strictly increasing iterable of
+    them.  Raises ParameterError for malformed input,
+    SymmetryAbsentError when a required symmetry is missing, and
+    BudgetError when a search route meets the search state cap.
     """
     merged = dict(params or {})
     merged.update(extra)

@@ -77,6 +77,20 @@ def test_count_sym_rejects_unknown_kind(capsys):
     assert "unknown symmetry" in err
 
 
+def test_count_sym_refuses_free_edges(capsys):
+    # every route would count the closed region: 0 here, against 6 tilings
+    region = ("--family", "d", "--a", "2", "--b", "1", "--eps", "-1",
+              "--is", "1,2")
+    code, out, _ = run(capsys, "count", *region)
+    assert (code, out) == (0, "6\n")
+    for method in ("auto", "orbit", "quotient", "filter"):
+        code, out, err = run(capsys, "count-sym", *region, "--sym", "id",
+                             "--method", method)
+        assert (code, out) == (2, "")
+        assert err == ("error: symmetric counts of a region with free edges "
+                       "are not supported\n")
+
+
 def test_verify_product_line(capsys):
     code, out, _ = run(capsys, "verify", "--id", "I1_9",
                        "--a", "1", "--b", "1")

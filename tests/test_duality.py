@@ -80,14 +80,22 @@ def test_faces_partition_the_darts():
     assert len(faces) == g.face_count()
 
 
+def _order(e):
+    n, current = 1, dict(e.mapping)
+    while any(c != d for c, d in current.items()):
+        current = {c: e.mapping[d] for c, d in current.items()}
+        n += 1
+    return n
+
+
 def test_symmetry_elements_exist_and_have_right_orders():
     r = hexagon(2, 2, 2)
-    assert symmetry(r, "Rot60").order() == 6
-    assert symmetry(r, "Rot120").order() == 3
-    assert symmetry(r, "Rot180").order() == 2
-    assert symmetry(r, "ReflH").order() == 2
-    assert symmetry(r, "ReflV").order() == 2
-    assert identity_element(r).order() == 1
+    assert _order(symmetry(r, "Rot60")) == 6
+    assert _order(symmetry(r, "Rot120")) == 3
+    assert _order(symmetry(r, "Rot180")) == 2
+    assert _order(symmetry(r, "ReflH")) == 2
+    assert _order(symmetry(r, "ReflV")) == 2
+    assert _order(identity_element(r)) == 1
 
 
 def test_symmetry_absent():
@@ -565,11 +573,6 @@ def _all_pairs_group(region, kinds):
         elems.update(new)
 
 
-def _rotation_kind(group):
-    gen = counting._rotation_generator(group)
-    return gen.kind if gen else None
-
-
 def test_symmetry_group_matches_the_all_pairs_closure():
     regions = (hexagon(2, 2, 2), hexagon(3, 3, 3), hexagon(2, 2, 4),
                hexagon(1, 2, 2), holed_hexagon(4, 1, [2]),
@@ -591,7 +594,6 @@ def test_symmetry_group_matches_the_all_pairs_closure():
             # the identity and the named generators lead, in order
             named = [(e.kind, e.mapping) for e in want if "*" not in e.kind]
             assert [(e.kind, e.mapping) for e in got[:len(named)]] == named
-            assert _rotation_kind(got) == _rotation_kind(want)
             sizes[(region.family, region.params, kinds)] = len(got)
     assert sizes[("Hexagon", (("a", 3), ("b", 3), ("c", 3)),
                   ("Rot60", "ReflH"))] == 12

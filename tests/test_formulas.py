@@ -255,6 +255,50 @@ def test_cored_squares_give_dcount():
                         assert cored_count(a, b, ks, x) == want
 
 
+# each region builder with its closed form and parameters both accept
+CONTRACT_PAIRS = (
+    (lambda a, b, ks: holed_hexagon(2 * a, b, ks), holed_count_even,
+     {"a": 2, "b": 1, "ks": [1]}),
+    (lambda a, b, ks: holed_hexagon(2 * a + 1, b, ks), holed_count_odd,
+     {"a": 2, "b": 1, "ks": [1]}),
+    (cored_hexagon, cored_count, {"a": 3, "b": 1, "ks": [1], "x": 1}),
+    (d_region, d_count, {"a": 2, "b": 1, "eps": -1, "is_": [1]}),
+)
+# one bad value at a time, wherever the family has that parameter; "list"
+# stands for ks or is_, and ks = [3] is a collision with the cored core
+BAD_INPUTS = (("b", True), ("b", 1.5), ("b", 0), ("list", 2),
+              ("list", [2, 1]), ("list", [1, 1]), ("list", [9]),
+              ("x", 4), ("ks", [3]), ("eps", 1))
+
+
+def _outcome(fn, params):
+    try:
+        fn(**params)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_regions_and_formulas_refuse_the_same_input_alike():
+    tried = 0
+    for region, formula, good in CONTRACT_PAIRS:
+        assert _outcome(region, good) is None
+        assert _outcome(formula, good) is None
+        holes = "ks" if "ks" in good else "is_"
+        for name, value in BAD_INPUTS:
+            name = holes if name == "list" else name
+            if name not in good:
+                continue
+            params = {**good, name: value}
+            got = _outcome(region, params)
+            assert got is not None and issubclass(got[0], ParameterError), \
+                (formula.__name__, name, value, got)
+            assert _outcome(formula, params) == got, (formula.__name__, name,
+                                                      value)
+            tried += 1
+    assert tried == 4 * 7 + 3 + 1 + 1  # ks = [3] also runs on both holed
+
+
 def test_formula_validation_errors():
     with pytest.raises(HoleCollisionError) as info:
         cored_count(4, 1, [3], 2)

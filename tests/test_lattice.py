@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lozlab
+from lozlab.duality import central_axis_split, split_dual_region
 from lozlab.errors import FormatError, HoleCollisionError, ParameterError
 from lozlab.lattice import (
     DOWN,
@@ -319,9 +320,10 @@ def test_rbar_odd_shape():
 
 
 def test_serialization_roundtrip():
+    split = central_axis_split(holed_hexagon(4, 1, [2]))[0]
     for r in (hexagon(2, 2, 2), holed_hexagon(4, 1, [2]),
               cored_hexagon(2, 1, [], 1), d_region(2, 1, -1, [1]),
-              rbar_region([], [1], 1)):
+              rbar_region([], [1], 1), split_dual_region(split)):
         blob = serialize_region(r)
         assert deserialize_region(blob) == r
         # byte determinism
