@@ -460,19 +460,24 @@ def count_tilings(region: Region) -> int:
 
 def _cell_moves(region: Region, maps) -> list[list[tuple[int, int]]]:
     """For each region cell in sorted order, the moves of the search that
-    remove it: the bitmask of the union of the orbit of each edge to a
-    neighbour under the maps, kept when its pairs are disjoint, with
-    weight 1."""
+    remove it: the bitmask of the union of the orbit of each edge under
+    the maps, kept when its pairs are disjoint, with weight 1.  Each
+    orbit is built once and filed at its least cell, the only bucket
+    from which the sweep can take it."""
     index = {c: k for k, c in enumerate(region.cells)}
     moves: list[list[tuple[int, int]]] = [[] for _ in region.cells]
+    done: set[int] = set()
     for c, k in index.items():
         for d in cell_neighbors(c):
-            if d not in index:
+            j = index.get(d, -1)
+            if j < k or (1 << k | 1 << j) in done:
                 continue
-            pairs = {frozenset((m[c], m[d])) for m in maps}
-            cells = set().union(*pairs)
-            if len(cells) == 2 * len(pairs):
-                moves[k].append((sum(1 << index[x] for x in cells), 1))
+            pairs = {1 << index[m[c]] | 1 << index[m[d]] for m in maps}
+            done |= pairs
+            # the two-bit pairs are disjoint when their sum carries nowhere
+            mask = sum(pairs)
+            if mask.bit_count() == 2 * len(pairs):
+                moves[(mask & -mask).bit_length() - 1].append((mask, 1))
     return moves
 
 
@@ -484,8 +489,9 @@ def count_tilings_free(region: Region) -> int:
     where a cell hosting a free edge may also be removed alone.
     """
     moves = _cell_moves(region, [{c: c for c in region.cells}])
+    index = {c: k for k, c in enumerate(region.cells)}
     for host in region.free_cell_map().values():
-        k = region.cells.index(host)
+        k = index[host]
         moves[k].append((1 << k, 1))
     return _sweep(moves)
 
@@ -524,22 +530,17 @@ _ROTATION_OF_ORDER = {1: "Identity", 2: "Rot180", 3: "Rot120", 6: "Rot60"}
 
 
 def _filter_count(region: Region, group) -> int:
+    """Tilings of the full enumeration fixed by each group element but
+    the identity, which symmetry_group puts first; a mate array checks
+    that an element sends every pair of the tiling to a pair."""
     g = dual_graph(region)
-    perms = [induced_vertex_map(g, e) for e in group]
+    perms = [induced_vertex_map(g, e) for e in group[1:]]
+    mate = [0] * g.n
     count = 0
     for matching in enumerate_matchings(g):
-        mset = set(matching)
-        good = True
-        for p in perms:
-            for i, j in matching:
-                a, b = p[i], p[j]
-                if ((a, b) if a < b else (b, a)) not in mset:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            count += 1
+        for i, j in matching:
+            mate[i], mate[j] = j, i
+        count += all(mate[p[i]] == p[j] for p in perms for i, j in matching)
     return count
 
 

@@ -13,8 +13,9 @@ embedding) are computed at most once per graph; the face trace serves
 both the Euler check and the Kasteleyn orientation.
 
 Symmetries of a region are stored as explicit cell permutations.  A
-cell is mapped by arithmetic on its tripled centroid, an integer point,
-and a group is closed by composing its generators with the newest
+cell is mapped by arithmetic on its tripled centroid, an integer point;
+the map is affine, so one cell and its three lattice neighbours check it
+once.  A group is closed by composing its generators with the newest
 elements.  The quotient of a dual graph under a rotation identifies
 each orbit of cells to one vertex; an orbit of edges whose endpoints
 fall into the same vertex orbit becomes a loop when a symmetric
@@ -280,6 +281,10 @@ def _point_map(kind: str, cx2: int, cy2: int):
     raise SymmetryAbsentError("unknown symmetry kind %r" % (kind,))
 
 
+def _centroid3(cell: TriCell) -> tuple[int, int]:
+    return (3 * cell.u + (1 if cell.orient == UP else 2), 3 * cell.v)
+
+
 def symmetry(region: Region, kind: str) -> SymmetryElement:
     """The named symmetry as a cell permutation of the region.
 
@@ -288,7 +293,9 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
     for "U" and (3u+2, 3v) for "D", which the point map sends to the
     tripled centroid of the image cell.  Raises SymmetryAbsentError when
     the map is not a lattice isometry or does not send the region onto
-    itself.
+    itself.  The point map is affine, so one cell whose three lattice
+    neighbours go to those of its image makes the map an automorphism;
+    that and injectivity are checked once, a failure raising ContractError.
     """
     xmin, xmax, ymin, ymax = region_corner_bounds(region)
     # tripling the center keeps every condition _point_map checks on it
@@ -296,7 +303,7 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
     have = region.cell_set
     mapping: dict[TriCell, TriCell] = {}
     for cell in region.cells:
-        x, y = pmap((3 * cell.u + (1 if cell.orient == UP else 2), 3 * cell.v))
+        x, y = pmap(_centroid3(cell))
         u, r = divmod(x, 3)
         v, s = divmod(y, 3)
         if s or not r:
@@ -312,19 +319,18 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
                 "%s does not map the region to itself (cell %r -> %r)"
                 % (kind, tuple(cell), tuple(image)))
         mapping[cell] = image
-    assert len(set(mapping.values())) == len(mapping), "map not injective"
-    for cell in region.cells:
-        image_nbrs = cell_neighbors(mapping[cell])
-        for nb in cell_neighbors(cell):
-            if nb in have:
-                assert mapping[nb] in image_nbrs, \
-                    "image is not a graph automorphism"
+    if len(set(mapping.values())) != len(mapping):
+        raise ContractError("%s is not injective" % (kind,))
+    cell = region.cells[0]
+    if ({pmap(_centroid3(nb)) for nb in cell_neighbors(cell)}
+            != {_centroid3(nb) for nb in cell_neighbors(mapping[cell])}):
+        raise ContractError("%s is not a graph automorphism" % (kind,))
     return SymmetryElement(kind, mapping)
 
 
 def compose(f: SymmetryElement, g: SymmetryElement) -> SymmetryElement:
     """f after g, on a common region."""
-    if set(f.mapping) != set(g.mapping):
+    if f.mapping.keys() != g.mapping.keys():
         raise ContractError("elements live on different regions")
     mapping = {c: f.mapping[g.mapping[c]] for c in g.mapping}
     return SymmetryElement("%s*%s" % (f.kind, g.kind), mapping)

@@ -26,6 +26,7 @@ from lozlab.duality import (
     axis_pair_dual_graph,
     dual_graph,
     factorization_split,
+    induced_vertex_map,
     quotient_graph,
     remove_loop_vertex,
     symmetry,
@@ -34,8 +35,8 @@ from lozlab.duality import (
 )
 from lozlab.errors import BudgetError, ContractError, SymmetryAbsentError
 from lozlab.formulas import d_count, macmahon_box
-from lozlab.lattice import (cored_hexagon, d_region, hexagon, holed_hexagon,
-                           rbar_region)
+from lozlab.lattice import (cell_neighbors, cored_hexagon, d_region, hexagon,
+                           holed_hexagon, rbar_region)
 
 
 def test_six_cycle_has_two_matchings():
@@ -416,31 +417,118 @@ CROSS_GROUPS = (("Rot180",), ("Rot120",), ("Rot60",), ("ReflH",), ("ReflV",),
 CROSS_FILTER_CELLS = 60
 
 
-def test_orbit_quotient_and_filter_agree_on_every_group():
+def _cross_cases():
+    """(region, kinds, group) for every CROSS_GROUPS group a region has."""
     regions = [hexagon(a, b, c) for a, b, c in product(range(1, 5), repeat=3)]
     regions += [holed_hexagon(a, b, ks) for a in range(2, 6) for b in (1, 2)
                 for ks in ([], [1], [2], [1, 2]) if not ks or 2 * ks[-1] <= a]
     regions += [cored_hexagon(a, b, ks, 1) for a in (2, 3) for b in (1, 2)
                 for ks in ([], [1])]
-    routes = {"orbit": 0, "quotient": 0, "filter": 0}
     for region in regions:
         for kinds in CROSS_GROUPS:
             try:
-                symmetry_group(region, kinds)
+                group = symmetry_group(region, kinds)
             except SymmetryAbsentError:
                 continue
-            counts = {"orbit": count_symmetric_tilings(region, kinds, "orbit")}
-            if not any(k.startswith("Refl") for k in kinds):
-                counts["quotient"] = count_symmetric_tilings(region, kinds,
-                                                             "quotient")
-            if len(region.cells) <= CROSS_FILTER_CELLS:
-                counts["filter"] = count_symmetric_tilings(region, kinds,
-                                                           "filter")
-            assert len(set(counts.values())) == 1, \
-                (region.family, region.params, kinds, counts)
-            for route in counts:
-                routes[route] += 1
+            yield region, kinds, group
+
+
+def test_orbit_quotient_and_filter_agree_on_every_group():
+    routes = {"orbit": 0, "quotient": 0, "filter": 0}
+    for region, kinds, _ in _cross_cases():
+        counts = {"orbit": count_symmetric_tilings(region, kinds, "orbit")}
+        if not any(k.startswith("Refl") for k in kinds):
+            counts["quotient"] = count_symmetric_tilings(region, kinds,
+                                                         "quotient")
+        if len(region.cells) <= CROSS_FILTER_CELLS:
+            counts["filter"] = count_symmetric_tilings(region, kinds,
+                                                       "filter")
+        assert len(set(counts.values())) == 1, \
+            (region.family, region.params, kinds, counts)
+        for route in counts:
+            routes[route] += 1
     assert routes == {"orbit": 270, "quotient": 114, "filter": 162}
+
+
+def _set_filter_count(region, group):
+    """Reference: the filter that checks every element, the identity
+    too, against a set of each tiling's pairs."""
+    g = dual_graph(region)
+    perms = [induced_vertex_map(g, e) for e in group]
+    count = 0
+    for matching in enumerate_matchings(g):
+        mset = set(matching)
+        if all(((p[i], p[j]) if p[i] < p[j] else (p[j], p[i])) in mset
+               for p in perms for i, j in matching):
+            count += 1
+    return count
+
+
+def test_filter_matches_the_set_reference():
+    checked = 0
+    for region, _, group in _cross_cases():
+        if len(region.cells) <= CROSS_FILTER_CELLS:
+            assert counting._filter_count(region, group) == \
+                _set_filter_count(region, group), (region.params, group)
+            checked += 1
+    assert checked == 162
+
+
+def _every_cell_moves(region, maps):
+    """Reference: each orbit move filed at every cell of the orbit, once
+    per edge of the orbit at that cell, with the copies the sweep never
+    takes."""
+    index = {c: k for k, c in enumerate(region.cells)}
+    moves = [[] for _ in region.cells]
+    for c, k in index.items():
+        for d in cell_neighbors(c):
+            if d not in index:
+                continue
+            pairs = {frozenset((m[c], m[d])) for m in maps}
+            cells = set().union(*pairs)
+            if len(cells) == 2 * len(pairs):
+                moves[k].append((sum(1 << index[x] for x in cells), 1))
+    return moves
+
+
+def test_cell_moves_are_the_reference_moves_that_can_fire():
+    # a move can fire only from the bucket of its least cell
+    cases = [(region, [e.mapping for e in group])
+             for region, _, group in _cross_cases()]
+    cases += [(r, [{c: c for c in r.cells}]) for r in (
+        d_region(3, 2, 0, [1, 2, 3]), d_region(4, 2, -1, [1, 3]))]
+    dead = 0
+    for region, maps in cases:
+        new = counting._cell_moves(region, maps)
+        old = _every_cell_moves(region, maps)
+        for p, (got, want) in enumerate(zip(new, old)):
+            live = [m for m in want if m[0] & -m[0] == 1 << p]
+            assert sorted(got) == sorted(live), (region.params, p)
+            dead += len(want) - len(live)
+    assert dead > 0
+
+
+# the exact state counts of one search per route: each passes at its
+# count and meets the cap one below it, so a change that keeps these
+# moves no input across SEARCH_STATE_CAP
+CAP_BOUNDARIES = {
+    "orbit": (lambda: count_symmetric_tilings(holed_hexagon(4, 2, [2]),
+                                              ["Rot180"], "orbit"), 332, 100),
+    "filter": (lambda: count_symmetric_tilings(hexagon(3, 3, 3), ["ReflV"],
+                                               "filter"), 8436, 112),
+    "free": (lambda: count_tilings_free(d_region(3, 2, 0, [1, 2, 3])),
+             140, 490),
+}
+
+
+@pytest.mark.parametrize("route", sorted(CAP_BOUNDARIES))
+def test_search_routes_meet_the_cap_at_pinned_state_counts(monkeypatch, route):
+    count, states, want = CAP_BOUNDARIES[route]
+    monkeypatch.setattr(counting, "SEARCH_STATE_CAP", states)
+    assert count() == want
+    monkeypatch.setattr(counting, "SEARCH_STATE_CAP", states - 1)
+    with pytest.raises(BudgetError, match="cap of %d search" % (states - 1)):
+        count()
 
 
 def test_rot60_on_odd_hexagons_counts_zero():

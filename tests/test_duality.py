@@ -32,6 +32,7 @@ from lozlab.lattice import (
     TriCell,
     cell_at,
     cell_corners,
+    cell_neighbors,
     cells_adjacent,
     cored_hexagon,
     d_region,
@@ -397,6 +398,24 @@ def _svg_with_distant_pair():
     return region_svg(r, tiling=[(c, d)])
 
 
+def _symmetry_under(point_map):
+    """Rot180 of hexagon(1, 1, 1) with its point map replaced."""
+    saved = duality._point_map
+    duality._point_map = lambda kind, cx2, cy2: point_map
+    try:
+        return symmetry(hexagon(1, 1, 1), "Rot180")
+    finally:
+        duality._point_map = saved
+
+
+def _swap_first_cell(p):
+    # swaps the first cell with the other "D" cell it shares no edge with:
+    # a bijection of the region that is no lattice isometry
+    first, other = (duality._centroid3(c)
+                    for c in hexagon(1, 1, 1).cells[0:3:2])
+    return other if p == first else first if p == other else p
+
+
 def _split_on(kind):
     r = hexagon(1, 1, 1)
     axis = identity_element(r) if kind == "Identity" else symmetry(r, kind)
@@ -430,6 +449,13 @@ HAND_BUILT = {
         lambda: split_dual_region(_hand_split((cell_at(0, 0),),
                                               (cell_at(0, 2),))),
         "orbit entirely above the axis"),
+    "symmetry not injective": (
+        lambda: _symmetry_under(
+            lambda p: duality._centroid3(hexagon(1, 1, 1).cells[0])),
+        "Rot180 is not injective"),
+    "symmetry not an automorphism": (
+        lambda: _symmetry_under(_swap_first_cell),
+        "Rot180 is not a graph automorphism"),
     "svg tiling pair apart": (_svg_with_distant_pair,
                               "tiling pair is not adjacent"),
 }
@@ -549,6 +575,27 @@ def test_symmetry_lattice_check_matches_the_reference(monkeypatch):
         assert want == ("absent", "%s does not preserve the lattice on "
                         "Hexagon" % kind)
         assert _outcome(symmetry, region, kind) == want
+
+
+def test_every_symmetry_is_an_automorphism_cell_by_cell():
+    # reference for the one-cell check in symmetry: the per-cell
+    # injectivity and adjacency loop it replaced, on every map
+    maps = 0
+    for region in _symmetry_regions():
+        have = region.cell_set
+        for kind in KINDS:
+            try:
+                mapping = symmetry(region, kind).mapping
+            except SymmetryAbsentError:
+                continue
+            assert len(set(mapping.values())) == len(mapping)
+            for cell in region.cells:
+                image_nbrs = cell_neighbors(mapping[cell])
+                for nb in cell_neighbors(cell):
+                    if nb in have:
+                        assert mapping[nb] in image_nbrs
+            maps += 1
+    assert maps == 490
 
 
 def _all_pairs_group(region, kinds):
