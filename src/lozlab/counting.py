@@ -25,8 +25,7 @@ its dual graph), tilings invariant under a symmetry group (by direct
 orbit search, by filtering the full enumeration, or by counting
 matchings of the quotient graph when the group is a rotation group),
 and free-boundary tilings where marked boundary cells may stay
-uncovered (by the search on region cells, or by the oracle on a graph
-attaching an optional pendant per free cell, as a cross-check).
+uncovered (by the search on region cells).
 
 One search engine serves the oracle, the orbit route and the
 free-boundary route: it settles items (graph vertices or region cells)
@@ -50,8 +49,8 @@ from .duality import (
     MatchGraph,
     dual_graph,
     induced_vertex_map,
+    normalize_loops,
     quotient_graph,
-    remove_loop_vertex,
     symmetry,
     symmetry_group,
 )
@@ -153,7 +152,7 @@ def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
     if n == 0:
         yield ()
         return
-    adj = [sorted(s) for s in g.neighbor_sets()]
+    adj = [sorted(s) for s in g.adjacency]
     covered = [False] * n
     pairs: list[tuple[int, int]] = []
     stack = [[0, 0]]
@@ -187,10 +186,6 @@ def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
             stack.append([w, 0])
 
 
-def first_matching(g: MatchGraph) -> tuple[tuple[int, int], ...] | None:
-    return next(enumerate_matchings(g), None)
-
-
 # ---------------------------------------------------------------------
 # Kasteleyn orientation and determinants
 
@@ -198,7 +193,8 @@ def first_matching(g: MatchGraph) -> tuple[tuple[int, int], ...] | None:
 def _kasteleyn_orientation(g: MatchGraph) -> dict[tuple[int, int], bool]:
     """Edge (i, j) -> True when oriented i to j, with an odd number of
     agreeing edges around every face except one root face per component."""
-    faces, face_of = g.faces()
+    faces = g.faces
+    face_of = {d: f for f, cycle in enumerate(faces) for d in cycle}
     orient = {(i, j): True for i, j, _ in g.edges}
     parity = [0] * len(faces)
     for f, cycle in enumerate(faces):
@@ -369,7 +365,8 @@ def _kasteleyn_rows(cedges, orient, scale: int, row_of: dict[int, int],
     return rows
 
 
-def _two_color(comp: list[int], adj: list[set[int]]) -> dict[int, int] | None:
+def _two_color(comp: list[int],
+               adj: Sequence[frozenset[int]]) -> dict[int, int] | None:
     color = {comp[0]: 0}
     stack = [comp[0]]
     while stack:
@@ -391,9 +388,9 @@ def count_matchings_pfaffian(g: MatchGraph) -> Fraction:
     if g.rotations is None:
         raise ContractError("determinant counting needs an embedding")
     orient = _kasteleyn_orientation(g)
-    adj = g.neighbor_sets()
+    adj = g.adjacency
     result = ONE
-    for comp_set in g.components():
+    for comp_set in g.components:
         comp = sorted(comp_set)
         if len(comp) % 2:
             return ZERO
@@ -421,22 +418,6 @@ def count_matchings_pfaffian(g: MatchGraph) -> Fraction:
                                     % det)
             result *= Fraction(isqrt(det), scale ** (len(comp) // 2))
     return result
-
-
-def normalize_loops(g: MatchGraph) -> tuple[MatchGraph, Fraction]:
-    """Remove a forced loop so the determinant applies, keeping the count.
-
-    With a single loop parity decides: on an even vertex count no
-    perfect matching can use it, so the graph is returned as it is and
-    the determinant ignores the loop; on an odd count it is forced, so
-    its vertex is removed and its weight remembered.  Two or more loops
-    can be used in pairs, which is out of scope.
-    """
-    if len(g.loops) > 1:
-        raise ContractError("cannot normalize %d loops" % len(g.loops))
-    if not g.loops or g.n % 2 == 0:
-        return g, ONE
-    return remove_loop_vertex(g)
 
 
 def mgf(g: MatchGraph) -> Fraction:
@@ -494,35 +475,6 @@ def count_tilings_free(region: Region) -> int:
         k = index[host]
         moves[k].append((1 << k, 1))
     return _sweep(moves)
-
-
-def free_gadget_graph(region: Region) -> MatchGraph:
-    """Pendant-with-loop gadget whose loopy matching count equals
-    count_tilings_free; used as an independent cross-check."""
-    cells = region.cells
-    tags: list = [("c", c) for c in cells]
-    free = region.free_cell_map()
-    pendant_host: dict = {}
-    for e, host in sorted(free.items()):
-        tags.append(("f", e))
-        pendant_host[("f", e)] = host
-    tags.sort()
-    index = {t: k for k, t in enumerate(tags)}
-    have = region.cell_set
-    edges = []
-    loops = []
-    for t in tags:
-        if t[0] == "f":
-            host = index[("c", pendant_host[t])]
-            edges.append((min(host, index[t]), max(host, index[t]), ONE))
-            loops.append((index[t], ONE))
-            continue
-        c = t[1]
-        for d in cell_neighbors(c):
-            if d in have and index[("c", d)] > index[t]:
-                edges.append((index[t], index[("c", d)], ONE))
-    return MatchGraph(tuple(tags), tuple(sorted(edges)),
-                      tuple(sorted(loops)), None)
 
 
 # the rotation generating a pure rotation group, by the group's order

@@ -33,10 +33,9 @@ function of the surgered graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import ContractError, SymmetryAbsentError
 from .lattice import (
@@ -52,8 +51,14 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class MatchGraph:
+class _MatchGraphFields(NamedTuple):
+    tags: tuple[Hashable, ...]
+    edges: tuple[tuple[int, int, Fraction], ...]
+    loops: tuple[tuple[int, Fraction], ...] = ()
+    rotations: tuple[tuple[int, ...], ...] | None = None
+
+
+class MatchGraph(_MatchGraphFields):
     """Weighted loopy graph with tagged vertices and a planar embedding.
 
     The constructor checks its input: sorted unique tags, edges and
@@ -62,12 +67,8 @@ class MatchGraph:
     formula for the embedding.  A violation raises ContractError.
     """
 
-    tags: tuple[Hashable, ...]
-    edges: tuple[tuple[int, int, Fraction], ...]
-    loops: tuple[tuple[int, Fraction], ...] = ()
-    rotations: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self):
+    def __new__(cls, tags, edges, loops=(), rotations=None):
+        self = super().__new__(cls, tags, edges, loops, rotations)
         n = len(self.tags)
         if list(self.tags) != sorted(set(self.tags)):
             raise ContractError("tags not sorted/unique")
@@ -92,7 +93,7 @@ class MatchGraph:
                 raise ContractError("rotation system has %d entries for %d "
                                     "vertices" % (len(self.rotations), n))
             for i, (rot, nbrs) in enumerate(zip(self.rotations,
-                                                self._adjacency)):
+                                                self.adjacency)):
                 if len(rot) != len(set(rot)):
                     raise ContractError("repeated neighbor in rotation at %d"
                                         % i)
@@ -100,22 +101,27 @@ class MatchGraph:
                     raise ContractError("rotation disagrees with edges at %d"
                                         % i)
             v, e = n, len(self.edges)
-            f, c = self.face_count(), len(self._components)
+            f, c = self.face_count(), len(self.components)
             if v - e + f != 2 * c:
                 raise ContractError("embedding not planar: V=%d E=%d F=%d C=%d"
                                     % (v, e, f, c))
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its copy here, so a copy passes the checks too
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        # no caller may replace a cached structure; cached_property
+        # writes the instance __dict__ directly, not through here
+        raise AttributeError("MatchGraph is immutable")
 
     # -- basic queries ------------------------------------------------
 
     @property
     def n(self) -> int:
         return len(self.tags)
-
-    def neighbor_sets(self) -> list[set[int]]:
-        return [set(s) for s in self._adjacency]
-
-    def components(self) -> list[set[int]]:
-        return [set(c) for c in self._components]
 
     def index_of(self, tag) -> int:
         from bisect import bisect_left
@@ -125,54 +131,45 @@ class MatchGraph:
             raise KeyError(tag)
         return i
 
-    # -- embedding ----------------------------------------------------
-
-    def faces(self) -> tuple[list[list[tuple[int, int]]],
-                             dict[tuple[int, int], int]]:
-        """Faces of the embedding as cycles of darts (i, j) and the face
-        index of every dart."""
-        faces = [list(cycle) for cycle in self._face_trace]
-        return faces, {d: f for f, cycle in enumerate(faces) for d in cycle}
-
     def face_count(self) -> int:
         """Number of face orbits of the loopless skeleton, isolated
         vertices counting one face each."""
-        return (len(self._face_trace)
+        return (len(self.faces)
                 + sum(1 for rot in self.rotations if not rot))
 
     # -- derived structures, computed once per graph -------------------
-    # neighbor_sets, components and faces hand out copies of these, so
-    # no caller can alter what later callers see.
 
     @cached_property
-    def _adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """The neighbours of each vertex."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
         for i, j, _ in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+            adj[i].append(j)
+            adj[j].append(i)
+        return tuple(map(frozenset, adj))
 
     @cached_property
-    def _components(self) -> list[set[int]]:
-        adj = self._adjacency
-        seen: set[int] = set()
+    def components(self) -> tuple[frozenset[int], ...]:
+        """The vertex sets of the connected components."""
+        adj = self.adjacency
+        seen = [False] * self.n
         out = []
         for start in range(self.n):
-            if start in seen:
+            if seen[start]:
                 continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                for m in adj[stack.pop()]:
-                    if m not in comp:
-                        comp.add(m)
-                        stack.append(m)
-            seen |= comp
-            out.append(comp)
-        return out
+            seen[start] = True
+            comp = [start]
+            for v in comp:  # comp grows as it is walked
+                for m in adj[v]:
+                    if not seen[m]:
+                        seen[m] = True
+                        comp.append(m)
+            out.append(frozenset(comp))
+        return tuple(out)
 
     @cached_property
-    def _face_trace(self) -> list[list[tuple[int, int]]]:
+    def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Faces of the embedding as cycles of darts (i, j)."""
         if self.rotations is None:
             raise ContractError("the graph has no embedding")
         succ: dict[tuple[int, int], tuple[int, int]] = {}
@@ -181,20 +178,20 @@ class MatchGraph:
                 # dart (j -> i) continues to the next neighbor after j in
                 # the cyclic order at i
                 succ[(j, i)] = (i, rot[(pos + 1) % len(rot)])
-        faces: list[list[tuple[int, int]]] = []
-        face_of: dict[tuple[int, int], int] = {}
+        faces: list[tuple[tuple[int, int], ...]] = []
+        seen: set[tuple[int, int]] = set()
         for dart in succ:
-            if dart in face_of:
+            if dart in seen:
                 continue
             cycle = []
             d = dart
-            while d not in face_of:
-                face_of[d] = len(faces)
+            while d not in seen:
+                seen.add(d)
                 cycle.append(d)
                 d = succ[d]
             assert d == dart, "face trace did not close"
-            faces.append(cycle)
-        return faces
+            faces.append(tuple(cycle))
+        return tuple(faces)
 
 
 def graph_text(g: MatchGraph) -> str:
@@ -241,8 +238,7 @@ def dual_graph(region: Region) -> MatchGraph:
 KINDS = ("Identity", "Rot60", "Rot120", "Rot180", "ReflH", "ReflV")
 
 
-@dataclass
-class SymmetryElement:
+class SymmetryElement(NamedTuple):
     """A cell permutation of one region, with the name it was built from."""
 
     kind: str
@@ -489,12 +485,27 @@ def remove_loop_vertex(g: MatchGraph) -> tuple[MatchGraph, Fraction]:
     return without_vertices(g, {v}), w
 
 
+def normalize_loops(g: MatchGraph) -> tuple[MatchGraph, Fraction]:
+    """Remove a forced loop so the determinant applies, keeping the count.
+
+    With a single loop parity decides: on an even vertex count no
+    perfect matching can use it, so the graph is returned as it is and
+    the determinant ignores the loop; on an odd count it is forced, so
+    its vertex is removed and its weight remembered.  Two or more loops
+    can be used in pairs, which is out of scope.
+    """
+    if len(g.loops) > 1:
+        raise ContractError("cannot normalize %d loops" % len(g.loops))
+    if not g.loops or g.n % 2 == 0:
+        return g, ONE
+    return remove_loop_vertex(g)
+
+
 # ---------------------------------------------------------------------
 # axis factorization
 
 
-@dataclass(frozen=True)
-class FactorSplit:
+class FactorSplit(NamedTuple):
     """Result of the axis surgery: M(g) = 2**multiplier_log2 * MGF(subgraph)."""
 
     subgraph: MatchGraph
@@ -538,7 +549,9 @@ def factorization_split(g: MatchGraph, axis: SymmetryElement) -> FactorSplit:
     of the result.
     """
     if g.loops:
-        raise ContractError("remove loops before splitting")
+        raise ContractError(
+            "cannot split a graph with a loop: a Rot180 quotient keeps one "
+            "when the half-turn centre is the midpoint of a lattice edge")
     sigma = induced_vertex_map(g, axis)
     if not all(sigma[sigma[i]] == i for i in range(g.n)):
         raise ContractError("axis map not an involution")
@@ -585,14 +598,15 @@ def factorization_split(g: MatchGraph, axis: SymmetryElement) -> FactorSplit:
 def central_axis_split(region: Region) -> tuple[FactorSplit, Fraction]:
     """Axis surgery on the central (Rot180) quotient of a region.
 
-    An odd quotient first loses its looped vertex.  Returns the split
-    and that loop's weight (1 without a loop), so the quotient has
-    loop_weight * 2**multiplier_log2 * MGF(subgraph) matchings.
+    The quotient's loops are normalized as for the determinant: an odd
+    quotient loses its looped vertex, while an even one keeps its
+    dead-weight loop, which the split refuses with ContractError.
+    Returns the split and the removed loop's weight (1 without one), so
+    the quotient has loop_weight * 2**multiplier_log2 * MGF(subgraph)
+    matchings.
     """
     q = quotient_graph(dual_graph(region), symmetry(region, "Rot180"))
-    loop_weight = Fraction(1)
-    if q.loops:
-        q, loop_weight = remove_loop_vertex(q)
+    q, loop_weight = normalize_loops(q)
     return factorization_split(q, symmetry(region, "ReflH")), loop_weight
 
 

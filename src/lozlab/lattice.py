@@ -60,7 +60,6 @@ uses floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (ContractError, FormatError, HoleCollisionError,
@@ -110,10 +109,6 @@ def cell_neighbors(cell: TriCell) -> tuple[TriCell, TriCell, TriCell]:
             TriCell(u + 1, v, UP))
 
 
-def cells_adjacent(c: TriCell, d: TriCell) -> bool:
-    return d in cell_neighbors(c)
-
-
 def cell_edges(cell: TriCell) -> tuple[Edge, Edge, Edge]:
     a, b, c = cell_corners(cell)
     return (_edge(a, b), _edge(a, c), _edge(b, c))
@@ -150,8 +145,14 @@ def edge_cells(edge: Edge) -> tuple[TriCell, ...]:
     return ()
 
 
-@dataclass(frozen=True)
-class Region:
+class _RegionFields(NamedTuple):
+    family: str
+    params: tuple[tuple[str, object], ...]
+    cells: tuple[TriCell, ...]
+    free_edges: tuple[Edge, ...] = ()
+
+
+class Region(_RegionFields):
     """A finite set of cells plus optional free boundary edges.
 
     cells are sorted lexicographically; params is an ordered tuple of
@@ -162,17 +163,21 @@ class Region:
     region, else ParameterError.
     """
 
-    family: str
-    params: tuple[tuple[str, object], ...]
-    cells: tuple[TriCell, ...]
-    free_edges: tuple[Edge, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, family, params, cells, free_edges=()):
+        self = super().__new__(cls, family, params, cells, free_edges)
         if list(self.cells) != sorted(set(self.cells)):
             raise ContractError("cells not sorted/unique")
         if not all(cell_ok(c) for c in self.cells):
             raise ContractError("malformed cell")
         self.free_cell_map()  # raises ParameterError for a bad free edge
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its copy here, so a copy passes the checks too
+        return cls(*iterable)
 
     @property
     def cell_set(self) -> frozenset[TriCell]:
@@ -183,25 +188,6 @@ class Region:
             if key == name:
                 return value
         raise KeyError(name)
-
-    def up_cells(self) -> tuple[TriCell, ...]:
-        return tuple(c for c in self.cells if c.orient == UP)
-
-    def down_cells(self) -> tuple[TriCell, ...]:
-        return tuple(c for c in self.cells if c.orient == DOWN)
-
-    def is_connected(self) -> bool:
-        if not self.cells:
-            return True
-        have = self.cell_set
-        seen = {self.cells[0]}
-        stack = [self.cells[0]]
-        while stack:
-            for n in cell_neighbors(stack.pop()):
-                if n in have and n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        return len(seen) == len(self.cells)
 
     def free_cell_map(self) -> dict[Edge, TriCell]:
         """Each free edge with the unique region cell it borders.

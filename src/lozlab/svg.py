@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .counting import count_matchings, first_matching
+from .counting import count_matchings, enumerate_matchings
 from .duality import MatchGraph, dual_graph
 from .errors import ContractError, ParameterError
 from .lattice import (Point, Region, TriCell, cell_corners, cell_edges,
@@ -124,7 +124,7 @@ def first_tiling(region: Region) -> tuple[Pair, ...]:
     if count_matchings(g) == 0:
         note = " (free edges stay closed)" if region.free_edges else ""
         raise ParameterError("the region has no lozenge tiling to draw" + note)
-    return tuple((g.tags[i], g.tags[j]) for i, j in first_matching(g))
+    return tuple((g.tags[i], g.tags[j]) for i, j in next(enumerate_matchings(g)))
 
 
 def region_svg(region: Region,

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .counting import (count_symmetric_tilings, count_tilings,
                        count_tilings_free, mgf)
@@ -44,8 +43,7 @@ __all__ = [
 Count = int | Fraction
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Both sides of one identity instance, with their provenance.
 
     ``factors`` is the right hand side broken into the factors named by
@@ -290,8 +288,7 @@ def _as_exact(value: Count) -> Count:
 # sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     identity_id: str
     params_text: str
     lhs: Count | None
@@ -300,8 +297,7 @@ class SweepRow:
     error: str | None
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     rows: tuple[SweepRow, ...]
 
     @property

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lozlab import counting
+from lozlab import counting, svg
 from lozlab.cli import main
 
 
@@ -226,7 +226,7 @@ def test_render_overlays(capsys):
 def test_render_tiling_of_untileable_region(capsys, monkeypatch):
     # the second region would send the search to its cap; the
     # determinant says 0 first, so the search never runs
-    monkeypatch.setattr(counting, "enumerate_matchings", None)
+    monkeypatch.setattr(svg, "enumerate_matchings", None)
     for a, b, is_ in (("2", "1", "1,2"), ("6", "4", "1,2,3,4,5,6")):
         code, out, err = run(capsys, "render", "--tiling", "--family", "d",
                              "--a", a, "--b", b, "--eps", "-1", "--is", is_)
@@ -261,6 +261,24 @@ def test_split_odd_side_removes_loop(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["loop_weight"] == 1
+
+
+def test_split_refuses_a_half_turn_centre_on_an_edge(capsys):
+    # the Rot180 quotient of hexagon(2, 2, 1) is even and keeps a
+    # dead-weight loop, which the axis split cannot take
+    code, out, err = run(capsys, "split", "--family", "hexagon",
+                         "--a", "2", "--b", "2", "--c", "1")
+    assert (code, out) == (2, "")
+    assert "midpoint of a lattice edge" in err
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    script = ("import sys, lozlab.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = str(Path(counting.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_missing_family_parameter(capsys):

@@ -16,8 +16,6 @@ from lozlab.counting import (
     count_tilings,
     count_tilings_free,
     enumerate_matchings,
-    first_matching,
-    free_gadget_graph,
     mgf,
     mgf_oracle,
 )
@@ -135,6 +133,15 @@ TWO_LOOP_GRAPHS = (
 )
 
 
+def _free_hosts_looped(region):
+    """The dual graph with a unit loop at each free-edge host: the loop
+    covers its host alone, as a tile protruding across the free edge."""
+    g = dual_graph(region)
+    hosts = sorted(g.index_of(c) for c in region.free_cell_map().values())
+    return MatchGraph(g.tags, g.edges, tuple((v, Fraction(1)) for v in hosts),
+                      g.rotations)
+
+
 def _oracle_reference_graphs():
     graphs = [dual_graph(hexagon(a, b, c))
               for a, b, c in product((1, 2, 3), repeat=3) if a + b + c <= 7]
@@ -164,7 +171,7 @@ def _oracle_reference_graphs():
         graphs.append(split.subgraph)
     graphs.append(axis_pair_dual_graph(rbar_region([], [1], 1)))
     for a, b, eps in ((1, 1, -1), (1, 1, 0), (2, 1, -1), (1, 2, -1)):
-        graphs.append(free_gadget_graph(
+        graphs.append(_free_hosts_looped(
             d_region(a, b, eps, list(range(1, a + 1)))))
     graphs += [g for g, _ in TWO_LOOP_GRAPHS]
     # two odd components, each of which must use one of its loops
@@ -221,7 +228,7 @@ def test_enumerate_matchings_are_perfect_and_distinct():
         covered = [v for e in m for v in e]
         assert sorted(covered) == list(range(g.n))
     assert len(seen) == 20
-    assert first_matching(g) in seen
+    assert next(enumerate_matchings(g)) in seen
 
 
 def test_enumerate_matchings_runs_deeper_than_the_recursion_limit():
@@ -230,13 +237,13 @@ def test_enumerate_matchings_runs_deeper_than_the_recursion_limit():
     m = next(enumerate_matchings(g))
     assert len(m) == g.n // 2
     assert sorted(v for e in m for v in e) == list(range(g.n))
-    adj = g.neighbor_sets()
+    adj = g.adjacency
     assert all(j in adj[i] for i, j in m)
 
 
 def _recursive_matchings(g):
     """Reference order: match the least uncovered vertex, neighbors ascending."""
-    adj = [sorted(s) for s in g.neighbor_sets()]
+    adj = [sorted(s) for s in g.adjacency]
 
     def rec(left, acc):
         if not left:
@@ -577,9 +584,9 @@ def test_free_boundary_gadget_cross_check():
         full = tuple(range(1, a + 1))
         r = d_region(a, b, eps, full)
         direct = count_tilings_free(r)
-        via_gadget = mgf_oracle(free_gadget_graph(r))
-        # both run the one search engine, on cells and on the gadget graph,
-        # so the closed form is the leg that shares no code with them
+        via_gadget = mgf_oracle(_free_hosts_looped(r))
+        # both run the one search engine, on cells and on the looped dual
+        # graph, so the closed form is the leg that shares no code with them
         want = d_count(a, b, eps, full)
         assert direct == via_gadget == want, (a, b, eps, direct, via_gadget)
 
@@ -591,7 +598,7 @@ def test_count_matchings_rejects_weighted():
     with pytest.raises(ContractError):
         count_matchings_oracle(g)
     with pytest.raises(ContractError):
-        count_matchings_pfaffian(free_gadget_graph(d_region(1, 1, -1, [1])))
+        count_matchings_pfaffian(_free_hosts_looped(d_region(1, 1, -1, [1])))
 
 
 def test_count_matchings_rejects_non_integer_count():
@@ -771,6 +778,6 @@ def test_rotation_quotient_counts_match_product_formulas():
             quotient_graph(dual_graph(r), symmetry(r, "Rot60")))
         # the quotient keeps its dead-weight loop, which the determinant
         # ignores; it is not bipartite, so the skew route runs
-        assert counting._two_color(list(range(q.n)), q.neighbor_sets()) is None
+        assert counting._two_color(list(range(q.n)), q.adjacency) is None
         assert count_symmetric_tilings(r, ["Rot60"], "quotient") == \
             _asm(n // 2) ** 2, n

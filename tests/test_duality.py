@@ -15,6 +15,7 @@ from lozlab.duality import (
     FactorSplit,
     MatchGraph,
     axis_pair_dual_graph,
+    central_axis_split,
     compose,
     dual_graph,
     factorization_split,
@@ -33,7 +34,6 @@ from lozlab.lattice import (
     cell_at,
     cell_corners,
     cell_neighbors,
-    cells_adjacent,
     cored_hexagon,
     d_region,
     hexagon,
@@ -42,6 +42,7 @@ from lozlab.lattice import (
     region_corner_bounds,
 )
 from lozlab.svg import region_svg
+from lozlab.verify import check, default_grid, sweep
 from test_lattice import cell_from_corners
 
 ONE = Fraction(1)
@@ -72,12 +73,12 @@ def test_dual_embedding_face_count():
 
 def test_faces_partition_the_darts():
     g = dual_graph(holed_hexagon(4, 1, [2]))
-    faces, face_of = g.faces()
+    faces = g.faces
     darts = {(i, j) for i, j, _ in g.edges} | {(j, i) for i, j, _ in g.edges}
     assert sorted(d for cycle in faces for d in cycle) == sorted(darts)
-    for f, cycle in enumerate(faces):
+    for cycle in faces:
         for (a, b), (c, d) in zip(cycle, cycle[1:] + cycle[:1]):
-            assert b == c and face_of[(a, b)] == f
+            assert b == c
     assert len(faces) == g.face_count()
 
 
@@ -255,6 +256,62 @@ def test_axis_pair_dual_graph_halves_top_pairs():
     assert {g.tags[i], g.tags[j]} == {cell_at(0, -2), cell_at(1, -2)}
 
 
+def _split_cases():
+    """Every hexagon with sides up to 4, and the regions of the stock
+    holed and cored rows."""
+    regions = [hexagon(a, b, c) for a, b, c in product(range(1, 5), repeat=3)]
+    regions += [holed_hexagon(p["a"], p["b"], p["ks"])
+                for p in default_grid("T2_1_even")]
+    regions += [holed_hexagon(2 * p["a"] + odd, p["b"], p["ks"])
+                for odd in (0, 1) for p in default_grid("E3_1")]
+    regions += [cored_hexagon(p["a"], p["b"], p["ks"], p["x"])
+                for p in default_grid("T2_1_cored")]
+    return regions
+
+
+def test_central_axis_split_keeps_the_quotient_count():
+    refused = []
+    for region in _split_cases():
+        try:
+            split, loop_weight = central_axis_split(region)
+        except SymmetryAbsentError:
+            continue  # no horizontal mirror
+        except ContractError as exc:
+            assert "midpoint of a lattice edge" in str(exc)
+            refused.append(region.params)
+            continue
+        q = quotient_graph(dual_graph(region), symmetry(region, "Rot180"))
+        assert (loop_weight * 2 ** split.multiplier_log2
+                * counting.mgf(split.subgraph)
+                == counting.count_matchings(q)), region.params
+    # a even and c odd: the half-turn centre is the midpoint of an edge,
+    # so the quotient is even and keeps a dead-weight loop
+    assert refused == [hexagon(a, a, c).params
+                       for a, c in ((2, 1), (2, 3), (4, 1), (4, 3))]
+    for a, c in ((2, 1), (4, 3)):
+        r = hexagon(a, a, c)
+        q = quotient_graph(dual_graph(r), symmetry(r, "Rot180"))
+        assert q.n % 2 == 0 and len(q.loops) == 1
+
+
+def test_records_are_read_only_tuples():
+    region = holed_hexagon(4, 1, [2])
+    report = sweep("T2_1_even", [{"a": 4, "b": 1, "ks": (2,)}])
+    records = (region, dual_graph(region), symmetry(region, "Rot180"),
+               central_axis_split(region)[0],
+               check("T2_1_even", a=4, b=1, ks=(2,)), report.rows[0], report)
+    for record in records:
+        assert isinstance(record, tuple) and record == tuple(record)
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+    g = records[1]
+    for name in ("adjacency", "components", "faces"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, ())
+    assert counting.count_matchings(g) == 260
+
+
 def test_split_rejects_foreign_axis():
     g = dual_graph(hexagon(1, 2, 1))
     axis = symmetry(hexagon(1, 1, 2), "ReflH")
@@ -276,23 +333,28 @@ def test_graph_text_format():
 
 
 # ---------------------------------------------------------------------
-# derived structures are computed once and handed out as copies
+# derived structures are computed once and shared, so none can change
 
 
-def test_neighbor_sets_and_components_are_fresh_copies():
+def test_shared_structures_cannot_be_changed():
     g = dual_graph(holed_hexagon(3, 1, [1]))
-    adj, comps = g.neighbor_sets(), g.components()
-    faces, face_of = g.faces()
-    want = ([set(s) for s in adj], [set(c) for c in comps],
-            [list(c) for c in faces], dict(face_of))
-    adj[0].add(g.n)
-    adj.append({0})
-    comps[0].clear()
-    comps.append({g.n})
-    faces[0].clear()
-    face_of.clear()
-    assert (g.neighbor_sets(), g.components(), *g.faces()) == want
-    assert g.face_count() == len(want[2])
+    adj, comps, faces = g.adjacency, g.components, g.faces
+    assert adj is g.adjacency and comps is g.components and faces is g.faces
+    assert g.face_count() == len(faces)
+    for outer in (adj, comps, faces):
+        assert type(outer) is tuple
+        with pytest.raises(TypeError):
+            outer[0] = outer[0]
+        with pytest.raises(AttributeError):
+            outer.append(outer[0])
+    for inner in adj + comps:
+        assert type(inner) is frozenset
+        with pytest.raises(AttributeError):
+            inner.add(g.n)
+        with pytest.raises(AttributeError):
+            inner.clear()
+    for cycle in faces:
+        assert type(cycle) is tuple and all(type(d) is tuple for d in cycle)
     assert counting.count_matchings(g) == counting.count_tilings(
         holed_hexagon(3, 1, [1]))
 
@@ -394,7 +456,7 @@ def _hand_split(*tags):
 def _svg_with_distant_pair():
     r = hexagon(1, 1, 1)
     c = r.cells[0]
-    d = next(x for x in r.cells if x != c and not cells_adjacent(c, x))
+    d = next(x for x in r.cells if x != c and x not in cell_neighbors(c))
     return region_svg(r, tiling=[(c, d)])
 
 
@@ -458,6 +520,12 @@ HAND_BUILT = {
         "Rot180 is not a graph automorphism"),
     "svg tiling pair apart": (_svg_with_distant_pair,
                               "tiling pair is not adjacent"),
+    "region copy with cells unsorted": (
+        lambda: hexagon(1, 1, 1)._replace(cells=hexagon(1, 1, 1).cells[::-1]),
+        "cells not sorted/unique"),
+    "graph copy with a bad rotation": (
+        lambda: dual_graph(hexagon(1, 1, 1))._replace(rotations=((),) * 6),
+        "rotation disagrees with edges at 0"),
 }
 
 
