@@ -39,13 +39,14 @@ _LIST_FLAGS = ("ks", "is", "l", "q")
 
 
 def _ints(text: str) -> list[int]:
+    # argparse runs this before main's try: a bad list is a usage error
     if not text:
         return []
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
-        raise ParameterError("expected a comma-separated integer list, got %r"
-                             % text)
+        raise argparse.ArgumentTypeError(
+            "expected a comma-separated integer list, got %r" % text)
 
 
 def _require(args, family: str, names: tuple[str, ...]) -> dict:
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except LozlabError as exc:
+    except (LozlabError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

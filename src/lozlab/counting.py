@@ -4,13 +4,13 @@ Two independent engines are provided on purpose.  The oracle routines
 count by the memoized search described below, run on the graph's
 vertices, and serve as ground truth on small graphs.  The production
 routines build a Kasteleyn orientation from the planar embedding and
-the signed matrix as sparse rows; for bipartite components the signed
-biadjacency determinant gives the count directly, otherwise the
-determinant of the skew adjacency matrix is a perfect square whose
-root is the count.  Weighted graphs are scaled to integers first.  One
-engine takes every determinant: one sparse elimination modulo a product
-of primes below 2**61, retried on a non-unit pivot; the product exceeds
-twice the Hadamard bound, which certifies the result exact.
+take one determinant per graph of the signed matrix, kept as sparse
+rows: a bipartite graph's biadjacency determinant is the count, else
+the skew adjacency determinant is its square.  Weighted graphs are
+scaled to integers first.  One engine takes every determinant: one
+sparse elimination modulo a power of the Mersenne prime 2**61 - 1
+above twice the Hadamard bound, which certifies the result exact; a
+non-unit pivot retries with 2**89 - 1, 2**107 - 1, then 2**127 - 1.
 
 Loop conventions: a loop covers its own vertex and a matching may use
 it, so on a graph with an even vertex count a single loop is dead
@@ -196,74 +196,39 @@ def _kasteleyn_orientation(g: MatchGraph) -> dict[tuple[int, int], bool]:
     faces = g.faces
     face_of = {d: f for f, cycle in enumerate(faces) for d in cycle}
     orient = {(i, j): True for i, j, _ in g.edges}
-    parity = [0] * len(faces)
-    for f, cycle in enumerate(faces):
-        parity[f] = sum(1 for (a, b) in cycle if a < b) % 2
-    dual: dict[int, list[tuple[int, tuple[int, int]]]] = {
-        f: [] for f in range(len(faces))}
+    parity = [sum(1 for a, b in cycle if a < b) % 2 for cycle in faces]
+    dual: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in faces]
     for i, j, _ in g.edges:
         f1, f2 = face_of[(i, j)], face_of[(j, i)]
         if f1 != f2:
             dual[f1].append((f2, (i, j)))
             dual[f2].append((f1, (i, j)))
-    seen: set[int] = set()
+    # up[f]: the parent face in a breadth-first spanning forest of the
+    # faces and the edge crossed to reach f, with no edge at a root;
+    # flipping that edge, leaves first, fixes each non-root face's parity
+    up: list[tuple[int, tuple[int, int] | None] | None] = [None] * len(faces)
+    order: list[int] = []
     for root in range(len(faces)):
-        if root in seen:
+        if up[root] is not None:
             continue
-        order = [root]
-        parent_edge: dict[int, tuple[int, int]] = {}
-        parent: dict[int, int] = {}
-        seen.add(root)
-        qi = 0
-        while qi < len(order):
-            f = order[qi]
-            qi += 1
+        up[root] = (root, None)
+        tree = [root]
+        for f in tree:  # tree grows as it is walked
             for f2, e in dual[f]:
-                if f2 not in seen:
-                    seen.add(f2)
-                    parent[f2] = f
-                    parent_edge[f2] = e
-                    order.append(f2)
-        for f in reversed(order[1:]):
-            if parity[f] % 2 == 0:
-                e = parent_edge[f]
-                orient[e] = not orient[e]
-                parity[f] ^= 1
-                parity[parent[f]] ^= 1
+                if up[f2] is None:
+                    up[f2] = (f, e)
+                    tree.append(f2)
+        order += tree
+    for f in reversed(order):
+        parent, e = up[f]
+        if e is not None and not parity[f]:
+            orient[e] = not orient[e]
+            parity[parent] ^= 1
     return orient
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the first twelve prime bases, which is exact for
-    odd n > 37 below 3.3e24, so for every candidate below 2**61 here."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-_PRIMES: list[int] = []
-
-
-def _prime(k: int) -> int:
-    """The k-th prime below 2**61, counting down from 2**61 - 1."""
-    while len(_PRIMES) <= k:
-        p = _PRIMES[-1] - 2 if _PRIMES else (1 << 61) - 1
-        while not _is_prime(p):
-            p -= 2
-        _PRIMES.append(p)
-    return _PRIMES[k]
+# proven Mersenne primes, tried in turn as the base of the modulus
+_MERSENNE = tuple((1 << e) - 1 for e in (61, 89, 107, 127))
 
 
 def _det_mod(rows: list[dict[int, int]], n: int, m: int) -> int:
@@ -322,13 +287,12 @@ def _det_exact(rows: list[dict[int, int]], n: int) -> int:
     sparse rows (column -> entry).
 
     |det| is at most the Hadamard bound H, whose square is the product
-    of the rows' sums of squares.  One elimination runs modulo M, the
-    product of descending primes below 2**61 taken until M exceeds 2H;
-    the symmetric residue in (-M/2, M/2] is then the determinant itself.
-    Elimination with unit pivots gives det mod M for composite M too, so
-    the stop is a certificate.  A pivot that shares a prime with M stops
-    the elimination, which is retried modulo the next disjoint block of
-    primes.
+    of the rows' sums of squares.  One elimination runs modulo M = p**k,
+    p the first Mersenne prime of _MERSENNE and k the least power with
+    M > 2H; the symmetric residue in (-M/2, M/2] is then the determinant
+    itself.  Elimination with unit pivots gives det mod M for a prime
+    power too, so the stop is a certificate.  A pivot divisible by p
+    stops the elimination, which is retried with the next prime.
     """
     bound = 1
     for r in rows:
@@ -336,26 +300,25 @@ def _det_exact(rows: list[dict[int, int]], n: int) -> int:
         if not norm:
             return 0
         bound *= norm
-    k = 0
-    while True:
-        modulus = 1
+    for p in _MERSENNE:
+        modulus = p
         while modulus * modulus <= 4 * bound:
-            modulus *= _prime(k)
-            k += 1
+            modulus *= p
         try:
             residue = _det_mod(rows, n, modulus)
         except ValueError:
             continue
         return residue - modulus if residue > modulus // 2 else residue
+    raise ContractError("each Mersenne prime tried divides a pivot")
 
 
-def _kasteleyn_rows(cedges, orient, scale: int, row_of: dict[int, int],
+def _kasteleyn_rows(edges, orient, scale: int, row_of: dict[int, int],
                     col_of: dict[int, int]) -> list[dict[int, int]]:
     """Sparse rows of the signed matrix: an edge oriented a -> b puts its
     scaled weight at (a, b) and its negative at (b, a), wherever the
     index maps place that pair."""
     rows: list[dict[int, int]] = [{} for _ in row_of]
-    for i, j, w in cedges:
+    for i, j, w in edges:
         val = w.numerator * (scale // w.denominator)
         a, b = (i, j) if orient[(i, j)] else (j, i)
         if a in row_of and b in col_of:
@@ -365,59 +328,57 @@ def _kasteleyn_rows(cedges, orient, scale: int, row_of: dict[int, int],
     return rows
 
 
-def _two_color(comp: list[int],
-               adj: Sequence[frozenset[int]]) -> dict[int, int] | None:
-    color = {comp[0]: 0}
-    stack = [comp[0]]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in color:
-                color[u] = 1 - color[v]
-                stack.append(u)
-            elif color[u] == color[v]:
-                return None
+def _two_color(g: MatchGraph) -> list[int] | None:
+    """A 0/1 colour per vertex with every edge joining two colours, each
+    component's least vertex coloured 0; None when there is an odd
+    cycle."""
+    adj = g.adjacency
+    color = [-1] * g.n
+    for root in range(g.n):
+        if color[root] >= 0:
+            continue
+        color[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if color[u] < 0:
+                    color[u] = 1 - color[v]
+                    stack.append(u)
+                elif color[u] == color[v]:
+                    return None
     return color
 
 
 def count_matchings_pfaffian(g: MatchGraph) -> Fraction:
-    """Weighted perfect matching count from the planar embedding; a
-    single loop on an even graph is dead weight and is ignored."""
+    """Weighted perfect matching count from the planar embedding, by
+    one determinant for the whole graph; a single loop on an even graph
+    is dead weight and is ignored."""
     if len(g.loops) > 1 or (g.loops and g.n % 2):
         raise ContractError("normalize loops before determinant counting")
     if g.rotations is None:
         raise ContractError("determinant counting needs an embedding")
+    if g.n % 2:
+        return ZERO
     orient = _kasteleyn_orientation(g)
-    adj = g.adjacency
-    result = ONE
-    for comp_set in g.components:
-        comp = sorted(comp_set)
-        if len(comp) % 2:
+    scale = lcm(*[w.denominator for _, _, w in g.edges]) if g.edges else 1
+    color = _two_color(g)
+    if color is not None:
+        # a component with unequal colour classes makes this singular
+        us = [v for v in range(g.n) if color[v] == 0]
+        ds = [v for v in range(g.n) if color[v] == 1]
+        if len(us) != len(ds):
             return ZERO
-        cedges = [(i, j, w) for i, j, w in g.edges if i in comp_set]
-        scale = lcm(*[w.denominator for _, _, w in cedges]) if cedges else 1
-        color = _two_color(comp, adj)
-        if color is not None:
-            # bipartite: the signed biadjacency determinant is the count
-            us = [v for v in comp if color[v] == 0]
-            ds = [v for v in comp if color[v] == 1]
-            if len(us) != len(ds):
-                return ZERO
-            rows = _kasteleyn_rows(cedges, orient, scale,
-                                   {v: k for k, v in enumerate(us)},
-                                   {v: k for k, v in enumerate(ds)})
-            det = abs(_det_exact(rows, len(us)))
-            result *= Fraction(det, scale ** len(us))
-        else:
-            # the skew determinant is the square of the Pfaffian
-            loc = {v: k for k, v in enumerate(comp)}
-            det = _det_exact(_kasteleyn_rows(cedges, orient, scale, loc, loc),
-                             len(comp))
-            if det < 0 or isqrt(det) ** 2 != det:
-                raise ContractError("skew determinant %d is not a square"
-                                    % det)
-            result *= Fraction(isqrt(det), scale ** (len(comp) // 2))
-    return result
+        rows = _kasteleyn_rows(g.edges, orient, scale,
+                               {v: k for k, v in enumerate(us)},
+                               {v: k for k, v in enumerate(ds)})
+        return Fraction(abs(_det_exact(rows, len(us))), scale ** len(us))
+    # block-diagonal by component: the product of their squared Pfaffians
+    loc = {v: v for v in range(g.n)}
+    det = _det_exact(_kasteleyn_rows(g.edges, orient, scale, loc, loc), g.n)
+    if det < 0 or isqrt(det) ** 2 != det:
+        raise ContractError("skew determinant %d is not a square" % det)
+    return Fraction(isqrt(det), scale ** (g.n // 2))
 
 
 def mgf(g: MatchGraph) -> Fraction:

@@ -295,6 +295,33 @@ def test_usage_error_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("count", "--family", "holed", "--a", "4", "--b", "1"), "--ks"),
+    (("count", "--family", "d", "--a", "2", "--b", "1", "--eps", "1"), "--is"),
+    (("count", "--family", "rbar", "--q", "1", "--base", "1"), "--l"),
+    (("count", "--family", "rbar", "--l", "1", "--base", "1"), "--q"),
+    (("verify", "--id", "E3_5", "--a", "2", "--b", "1"), "--ks"),
+    (("verify", "--id", "E3_7", "--a", "2", "--b", "1"), "--is"),
+])
+def test_list_flag_with_a_non_integer_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "1,x"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    last = captured.err.splitlines()[-1]
+    assert "argument %s: expected a comma-separated integer list" % flag in last
+    assert "Traceback" not in captured.err
+
+
+def test_unopenable_out_path_is_a_usage_error(tmp_path, capsys):
+    argv = ("count", "--family", "hexagon", "--a", "1", "--b", "1", "--c", "1")
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(target) in err
+
+
 def test_byte_determinism(capsys):
     args = ("render", "--family", "cored", "--a", "3", "--b", "1",
             "--ks", "1", "--x", "1")

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -634,8 +634,54 @@ def test_skew_determinant_must_be_a_square(monkeypatch, det):
         count_matchings(q)
 
 
+def _disjoint_union(graphs, rng):
+    # loopless parts; integer tags, each part's vertices shifted past the
+    # parts before it, then shuffled, so that no part keeps the vertex
+    # order it was built in
+    label = list(range(sum(g.n for g in graphs)))
+    rng.shuffle(label)
+    edges, rotations, base = [], [None] * len(label), 0
+    for g in graphs:
+        edges += [(*sorted((label[i + base], label[j + base])), w)
+                  for i, j, w in g.edges]
+        for v, rot in enumerate(g.rotations):
+            rotations[label[v + base]] = tuple(label[u + base] for u in rot)
+        base += g.n
+    return MatchGraph(tuple(range(base)), tuple(sorted(edges)), (),
+                      tuple(rotations))
+
+
+def test_one_determinant_counts_a_graph_with_mixed_components(monkeypatch):
+    bip = dual_graph(hexagon(1, 1, 2))
+    r = hexagon(2, 2, 2)
+    quo = quotient_graph(dual_graph(r), symmetry(r, "Rot180"))
+    assert counting._two_color(bip) is not None
+    assert counting._two_color(quo) is None and not quo.loops
+    parts = count_matchings_pfaffian(bip) * count_matchings_pfaffian(quo)
+    assert parts == mgf_oracle(bip) * mgf_oracle(quo) == 3 * 4
+    calls = _count_det_mod_calls(monkeypatch)
+    rng = random.Random(13)
+    for g in (_disjoint_union((bip, quo), rng),
+              _disjoint_union((quo, bip), rng)):
+        assert len(g.components) == 2 and counting._two_color(g) is None
+        calls.clear()
+        assert count_matchings_pfaffian(g) == parts == mgf_oracle(g)
+        assert len(calls) == 1
+    # each path's colour classes are 2 and 1, but the second path's least
+    # vertex is its middle one, so the two classes balance in total
+    paths = MatchGraph(tuple(range(6)),
+                       tuple((i, j, Fraction(1))
+                             for i, j in ((0, 1), (1, 2), (3, 4), (3, 5))),
+                       (), ((1,), (0, 2), (1,), (4, 5), (3,), (3,)))
+    color = counting._two_color(paths)
+    assert color.count(0) == color.count(1) == 3
+    calls.clear()
+    assert count_matchings_pfaffian(paths) == 0 == mgf_oracle(paths)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------
-# the sparse determinant modulo a product of primes
+# the sparse determinant modulo a power of a Mersenne prime
 
 
 def _bareiss(m):
@@ -677,13 +723,13 @@ def test_det_exact_edge_cases():
     assert _det_exact([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0  # zero row
     assert _det_exact([[0, 1], [1, 0]]) == -1                  # row swap
     assert _det_exact([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
-    # just below the first prime 2**61 - 1: its residue fits one prime,
-    # its sign does not, so the stop must wait for a second prime
+    # just below the first prime 2**61 - 1: its residue fits one power,
+    # its sign does not, so the stop must wait for the square
     big = (1 << 61) - 2
     assert _det_exact([[big]]) == big
     assert _det_exact([[0, -big], [1, 0]]) == big
     # |det| equals the Hadamard bound: the stop at M > 2H has no slack,
-    # and the scaled entries need several primes
+    # and the scaled entries need a power above the square
     for k in (2, 3):
         h = _sylvester(k)
         n = len(h)
@@ -707,28 +753,42 @@ def _count_det_mod_calls(monkeypatch):
     return calls
 
 
+MERSENNE = [(1 << e) - 1 for e in (61, 89, 107, 127)]
+
+
 def test_det_exact_retries_on_a_pivot_sharing_a_prime(monkeypatch):
     calls = _count_det_mod_calls(monkeypatch)
-    p0, p1, p2, p3 = (counting._prime(k) for k in range(4))
-    # the Hadamard bound asks for two primes; the one entry is a
-    # multiple of the first, so p2 * p3 certifies it on the retry
+    p0, p1 = MERSENNE[:2]
+    # the Hadamard bound asks for p0 squared; the one entry is a multiple
+    # of p0, so one power of p1 certifies it on the retry
     assert counting._det_exact([{0: 3 * p0}], 1) == 3 * p0
-    assert calls == [p0 * p1, p2 * p3]
-    # the first pivot is p0 itself; the second block gives det = p0 - 1
+    assert calls == [p0 ** 2, p1]
+    # the first pivot is p0 itself; the retry gives det = p0 - 1
     calls.clear()
     assert _det_exact([[p0, 1], [1, 1]]) == p0 - 1
-    assert calls == [p0 * p1, p2 * p3]
+    assert calls == [p0 ** 2, p1]
+
+
+def test_det_exact_refuses_a_pivot_every_prime_divides(monkeypatch):
+    calls = _count_det_mod_calls(monkeypatch)
+    entry = prod(MERSENNE)
+    with pytest.raises(ContractError):
+        counting._det_exact([{0: entry}], 1)
+    assert len(calls) == 4
+    assert all(m % p == 0 for m, p in zip(calls, MERSENNE))
 
 
 def test_one_elimination_per_determinant(monkeypatch):
     calls = _count_det_mod_calls(monkeypatch)
     assert count_tilings(hexagon(8, 8, 8)) == macmahon_box(8, 8, 8)
-    assert len(calls) == 1 and calls[0] > counting._prime(0)
+    # one modulus, a power of the first prime above the prime itself
+    k = calls[0].bit_length() // 61
+    assert calls == [MERSENNE[0] ** k] and k > 1
 
 
 def test_det_exact_matches_bareiss_on_random_matrices():
     rng = random.Random(20261018)
-    multi_prime = negative = 0
+    multi_power = negative = 0
     for trial in range(300):
         n = rng.randrange(1, 13)
         span = rng.choice((1, 3, 1000, 1 << 70))
@@ -739,9 +799,9 @@ def test_det_exact_matches_bareiss_on_random_matrices():
             m[rng.randrange(n)] = list(m[rng.randrange(n)])  # likely singular
         want = _bareiss(m)
         assert _det_exact(m) == want, (m, want)
-        multi_prime += abs(want) >= 1 << 61
+        multi_power += abs(want) >= 1 << 61
         negative += want < 0
-    assert multi_prime > 20 and negative > 50
+    assert multi_power > 20 and negative > 50
 
 
 def test_hexagon_counts_beyond_dense_elimination():
@@ -778,6 +838,6 @@ def test_rotation_quotient_counts_match_product_formulas():
             quotient_graph(dual_graph(r), symmetry(r, "Rot60")))
         # the quotient keeps its dead-weight loop, which the determinant
         # ignores; it is not bipartite, so the skew route runs
-        assert counting._two_color(list(range(q.n)), q.adjacency) is None
+        assert counting._two_color(q) is None
         assert count_symmetric_tilings(r, ["Rot60"], "quotient") == \
             _asm(n // 2) ** 2, n
