@@ -253,7 +253,7 @@ def _add_region_flags(sub) -> None:
     sub.add_argument("--eps", type=int)
     sub.add_argument("--base", type=int)
     sub.add_argument("--ks", type=_ints)
-    sub.add_argument("--is", dest="is_", type=_ints)
+    sub.add_argument("--is", dest="is_", metavar="IS", type=_ints)
     sub.add_argument("--l", type=_ints)
     sub.add_argument("--q", type=_ints)
 
@@ -290,7 +290,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--x", type=int)
     sub.add_argument("--eq", type=int)
     sub.add_argument("--ks", type=_ints)
-    sub.add_argument("--is", dest="is_", type=_ints)
+    sub.add_argument("--is", dest="is_", metavar="IS", type=_ints)
     _add_output_flags(sub)
     sub.set_defaults(fn=_cmd_verify)
 

@@ -442,19 +442,21 @@ def count_tilings_free(region: Region) -> int:
 _ROTATION_OF_ORDER = {1: "Identity", 2: "Rot180", 3: "Rot120", 6: "Rot60"}
 
 
-def _filter_count(region: Region, group) -> int:
-    """Tilings of the full enumeration fixed by each group element but
-    the identity, which symmetry_group puts first; a mate array checks
-    that an element sends every pair of the tiling to a pair."""
+def _filter_count(region: Region, groups) -> list[int]:
+    """Tilings fixed by each group, from one enumeration of the region:
+    a tiling counts for a group when every element but the identity,
+    which symmetry_group puts first, sends each of its pairs to a pair,
+    read off a mate array filled once per tiling."""
     g = dual_graph(region)
-    perms = [induced_vertex_map(g, e) for e in group[1:]]
+    perms = [[induced_vertex_map(g, e) for e in group[1:]] for group in groups]
     mate = [0] * g.n
-    count = 0
+    counts = [0] * len(perms)
     for matching in enumerate_matchings(g):
         for i, j in matching:
             mate[i], mate[j] = j, i
-        count += all(mate[p[i]] == p[j] for p in perms for i, j in matching)
-    return count
+        for k, ps in enumerate(perms):
+            counts[k] += all(mate[p[i]] == p[j] for p in ps for i, j in matching)
+    return counts
 
 
 def count_symmetric_tilings(region: Region, kinds: Sequence[str],
@@ -488,5 +490,5 @@ def count_symmetric_tilings(region: Region, kinds: Sequence[str],
     if method == "orbit":
         return _sweep(_cell_moves(region, [e.mapping for e in group]))
     if method == "filter":
-        return _filter_count(region, group)
+        return _filter_count(region, [group])[0]
     raise ContractError("unknown method %r" % (method,))

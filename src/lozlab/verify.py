@@ -22,9 +22,9 @@ from itertools import combinations
 from math import prod
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .counting import (count_symmetric_tilings, count_tilings,
+from .counting import (_filter_count, count_symmetric_tilings, count_tilings,
                        count_tilings_free, mgf)
-from .duality import central_axis_split
+from .duality import central_axis_split, symmetry_group
 from .errors import ParameterError
 from .formulas import cored_count, d_count, holed_count_even, holed_count_odd
 from .lattice import (cored_hexagon, d_region, hexagon, holed_hexagon,
@@ -64,12 +64,18 @@ class IdentityCheck(NamedTuple):
         return self.lhs == self.rhs
 
 
-def _sym_enumerated(region, kinds) -> tuple[int, str]:
-    """Symmetric count by direct tiling enumeration, filter when small."""
+def _filtered(region, *classes) -> list[int]:
+    """Tilings invariant under each class of kinds, from one enumeration."""
+    return _filter_count(region, [symmetry_group(region, k) for k in classes])
+
+
+def _sym_enumerated(region, *classes) -> tuple[list[int], str]:
+    """Symmetric counts, one per class: one shared filter enumeration up
+    to 48 cells, else one orbit search per class."""
     if len(region.cells) <= 48:
-        return (count_symmetric_tilings(region, kinds, "filter"),
-                "enumeration+filter")
-    return count_symmetric_tilings(region, kinds, "orbit"), "orbit-enumeration"
+        return _filtered(region, *classes), "enumeration+filter"
+    return ([count_symmetric_tilings(region, k, "orbit") for k in classes],
+            "orbit-enumeration")
 
 
 # ---------------------------------------------------------------------
@@ -79,8 +85,7 @@ def _sym_enumerated(region, kinds) -> tuple[int, str]:
 def _check_i1_9(a: int, b: int):
     region = hexagon(a, a, 2 * b)
     # the budgeted side first, so an oversized region fails fast
-    f1 = count_symmetric_tilings(region, ("ReflV",), "filter")
-    f2 = count_symmetric_tilings(region, ("ReflH",), "filter")
+    f1, f2 = _filtered(region, ("ReflV",), ("ReflH",))
     lhs = count_tilings(region)
     return lhs, (f1, f2), "pfaffian", "enumeration+filter"
 
@@ -88,22 +93,22 @@ def _check_i1_9(a: int, b: int):
 def _check_i1_10(a: int, b: int):
     region = hexagon(a, a, 2 * b)
     lhs = count_symmetric_tilings(region, ("Rot180",), "quotient")
-    f, route = _sym_enumerated(region, ("Rot180", "ReflV"))
+    (f,), route = _sym_enumerated(region, ("Rot180", "ReflV"))
     return lhs, (f, f), "rot180-quotient+pfaffian", route
 
 
 def _check_i1_11(a: int):
     region = hexagon(2 * a, 2 * a, 2 * a)
     lhs = count_symmetric_tilings(region, ("Rot120",), "quotient")
-    f1, route = _sym_enumerated(region, ("Rot120", "ReflV"))
-    f2, _ = _sym_enumerated(region, ("Rot120", "ReflH"))
+    (f1, f2), route = _sym_enumerated(region, ("Rot120", "ReflV"),
+                                      ("Rot120", "ReflH"))
     return lhs, (f1, f2), "rot120-quotient+pfaffian", route
 
 
 def _check_i1_12(a: int):
     region = hexagon(2 * a, 2 * a, 2 * a)
     lhs = count_symmetric_tilings(region, ("Rot60",), "quotient")
-    f, route = _sym_enumerated(region, ("Rot60", "ReflV"))
+    (f,), route = _sym_enumerated(region, ("Rot60", "ReflV"))
     return lhs, (f, f), "rot60-quotient+pfaffian", route
 
 
@@ -192,8 +197,7 @@ def _check_four_class(eq: int, a: int, b: int | None = None):
         return _check_i1_12(a)
     region = hexagon(a, a, 2 * b)
     lhs = count_tilings(region)
-    f1, route = _sym_enumerated(region, ("ReflV",))
-    f2, _ = _sym_enumerated(region, ("ReflH",))
+    (f1, f2), route = _sym_enumerated(region, ("ReflV",), ("ReflH",))
     return lhs, (f1, f2), "pfaffian", route
 
 

@@ -295,6 +295,14 @@ def test_usage_error_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["count", "count-sym", "render", "verify"])
+def test_usage_names_the_is_argument_is(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command])
+    err = capsys.readouterr().err
+    assert "[--is IS]" in err and "IS_" not in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("count", "--family", "holed", "--a", "4", "--b", "1"), "--ks"),
     (("count", "--family", "d", "--a", "2", "--b", "1", "--eps", "1"), "--is"),

@@ -471,14 +471,33 @@ def _set_filter_count(region, group):
     return count
 
 
+def _mirror_partner(kinds):
+    """kinds with ReflV and ReflH swapped; kinds without a reflection
+    gain ReflH."""
+    swap = {"ReflV": "ReflH", "ReflH": "ReflV"}
+    partner = tuple(swap.get(k, k) for k in kinds)
+    return partner if partner != kinds else kinds + ("ReflH",)
+
+
 def test_filter_matches_the_set_reference():
-    checked = 0
-    for region, _, group in _cross_cases():
-        if len(region.cells) <= CROSS_FILTER_CELLS:
-            assert counting._filter_count(region, group) == \
-                _set_filter_count(region, group), (region.params, group)
-            checked += 1
+    checked = paired = 0
+    for region, kinds, group in _cross_cases():
+        if len(region.cells) > CROSS_FILTER_CELLS:
+            continue
+        want = _set_filter_count(region, group)
+        assert counting._filter_count(region, [group]) == [want], \
+            (region.params, group)
+        checked += 1
+        try:
+            partner = symmetry_group(region, _mirror_partner(kinds))
+        except SymmetryAbsentError:
+            continue
+        # one enumeration, one count per group
+        assert counting._filter_count(region, [group, partner]) == \
+            [want, _set_filter_count(region, partner)], (region.params, kinds)
+        paired += 1
     assert checked == 162
+    assert paired == 120
 
 
 def _every_cell_moves(region, maps):

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from lozlab import counting
 from lozlab.counting import count_symmetric_tilings, count_tilings
 from lozlab.errors import BudgetError, ParameterError
 from lozlab.lattice import hexagon
@@ -225,6 +226,31 @@ def test_four_class_eq1_keeps_its_own_enumeration():
     assert check("FOUR_CLASS", eq=1, a=5, b=2).verdict
     with pytest.raises(BudgetError, match="search states"):
         check("I1_9", a=5, b=2)
+
+
+def test_i1_9_verifies_at_a4_b1():
+    # the reach of I1_9's filter: a=4 b=2 meets the state cap
+    c = check("I1_9", a=4, b=1)
+    assert c.verdict
+    assert (c.lhs, c.factors) == (1764, (126, 14))
+
+
+def test_both_mirror_counts_share_one_enumeration(monkeypatch):
+    calls = []
+    enumerate_matchings = counting.enumerate_matchings
+
+    def counted(g):
+        calls.append(g.n)
+        return enumerate_matchings(g)
+
+    monkeypatch.setattr(counting, "enumerate_matchings", counted)
+    for identity_id, params in (("I1_9", {"a": 2, "b": 2}),
+                                ("FOUR_CLASS", {"eq": 1, "a": 2, "b": 1}),
+                                ("I1_11", {"a": 1})):
+        calls.clear()
+        c = check(identity_id, params)
+        assert c.verdict and c.rhs_route == "enumeration+filter"
+        assert len(calls) == 1, identity_id
 
 
 def test_route_tags_are_disjoint_where_required():
