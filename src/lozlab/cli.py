@@ -29,13 +29,13 @@ from .counting import (count_symmetric_tilings, count_tilings,
 from .duality import (central_axis_split, dual_graph, graph_text,
                       quotient_graph, symmetry)
 from .errors import LozlabError, ParameterError
-from .lattice import cored_hexagon, d_region, hexagon, holed_hexagon, rbar_region
+from .lattice import (LIST_PARAMS, cored_hexagon, d_region, hexagon,
+                      holed_hexagon, rbar_region)
 from .svg import first_tiling, region_svg
 from .verify import check, count_text, default_grid, sweep
 
 _SYM_KINDS = {"id": "Identity", "reflh": "ReflH", "reflv": "ReflV",
               "rot60": "Rot60", "rot120": "Rot120", "rot180": "Rot180"}
-_LIST_FLAGS = ("ks", "is", "l", "q")
 
 
 def _ints(text: str) -> list[int]:
@@ -132,14 +132,10 @@ def _cmd_count_sym(args) -> int:
 
 def _verify_params(args) -> dict:
     out = {}
-    for name in ("a", "b", "x", "eq"):
-        value = getattr(args, name)
+    for name in ("a", "b", "x", "eq", "ks", "is"):
+        value = getattr(args, "is_" if name == "is" else name)
         if value is not None:
-            out[name] = value
-    for name, attr in (("ks", "ks"), ("is", "is_")):
-        value = getattr(args, attr)
-        if value is not None:
-            out[name] = tuple(value)
+            out[name] = tuple(value) if name in LIST_PARAMS else value
     return out
 
 
@@ -165,32 +161,31 @@ def _cmd_verify(args) -> int:
 def _parse_grid(identity_id: str, text: str):
     if text == "default":
         return default_grid(identity_id)
-    axes: list[tuple[str, list]] = []
+    axes: dict[str, list] = {}
     for clause in (c for c in text.split(";") if c):
         name, sep, values = clause.partition("=")
         if not sep or not name or not values:
             raise ParameterError("malformed grid clause %r" % clause)
-        alts: list = []
+        if name in axes:
+            raise ParameterError("grid clause %r repeats parameter %s"
+                                 % (clause, name))
+        flat = axes[name] = []
         try:
             for alt in values.split("|"):
-                if name in _LIST_FLAGS:
-                    alts.append(() if alt == "-"
+                if name in LIST_PARAMS:
+                    flat.append(() if alt == "-"
                                 else tuple(int(v) for v in alt.split("+")))
-                elif ".." in alt:
-                    lo, _, hi = alt.partition("..")
-                    alts.append(range(int(lo), int(hi) + 1))
-                else:
-                    alts.append([int(alt)])
+                    continue
+                lo, dots, hi = alt.partition("..")
+                span = range(int(lo), int(hi if dots else lo) + 1)
+                if not span:
+                    raise ParameterError("grid clause %r has the empty range "
+                                         "%s" % (clause, alt))
+                flat.extend(span)
         except ValueError:
             raise ParameterError("grid clause %r needs integer values"
                                  % clause)
-        flat: list = []
-        for item in alts:
-            flat.extend([item] if isinstance(item, tuple) else list(item))
-        axes.append((name, flat))
-    names = [n for n, _ in axes]
-    return tuple(dict(zip(names, combo))
-                 for combo in product(*(vals for _, vals in axes)))
+    return tuple(dict(zip(axes, combo)) for combo in product(*axes.values()))
 
 
 def _cmd_sweep(args) -> int:

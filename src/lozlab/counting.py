@@ -48,7 +48,6 @@ from typing import Iterator, Sequence
 from .duality import (
     MatchGraph,
     dual_graph,
-    induced_vertex_map,
     normalize_loops,
     quotient_graph,
     symmetry,
@@ -400,12 +399,12 @@ def count_tilings(region: Region) -> int:
     return count_matchings(dual_graph(region))
 
 
-def _cell_moves(region: Region, maps) -> list[list[tuple[int, int]]]:
+def _cell_moves(region: Region, perms) -> list[list[tuple[int, int]]]:
     """For each region cell in sorted order, the moves of the search that
     remove it: the bitmask of the union of the orbit of each edge under
-    the maps, kept when its pairs are disjoint, with weight 1.  Each
-    orbit is built once and filed at its least cell, the only bucket
-    from which the sweep can take it."""
+    the cell index permutations, kept when its pairs are disjoint, with
+    weight 1.  Each orbit is built once and filed at its least cell, the
+    only bucket from which the sweep can take it."""
     index = {c: k for k, c in enumerate(region.cells)}
     moves: list[list[tuple[int, int]]] = [[] for _ in region.cells]
     done: set[int] = set()
@@ -414,7 +413,7 @@ def _cell_moves(region: Region, maps) -> list[list[tuple[int, int]]]:
             j = index.get(d, -1)
             if j < k or (1 << k | 1 << j) in done:
                 continue
-            pairs = {1 << index[m[c]] | 1 << index[m[d]] for m in maps}
+            pairs = {1 << p[k] | 1 << p[j] for p in perms}
             done |= pairs
             # the two-bit pairs are disjoint when their sum carries nowhere
             mask = sum(pairs)
@@ -430,10 +429,9 @@ def count_tilings_free(region: Region) -> int:
     of the region minus S.  Counted by the memoized search on cells,
     where a cell hosting a free edge may also be removed alone.
     """
-    moves = _cell_moves(region, [{c: c for c in region.cells}])
-    index = {c: k for k, c in enumerate(region.cells)}
+    moves = _cell_moves(region, [range(len(region.cells))])
     for host in region.free_cell_map().values():
-        k = index[host]
+        k = region.cells.index(host)
         moves[k].append((1 << k, 1))
     return _sweep(moves)
 
@@ -448,7 +446,7 @@ def _filter_count(region: Region, groups) -> list[int]:
     which symmetry_group puts first, sends each of its pairs to a pair,
     read off a mate array filled once per tiling."""
     g = dual_graph(region)
-    perms = [[induced_vertex_map(g, e) for e in group[1:]] for group in groups]
+    perms = [[e.perm for e in group[1:]] for group in groups]
     mate = [0] * g.n
     counts = [0] * len(perms)
     for matching in enumerate_matchings(g):
@@ -488,7 +486,7 @@ def count_symmetric_tilings(region: Region, kinds: Sequence[str],
                or symmetry(region, kind))
         return count_matchings(quotient_graph(dual_graph(region), gen))
     if method == "orbit":
-        return _sweep(_cell_moves(region, [e.mapping for e in group]))
+        return _sweep(_cell_moves(region, [e.perm for e in group]))
     if method == "filter":
         return _filter_count(region, [group])[0]
     raise ContractError("unknown method %r" % (method,))

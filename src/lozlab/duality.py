@@ -12,8 +12,10 @@ structures (adjacency, connected components, the face trace of the
 embedding) are computed at most once per graph; the face trace serves
 both the Euler check and the Kasteleyn orientation.
 
-Symmetries of a region are stored as explicit cell permutations.  A
-cell is mapped by arithmetic on its tripled centroid, an integer point;
+A symmetry of a region is a permutation perm of the indices of its
+sorted cells, the dual graph's vertex numbering: perm[k] is the index of
+the image of cell k, and every consumer reads perm directly.  A cell is
+mapped by arithmetic on its tripled centroid, an integer point;
 the map is affine, so one cell and its three lattice neighbours check it
 once.  A group is closed by composing its generators with the newest
 elements.  The quotient of a dual graph under a rotation identifies
@@ -239,10 +241,16 @@ KINDS = ("Identity", "Rot60", "Rot120", "Rot180", "ReflH", "ReflV")
 
 
 class SymmetryElement(NamedTuple):
-    """A cell permutation of one region, with the name it was built from."""
+    """A permutation of one region's cells (shared, not copied), with the
+    name it was built from: perm[k] is the index of cells[k]'s image."""
 
     kind: str
-    mapping: dict[TriCell, TriCell]
+    cells: tuple[TriCell, ...]
+    perm: tuple[int, ...]
+
+    @property
+    def mapping(self) -> dict[TriCell, TriCell]:
+        return dict(zip(self.cells, map(self.cells.__getitem__, self.perm)))
 
 
 def _point_map(kind: str, cx2: int, cy2: int):
@@ -296,9 +304,10 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
     xmin, xmax, ymin, ymax = region_corner_bounds(region)
     # tripling the center keeps every condition _point_map checks on it
     pmap = _point_map(kind, 3 * (xmin + xmax), 3 * (ymin + ymax))
-    have = region.cell_set
-    mapping: dict[TriCell, TriCell] = {}
-    for cell in region.cells:
+    cells = region.cells
+    index = {c: k for k, c in enumerate(cells)}
+    perm = []
+    for cell in cells:
         x, y = pmap(_centroid3(cell))
         u, r = divmod(x, 3)
         v, s = divmod(y, 3)
@@ -309,31 +318,32 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
         if (u + v + r) % 2:
             raise SymmetryAbsentError(
                 "%s does not preserve the lattice on %s" % (kind, region.family))
-        image = TriCell(u, v, UP if r == 1 else DOWN)
-        if image not in have:
+        # plain tuples hash and compare like the TriCells they spell
+        image = (u, v, UP if r == 1 else DOWN)
+        if image not in index:
             raise SymmetryAbsentError(
                 "%s does not map the region to itself (cell %r -> %r)"
-                % (kind, tuple(cell), tuple(image)))
-        mapping[cell] = image
-    if len(set(mapping.values())) != len(mapping):
+                % (kind, tuple(cell), image))
+        perm.append(index[image])
+    if len(set(perm)) != len(perm):
         raise ContractError("%s is not injective" % (kind,))
-    cell = region.cells[0]
-    if ({pmap(_centroid3(nb)) for nb in cell_neighbors(cell)}
-            != {_centroid3(nb) for nb in cell_neighbors(mapping[cell])}):
+    if ({pmap(_centroid3(nb)) for nb in cell_neighbors(cells[0])}
+            != {_centroid3(nb) for nb in cell_neighbors(cells[perm[0]])}):
         raise ContractError("%s is not a graph automorphism" % (kind,))
-    return SymmetryElement(kind, mapping)
+    return SymmetryElement(kind, cells, tuple(perm))
 
 
 def compose(f: SymmetryElement, g: SymmetryElement) -> SymmetryElement:
     """f after g, on a common region."""
-    if f.mapping.keys() != g.mapping.keys():
+    if f.cells != g.cells:
         raise ContractError("elements live on different regions")
-    mapping = {c: f.mapping[g.mapping[c]] for c in g.mapping}
-    return SymmetryElement("%s*%s" % (f.kind, g.kind), mapping)
+    return SymmetryElement("%s*%s" % (f.kind, g.kind), f.cells,
+                           tuple(f.perm[k] for k in g.perm))
 
 
 def identity_element(region: Region) -> SymmetryElement:
-    return SymmetryElement("Identity", {c: c for c in region.cells})
+    return SymmetryElement("Identity", region.cells,
+                           tuple(range(len(region.cells))))
 
 
 def symmetry_group(region: Region, kinds: Sequence[str]) -> list[SymmetryElement]:
@@ -344,23 +354,19 @@ def symmetry_group(region: Region, kinds: Sequence[str]) -> list[SymmetryElement
     round composes every generator with the elements the previous round
     found; in a finite group that reaches every product.
     """
-    def key(e: SymmetryElement) -> tuple[TriCell, ...]:
-        return tuple(map(e.mapping.__getitem__, region.cells))
-
     ident = identity_element(region)
-    elems = {key(ident): ident}
+    elems = {ident.perm: ident}
     gens = [symmetry(region, kind) for kind in kinds]
     for e in gens:
-        elems.setdefault(key(e), e)
+        elems.setdefault(e.perm, e)
     frontier = list(elems.values())
     while frontier:
         new = []
         for f in frontier:
             for g in gens:
                 h = compose(g, f)
-                k = key(h)
-                if k not in elems:
-                    elems[k] = h
+                if h.perm not in elems:
+                    elems[h.perm] = h
                     new.append(h)
         frontier = new
     return list(elems.values())
@@ -371,8 +377,8 @@ def symmetry_group(region: Region, kinds: Sequence[str]) -> list[SymmetryElement
 
 
 def quotient_graph(g: MatchGraph, elem: SymmetryElement) -> MatchGraph:
-    """Quotient of a cell-tagged graph by the cyclic group the element
-    generates.
+    """Quotient of the dual graph of the element's region by the cyclic
+    group the element generates.
 
     The action must be free on vertices.  Orbits become vertices tagged
     with the sorted tuple of their cells; edge orbits with endpoints in
@@ -385,13 +391,12 @@ def quotient_graph(g: MatchGraph, elem: SymmetryElement) -> MatchGraph:
     With an even number parity already keeps the loop out of every
     perfect matching, and it stays in the graph as printed.
     """
-    if not all(isinstance(t, TriCell) for t in g.tags):
-        raise ContractError("need a cell-tagged graph")
+    if g.tags != elem.cells:
+        raise ContractError("need a graph tagged by the element's cells")
     if elem.kind not in ("Rot60", "Rot120", "Rot180"):
         raise ContractError(
             "quotient requires a rotation generator, got %r" % (elem.kind,))
-    index = {t: i for i, t in enumerate(g.tags)}
-    perm = [index[elem.mapping[t]] for t in g.tags]
+    perm = elem.perm
     orbits: list[list[int]] = []
     orbit_of = [-1] * g.n
     for start in range(g.n):
@@ -524,10 +529,11 @@ def _tag_cells(tag) -> tuple[TriCell, ...]:
 
 def induced_vertex_map(g: MatchGraph, elem: SymmetryElement) -> list[int]:
     """Action of a region symmetry on the vertices of g, via its tags."""
+    mapping = elem.mapping
     out = []
     for t in g.tags:
         try:
-            out.append(g.index_of(_tag_image(t, elem.mapping)))
+            out.append(g.index_of(_tag_image(t, mapping)))
         except KeyError:
             raise SymmetryAbsentError("symmetry does not permute the graph's tags")
     wmap = {(i, j): w for i, j, w in g.edges}

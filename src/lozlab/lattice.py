@@ -439,7 +439,8 @@ _FAMILY_PARAMS = {
     "SplitDual": (),
 }
 
-_LIST_PARAMS = {"ks", "is", "l", "q"}
+# the parameters, in any family or identity, whose value is an integer list
+LIST_PARAMS = frozenset({"ks", "is", "l", "q"})
 
 
 def serialize_region(r: Region) -> bytes:
@@ -489,7 +490,7 @@ def deserialize_region(data: bytes) -> Region:
         if key not in raw_params:
             _fail(data, '"params"', "missing parameter %r for %s" % (key, family))
         value = raw_params[key]
-        if key in _LIST_PARAMS:
+        if key in LIST_PARAMS:
             if not isinstance(value, list) or not all(_is_int(x) for x in value):
                 _fail(data, '"%s"' % key, "parameter %r must be an integer list" % key)
             params.append((key, tuple(value)))

@@ -27,8 +27,8 @@ from .counting import (_filter_count, count_symmetric_tilings, count_tilings,
 from .duality import central_axis_split, symmetry_group
 from .errors import ParameterError
 from .formulas import cored_count, d_count, holed_count_even, holed_count_odd
-from .lattice import (cored_hexagon, d_region, hexagon, holed_hexagon,
-                      require_indices, require_int)
+from .lattice import (LIST_PARAMS, cored_hexagon, d_region, hexagon,
+                      holed_hexagon, require_indices, require_int)
 
 __all__ = [
     "IDENTITY_IDS",
@@ -204,29 +204,24 @@ def _check_four_class(eq: int, a: int, b: int | None = None):
 # ---------------------------------------------------------------------
 # catalog plumbing
 
-_INT = "int"
-_LIST = "list"
-_OPT_INT = "optional-int"
-
-# identifier -> (ordered parameter names, parameter kinds, check function)
-_CATALOG: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable]] = {
-    "I1_9": (("a", "b"), (_INT, _INT), _check_i1_9),
-    "I1_10": (("a", "b"), (_INT, _INT), _check_i1_10),
-    "I1_11": (("a",), (_INT,), _check_i1_11),
-    "I1_12": (("a",), (_INT,), _check_i1_12),
-    "T2_1_even": (("a", "b", "ks"), (_INT, _INT, _LIST), _check_t2_1_even),
-    "T2_1_cored": (("a", "b", "ks", "x"), (_INT, _INT, _LIST, _INT),
-                   _check_t2_1_cored),
-    "E3_1": (("a", "b", "ks"), (_INT, _INT, _LIST), _check_e3_1),
-    "E3_5": (("a", "b", "ks"), (_INT, _INT, _LIST), _check_e3_5),
-    "E3_7": (("a", "b", "is"), (_INT, _INT, _LIST), _check_e3_7),
-    "E3_9": (("a", "b", "ks"), (_INT, _INT, _LIST), _check_e3_9),
-    "E3_10": (("a", "b", "ks"), (_INT, _INT, _LIST), _check_e3_10),
-    "E3_12": (("a", "b", "is"), (_INT, _INT, _LIST), _check_e3_12),
-    "E3_13": (("a", "b", "ks", "x"), (_INT, _INT, _LIST, _INT),
-              _check_e3_13),
-    "FOUR_CLASS": (("eq", "a", "b"), (_INT, _INT, _OPT_INT),
-                   _check_four_class),
+# identifier -> (parameter names in the check function's order, check
+# function); a parameter in lattice.LIST_PARAMS is an index list, any
+# other an integer, and one the function gives a default may be omitted
+_CATALOG: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "I1_9": (("a", "b"), _check_i1_9),
+    "I1_10": (("a", "b"), _check_i1_10),
+    "I1_11": (("a",), _check_i1_11),
+    "I1_12": (("a",), _check_i1_12),
+    "T2_1_even": (("a", "b", "ks"), _check_t2_1_even),
+    "T2_1_cored": (("a", "b", "ks", "x"), _check_t2_1_cored),
+    "E3_1": (("a", "b", "ks"), _check_e3_1),
+    "E3_5": (("a", "b", "ks"), _check_e3_5),
+    "E3_7": (("a", "b", "is"), _check_e3_7),
+    "E3_9": (("a", "b", "ks"), _check_e3_9),
+    "E3_10": (("a", "b", "ks"), _check_e3_10),
+    "E3_12": (("a", "b", "is"), _check_e3_12),
+    "E3_13": (("a", "b", "ks", "x"), _check_e3_13),
+    "FOUR_CLASS": (("eq", "a", "b"), _check_four_class),
 }
 
 IDENTITY_IDS = tuple(_CATALOG)
@@ -235,22 +230,21 @@ IDENTITY_IDS = tuple(_CATALOG)
 def _norm_params(identity_id: str, raw: Mapping) -> tuple[tuple[str, object], ...]:
     if identity_id not in _CATALOG:
         raise ParameterError("unknown identity %r" % (identity_id,))
-    names, kinds, _fn = _CATALOG[identity_id]
+    names, fn = _CATALOG[identity_id]
     extra = set(raw) - set(names)
     if extra:
         raise ParameterError("unknown parameter(s) for %s: %s"
                              % (identity_id, ", ".join(sorted(extra))))
+    required = len(names) - len(fn.__defaults__ or ())
     out = []
-    for name, kind in zip(names, kinds):
-        if name not in raw or raw[name] is None:
-            if kind == _OPT_INT:
+    for pos, name in enumerate(names):
+        value = raw.get(name)
+        if value is None:
+            if pos >= required:
                 continue
             raise ParameterError("%s needs parameter %s" % (identity_id, name))
-        value = raw[name]
-        if kind == _LIST:
-            out.append((name, require_indices(name, value)))
-        else:
-            out.append((name, require_int(name, value)))
+        need = require_indices if name in LIST_PARAMS else require_int
+        out.append((name, need(name, value)))
     return tuple(out)
 
 
@@ -267,19 +261,14 @@ def check(identity_id: str, params: Mapping | None = None, **extra) -> IdentityC
     merged = dict(params or {})
     merged.update(extra)
     norm = _norm_params(identity_id, merged)
-    _names, _kinds, fn = _CATALOG[identity_id]
-    lhs, factors, lhs_route, rhs_route = fn(**dict(_rename(norm)))
+    _names, fn = _CATALOG[identity_id]
+    # an omitted parameter is a trailing one, which keeps its default
+    lhs, factors, lhs_route, rhs_route = fn(*(v for _, v in norm))
     rhs = _as_exact(prod(factors))
     lhs = _as_exact(lhs)
     factors = tuple(_as_exact(f) for f in factors)
     return IdentityCheck(identity_id, norm, lhs, rhs,
                          lhs_route, rhs_route, factors)
-
-
-def _rename(norm: tuple[tuple[str, object], ...]):
-    # "is" is a keyword, the check functions spell it "is_"
-    for name, value in norm:
-        yield ("is_" if name == "is" else name), value
 
 
 def _as_exact(value: Count) -> Count:

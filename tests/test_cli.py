@@ -163,6 +163,17 @@ def test_sweep_non_integer_grid_value(capsys):
     assert "needs integer values" in err
 
 
+@pytest.mark.parametrize("grid, fragment", [
+    ("a=1;a=2;b=1", "grid clause 'a=2' repeats parameter a"),
+    ("a=1|2;a=3", "grid clause 'a=3' repeats parameter a"),
+    ("a=3..1;b=1", "grid clause 'a=3..1' has the empty range 3..1"),
+])
+def test_sweep_bad_grid_is_a_usage_error(capsys, grid, fragment):
+    code, out, err = run(capsys, "sweep", "--id", "I1_9", "--grid", grid)
+    assert (code, out) == (2, "")
+    assert fragment in err
+
+
 def test_sweep_to_file(tmp_path, capsys):
     out_file = tmp_path / "report.csv"
     code, out, _ = run(capsys, "sweep", "--id", "I1_10", "--grid", "default",

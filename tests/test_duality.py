@@ -125,6 +125,18 @@ def test_dihedral_relations():
     assert compose(r180, r180).mapping == identity_element(r).mapping
 
 
+def test_elements_are_permutations_of_the_cell_indices():
+    r = hexagon(2, 2, 2)
+    group = symmetry_group(r, ("Rot60", "ReflV"))
+    assert len(group) == 12
+    for f in group:
+        assert sorted(f.perm) == list(range(24))
+        assert f.cells is r.cells
+        assert f.mapping == {c: r.cells[k] for c, k in zip(r.cells, f.perm)}
+        for g in group:
+            assert compose(f, g).perm == tuple(f.perm[k] for k in g.perm)
+
+
 def test_symmetry_group_closure_sizes():
     r = hexagon(2, 2, 2)
     assert len(symmetry_group(r, [])) == 1
@@ -498,7 +510,16 @@ HAND_BUILT = {
     "quotient of an untagged graph": (
         lambda: quotient_graph(MatchGraph((0, 1), ((0, 1, ONE),)),
                                symmetry(hexagon(1, 1, 1), "Rot180")),
-        "need a cell-tagged graph"),
+        "need a graph tagged by the element's cells"),
+    "quotient of another region's graph": (
+        lambda: quotient_graph(dual_graph(hexagon(2, 2, 2)),
+                               symmetry(hexagon(1, 1, 1), "Rot180")),
+        "need a graph tagged by the element's cells"),
+    "quotient of a subgraph": (
+        lambda: quotient_graph(
+            duality.without_vertices(dual_graph(hexagon(1, 1, 1)), {0}),
+            symmetry(hexagon(1, 1, 1), "Rot180")),
+        "need a graph tagged by the element's cells"),
     "split on a non-involution": (lambda: _split_on("Rot60"),
                                   "axis map not an involution"),
     "split with a tilted axis": (lambda: _split_on("Identity"),

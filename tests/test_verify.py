@@ -1,11 +1,13 @@
 """Identity catalog checks: routes, verdicts, sweeps, budgets."""
 
 import hashlib
+import sys
 
 import pytest
 
-from lozlab import counting
+from lozlab import counting, duality
 from lozlab.counting import count_symmetric_tilings, count_tilings
+from lozlab.duality import central_axis_split
 from lozlab.errors import BudgetError, ParameterError
 from lozlab.lattice import hexagon
 from lozlab.verify import IDENTITY_IDS, check, default_grid, params_text, sweep
@@ -251,6 +253,29 @@ def test_both_mirror_counts_share_one_enumeration(monkeypatch):
         c = check(identity_id, params)
         assert c.verdict and c.rhs_route == "enumeration+filter"
         assert len(calls) == 1, identity_id
+
+
+def test_filter_reads_element_perms_not_tags(monkeypatch):
+    calls = []
+    induced_vertex_map = duality.induced_vertex_map
+
+    def counted(g, elem):
+        calls.append(elem.kind)
+        return induced_vertex_map(g, elem)
+
+    # every lozlab module that imported the function by name
+    for name, module in sorted(sys.modules.items()):
+        if (name.startswith("lozlab")
+                and getattr(module, "induced_vertex_map", None)
+                is induced_vertex_map):
+            monkeypatch.setattr(module, "induced_vertex_map", counted)
+    assert check("I1_9", a=2, b=2).verdict
+    assert count_symmetric_tilings(hexagon(3, 3, 2), ["ReflV"], "filter") \
+        == count_symmetric_tilings(hexagon(3, 3, 2), ["ReflV"], "orbit")
+    assert calls == []
+    # the counter sees the axis split, which maps quotient tags
+    central_axis_split(hexagon(2, 2, 2))
+    assert calls == ["ReflH"]
 
 
 def test_route_tags_are_disjoint_where_required():
