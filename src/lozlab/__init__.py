@@ -10,10 +10,10 @@ from .counting import (count_matchings, count_matchings_oracle,
                        count_matchings_pfaffian, count_symmetric_tilings,
                        count_tilings, count_tilings_free,
                        enumerate_matchings, mgf)
-from .duality import (FactorSplit, MatchGraph, axis_pair_dual_graph,
-                      dual_graph, factorization_split, graph_text,
-                      quotient_graph, remove_loop_vertex, split_dual_region,
-                      symmetry, symmetry_group)
+from .duality import (FactorSplit, MatchGraph, dual_graph,
+                      factorization_split, graph_text, quotient_graph,
+                      remove_loop_vertex, split_dual_region, symmetry,
+                      symmetry_group)
 from .errors import (BudgetError, ContractError, FormatError,
                      FormulaRangeError, HoleCollisionError, LozlabError,
                      ParameterError, SymmetryAbsentError)

@@ -49,41 +49,40 @@ def _ints(text: str) -> list[int]:
             "expected a comma-separated integer list, got %r" % text)
 
 
-def _require(args, family: str, names: tuple[str, ...]) -> dict:
-    out = {}
-    for name in names:
-        value = getattr(args, name, None)
-        if value is None:
-            raise ParameterError("family %s needs --%s" % (family, name))
-        out[name] = value
-    return out
+# each family's builder and flags (argparse dests, which are also the
+# builder's keywords: --is is is_), in the order of its JSON params: the
+# required ones, then the list flag that defaults to empty.  A region flag
+# the chosen family's entry does not name is refused.
+_FAMILIES = {
+    "hexagon": (hexagon, ("a", "b", "c"), None),
+    "holed": (holed_hexagon, ("a", "b"), "ks"),
+    "cored": (cored_hexagon, ("a", "b", "x"), "ks"),
+    "d": (d_region, ("a", "b", "eps"), "is_"),
+    "rbar": (rbar_region, ("q", "base"), "l"),
+}
+_REGION_FLAGS = sorted({name for _, needed, listed in _FAMILIES.values()
+                        for name in (*needed, listed) if name})
 
 
 def _build_region(args):
     """The region the family flags describe, and its JSON params."""
     family = args.family
-    if family == "hexagon":
-        p = _require(args, family, ("a", "b", "c"))
-        region = hexagon(**p)
-    elif family == "holed":
-        p = _require(args, family, ("a", "b"))
-        p["ks"] = args.ks if args.ks is not None else []
-        region = holed_hexagon(p["a"], p["b"], p["ks"])
-    elif family == "cored":
-        p = _require(args, family, ("a", "b", "x"))
-        p["ks"] = args.ks if args.ks is not None else []
-        region = cored_hexagon(p["a"], p["b"], p["ks"], p["x"])
-    elif family == "d":
-        p = _require(args, family, ("a", "b", "eps"))
-        p["is"] = args.is_ if args.is_ is not None else []
-        region = d_region(p["a"], p["b"], p["eps"], p["is"])
-    elif family == "rbar":
-        p = _require(args, family, ("q", "base"))
-        p["l"] = args.l if args.l is not None else []
-        region = rbar_region(p["l"], p["q"], p["base"])
-    else:
-        raise ParameterError("unknown family %r" % family)
-    return region, {"family": family, **p}
+    build, needed, listed = _FAMILIES[family]
+    takes = (*needed, listed)
+    for name in _REGION_FLAGS:
+        if name not in takes and getattr(args, name) is not None:
+            raise ParameterError("family %s does not take --%s"
+                                 % (family, name.rstrip("_")))
+    p = {}
+    for name in needed:
+        if getattr(args, name) is None:
+            raise ParameterError("family %s needs --%s" % (family, name))
+        p[name] = getattr(args, name)
+    if listed:
+        p[listed] = getattr(args, listed) or []
+    region = build(**p)
+    return region, {"family": family,
+                    **{name.rstrip("_"): v for name, v in p.items()}}
 
 
 def _fraction_json(value: Fraction):
@@ -239,8 +238,7 @@ def _cmd_split(args) -> int:
 
 
 def _add_region_flags(sub) -> None:
-    sub.add_argument("--family", required=True,
-                     choices=("hexagon", "holed", "cored", "d", "rbar"))
+    sub.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     sub.add_argument("--a", type=int)
     sub.add_argument("--b", type=int)
     sub.add_argument("--c", type=int)

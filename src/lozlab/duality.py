@@ -125,14 +125,6 @@ class MatchGraph(_MatchGraphFields):
     def n(self) -> int:
         return len(self.tags)
 
-    def index_of(self, tag) -> int:
-        from bisect import bisect_left
-
-        i = bisect_left(self.tags, tag)
-        if i == len(self.tags) or self.tags[i] != tag:
-            raise KeyError(tag)
-        return i
-
     def face_count(self) -> int:
         """Number of face orbits of the loopless skeleton, isolated
         vertices counting one face each."""
@@ -517,29 +509,26 @@ class FactorSplit(NamedTuple):
     multiplier_log2: int
 
 
-def _tag_image(tag, mapping):
-    if isinstance(tag, TriCell):
-        return mapping[tag]
-    return tuple(sorted(mapping[c] for c in tag))
-
-
-def _tag_cells(tag) -> tuple[TriCell, ...]:
+def tag_cells(tag) -> tuple[TriCell, ...]:
+    """The cells a vertex tag names: a dual graph tags a vertex with its
+    cell, a quotient with the sorted tuple of its orbit's cells."""
     return (tag,) if isinstance(tag, TriCell) else tuple(tag)
 
 
-def induced_vertex_map(g: MatchGraph, elem: SymmetryElement) -> list[int]:
-    """Action of a region symmetry on the vertices of g, via its tags."""
-    mapping = elem.mapping
-    out = []
-    for t in g.tags:
-        try:
-            out.append(g.index_of(_tag_image(t, mapping)))
-        except KeyError:
-            raise SymmetryAbsentError("symmetry does not permute the graph's tags")
-    wmap = {(i, j): w for i, j, w in g.edges}
+def _vertex_action(g: MatchGraph, elem: SymmetryElement) -> list[int]:
+    """Action of a region symmetry on the vertices of g: each vertex goes
+    to the vertex whose tag holds exactly the images of its tag's cells."""
+    index = {c: k for k, c in enumerate(elem.cells)}
+    try:
+        cells = [frozenset(index[c] for c in tag_cells(t)) for t in g.tags]
+        vertex_of = {s: v for v, s in enumerate(cells)}
+        out = [vertex_of[frozenset(elem.perm[k] for k in s)] for s in cells]
+    except KeyError:
+        raise SymmetryAbsentError("symmetry does not permute the graph's tags")
+    weight = {(i, j): w for i, j, w in g.edges}
     for i, j, w in g.edges:
         a, b = out[i], out[j]
-        if wmap.get((min(a, b), max(a, b))) != w:
+        if weight.get((a, b) if a < b else (b, a)) != w:
             raise SymmetryAbsentError("symmetry is not a weighted automorphism")
     return out
 
@@ -558,47 +547,30 @@ def factorization_split(g: MatchGraph, axis: SymmetryElement) -> FactorSplit:
         raise ContractError(
             "cannot split a graph with a loop: a Rot180 quotient keeps one "
             "when the half-turn centre is the midpoint of a lattice edge")
-    sigma = induced_vertex_map(g, axis)
-    if not all(sigma[sigma[i]] == i for i in range(g.n)):
+    sigma = _vertex_action(g, axis)
+    if any(sigma[s] != i for i, s in enumerate(sigma)):
         raise ContractError("axis map not an involution")
-    fixed = {i for i in range(g.n) if sigma[i] == i}
-
-    def rep_v(i: int) -> int:
-        return min(_tag_cells(g.tags[i]))[1]
-
-    if fixed:
-        levels = {rep_v(i) for i in fixed}
-        if len(levels) != 1:
-            raise ContractError("axis vertices not at a single height")
-        level = levels.pop()
-    else:
-        level = None
-
-    deleted: set[tuple[int, int]] = set()
-    halved: set[tuple[int, int]] = set()
-    for i, j, w in g.edges:
-        fi, fj = i in fixed, j in fixed
-        if fi and fj:
-            halved.add((i, j))
-        elif fi or fj:
-            other = j if fi else i
-            if rep_v(other) > level:
-                deleted.add((i, j))
+    row = [min(tag_cells(t)).v for t in g.tags]
+    levels = {row[i] for i, s in enumerate(sigma) if s == i}
+    if len(levels) > 1:
+        raise ContractError("axis vertices not at a single height")
+    level = min(levels, default=None)
+    # halve each axis pair, drop each axis vertex's edge to the upper side
     edges = []
+    halved = 0
     for i, j, w in g.edges:
-        if (i, j) in deleted:
-            continue
-        edges.append((i, j, w * HALF if (i, j) in halved else w))
+        fi, fj = sigma[i] == i, sigma[j] == j
+        if fi and fj:
+            edges.append((i, j, w * HALF))
+            halved += 1
+        elif not (fi or fj) or row[j if fi else i] <= level:
+            edges.append((i, j, w))
     rotations = None
     if g.rotations is not None:
-        adj: dict[int, set[int]] = {i: set() for i in range(g.n)}
-        for i, j, _ in edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        rotations = tuple(tuple(x for x in g.rotations[i] if x in adj[i])
-                          for i in range(g.n))
-    sub = MatchGraph(g.tags, tuple(edges), (), rotations)
-    return FactorSplit(sub, len(halved))
+        kept = {d for i, j, _ in edges for d in ((i, j), (j, i))}
+        rotations = tuple(tuple(x for x in rot if (i, x) in kept)
+                          for i, rot in enumerate(g.rotations))
+    return FactorSplit(MatchGraph(g.tags, tuple(edges), (), rotations), halved)
 
 
 def central_axis_split(region: Region) -> tuple[FactorSplit, Fraction]:
@@ -619,11 +591,11 @@ def central_axis_split(region: Region) -> tuple[FactorSplit, Fraction]:
 def split_dual_region(split: FactorSplit) -> Region:
     """Redraw the surgered graph as a region: every vertex keeps the
     orbit member on or below the axis (on the axis: the western one)."""
-    vs = [c.v for t in split.subgraph.tags for c in _tag_cells(t)]
+    vs = [c.v for t in split.subgraph.tags for c in tag_cells(t)]
     lvl2 = min(vs) + max(vs)
     cells = []
     for t in split.subgraph.tags:
-        members = _tag_cells(t)
+        members = tag_cells(t)
         below = [c for c in members if 2 * c.v < lvl2]
         if below:
             if len(below) != 1:
@@ -636,18 +608,3 @@ def split_dual_region(split: FactorSplit) -> Region:
             cells.append(on_axis[0])
     return Region("SplitDual", (), tuple(sorted(cells)))
 
-
-def axis_pair_dual_graph(region: Region) -> MatchGraph:
-    """Dual graph with every edge between two top-row cells halved.
-
-    The top row of a bottom-half region is its fold axis; matchings of
-    the folded graph correspond to this weighting.
-    """
-    g = dual_graph(region)
-    vmax = max(c.v for c in region.cells)
-    edges = []
-    for i, j, w in g.edges:
-        if g.tags[i].v == vmax and g.tags[j].v == vmax:
-            w = w * HALF
-        edges.append((i, j, w))
-    return MatchGraph(g.tags, tuple(edges), g.loops, g.rotations)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .counting import count_matchings, enumerate_matchings
-from .duality import MatchGraph, dual_graph
+from .duality import MatchGraph, dual_graph, tag_cells
 from .errors import ContractError, ParameterError
 from .lattice import (Point, Region, TriCell, cell_corners, cell_edges,
                       hexagon, shared_edge)
@@ -111,9 +111,7 @@ def _cell_center(cell: TriCell) -> tuple[float, float]:
 
 
 def _tag_center(tag) -> tuple[float, float]:
-    cells = (tag,) if isinstance(tag, TriCell) else tuple(tag)
-    first = sorted(cells)[0]
-    return _cell_center(first)
+    return _cell_center(min(tag_cells(tag)))
 
 
 def first_tiling(region: Region) -> tuple[Pair, ...]:

@@ -297,6 +297,27 @@ def test_missing_family_parameter(capsys):
     assert code == 2 and "needs --b" in err
 
 
+FAMILY_FLAGS = {"hexagon": ("--a", "2", "--b", "2", "--c", "2"),
+                "holed": ("--a", "4", "--b", "1"),
+                "cored": ("--a", "4", "--b", "1", "--x", "1"),
+                "d": ("--a", "2", "--b", "1", "--eps", "-1"),
+                "rbar": ("--q", "1", "--base", "1")}
+
+
+@pytest.mark.parametrize("command",
+                         ["count", "count-sym", "render", "quotient", "split"])
+def test_region_flag_the_family_does_not_take_is_refused(capsys, command):
+    sym = ("--sym", "rot180") if command == "count-sym" else ()
+    for family, flag in (("hexagon", "--ks"), ("hexagon", "--x"),
+                         ("holed", "--c"), ("holed", "--q"), ("cored", "--is"),
+                         ("d", "--l"), ("d", "--base"), ("rbar", "--eps"),
+                         ("rbar", "--a"), ("rbar", "--b")):
+        code, out, err = run(capsys, command, "--family", family,
+                             *FAMILY_FLAGS[family], flag, "1", *sym)
+        assert (code, out, err) == (
+            2, "", "error: family %s does not take %s\n" % (family, flag))
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["count"])  # --family is required

@@ -21,11 +21,9 @@ from lozlab.counting import (
 )
 from lozlab.duality import (
     MatchGraph,
-    axis_pair_dual_graph,
     dual_graph,
     factorization_split,
     identity_element,
-    induced_vertex_map,
     quotient_graph,
     remove_loop_vertex,
     symmetry,
@@ -36,6 +34,7 @@ from lozlab.errors import BudgetError, ContractError, SymmetryAbsentError
 from lozlab.formulas import d_count, macmahon_box
 from lozlab.lattice import (cell_neighbors, cored_hexagon, d_region, hexagon,
                            holed_hexagon, rbar_region)
+from test_duality import axis_pair_dual_graph
 
 
 def test_six_cycle_has_two_matchings():
@@ -138,7 +137,7 @@ def _free_hosts_looped(region):
     """The dual graph with a unit loop at each free-edge host: the loop
     covers its host alone, as a tile protruding across the free edge."""
     g = dual_graph(region)
-    hosts = sorted(g.index_of(c) for c in region.free_cell_map().values())
+    hosts = sorted(g.tags.index(c) for c in region.free_cell_map().values())
     return MatchGraph(g.tags, g.edges, tuple((v, Fraction(1)) for v in hosts),
                       g.rotations)
 
@@ -384,7 +383,7 @@ def _free_subset_sum(region):
     # the free-boundary count as a sum of Pfaffian counts, one per subset
     # of the free cells left uncovered
     g = dual_graph(region)
-    hosts = [g.index_of(c) for c in region.free_cell_map().values()]
+    hosts = [g.tags.index(c) for c in region.free_cell_map().values()]
     return sum(count_matchings(without_vertices(g, set(drop)))
                for r in range(len(hosts) + 1)
                for drop in combinations(hosts, r)
@@ -462,7 +461,7 @@ def _set_filter_count(region, group):
     """Reference: the filter that checks every element, the identity
     too, against a set of each tiling's pairs."""
     g = dual_graph(region)
-    perms = [induced_vertex_map(g, e) for e in group]
+    perms = [[g.tags.index(e.mapping[c]) for c in g.tags] for e in group]
     count = 0
     for matching in enumerate_matchings(g):
         mset = set(matching)

@@ -14,7 +14,6 @@ from lozlab import counting, duality
 from lozlab.duality import (
     FactorSplit,
     MatchGraph,
-    axis_pair_dual_graph,
     central_axis_split,
     compose,
     dual_graph,
@@ -26,6 +25,8 @@ from lozlab.duality import (
     split_dual_region,
     symmetry,
     symmetry_group,
+    tag_cells,
+    without_vertices,
 )
 from lozlab.errors import ContractError, SymmetryAbsentError
 from lozlab.lattice import (
@@ -235,13 +236,11 @@ def test_split_subgraph_is_the_weighted_dual_of_the_redrawn_region():
         split = _split_of(region)
         # vertex i of the subgraph corresponds to a redrawn cell via the
         # same bottom-representative rule used by split_dual_region
-        from lozlab.duality import _tag_cells
-
-        vs = [c.v for t in split.subgraph.tags for c in _tag_cells(t)]
+        vs = [c.v for t in split.subgraph.tags for c in tag_cells(t)]
         lvl2 = min(vs) + max(vs)
 
         def rep(tag):
-            members = _tag_cells(tag)
+            members = tag_cells(tag)
             below = [c for c in members if 2 * c.v < lvl2]
             if below:
                 return below[0]
@@ -258,6 +257,17 @@ def test_split_subgraph_is_the_weighted_dual_of_the_redrawn_region():
             a, b = sorted((expected_graph.tags[i], expected_graph.tags[j]))
             expected[(a, b)] = w
         assert actual == expected
+
+
+def axis_pair_dual_graph(region: Region) -> MatchGraph:
+    """Reference for the split: the dual graph with every edge between two
+    top-row cells halved.  The top row of a bottom-half region is its fold
+    axis; matchings of the folded graph correspond to this weighting."""
+    g = dual_graph(region)
+    vmax = max(c.v for c in region.cells)
+    edges = tuple((i, j, w / 2 if g.tags[i].v == g.tags[j].v == vmax else w)
+                  for i, j, w in g.edges)
+    return MatchGraph(g.tags, edges, g.loops, g.rotations)
 
 
 def test_axis_pair_dual_graph_halves_top_pairs():
@@ -329,6 +339,20 @@ def test_split_rejects_foreign_axis():
     axis = symmetry(hexagon(1, 1, 2), "ReflH")
     with pytest.raises(SymmetryAbsentError):
         factorization_split(g, axis)
+
+
+def test_split_rejects_an_axis_that_is_no_automorphism():
+    r = hexagon(2, 2, 2)
+    g = dual_graph(r)
+    (i, j, _), *rest = g.edges
+    heavy = MatchGraph(g.tags, ((i, j, Fraction(2)), *rest), g.loops,
+                       g.rotations)
+    with pytest.raises(SymmetryAbsentError,
+                       match="symmetry is not a weighted automorphism"):
+        factorization_split(heavy, symmetry(r, "ReflH"))
+    with pytest.raises(SymmetryAbsentError,
+                       match="symmetry does not permute the graph's tags"):
+        factorization_split(without_vertices(g, {0}), symmetry(r, "ReflH"))
 
 
 def test_graph_text_format():

@@ -257,18 +257,18 @@ def test_both_mirror_counts_share_one_enumeration(monkeypatch):
 
 def test_filter_reads_element_perms_not_tags(monkeypatch):
     calls = []
-    induced_vertex_map = duality.induced_vertex_map
+    vertex_action = duality._vertex_action
 
     def counted(g, elem):
         calls.append(elem.kind)
-        return induced_vertex_map(g, elem)
+        return vertex_action(g, elem)
 
     # every lozlab module that imported the function by name
     for name, module in sorted(sys.modules.items()):
         if (name.startswith("lozlab")
-                and getattr(module, "induced_vertex_map", None)
-                is induced_vertex_map):
-            monkeypatch.setattr(module, "induced_vertex_map", counted)
+                and getattr(module, "_vertex_action", None)
+                is vertex_action):
+            monkeypatch.setattr(module, "_vertex_action", counted)
     assert check("I1_9", a=2, b=2).verdict
     assert count_symmetric_tilings(hexagon(3, 3, 2), ["ReflV"], "filter") \
         == count_symmetric_tilings(hexagon(3, 3, 2), ["ReflV"], "orbit")
