@@ -151,7 +151,7 @@ def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
     if n == 0:
         yield ()
         return
-    adj = [sorted(s) for s in g.adjacency]
+    adj = [sorted(rot) for rot in g.rotations]
     covered = [False] * n
     pairs: list[tuple[int, int]] = []
     stack = [[0, 0]]
@@ -331,7 +331,6 @@ def _two_color(g: MatchGraph) -> list[int] | None:
     """A 0/1 colour per vertex with every edge joining two colours, each
     component's least vertex coloured 0; None when there is an odd
     cycle."""
-    adj = g.adjacency
     color = [-1] * g.n
     for root in range(g.n):
         if color[root] >= 0:
@@ -340,7 +339,7 @@ def _two_color(g: MatchGraph) -> list[int] | None:
         stack = [root]
         while stack:
             v = stack.pop()
-            for u in adj[v]:
+            for u in g.rotations[v]:
                 if color[u] < 0:
                     color[u] = 1 - color[v]
                     stack.append(u)
@@ -355,8 +354,6 @@ def count_matchings_pfaffian(g: MatchGraph) -> Fraction:
     is dead weight and is ignored."""
     if len(g.loops) > 1 or (g.loops and g.n % 2):
         raise ContractError("normalize loops before determinant counting")
-    if g.rotations is None:
-        raise ContractError("determinant counting needs an embedding")
     if g.n % 2:
         return ZERO
     orient = _kasteleyn_orientation(g)

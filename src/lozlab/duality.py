@@ -5,12 +5,13 @@ every shared lattice edge, so tilings of the region by unit rhombi
 correspond to perfect matchings of the dual graph.  Vertices carry tags
 (the source cell, or the orbit of source cells after a quotient) and a
 rotation system: the cyclic counterclockwise order of neighbors, which
-fixes a planar embedding.  Edge weights are exact fractions; loops are
-stored separately from ordinary edges and never take part in the
-rotation system.  A graph is checked when it is built, and its derived
-structures (adjacency, connected components, the face trace of the
-embedding) are computed at most once per graph; the face trace serves
-both the Euler check and the Kasteleyn orientation.
+fixes a planar embedding.  Every graph has one, and it is the graph's
+adjacency: nothing else lists a vertex's neighbours.  Edge weights are
+exact fractions; loops are stored separately from ordinary edges and
+never take part in the rotation system.  A graph is checked when it is
+built, and its derived structures (connected components, the face
+trace of the embedding) are computed at most once per graph; the face
+trace serves both the Euler check and the Kasteleyn orientation.
 
 A symmetry of a region is a permutation perm of the indices of its
 sorted cells, the dual graph's vertex numbering: perm[k] is the index of
@@ -56,20 +57,22 @@ HALF = Fraction(1, 2)
 class _MatchGraphFields(NamedTuple):
     tags: tuple[Hashable, ...]
     edges: tuple[tuple[int, int, Fraction], ...]
-    loops: tuple[tuple[int, Fraction], ...] = ()
-    rotations: tuple[tuple[int, ...], ...] | None = None
+    loops: tuple[tuple[int, Fraction], ...]
+    rotations: tuple[tuple[int, ...], ...]
 
 
 class MatchGraph(_MatchGraphFields):
     """Weighted loopy graph with tagged vertices and a planar embedding.
 
-    The constructor checks its input: sorted unique tags, edges and
-    loops, endpoints in range, positive Fraction weights, a rotation
+    All four fields are required.  The rotation system is the
+    adjacency: rotations[v] lists v's neighbours in counterclockwise
+    order.  The constructor checks its input: sorted unique tags, edges
+    and loops, endpoints in range, positive Fraction weights, a rotation
     system that lists exactly each vertex's neighbours, and Euler's
     formula for the embedding.  A violation raises ContractError.
     """
 
-    def __new__(cls, tags, edges, loops=(), rotations=None):
+    def __new__(cls, tags, edges, loops, rotations):
         self = super().__new__(cls, tags, edges, loops, rotations)
         n = len(self.tags)
         if list(self.tags) != sorted(set(self.tags)):
@@ -90,23 +93,23 @@ class MatchGraph(_MatchGraphFields):
                 raise ContractError("bad loop vertex %r" % (v,))
             if not (isinstance(w, Fraction) and w.numerator > 0):
                 raise ContractError("bad loop weight %r" % (w,))
-        if self.rotations is not None:
-            if len(self.rotations) != n:
-                raise ContractError("rotation system has %d entries for %d "
-                                    "vertices" % (len(self.rotations), n))
-            for i, (rot, nbrs) in enumerate(zip(self.rotations,
-                                                self.adjacency)):
-                if len(rot) != len(set(rot)):
-                    raise ContractError("repeated neighbor in rotation at %d"
-                                        % i)
-                if set(rot) != nbrs:
-                    raise ContractError("rotation disagrees with edges at %d"
-                                        % i)
-            v, e = n, len(self.edges)
-            f, c = self.face_count(), len(self.components)
-            if v - e + f != 2 * c:
-                raise ContractError("embedding not planar: V=%d E=%d F=%d C=%d"
-                                    % (v, e, f, c))
+        if len(self.rotations) != n:
+            raise ContractError("rotation system has %d entries for %d "
+                                "vertices" % (len(self.rotations), n))
+        nbrs: list[set[int]] = [set() for _ in range(n)]
+        for i, j, _ in self.edges:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+        for i, rot in enumerate(self.rotations):
+            if len(rot) != len(set(rot)):
+                raise ContractError("repeated neighbor in rotation at %d" % i)
+            if set(rot) != nbrs[i]:
+                raise ContractError("rotation disagrees with edges at %d" % i)
+        v, e = n, len(self.edges)
+        f, c = self.face_count(), len(self.components)
+        if v - e + f != 2 * c:
+            raise ContractError("embedding not planar: V=%d E=%d F=%d C=%d"
+                                % (v, e, f, c))
         return self
 
     @classmethod
@@ -134,18 +137,8 @@ class MatchGraph(_MatchGraphFields):
     # -- derived structures, computed once per graph -------------------
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """The neighbours of each vertex."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j, _ in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(map(frozenset, adj))
-
-    @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
         """The vertex sets of the connected components."""
-        adj = self.adjacency
         seen = [False] * self.n
         out = []
         for start in range(self.n):
@@ -154,7 +147,7 @@ class MatchGraph(_MatchGraphFields):
             seen[start] = True
             comp = [start]
             for v in comp:  # comp grows as it is walked
-                for m in adj[v]:
+                for m in self.rotations[v]:
                     if not seen[m]:
                         seen[m] = True
                         comp.append(m)
@@ -164,8 +157,6 @@ class MatchGraph(_MatchGraphFields):
     @cached_property
     def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Faces of the embedding as cycles of darts (i, j)."""
-        if self.rotations is None:
-            raise ContractError("the graph has no embedding")
         succ: dict[tuple[int, int], tuple[int, int]] = {}
         for i, rot in enumerate(self.rotations):
             for pos, j in enumerate(rot):
@@ -406,9 +397,9 @@ def quotient_graph(g: MatchGraph, elem: SymmetryElement) -> MatchGraph:
     if any(len(o) != m for o in orbits):
         raise ContractError(
             "symmetry does not act freely on cells; quotient undefined")
-    tags = [tuple(sorted(g.tags[v] for v in o)) for o in orbits]
-    order = sorted(range(len(tags)), key=lambda i: tags[i])
-    rank = {old: new for new, old in enumerate(order)}
+    # each orbit is found from its least vertex and g.tags is sorted, so
+    # the orbits already come in the order of their tags
+    tags = tuple(tuple(g.tags[v] for v in sorted(o)) for o in orbits)
     n_q = len(orbits)
 
     weights: dict[tuple[int, int], Fraction] = {}
@@ -423,7 +414,7 @@ def quotient_graph(g: MatchGraph, elem: SymmetryElement) -> MatchGraph:
             a, b = perm[a], perm[b]
             if (a, b) == (i, j) or (b, a) == (i, j):
                 break
-        oi, oj = rank[orbit_of[i]], rank[orbit_of[j]]
+        oi, oj = orbit_of[i], orbit_of[j]
         if oi == oj:
             # position of j in i's orbit decides whether the orbit of
             # this edge is a valid symmetric partial matching
@@ -439,19 +430,15 @@ def quotient_graph(g: MatchGraph, elem: SymmetryElement) -> MatchGraph:
     edges = tuple(sorted((i, j, w) for (i, j), w in weights.items()))
     loop_list = tuple(sorted(loops.items()))
 
-    rotations = None
-    if g.rotations is not None:
-        rots = []
-        for o_new in range(n_q):
-            rep = min(orbits[order[o_new]])
-            rot = []
-            for nb in g.rotations[rep]:
-                q = rank[orbit_of[nb]]
-                if q != o_new and q not in rot:
-                    rot.append(q)
-            rots.append(tuple(rot))
-        rotations = tuple(rots)
-    return MatchGraph(tuple(sorted(tags)), edges, loop_list, rotations)
+    rotations = []
+    for o, orbit in enumerate(orbits):
+        rot = []
+        for nb in g.rotations[orbit[0]]:
+            q = orbit_of[nb]
+            if q != o and q not in rot:
+                rot.append(q)
+        rotations.append(tuple(rot))
+    return MatchGraph(tags, edges, loop_list, tuple(rotations))
 
 
 def without_vertices(g: MatchGraph, drop: Iterable[int]) -> MatchGraph:
@@ -463,10 +450,8 @@ def without_vertices(g: MatchGraph, drop: Iterable[int]) -> MatchGraph:
     edges = tuple(sorted((rank[i], rank[j], wt) for i, j, wt in g.edges
                          if i not in gone and j not in gone))
     loops = tuple(sorted((rank[v], wt) for v, wt in g.loops if v not in gone))
-    rotations = None
-    if g.rotations is not None:
-        rotations = tuple(tuple(rank[x] for x in g.rotations[i] if x not in gone)
-                          for i in keep)
+    rotations = tuple(tuple(rank[x] for x in g.rotations[i] if x not in gone)
+                      for i in keep)
     return MatchGraph(tags, edges, loops, rotations)
 
 
@@ -565,11 +550,9 @@ def factorization_split(g: MatchGraph, axis: SymmetryElement) -> FactorSplit:
             halved += 1
         elif not (fi or fj) or row[j if fi else i] <= level:
             edges.append((i, j, w))
-    rotations = None
-    if g.rotations is not None:
-        kept = {d for i, j, _ in edges for d in ((i, j), (j, i))}
-        rotations = tuple(tuple(x for x in rot if (i, x) in kept)
-                          for i, rot in enumerate(g.rotations))
+    kept = {d for i, j, _ in edges for d in ((i, j), (j, i))}
+    rotations = tuple(tuple(x for x in rot if (i, x) in kept)
+                      for i, rot in enumerate(g.rotations))
     return FactorSplit(MatchGraph(g.tags, tuple(edges), (), rotations), halved)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -288,7 +289,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
               "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     src = str(Path(counting.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env={"PYTHONPATH": src})
+                          text=True, env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 

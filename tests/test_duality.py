@@ -328,7 +328,7 @@ def test_records_are_read_only_tuples():
             with pytest.raises(AttributeError):
                 setattr(record, field, getattr(record, field))
     g = records[1]
-    for name in ("adjacency", "components", "faces"):
+    for name in ("rotations", "components", "faces"):
         with pytest.raises(AttributeError):
             setattr(g, name, ())
     assert counting.count_matchings(g) == 260
@@ -374,8 +374,8 @@ def test_graph_text_format():
 
 def test_shared_structures_cannot_be_changed():
     g = dual_graph(holed_hexagon(3, 1, [1]))
-    adj, comps, faces = g.adjacency, g.components, g.faces
-    assert adj is g.adjacency and comps is g.components and faces is g.faces
+    adj, comps, faces = g.rotations, g.components, g.faces
+    assert adj is g.rotations and comps is g.components and faces is g.faces
     assert g.face_count() == len(faces)
     for outer in (adj, comps, faces):
         assert type(outer) is tuple
@@ -383,7 +383,8 @@ def test_shared_structures_cannot_be_changed():
             outer[0] = outer[0]
         with pytest.raises(AttributeError):
             outer.append(outer[0])
-    for inner in adj + comps:
+    assert all(type(inner) is tuple for inner in adj)
+    for inner in comps:
         assert type(inner) is frozenset
         with pytest.raises(AttributeError):
             inner.add(g.n)
@@ -455,6 +456,9 @@ def test_match_graph_accepts_what_it_checks():
     assert g.face_count() == 4
     MatchGraph((0, 1, 2), ((0, 1, Fraction(3)),), ((2, ONE),),
                ((1,), (0,), ()))
+    # every graph carries its embedding: there is no default
+    with pytest.raises(TypeError):
+        MatchGraph((0, 1), ((0, 1, ONE),))
 
 
 def test_match_graph_rejects_malformed_input_under_O():
@@ -475,7 +479,8 @@ for name, (tags, edges, loops, rotations, fragment) in sorted(MALFORMED.items())
     here = str(Path(__file__).resolve().parent)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True,
-                          env={"PYTHONPATH": src + os.pathsep + here})
+                          env={**os.environ,
+                               "PYTHONPATH": src + os.pathsep + here})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["%s | True" % name
                                         for name in sorted(MALFORMED)]
@@ -486,7 +491,8 @@ for name, (tags, edges, loops, rotations, fragment) in sorted(MALFORMED.items())
 
 
 def _hand_split(*tags):
-    return FactorSplit(MatchGraph(tuple(sorted(tags)), ()), 0)
+    return FactorSplit(MatchGraph(tuple(sorted(tags)), (), (),
+                                  ((),) * len(tags)), 0)
 
 
 def _svg_with_distant_pair():
@@ -532,7 +538,8 @@ HAND_BUILT = {
                         identity_element(hexagon(2, 1, 1))),
         "elements live on different regions"),
     "quotient of an untagged graph": (
-        lambda: quotient_graph(MatchGraph((0, 1), ((0, 1, ONE),)),
+        lambda: quotient_graph(MatchGraph((0, 1), ((0, 1, ONE),), (),
+                                          ((1,), (0,))),
                                symmetry(hexagon(1, 1, 1), "Rot180")),
         "need a graph tagged by the element's cells"),
     "quotient of another region's graph": (
@@ -598,7 +605,8 @@ for name, (call, fragment) in sorted(HAND_BUILT.items()):
     here = str(Path(__file__).resolve().parent)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True,
-                          env={"PYTHONPATH": src + os.pathsep + here})
+                          env={**os.environ,
+                               "PYTHONPATH": src + os.pathsep + here})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["%s | True" % name
                                         for name in sorted(HAND_BUILT)]

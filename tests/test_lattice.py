@@ -1,6 +1,7 @@
 """Geometry layer: cells, adjacency, region families, serialization."""
 
 import json
+import os
 import subprocess
 import sys
 from itertools import permutations
@@ -375,7 +376,7 @@ except FormatError as exc:
     src = str(Path(lozlab.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True,
-                          env={"PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("FormatError ")
     assert "not on the boundary" in proc.stdout
