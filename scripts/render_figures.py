@@ -12,7 +12,6 @@ from pathlib import Path
 from lozlab import (
     cored_hexagon,
     d_region,
-    dual_graph,
     first_tiling,
     hexagon,
     holed_hexagon,
@@ -29,7 +28,7 @@ def gallery():
     yield "cored_hexagon.svg", region_svg(cored_hexagon(3, 1, (1,), 2))
     yield "free_boundary.svg", region_svg(d_region(3, 2, 0, (1, 3)))
     base = holed_hexagon(5, 1, (2,))
-    quot = quotient_graph(dual_graph(base), symmetry(base, "Rot180"))
+    quot = quotient_graph(symmetry(base, "Rot180"))
     yield "central_quotient.svg", region_svg(base, graph=quot)
 
 

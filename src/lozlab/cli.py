@@ -204,7 +204,7 @@ def _cmd_render(args) -> int:
     if args.graph == "dual":
         graph = dual_graph(region)
     elif args.graph == "quotient":
-        graph = quotient_graph(dual_graph(region), symmetry(region, "Rot180"))
+        graph = quotient_graph(symmetry(region, "Rot180"))
     text = region_svg(region, tiling=tiling, graph=graph)
     _emit(args, {**params, "tiling": args.tiling, "graph": args.graph,
                  "out": args.out},
@@ -215,7 +215,7 @@ def _cmd_render(args) -> int:
 def _cmd_quotient(args) -> int:
     region, params = _build_region(args)
     kind = _SYM_KINDS[args.rot]
-    g = quotient_graph(dual_graph(region), symmetry(region, kind))
+    g = quotient_graph(symmetry(region, kind))
     text = graph_text(g)
     _emit(args, {**params, "rot": args.rot},
           {"vertices": g.n, "loops": len(g.loops), "graph": text}, text)

@@ -47,6 +47,7 @@ from typing import Iterator, Sequence
 
 from .duality import (
     MatchGraph,
+    _cell_rotations,
     dual_graph,
     normalize_loops,
     quotient_graph,
@@ -54,7 +55,7 @@ from .duality import (
     symmetry_group,
 )
 from .errors import BudgetError, ContractError
-from .lattice import Region, cell_neighbors
+from .lattice import Region
 
 # search states a search may visit before it gives up
 SEARCH_STATE_CAP = 1_000_000
@@ -402,12 +403,10 @@ def _cell_moves(region: Region, perms) -> list[list[tuple[int, int]]]:
     the cell index permutations, kept when its pairs are disjoint, with
     weight 1.  Each orbit is built once and filed at its least cell, the
     only bucket from which the sweep can take it."""
-    index = {c: k for k, c in enumerate(region.cells)}
     moves: list[list[tuple[int, int]]] = [[] for _ in region.cells]
     done: set[int] = set()
-    for c, k in index.items():
-        for d in cell_neighbors(c):
-            j = index.get(d, -1)
+    for k, rot in enumerate(_cell_rotations(region.cells)):
+        for j in rot:
             if j < k or (1 << k | 1 << j) in done:
                 continue
             pairs = {1 << p[k] | 1 << p[j] for p in perms}
@@ -481,7 +480,7 @@ def count_symmetric_tilings(region: Region, kinds: Sequence[str],
         # a group named by other rotations holds its generator unnamed
         gen = (next((e for e in group if e.kind == kind), None)
                or symmetry(region, kind))
-        return count_matchings(quotient_graph(dual_graph(region), gen))
+        return count_matchings(quotient_graph(gen))
     if method == "orbit":
         return _sweep(_cell_moves(region, [e.perm for e in group]))
     if method == "filter":

@@ -19,12 +19,15 @@ the image of cell k, and every consumer reads perm directly.  A cell is
 mapped by arithmetic on its tripled centroid, an integer point;
 the map is affine, so one cell and its three lattice neighbours check it
 once.  A group is closed by composing its generators with the newest
-elements.  The quotient of a dual graph under a rotation identifies
-each orbit of cells to one vertex; an orbit of edges whose endpoints
-fall into the same vertex orbit becomes a loop when a symmetric
-matching can use it.  Parallel edge orbits between the same pair of
-vertex orbits are merged into a single edge whose weight is the
-multiplicity, which leaves matching generating functions unchanged.
+elements.  One region adjacency, each cell's neighbours as indices in
+counterclockwise order, serves the dual graph, counting's cell search
+and the quotient, which is built from the element alone.  The quotient
+under a rotation identifies each orbit of cells to one vertex; an orbit
+of edges whose endpoints fall into the same vertex orbit becomes a loop
+when a symmetric matching can use it.  Parallel edge orbits between the
+same pair of vertex orbits are merged into a single edge whose weight
+is the multiplicity, which leaves matching generating functions
+unchanged.
 
 factorization_split performs the axis surgery on a graph that is
 mirror-symmetric about a horizontal axis of vertices: every axis
@@ -193,28 +196,31 @@ def graph_text(g: MatchGraph) -> str:
 # dual graphs
 
 
+def _cell_rotations(cells: Sequence[TriCell]) -> tuple[tuple[int, ...], ...]:
+    """The region adjacency: each cell's neighbours among the sorted
+    cells, as indices in counterclockwise order."""
+    index = {c: i for i, c in enumerate(cells)}
+    rotations = []
+    for u, v, orient in cells:
+        # plain tuples hash and compare like the TriCells they spell
+        if orient == UP:
+            ccw = ((u, v + 1, DOWN), (u - 1, v, DOWN), (u, v - 1, DOWN))
+        else:
+            ccw = ((u + 1, v, UP), (u, v + 1, UP), (u, v - 1, UP))
+        rotations.append(tuple(index[d] for d in ccw if d in index))
+    return tuple(rotations)
+
+
 def dual_graph(region: Region) -> MatchGraph:
     """Adjacency graph of the region's cells, weights 1, CCW embedding.
 
     Free boundary edges do not contribute edges here; they matter only
     to the free-boundary counting routines.
     """
-    cells = region.cells
-    index = {c: i for i, c in enumerate(cells)}
-    edges = []
-    rotations = []
-    for i, c in enumerate(cells):
-        u, v = c.u, c.v
-        # plain tuples hash and compare like the TriCells they spell
-        if c.orient == UP:
-            ccw = ((u, v + 1, DOWN), (u - 1, v, DOWN), (u, v - 1, DOWN))
-        else:
-            ccw = ((u + 1, v, UP), (u, v + 1, UP), (u, v - 1, UP))
-        rot = tuple(index[d] for d in ccw if d in index)
-        rotations.append(rot)
-        edges.extend((i, j, ONE) for j in rot if j > i)
-    return MatchGraph(tuple(cells), tuple(sorted(edges)), (),
-                      tuple(rotations))
+    rotations = _cell_rotations(region.cells)
+    edges = sorted((i, j, ONE) for i, rot in enumerate(rotations)
+                   for j in rot if j > i)
+    return MatchGraph(tuple(region.cells), tuple(edges), (), rotations)
 
 
 # ---------------------------------------------------------------------
@@ -359,11 +365,11 @@ def symmetry_group(region: Region, kinds: Sequence[str]) -> list[SymmetryElement
 # quotients
 
 
-def quotient_graph(g: MatchGraph, elem: SymmetryElement) -> MatchGraph:
+def quotient_graph(elem: SymmetryElement) -> MatchGraph:
     """Quotient of the dual graph of the element's region by the cyclic
-    group the element generates.
+    group the element generates, built from the element's cells.
 
-    The action must be free on vertices.  Orbits become vertices tagged
+    The action must be free on cells.  Orbits become vertices tagged
     with the sorted tuple of their cells; edge orbits with endpoints in
     one vertex orbit become loops.  Only an orbit around the rotation
     center can do so, so a quotient has at most one loop.  An edge orbit
@@ -374,15 +380,14 @@ def quotient_graph(g: MatchGraph, elem: SymmetryElement) -> MatchGraph:
     With an even number parity already keeps the loop out of every
     perfect matching, and it stays in the graph as printed.
     """
-    if g.tags != elem.cells:
-        raise ContractError("need a graph tagged by the element's cells")
     if elem.kind not in ("Rot60", "Rot120", "Rot180"):
         raise ContractError(
             "quotient requires a rotation generator, got %r" % (elem.kind,))
-    perm = elem.perm
+    cells, perm = elem.cells, elem.perm
+    adjacency = _cell_rotations(cells)
     orbits: list[list[int]] = []
-    orbit_of = [-1] * g.n
-    for start in range(g.n):
+    orbit_of = [-1] * len(cells)
+    for start in range(len(cells)):
         if orbit_of[start] >= 0:
             continue
         orbit = [start]
@@ -397,35 +402,36 @@ def quotient_graph(g: MatchGraph, elem: SymmetryElement) -> MatchGraph:
     if any(len(o) != m for o in orbits):
         raise ContractError(
             "symmetry does not act freely on cells; quotient undefined")
-    # each orbit is found from its least vertex and g.tags is sorted, so
-    # the orbits already come in the order of their tags
-    tags = tuple(tuple(g.tags[v] for v in sorted(o)) for o in orbits)
+    # each orbit is found from its least cell and the cells are sorted,
+    # so the orbits already come in the order of their tags
+    tags = tuple(tuple(cells[v] for v in sorted(o)) for o in orbits)
     n_q = len(orbits)
 
     weights: dict[tuple[int, int], Fraction] = {}
     loops: dict[int, Fraction] = {}
     seen: set[tuple[int, int]] = set()
-    for i, j, w in g.edges:
-        if (i, j) in seen:
-            continue
-        a, b = i, j
-        while True:
-            seen.add((a, b) if a < b else (b, a))
-            a, b = perm[a], perm[b]
-            if (a, b) == (i, j) or (b, a) == (i, j):
-                break
-        oi, oj = orbit_of[i], orbit_of[j]
-        if oi == oj:
-            # position of j in i's orbit decides whether the orbit of
-            # this edge is a valid symmetric partial matching
-            orbit = orbits[orbit_of[i]]
-            t = orbit.index(j) - orbit.index(i)
-            if (2 * t) % len(orbit) and n_q % 2:
+    for i, rot in enumerate(adjacency):
+        for j in rot:
+            if j < i or (i, j) in seen:
                 continue
-            loops[oi] = loops[oi] + w if oi in loops else w
-        else:
-            key = (min(oi, oj), max(oi, oj))
-            weights[key] = weights[key] + w if key in weights else w
+            a, b = i, j
+            while True:
+                seen.add((a, b) if a < b else (b, a))
+                a, b = perm[a], perm[b]
+                if (a, b) == (i, j) or (b, a) == (i, j):
+                    break
+            oi, oj = orbit_of[i], orbit_of[j]
+            if oi == oj:
+                # position of j in i's orbit decides whether the orbit of
+                # this edge is a valid symmetric partial matching
+                orbit = orbits[oi]
+                t = orbit.index(j) - orbit.index(i)
+                if (2 * t) % len(orbit) and n_q % 2:
+                    continue
+                loops[oi] = loops.get(oi, 0) + ONE
+            else:
+                key = (min(oi, oj), max(oi, oj))
+                weights[key] = weights.get(key, 0) + ONE
 
     edges = tuple(sorted((i, j, w) for (i, j), w in weights.items()))
     loop_list = tuple(sorted(loops.items()))
@@ -433,7 +439,7 @@ def quotient_graph(g: MatchGraph, elem: SymmetryElement) -> MatchGraph:
     rotations = []
     for o, orbit in enumerate(orbits):
         rot = []
-        for nb in g.rotations[orbit[0]]:
+        for nb in adjacency[orbit[0]]:
             q = orbit_of[nb]
             if q != o and q not in rot:
                 rot.append(q)
@@ -566,7 +572,7 @@ def central_axis_split(region: Region) -> tuple[FactorSplit, Fraction]:
     the quotient has loop_weight * 2**multiplier_log2 * MGF(subgraph)
     matchings.
     """
-    q = quotient_graph(dual_graph(region), symmetry(region, "Rot180"))
+    q = quotient_graph(symmetry(region, "Rot180"))
     q, loop_weight = normalize_loops(q)
     return factorization_split(q, symmetry(region, "ReflH")), loop_weight
 

@@ -20,7 +20,7 @@ import io
 from fractions import Fraction
 from itertools import combinations
 from math import prod
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .counting import (_filter_count, count_symmetric_tilings, count_tilings,
                        count_tilings_free, mgf)
@@ -227,14 +227,21 @@ _CATALOG: dict[str, tuple[tuple[str, ...], Callable]] = {
 IDENTITY_IDS = tuple(_CATALOG)
 
 
-def _norm_params(identity_id: str, raw: Mapping) -> tuple[tuple[str, object], ...]:
+def _catalog_entry(identity_id: str, keys: Iterable[str]):
+    """The identity's parameter names and check, refusing an unknown
+    identity or a parameter key it does not take."""
     if identity_id not in _CATALOG:
         raise ParameterError("unknown identity %r" % (identity_id,))
     names, fn = _CATALOG[identity_id]
-    extra = set(raw) - set(names)
+    extra = set(keys) - set(names)
     if extra:
         raise ParameterError("unknown parameter(s) for %s: %s"
                              % (identity_id, ", ".join(sorted(extra))))
+    return names, fn
+
+
+def _norm_params(identity_id: str, raw: Mapping) -> tuple[tuple[str, object], ...]:
+    names, fn = _catalog_entry(identity_id, raw)
     required = len(names) - len(fn.__defaults__ or ())
     out = []
     for pos, name in enumerate(names):
@@ -347,12 +354,12 @@ def sweep(identity_id: str, param_grid) -> SweepReport:
     """Check one identity over a whole grid of parameter mappings.
 
     Rows appear in grid order; a row that raises is recorded as an
-    error and the sweep continues.
+    error and the sweep continues.  An unknown identity, or a grid key
+    it does not take, raises ParameterError before any row runs.
     """
-    if identity_id not in _CATALOG:
-        raise ParameterError("unknown identity %r" % (identity_id,))
-    return SweepReport(tuple(_sweep_row(identity_id, dict(p))
-                             for p in param_grid))
+    grid = [dict(p) for p in param_grid]
+    _catalog_entry(identity_id, {k for p in grid for k in p})
+    return SweepReport(tuple(_sweep_row(identity_id, p) for p in grid))
 
 
 # ---------------------------------------------------------------------

@@ -168,6 +168,7 @@ def test_sweep_non_integer_grid_value(capsys):
     ("a=1;a=2;b=1", "grid clause 'a=2' repeats parameter a"),
     ("a=1|2;a=3", "grid clause 'a=3' repeats parameter a"),
     ("a=3..1;b=1", "grid clause 'a=3..1' has the empty range 3..1"),
+    ("a=1;b=1;c=2", "unknown parameter(s) for I1_9: c"),
 ])
 def test_sweep_bad_grid_is_a_usage_error(capsys, grid, fragment):
     code, out, err = run(capsys, "sweep", "--id", "I1_9", "--grid", grid)

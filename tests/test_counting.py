@@ -1,13 +1,14 @@
 """Counting engines: oracle vs determinant, symmetric and free counts."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, prod
 
 import pytest
 
-from lozlab import counting
+from lozlab import cli, counting, duality
 from lozlab.counting import (
     count_matchings,
     count_matchings_oracle,
@@ -21,6 +22,7 @@ from lozlab.counting import (
 )
 from lozlab.duality import (
     MatchGraph,
+    central_axis_split,
     dual_graph,
     factorization_split,
     identity_element,
@@ -160,11 +162,10 @@ def _oracle_reference_graphs():
                          (holed_hexagon(3, 1, []), "Rot180"),
                          (holed_hexagon(3, 2, []), "Rot180"),
                          (holed_hexagon(4, 1, [2]), "Rot180")):
-        graphs.append(quotient_graph(dual_graph(region),
-                                     symmetry(region, kind)))
+        graphs.append(quotient_graph(symmetry(region, kind)))
     for region in (holed_hexagon(2, 1, []), holed_hexagon(3, 1, []),
                    holed_hexagon(4, 1, [2]), holed_hexagon(4, 1, [])):
-        q = quotient_graph(dual_graph(region), symmetry(region, "Rot180"))
+        q = quotient_graph(symmetry(region, "Rot180"))
         if q.loops:
             q, _ = remove_loop_vertex(q)
         split = factorization_split(q, symmetry(region, "ReflH"))
@@ -278,7 +279,7 @@ def test_mgf_of_folded_bottom_half():
 
 def test_loop_forced_on_odd_quotient():
     r = holed_hexagon(3, 1, [])
-    q = quotient_graph(dual_graph(r), symmetry(r, "Rot180"))
+    q = quotient_graph(symmetry(r, "Rot180"))
     assert mgf_oracle(q) == 9
     assert count_matchings(q) == 9
 
@@ -287,14 +288,14 @@ def test_single_loop_on_even_graph_is_dead_weight():
     # the loop is in neither the embedding nor the matrix, so the
     # determinant takes the quotient as it is, with no loopless copy
     r = hexagon(2, 2, 2)
-    q = quotient_graph(dual_graph(r), symmetry(r, "Rot60"))
+    q = quotient_graph(symmetry(r, "Rot60"))
     assert len(q.loops) == 1 and q.n % 2 == 0
     g, factor = counting.normalize_loops(q)
     assert g is q and factor == 1
     assert count_matchings_pfaffian(q) == mgf_oracle(q) == 1
     # a forced loop, or two loops, must still be normalized first
     r = holed_hexagon(3, 1, [])
-    odd = quotient_graph(dual_graph(r), symmetry(r, "Rot180"))
+    odd = quotient_graph(symmetry(r, "Rot180"))
     assert len(odd.loops) == 1 and odd.n % 2 == 1
     for g in (odd, TWO_LOOP_GRAPHS[0][0]):
         with pytest.raises(ContractError, match="normalize loops"):
@@ -352,6 +353,31 @@ def test_quotient_method_matches_orbit():
         assert a == b, (region.params, kinds, a, b)
 
 
+def test_quotient_routes_build_no_dual_graph(monkeypatch, capsys):
+    # the quotient reads the region adjacency from the element's cells,
+    # so only the plain count builds (and checks) the dual graph
+    original = duality.dual_graph
+    calls = []
+
+    def counted(region):
+        calls.append(region)
+        return original(region)
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "lozlab"
+                and getattr(module, "dual_graph", None) is original):
+            monkeypatch.setattr(module, "dual_graph", counted)
+    r = holed_hexagon(4, 1, [2])
+    assert count_symmetric_tilings(r, ("Rot180",), "quotient") == \
+        count_symmetric_tilings(r, ("Rot180",), "orbit")
+    central_axis_split(r)
+    assert cli.main(["quotient", "--family", "holed", "--a", "4", "--b", "1",
+                     "--ks", "2"]) == 0
+    assert calls == []
+    count_tilings(r)
+    assert calls == [r]
+
+
 def test_symmetric_count_absent_symmetry():
     with pytest.raises(SymmetryAbsentError):
         count_symmetric_tilings(hexagon(1, 2, 1), ["ReflV"])
@@ -365,7 +391,7 @@ def test_split_identity_engine_level():
     for region in (holed_hexagon(2, 1, []), holed_hexagon(2, 2, []),
                    holed_hexagon(3, 1, []), holed_hexagon(4, 1, [2]),
                    holed_hexagon(4, 1, []), holed_hexagon(5, 1, [2])):
-        q = quotient_graph(dual_graph(region), symmetry(region, "Rot180"))
+        q = quotient_graph(symmetry(region, "Rot180"))
         lhs = count_matchings(q)
         if q.loops:
             q, w = remove_loop_vertex(q)
@@ -562,7 +588,7 @@ def test_rot60_on_odd_hexagons_counts_zero():
     # orbit around the center that no symmetric tiling can use
     for n in (1, 3, 5):
         r = hexagon(n, n, n)
-        q = quotient_graph(dual_graph(r), symmetry(r, "Rot60"))
+        q = quotient_graph(symmetry(r, "Rot60"))
         assert q.n == n * n and not q.loops
         assert count_symmetric_tilings(r, ["Rot60"], "quotient") == 0
         assert count_symmetric_tilings(r, ["Rot60"], "orbit") == 0
@@ -637,7 +663,7 @@ def test_oracle_count_rejects_non_integer_value(monkeypatch):
 @pytest.mark.parametrize("det", [-4, 2])
 def test_skew_determinant_must_be_a_square(monkeypatch, det):
     r = hexagon(2, 2, 2)
-    q = quotient_graph(dual_graph(r), symmetry(r, "Rot60"))
+    q = quotient_graph(symmetry(r, "Rot60"))
     assert count_matchings(q) == 1
     monkeypatch.setattr(counting, "_det_exact", lambda rows, n: det)
     with pytest.raises(ContractError):
@@ -664,7 +690,7 @@ def _disjoint_union(graphs, rng):
 def test_one_determinant_counts_a_graph_with_mixed_components(monkeypatch):
     bip = dual_graph(hexagon(1, 1, 2))
     r = hexagon(2, 2, 2)
-    quo = quotient_graph(dual_graph(r), symmetry(r, "Rot180"))
+    quo = quotient_graph(symmetry(r, "Rot180"))
     assert counting._two_color(bip) is not None
     assert counting._two_color(quo) is None and not quo.loops
     parts = count_matchings_pfaffian(bip) * count_matchings_pfaffian(quo)
@@ -844,8 +870,7 @@ def test_rotation_quotient_counts_match_product_formulas():
             _cspp(n), n
     for n in (2, 4, 6, 8, 10):
         r = hexagon(n, n, n)
-        q, _ = counting.normalize_loops(
-            quotient_graph(dual_graph(r), symmetry(r, "Rot60")))
+        q, _ = counting.normalize_loops(quotient_graph(symmetry(r, "Rot60")))
         # the quotient keeps its dead-weight loop, which the determinant
         # ignores; it is not bipartite, so the skew route runs
         assert counting._two_color(q) is None

@@ -149,7 +149,7 @@ def test_symmetry_group_closure_sizes():
 
 def test_quotient_rot120_merges_central_edges():
     r = hexagon(2, 2, 2)
-    q = quotient_graph(dual_graph(r), symmetry(r, "Rot120"))
+    q = quotient_graph(symmetry(r, "Rot120"))
     assert q.n == 8
     assert not q.loops
     doubled = [(i, j, w) for i, j, w in q.edges if w == Fraction(2)]
@@ -160,14 +160,14 @@ def test_quotient_rot120_merges_central_edges():
 
 def test_quotient_rot180_even_side_has_no_loop():
     r = holed_hexagon(2, 1, [])
-    q = quotient_graph(dual_graph(r), symmetry(r, "Rot180"))
+    q = quotient_graph(symmetry(r, "Rot180"))
     assert q.n == 12
     assert not q.loops
 
 
 def test_quotient_rot180_odd_side_has_central_loop():
     r = holed_hexagon(3, 1, [])
-    q = quotient_graph(dual_graph(r), symmetry(r, "Rot180"))
+    q = quotient_graph(symmetry(r, "Rot180"))
     assert q.n == 21
     assert len(q.loops) == 1
     v, w = q.loops[0]
@@ -181,7 +181,7 @@ def test_quotient_rot180_odd_side_has_central_loop():
 
 def test_quotient_rot60_center_loop_is_parity_blocked():
     r = hexagon(2, 2, 2)
-    q = quotient_graph(dual_graph(r), symmetry(r, "Rot60"))
+    q = quotient_graph(symmetry(r, "Rot60"))
     assert q.n == 4
     assert len(q.loops) == 1
     assert q.n % 2 == 0
@@ -190,9 +190,9 @@ def test_quotient_rot60_center_loop_is_parity_blocked():
 def test_quotient_rejects_reflections():
     r = hexagon(2, 2, 2)
     with pytest.raises(ContractError):
-        quotient_graph(dual_graph(r), symmetry(r, "ReflH"))
+        quotient_graph(symmetry(r, "ReflH"))
     with pytest.raises(ContractError):
-        quotient_graph(dual_graph(r), symmetry(r, "ReflV"))
+        quotient_graph(symmetry(r, "ReflV"))
 
 
 def test_remove_loop_vertex_requires_one_loop():
@@ -202,8 +202,7 @@ def test_remove_loop_vertex_requires_one_loop():
 
 
 def _split_of(region) -> FactorSplit:
-    g = dual_graph(region)
-    q = quotient_graph(g, symmetry(region, "Rot180"))
+    q = quotient_graph(symmetry(region, "Rot180"))
     if q.loops:
         q, w = remove_loop_vertex(q)
         assert w == Fraction(1)
@@ -302,7 +301,7 @@ def test_central_axis_split_keeps_the_quotient_count():
             assert "midpoint of a lattice edge" in str(exc)
             refused.append(region.params)
             continue
-        q = quotient_graph(dual_graph(region), symmetry(region, "Rot180"))
+        q = quotient_graph(symmetry(region, "Rot180"))
         assert (loop_weight * 2 ** split.multiplier_log2
                 * counting.mgf(split.subgraph)
                 == counting.count_matchings(q)), region.params
@@ -312,7 +311,7 @@ def test_central_axis_split_keeps_the_quotient_count():
                        for a, c in ((2, 1), (2, 3), (4, 1), (4, 3))]
     for a, c in ((2, 1), (4, 3)):
         r = hexagon(a, a, c)
-        q = quotient_graph(dual_graph(r), symmetry(r, "Rot180"))
+        q = quotient_graph(symmetry(r, "Rot180"))
         assert q.n % 2 == 0 and len(q.loops) == 1
 
 
@@ -363,7 +362,7 @@ def test_graph_text_format():
     assert all(len(line.split()) == 3 for line in lines)
     assert lines[0] == "0 1 1/1"
     r = holed_hexagon(3, 1, [])
-    q = quotient_graph(dual_graph(r), symmetry(r, "Rot180"))
+    q = quotient_graph(symmetry(r, "Rot180"))
     assert any(line.split()[0] == line.split()[1]
                for line in graph_text(q).strip().split("\n"))
 
@@ -537,20 +536,6 @@ HAND_BUILT = {
         lambda: compose(identity_element(hexagon(1, 1, 1)),
                         identity_element(hexagon(2, 1, 1))),
         "elements live on different regions"),
-    "quotient of an untagged graph": (
-        lambda: quotient_graph(MatchGraph((0, 1), ((0, 1, ONE),), (),
-                                          ((1,), (0,))),
-                               symmetry(hexagon(1, 1, 1), "Rot180")),
-        "need a graph tagged by the element's cells"),
-    "quotient of another region's graph": (
-        lambda: quotient_graph(dual_graph(hexagon(2, 2, 2)),
-                               symmetry(hexagon(1, 1, 1), "Rot180")),
-        "need a graph tagged by the element's cells"),
-    "quotient of a subgraph": (
-        lambda: quotient_graph(
-            duality.without_vertices(dual_graph(hexagon(1, 1, 1)), {0}),
-            symmetry(hexagon(1, 1, 1), "Rot180")),
-        "need a graph tagged by the element's cells"),
     "split on a non-involution": (lambda: _split_on("Rot60"),
                                   "axis map not an involution"),
     "split with a tilted axis": (lambda: _split_on("Identity"),

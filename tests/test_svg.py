@@ -3,7 +3,7 @@
 import pytest
 
 from lozlab import counting
-from lozlab.duality import dual_graph, quotient_graph, symmetry
+from lozlab.duality import quotient_graph, symmetry
 from lozlab.errors import BudgetError
 from lozlab.lattice import cored_hexagon, d_region, hexagon, holed_hexagon
 from lozlab.svg import SCALE, first_tiling, region_svg
@@ -68,7 +68,7 @@ def test_first_tiling_is_deterministic_and_capped(monkeypatch):
 
 def test_graph_overlay_marks_vertices_and_loops():
     r = holed_hexagon(3, 1, [])
-    q = quotient_graph(dual_graph(r), symmetry(r, "Rot180"))
+    q = quotient_graph(symmetry(r, "Rot180"))
     text = region_svg(r, graph=q)
     assert text.count('fill="#b03030"') == q.n
     assert text.count('<circle') == q.n + len(q.loops)
