@@ -190,25 +190,26 @@ def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
 # Kasteleyn orientation and determinants
 
 
-def _kasteleyn_orientation(g: MatchGraph) -> dict[tuple[int, int], bool]:
-    """Edge (i, j) -> True when oriented i to j, with an odd number of
-    agreeing edges around every face except one root face per component."""
-    faces = g.faces
-    face_of = {d: f for f, cycle in enumerate(faces) for d in cycle}
-    orient = {(i, j): True for i, j, _ in g.edges}
-    parity = [sum(1 for a, b in cycle if a < b) % 2 for cycle in faces]
-    dual: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in faces]
-    for i, j, _ in g.edges:
-        f1, f2 = face_of[(i, j)], face_of[(j, i)]
+def _kasteleyn_orientation(g: MatchGraph) -> list[bool]:
+    """One bool per edge (i, j) of g.edges, True when oriented i to j,
+    with an odd number of agreeing edges around every face except one
+    root face per component."""
+    count, pairs = g.faces
+    orient = [True] * len(pairs)
+    # an edge i -> j agrees with its dart i -> j, at face f1
+    parity = [0] * count
+    dual: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    for e, (f1, f2) in enumerate(pairs):
+        parity[f1] ^= 1
         if f1 != f2:
-            dual[f1].append((f2, (i, j)))
-            dual[f2].append((f1, (i, j)))
+            dual[f1].append((f2, e))
+            dual[f2].append((f1, e))
     # up[f]: the parent face in a breadth-first spanning forest of the
     # faces and the edge crossed to reach f, with no edge at a root;
     # flipping that edge, leaves first, fixes each non-root face's parity
-    up: list[tuple[int, tuple[int, int] | None] | None] = [None] * len(faces)
+    up: list[tuple[int, int | None] | None] = [None] * count
     order: list[int] = []
-    for root in range(len(faces)):
+    for root in range(count):
         if up[root] is not None:
             continue
         up[root] = (root, None)
@@ -316,11 +317,11 @@ def _kasteleyn_rows(edges, orient, scale: int, row_of: dict[int, int],
                     col_of: dict[int, int]) -> list[dict[int, int]]:
     """Sparse rows of the signed matrix: an edge oriented a -> b puts its
     scaled weight at (a, b) and its negative at (b, a), wherever the
-    index maps place that pair."""
+    index maps place that pair.  orient holds one bool per edge."""
     rows: list[dict[int, int]] = [{} for _ in row_of]
-    for i, j, w in edges:
+    for (i, j, w), forward in zip(edges, orient):
         val = w.numerator * (scale // w.denominator)
-        a, b = (i, j) if orient[(i, j)] else (j, i)
+        a, b = (i, j) if forward else (j, i)
         if a in row_of and b in col_of:
             rows[row_of[a]][col_of[b]] = val
         if b in row_of and a in col_of:

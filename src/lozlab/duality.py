@@ -10,8 +10,10 @@ adjacency: nothing else lists a vertex's neighbours.  Edge weights are
 exact fractions; loops are stored separately from ordinary edges and
 never take part in the rotation system.  A graph is checked when it is
 built, and its derived structures (connected components, the face
-trace of the embedding) are computed at most once per graph; the face
-trace serves both the Euler check and the Kasteleyn orientation.
+trace of the embedding) are computed at most once per graph.  The face
+trace runs once on integer darts, offsets into the rotation lists; the
+Euler check reads its face count and the Kasteleyn orientation the
+faces on either side of each edge.
 
 A symmetry of a region is a permutation perm of the indices of its
 sorted cells, the dual graph's vertex numbering: perm[k] is the index of
@@ -22,12 +24,13 @@ once.  A group is closed by composing its generators with the newest
 elements.  One region adjacency, each cell's neighbours as indices in
 counterclockwise order, serves the dual graph, counting's cell search
 and the quotient, which is built from the element alone.  The quotient
-under a rotation identifies each orbit of cells to one vertex; an orbit
-of edges whose endpoints fall into the same vertex orbit becomes a loop
-when a symmetric matching can use it.  Parallel edge orbits between the
-same pair of vertex orbits are merged into a single edge whose weight
-is the multiplicity, which leaves matching generating functions
-unchanged.
+under a rotation identifies each orbit of cells to one vertex and reads
+that vertex off the orbit's least cell, in one pass over its
+neighbours; an orbit of edges whose endpoints fall into the same vertex
+orbit becomes a loop when a symmetric matching can use it.  Parallel
+edge orbits between the same pair of vertex orbits are merged into a
+single edge whose weight is the multiplicity, which leaves matching
+generating functions unchanged.
 
 factorization_split performs the axis surgery on a graph that is
 mirror-symmetric about a horizontal axis of vertices: every axis
@@ -78,18 +81,17 @@ class MatchGraph(_MatchGraphFields):
     def __new__(cls, tags, edges, loops, rotations):
         self = super().__new__(cls, tags, edges, loops, rotations)
         n = len(self.tags)
-        if list(self.tags) != sorted(set(self.tags)):
+        if any(a >= b for a, b in zip(self.tags, self.tags[1:])):
             raise ContractError("tags not sorted/unique")
-        pairs = [(i, j) for i, j, _ in self.edges]
-        if pairs != sorted(set(pairs)):
+        if any((i, j) >= (k, m)
+               for (i, j, _), (k, m, _) in zip(self.edges, self.edges[1:])):
             raise ContractError("edges not sorted/unique")
         for i, j, w in self.edges:
             if not 0 <= i < j < n:
                 raise ContractError("bad edge endpoints (%r, %r)" % (i, j))
             if not (isinstance(w, Fraction) and w.numerator > 0):
                 raise ContractError("bad weight %r" % (w,))
-        loop_vs = [v for v, _ in self.loops]
-        if loop_vs != sorted(set(loop_vs)):
+        if any(u >= v for (u, _), (v, _) in zip(self.loops, self.loops[1:])):
             raise ContractError("loops not sorted/unique")
         for v, w in self.loops:
             if not 0 <= v < n:
@@ -134,8 +136,7 @@ class MatchGraph(_MatchGraphFields):
     def face_count(self) -> int:
         """Number of face orbits of the loopless skeleton, isolated
         vertices counting one face each."""
-        return (len(self.faces)
-                + sum(1 for rot in self.rotations if not rot))
+        return self.faces[0] + sum(1 for rot in self.rotations if not rot)
 
     # -- derived structures, computed once per graph -------------------
 
@@ -158,28 +159,40 @@ class MatchGraph(_MatchGraphFields):
         return tuple(out)
 
     @cached_property
-    def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Faces of the embedding as cycles of darts (i, j)."""
-        succ: dict[tuple[int, int], tuple[int, int]] = {}
-        for i, rot in enumerate(self.rotations):
-            for pos, j in enumerate(rot):
-                # dart (j -> i) continues to the next neighbor after j in
+    def faces(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The face trace of the embedding: the number of faces, and for
+        each edge (i, j) the faces of its darts i -> j and j -> i.
+
+        Darts are CSR offsets into the rotations: dart start[i] + k runs
+        from i to rotations[i][k].  Faces are numbered in the order the
+        trace first meets them, visiting the darts into vertex 0, then
+        into vertex 1, and so on, each vertex in its rotation order.
+        """
+        rots = self.rotations
+        start = [0]
+        for rot in rots:
+            start.append(start[-1] + len(rot))
+        succ = [0] * start[-1]
+        order = []
+        for i, rot in enumerate(rots):
+            for k, j in enumerate(rot):
+                # dart j -> i continues to the next neighbour after j in
                 # the cyclic order at i
-                succ[(j, i)] = (i, rot[(pos + 1) % len(rot)])
-        faces: list[tuple[tuple[int, int], ...]] = []
-        seen: set[tuple[int, int]] = set()
-        for dart in succ:
-            if dart in seen:
-                continue
-            cycle = []
-            d = dart
-            while d not in seen:
-                seen.add(d)
-                cycle.append(d)
-                d = succ[d]
-            assert d == dart, "face trace did not close"
-            faces.append(tuple(cycle))
-        return tuple(faces)
+                d = start[j] + rots[j].index(i)
+                succ[d] = start[i] + (k + 1) % len(rot)
+                order.append(d)
+        # succ permutes the darts, so every walk closes where it began
+        face = [-1] * len(succ)
+        count = 0
+        for d in order:
+            if face[d] < 0:
+                while face[d] < 0:
+                    face[d] = count
+                    d = succ[d]
+                count += 1
+        return count, tuple((face[start[i] + rots[i].index(j)],
+                             face[start[j] + rots[j].index(i)])
+                            for i, j, _ in self.edges)
 
 
 def graph_text(g: MatchGraph) -> str:
@@ -379,6 +392,13 @@ def quotient_graph(elem: SymmetryElement) -> MatchGraph:
     matching would have to use the loop, so such an orbit is dropped.
     With an even number parity already keeps the loop out of every
     perfect matching, and it stays in the graph as printed.
+
+    Each vertex is read off its orbit's least cell.  The action being
+    free, every edge orbit to another vertex orbit has exactly one edge
+    there, so an edge's weight is the number of the least cell's
+    neighbours in the other orbit.  An edge orbit inside the orbit meets
+    the least cell at orbit[t] and orbit[m - t], and counts once, at
+    2t <= m; it is a partial matching exactly when 2t = m.
     """
     if elem.kind not in ("Rot60", "Rot120", "Rot180"):
         raise ContractError(
@@ -407,44 +427,19 @@ def quotient_graph(elem: SymmetryElement) -> MatchGraph:
     tags = tuple(tuple(cells[v] for v in sorted(o)) for o in orbits)
     n_q = len(orbits)
 
-    weights: dict[tuple[int, int], Fraction] = {}
-    loops: dict[int, Fraction] = {}
-    seen: set[tuple[int, int]] = set()
-    for i, rot in enumerate(adjacency):
-        for j in rot:
-            if j < i or (i, j) in seen:
-                continue
-            a, b = i, j
-            while True:
-                seen.add((a, b) if a < b else (b, a))
-                a, b = perm[a], perm[b]
-                if (a, b) == (i, j) or (b, a) == (i, j):
-                    break
-            oi, oj = orbit_of[i], orbit_of[j]
-            if oi == oj:
-                # position of j in i's orbit decides whether the orbit of
-                # this edge is a valid symmetric partial matching
-                orbit = orbits[oi]
-                t = orbit.index(j) - orbit.index(i)
-                if (2 * t) % len(orbit) and n_q % 2:
-                    continue
-                loops[oi] = loops.get(oi, 0) + ONE
-            else:
-                key = (min(oi, oj), max(oi, oj))
-                weights[key] = weights.get(key, 0) + ONE
-
-    edges = tuple(sorted((i, j, w) for (i, j), w in weights.items()))
-    loop_list = tuple(sorted(loops.items()))
-
+    edges: list[tuple[int, int, Fraction]] = []
+    loops: list[tuple[int, Fraction]] = []
     rotations = []
     for o, orbit in enumerate(orbits):
-        rot = []
-        for nb in adjacency[orbit[0]]:
-            q = orbit_of[nb]
-            if q != o and q not in rot:
-                rot.append(q)
-        rotations.append(tuple(rot))
-    return MatchGraph(tags, edges, loop_list, tuple(rotations))
+        nbs = [orbit_of[c] for c in adjacency[orbit[0]]]
+        rot = tuple(dict.fromkeys(q for q in nbs if q != o))
+        rotations.append(rot)
+        edges += [(o, q, Fraction(nbs.count(q))) for q in sorted(rot) if q > o]
+        ts = [orbit.index(c) for c in adjacency[orbit[0]] if orbit_of[c] == o]
+        k = sum(1 for t in ts if 2 * t == m or (2 * t < m and n_q % 2 == 0))
+        if k:
+            loops.append((o, Fraction(k)))
+    return MatchGraph(tags, tuple(edges), tuple(loops), tuple(rotations))
 
 
 def without_vertices(g: MatchGraph, drop: Iterable[int]) -> MatchGraph:

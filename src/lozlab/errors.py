@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
 Every error raised on bad user input derives from LozlabError so the
-command line tool can map them to a single exit code.  Internal
-consistency failures use plain AssertionError and are bugs.
+command line tool can map them to a single exit code, and so does
+ContractError, which every broken internal contract raises.  A plain
+assert is left only for invariants that hold by construction: the cell
+counts and containments the region builders check, and the integer
+value of macmahon_box.
 """
 
 

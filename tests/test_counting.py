@@ -36,7 +36,8 @@ from lozlab.errors import BudgetError, ContractError, SymmetryAbsentError
 from lozlab.formulas import d_count, macmahon_box
 from lozlab.lattice import (cell_neighbors, cored_hexagon, d_region, hexagon,
                            holed_hexagon, rbar_region)
-from test_duality import axis_pair_dual_graph
+from test_duality import (axis_pair_dual_graph, corpus_regions,
+                          corpus_rotations, planar_k4, traced_faces)
 
 
 def test_six_cycle_has_two_matchings():
@@ -714,6 +715,27 @@ def test_one_determinant_counts_a_graph_with_mixed_components(monkeypatch):
     calls.clear()
     assert count_matchings_pfaffian(paths) == 0 == mgf_oracle(paths)
     assert len(calls) == 1
+
+
+def _even_faces(g):
+    """For each component of g, the number of its faces, traced on tuple
+    darts, with an even number of edges oriented along the trace."""
+    orient = counting._kasteleyn_orientation(g)
+    forward = {(i, j) if o else (j, i) for (i, j, _), o in zip(g.edges, orient)}
+    component = {v: k for k, comp in enumerate(g.components) for v in comp}
+    even = [0] * len(g.components)
+    for cycle in traced_faces(g):
+        if sum(d in forward for d in cycle) % 2 == 0:
+            even[component[cycle[0][0]]] += 1
+    return even
+
+
+def test_kasteleyn_orientation_leaves_one_even_face_per_component():
+    graphs = [planar_k4()] + [dual_graph(r) for r in corpus_regions()]
+    graphs += [quotient_graph(elem) for elem in corpus_rotations()]
+    assert len(graphs) == 1 + 358 + 374
+    for g in graphs:
+        assert max(_even_faces(g), default=0) <= 1, g.tags[:3]
 
 
 # ---------------------------------------------------------------------

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -72,15 +72,44 @@ def test_dual_embedding_face_count():
     assert g2.n - len(g2.edges) + g2.face_count() == 2
 
 
+def traced_faces(g):
+    """Reference: the faces of g's embedding as cycles of darts (i, j),
+    traced on tuple darts; dart (j, i) continues to (i, k), k the next
+    neighbour after j in the cyclic order at i.  The cycles come in the
+    order the trace first meets them, visiting the darts into vertex 0,
+    then into vertex 1, and so on."""
+    succ = {}
+    for i, rot in enumerate(g.rotations):
+        for pos, j in enumerate(rot):
+            succ[(j, i)] = (i, rot[(pos + 1) % len(rot)])
+    faces, seen = [], set()
+    for dart in succ:
+        if dart in seen:
+            continue
+        cycle, d = [], dart
+        while d not in seen:
+            seen.add(d)
+            cycle.append(d)
+            d = succ[d]
+        assert d == dart, "face trace did not close"
+        faces.append(cycle)
+    return faces
+
+
 def test_faces_partition_the_darts():
     g = dual_graph(holed_hexagon(4, 1, [2]))
-    faces = g.faces
+    faces = traced_faces(g)
     darts = {(i, j) for i, j, _ in g.edges} | {(j, i) for i, j, _ in g.edges}
     assert sorted(d for cycle in faces for d in cycle) == sorted(darts)
     for cycle in faces:
         for (a, b), (c, d) in zip(cycle, cycle[1:] + cycle[:1]):
             assert b == c
-    assert len(faces) == g.face_count()
+    # the integer trace numbers the same faces in the same order
+    face_of = {d: f for f, cycle in enumerate(faces) for d in cycle}
+    count, pairs = g.faces
+    assert count == len(faces) == g.face_count()
+    assert pairs == tuple((face_of[(i, j)], face_of[(j, i)])
+                          for i, j, _ in g.edges)
 
 
 def _order(e):
@@ -193,6 +222,102 @@ def test_quotient_rejects_reflections():
         quotient_graph(symmetry(r, "ReflH"))
     with pytest.raises(ContractError):
         quotient_graph(symmetry(r, "ReflV"))
+
+
+def corpus_regions():
+    """Hexagons with sides up to 6, holed hexagons with a up to 8 and
+    cored hexagons with a up to 4, each with every hole list."""
+    def hole_lists(top):
+        return [ks for r in range(top + 1)
+                for ks in combinations(range(1, top + 1), r)]
+    regions = [hexagon(a, b, c) for a, b, c in product(range(1, 7), repeat=3)]
+    regions += [holed_hexagon(a, b, ks) for a in range(1, 9) for b in (1, 2)
+                for ks in hole_lists(a // 2)]
+    regions += [cored_hexagon(a, b, ks, x) for a in range(1, 5) for b in (1, 2)
+                for x in range(1, a + 1) for ks in hole_lists(a - x)]
+    return regions
+
+
+def corpus_rotations():
+    """Every Rot60, Rot120 and Rot180 of the corpus regions."""
+    elems = []
+    for region in corpus_regions():
+        for kind in ("Rot60", "Rot120", "Rot180"):
+            try:
+                elems.append(symmetry(region, kind))
+            except SymmetryAbsentError:
+                pass
+    return elems
+
+
+def _orbit_walk_quotient(elem):
+    """Reference for quotient_graph: every edge orbit is walked once,
+    marked edge by edge in a set of cell pairs, and counted where the
+    walk starts; the rotations come in a second pass."""
+    cells, perm = elem.cells, elem.perm
+    adjacency = duality._cell_rotations(cells)
+    orbits, orbit_of = [], [-1] * len(cells)
+    for start in range(len(cells)):
+        if orbit_of[start] < 0:
+            orbit, cur = [start], perm[start]
+            while cur != start:
+                orbit.append(cur)
+                cur = perm[cur]
+            for v in orbit:
+                orbit_of[v] = len(orbits)
+            orbits.append(orbit)
+    tags = tuple(tuple(cells[v] for v in sorted(o)) for o in orbits)
+    weights, loops, seen = {}, {}, set()
+    for i, rot in enumerate(adjacency):
+        for j in rot:
+            if j < i or (i, j) in seen:
+                continue
+            a, b = i, j
+            while True:
+                seen.add((a, b) if a < b else (b, a))
+                a, b = perm[a], perm[b]
+                if (a, b) == (i, j) or (b, a) == (i, j):
+                    break
+            oi, oj = orbit_of[i], orbit_of[j]
+            if oi == oj:
+                orbit = orbits[oi]
+                t = orbit.index(j) - orbit.index(i)
+                if (2 * t) % len(orbit) and len(orbits) % 2:
+                    continue
+                loops[oi] = loops.get(oi, 0) + ONE
+            else:
+                key = (min(oi, oj), max(oi, oj))
+                weights[key] = weights.get(key, 0) + ONE
+    rotations = []
+    for o, orbit in enumerate(orbits):
+        rot = []
+        for nb in adjacency[orbit[0]]:
+            if orbit_of[nb] != o and orbit_of[nb] not in rot:
+                rot.append(orbit_of[nb])
+        rotations.append(tuple(rot))
+    return MatchGraph(tags, tuple(sorted((i, j, w)
+                                         for (i, j), w in weights.items())),
+                      tuple(sorted(loops.items())), tuple(rotations))
+
+
+def test_quotient_matches_the_edge_orbit_walk():
+    kinds = {"Rot60": 0, "Rot120": 0, "Rot180": 0}
+    looped = {"partial matching": 0, "parity blocked": 0, "dropped": 0}
+    for elem in corpus_rotations():
+        got, want = quotient_graph(elem), _orbit_walk_quotient(elem)
+        for field in MatchGraph._fields:
+            assert getattr(got, field) == getattr(want, field), (
+                field, elem.kind, len(elem.cells))
+        kinds[elem.kind] += 1
+        if elem.kind == "Rot180":
+            looped["partial matching"] += bool(got.loops)
+        elif got.loops:
+            looped["parity blocked"] += 1
+        elif elem.kind == "Rot60" and got.n % 2:
+            looped["dropped"] += 1
+    assert kinds == {"Rot60": 8, "Rot120": 8, "Rot180": 358}
+    assert looped == {"partial matching": 192, "parity blocked": 5,
+                      "dropped": 3}
 
 
 def test_remove_loop_vertex_requires_one_loop():
@@ -375,7 +500,8 @@ def test_shared_structures_cannot_be_changed():
     g = dual_graph(holed_hexagon(3, 1, [1]))
     adj, comps, faces = g.rotations, g.components, g.faces
     assert adj is g.rotations and comps is g.components and faces is g.faces
-    assert g.face_count() == len(faces)
+    count, pairs = faces
+    assert g.face_count() == count
     for outer in (adj, comps, faces):
         assert type(outer) is tuple
         with pytest.raises(TypeError):
@@ -389,8 +515,9 @@ def test_shared_structures_cannot_be_changed():
             inner.add(g.n)
         with pytest.raises(AttributeError):
             inner.clear()
-    for cycle in faces:
-        assert type(cycle) is tuple and all(type(d) is tuple for d in cycle)
+    assert type(pairs) is tuple and all(type(p) is tuple for p in pairs)
+    with pytest.raises(TypeError):
+        pairs[0] = pairs[0]
     assert counting.count_matchings(g) == counting.count_tilings(
         holed_hexagon(3, 1, [1]))
 
@@ -447,12 +574,16 @@ def test_match_graph_rejects_malformed_input(name):
         MatchGraph(tags, edges, loops, rotations)
 
 
+def planar_k4():
+    """K4 embedded in the plane, with one loop."""
+    k4 = tuple((i, j, ONE) for i in range(4) for j in range(i + 1, 4))
+    return MatchGraph((0, 1, 2, 3), k4, ((1, Fraction(1, 2)),),
+                      ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)))
+
+
 def test_match_graph_accepts_what_it_checks():
     # the planar K4 embedding, and the same shapes as above made legal
-    k4 = tuple((i, j, ONE) for i in range(4) for j in range(i + 1, 4))
-    g = MatchGraph((0, 1, 2, 3), k4, ((1, Fraction(1, 2)),),
-                   ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)))
-    assert g.face_count() == 4
+    assert planar_k4().face_count() == 4
     MatchGraph((0, 1, 2), ((0, 1, Fraction(3)),), ((2, ONE),),
                ((1,), (0,), ()))
     # every graph carries its embedding: there is no default
