@@ -1,13 +1,15 @@
 """Cross-check the closed-form counts against independent routes.
 
-Three passes:
+Four passes:
 
 1. box counts against the graph engine at desk scale and on the
    hexagon ladder n = 4..20, then the pure permutation symmetry of the
    closed form at larger scale;
-2. the central counts of holed hexagons against rotation quotients of
+2. the rotation quotients of hexagon(n, n, n), n = 1..20, against the
+   classical product formulas for symmetric plane partitions;
+3. the central counts of holed hexagons against rotation quotients of
    the actual regions at desk scale;
-3. the square relations tying central counts to free-boundary counts,
+4. the square relations tying central counts to free-boundary counts,
    at a scale the graph engine cannot reach (formula vs formula).
 
 Exits 0 only if every comparison is an exact match.
@@ -17,6 +19,8 @@ import argparse
 import itertools
 import sys
 import time
+from fractions import Fraction
+from math import factorial
 
 from lozlab import (
     count_symmetric_tilings,
@@ -54,6 +58,53 @@ def pass_boxes() -> int:
         for perm in itertools.permutations((a, b, c)):
             if macmahon_box(*perm) != want:
                 print(f"  MISMATCH permuted box {perm}")
+                bad += 1
+    return bad
+
+
+def self_complementary(n: int) -> int:
+    """Rot180-invariant tilings of hexagon(n, n, n), n even: the square
+    of MacMahon's box count for the n/2-cube (Stanley)."""
+    m = n // 2
+    out = Fraction(1)
+    for i, j, k in itertools.product(range(1, m + 1), repeat=3):
+        out *= Fraction(i + j + k - 1, i + j + k - 2)
+    return int(out) ** 2
+
+
+def cyclically_symmetric(n: int) -> int:
+    """Rot120-invariant tilings of hexagon(n, n, n): cyclically
+    symmetric plane partitions in the n-cube (Andrews)."""
+    out = Fraction(1)
+    for i in range(1, n + 1):
+        out *= Fraction(3 * i - 1, 3 * i - 2)
+        for j in range(i, n + 1):
+            out *= Fraction(n + i + j - 1, 2 * i + j - 1)
+    return int(out)
+
+
+def asm_squared(n: int) -> int:
+    """Rot60-invariant tilings of hexagon(n, n, n), n even: A(n/2)**2,
+    with A counting alternating sign matrices (Kuperberg)."""
+    m = n // 2
+    out = Fraction(1)
+    for k in range(m):
+        out *= Fraction(factorial(3 * k + 1), factorial(m + k))
+    return int(out) ** 2
+
+
+def pass_quotients(top: int = 20) -> int:
+    bad = 0
+    for n in range(1, top + 1):
+        region = hexagon(n, n, n)
+        pairs = [("Rot120", cyclically_symmetric)]
+        if n % 2 == 0:
+            pairs += [("Rot180", self_complementary), ("Rot60", asm_squared)]
+        for kind, formula in pairs:
+            got = count_symmetric_tilings(region, (kind,), "quotient")
+            if got != formula(n):
+                print(f"  MISMATCH {kind} hexagon {n},{n},{n}: "
+                      f"formula {formula(n)} engine {got}")
                 bad += 1
     return bad
 
@@ -97,6 +148,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bad = 0
     for label, job in (("box counts", pass_boxes),
+                       ("rotation quotients", pass_quotients),
                        ("holed central counts", pass_holed_vs_engine),
                        ("square relations",
                         lambda: pass_squares(args.max_a))):

@@ -11,6 +11,10 @@ scaled to integers first.  One engine takes every determinant: one
 sparse elimination modulo a power of the Mersenne prime 2**61 - 1
 above twice the Hadamard bound, which certifies the result exact; a
 non-unit pivot retries with 2**89 - 1, 2**107 - 1, then 2**127 - 1.
+The elimination keeps its entries as small signed ints in (-m, m) and
+reduces one only when an update leaves that range; since an entry in
+that range is 0 mod m only when it is 0, the pivots and the residue
+are those of full reduction, and a +-1 entry stays one word wide.
 
 Loop conventions: a loop covers its own vertex and a matching may use
 it, so on a graph with an even vertex count a single loop is dead
@@ -236,12 +240,21 @@ def _det_mod(rows: list[dict[int, int]], n: int, m: int) -> int:
     """Determinant modulo m by sparse elimination.
 
     Columns are eliminated in order; the pivot is the candidate row with
-    the fewest entries, which keeps the fill-in low.  The determinant is
-    the product of the pivots times the sign of the row permutation.
-    Row operations with a unit pivot are valid modulo any m, prime or
-    not; a pivot that is not a unit mod m makes pow raise ValueError.
+    the fewest entries, the lowest index on a tie, which keeps the
+    fill-in low.  The determinant is the product of the pivots times the
+    sign of the row permutation.  Row operations with a unit pivot are
+    valid modulo any m, prime or not; a pivot that is not a unit mod m
+    makes pow raise ValueError.
+
+    Entries stay small signed ints in (-m, m), each congruent to its
+    fully reduced residue, and are reduced only when an update leaves
+    that range, so a -1 stays -1 rather than m - 1.  In that range an
+    entry is 0 mod m exactly when it is 0, so the zero pattern, the
+    pivots and the returned residue are those of full reduction.  A +-1
+    pivot is its own inverse and keeps the multipliers small.
     """
-    rows = [{j: v % m for j, v in r.items() if v % m} for r in rows]
+    rows = [{j: x for j, v in r.items() if (x := v if -m < v < m else v % m)}
+            for r in rows]
     rows_at: list[set[int]] = [set() for _ in range(n)]
     for i, r in enumerate(rows):
         for j in r:
@@ -251,19 +264,27 @@ def _det_mod(rows: list[dict[int, int]], n: int, m: int) -> int:
     for c in range(n):
         if not rows_at[c]:
             return 0
-        piv = min(rows_at[c], key=lambda i: (len(rows[i]), i))
+        piv = fewest = n + 1
+        for i in rows_at[c]:
+            k = len(rows[i])
+            if k < fewest or k == fewest and i < piv:
+                piv, fewest = i, k
         prow = rows[piv]
         for j in prow:
             rows_at[j].discard(piv)
         pivot_row[c] = piv
         pv = prow.pop(c)
         det = det * pv % m
-        inv = pow(pv, -1, m)
+        inv = pv if pv == 1 or pv == -1 else pow(pv, -1, m)
         for r in rows_at[c]:
             row = rows[r]
-            f = row.pop(c) * inv % m
+            f = row.pop(c) * inv
+            if not -m < f < m:
+                f %= m
             for j, v in prow.items():
-                x = (row.get(j, 0) - f * v) % m
+                x = row.get(j, 0) - f * v
+                if not -m < x < m:
+                    x %= m
                 if x:
                     if j not in row:
                         rows_at[j].add(r)

@@ -8,7 +8,7 @@ from math import factorial, prod
 
 import pytest
 
-from lozlab import cli, counting, duality
+from lozlab import check, cli, counting, duality
 from lozlab.counting import (
     count_matchings,
     count_matchings_oracle,
@@ -821,6 +821,11 @@ def test_det_exact_retries_on_a_pivot_sharing_a_prime(monkeypatch):
     # of p0, so one power of p1 certifies it on the retry
     assert counting._det_exact([{0: 3 * p0}], 1) == 3 * p0
     assert calls == [p0 ** 2, p1]
+    # the same with a negative entry, which is kept as it is, not as its
+    # residue, and still refused as a pivot
+    calls.clear()
+    assert counting._det_exact([{0: -3 * p0}], 1) == -3 * p0
+    assert calls == [p0 ** 2, p1]
     # the first pivot is p0 itself; the retry gives det = p0 - 1
     calls.clear()
     assert _det_exact([[p0, 1], [1, 1]]) == p0 - 1
@@ -860,6 +865,134 @@ def test_det_exact_matches_bareiss_on_random_matrices():
         multi_power += abs(want) >= 1 << 61
         negative += want < 0
     assert multi_power > 20 and negative > 50
+
+
+def _det_mod_reference(rows, n, m):
+    # the elimination with every entry fully reduced to [0, m), the
+    # reference for the kernel's small signed entries
+    rows = [{j: v % m for j, v in r.items() if v % m} for r in rows]
+    rows_at = [set() for _ in range(n)]
+    for i, r in enumerate(rows):
+        for j in r:
+            rows_at[j].add(i)
+    det = 1
+    pivot_row = [0] * n
+    for c in range(n):
+        if not rows_at[c]:
+            return 0
+        piv = min(rows_at[c], key=lambda i: (len(rows[i]), i))
+        prow = rows[piv]
+        for j in prow:
+            rows_at[j].discard(piv)
+        pivot_row[c] = piv
+        pv = prow.pop(c)
+        det = det * pv % m
+        inv = pow(pv, -1, m)
+        for r in rows_at[c]:
+            row = rows[r]
+            f = row.pop(c) * inv % m
+            for j, v in prow.items():
+                x = (row.get(j, 0) - f * v) % m
+                if x:
+                    if j not in row:
+                        rows_at[j].add(r)
+                    row[j] = x
+                elif j in row:
+                    del row[j]
+                    rows_at[j].discard(r)
+    seen = [False] * n
+    for c in range(n):
+        k = c
+        while not seen[k]:
+            seen[k] = True
+            k = pivot_row[k]
+            if k != c:
+                det = -det
+    return det % m
+
+
+def _same_det_mod(rows, n, m):
+    # both return the same residue, or both refuse a non-unit pivot
+    try:
+        want = _det_mod_reference(rows, n, m)
+    except ValueError:
+        with pytest.raises(ValueError):
+            counting._det_mod(rows, n, m)
+        return None
+    assert counting._det_mod(rows, n, m) == want, (rows, n, m)
+    return want
+
+
+def test_det_mod_matches_full_reduction_at_the_range_ends():
+    for p in (7, MERSENNE[0]):
+        for m in (p, p * p):
+            # the update -(m - 1) - 1 is exactly -m, so the column is
+            # empty: the determinant is 0 and -m must not become a pivot
+            assert _same_det_mod([{0: 1, 1: 1}, {0: 1, 1: 1 - m}], 2, m) == 0
+            # and (m - 1) + 1 is exactly m
+            assert _same_det_mod([{0: 1, 1: -1}, {0: 1, 1: m - 1}], 2, m) == 0
+            # a -1 pivot, its own inverse; a pivot of m - 1, which is -1
+            assert _same_det_mod([{0: -1, 1: 2}, {0: 3, 1: 4}], 2, m) == \
+                -10 % m
+            assert _same_det_mod([{0: m - 1, 1: 2}, {0: 3, 1: 4}], 2, m) == \
+                -10 % m
+            # entries outside (-m, m) come in reduced
+            assert _same_det_mod([{0: 3 * m + 1, 1: -2 * m}, {1: -m - 5}],
+                                 2, m) == m - 5
+        # a pivot divisible by p: given, or left by an update
+        p2 = p * p
+        assert _same_det_mod([{0: p}], 1, p2) is None
+        assert _same_det_mod([{0: -p}], 1, p2) is None
+        assert _same_det_mod([{0: 1, 1: 1}, {0: 1, 1: 1 + p}], 2, p2) is None
+
+
+def test_det_mod_matches_full_reduction_on_random_matrices():
+    rng = random.Random(20261019)
+    refused = 0
+    for trial in range(300):
+        p = (7, MERSENNE[0])[trial % 2]
+        m = p if trial % 4 < 2 else p * p
+        # entries near 0 and near +-m, so that updates leave (-m, m) and
+        # cancel to exactly +-m; multiples of p are non-units mod p**2
+        pool = [1, -1, 2, -2, m - 1, 1 - m, m - 2, 2 - m, p, -p]
+        n = rng.randrange(1, 9)
+        density = rng.choice((0.3, 0.6, 1.0))
+        rows = [{j: rng.choice(pool) if rng.random() < 0.7
+                 else rng.randint(1 - m, m - 1)
+                 for j in range(n) if rng.random() < density}
+                for _ in range(n)]
+        refused += _same_det_mod(rows, n, m) is None
+    assert refused > 10
+
+
+def test_det_mod_matches_full_reduction_on_the_ladder(monkeypatch):
+    # the Kasteleyn rows of the hexagon ladder, its rotation quotients
+    # and the product-formula identities at a = 4..6, b = 1, two holes
+    calls = []
+    det_mod = counting._det_mod
+
+    def recorded(rows, n, m):
+        calls.append((rows, n, m))
+        return det_mod(rows, n, m)
+
+    monkeypatch.setattr(counting, "_det_mod", recorded)
+    for n in range(4, 13):
+        count_tilings(hexagon(n, n, n))
+    for kinds, sizes in ((("Rot180", "Rot60"), (2, 4, 6, 8)),
+                         (("Rot120",), range(2, 9))):
+        for kind in kinds:
+            for n in sizes:
+                count_symmetric_tilings(hexagon(n, n, n), [kind], "quotient")
+    for a in (4, 5, 6):
+        for ks in combinations(range(1, a + 1), 2):
+            check("E3_5", {"a": a, "b": 1, "ks": ks})
+            check("E3_10", {"a": a, "b": 1, "ks": ks})
+        for ks in combinations(range(1, a), 2):
+            check("E3_13", {"a": a, "b": 1, "ks": ks, "x": 1})
+    monkeypatch.undo()
+    assert len(calls) > 100
+    for rows, n, m in calls:
+        assert _same_det_mod(rows, n, m) is not None
 
 
 def test_hexagon_counts_beyond_dense_elimination():
