@@ -51,6 +51,7 @@ from typing import Iterator, Sequence
 
 from .duality import (
     MatchGraph,
+    _cell_index,
     _cell_rotations,
     dual_graph,
     normalize_loops,
@@ -427,7 +428,8 @@ def _cell_moves(region: Region, perms) -> list[list[tuple[int, int]]]:
     only bucket from which the sweep can take it."""
     moves: list[list[tuple[int, int]]] = [[] for _ in region.cells]
     done: set[int] = set()
-    for k, rot in enumerate(_cell_rotations(region.cells)):
+    rotations = _cell_rotations(_cell_index(region.cells), region.cells)
+    for k, rot in enumerate(rotations):
         for j in rot:
             if j < k or (1 << k | 1 << j) in done:
                 continue

@@ -21,23 +21,23 @@ the image of cell k, and every consumer reads perm directly.  A cell is
 mapped by arithmetic on its tripled centroid, an integer point;
 the map is affine, so one cell and its three lattice neighbours check it
 once.  A group is closed by composing its generators with the newest
-elements.  One region adjacency, each cell's neighbours as indices in
-counterclockwise order, serves the dual graph, counting's cell search
-and the quotient, which is built from the element alone.  The quotient
-under a rotation identifies each orbit of cells to one vertex and reads
-that vertex off the orbit's least cell, in one pass over its
-neighbours; an orbit of edges whose endpoints fall into the same vertex
-orbit becomes a loop when a symmetric matching can use it.  Parallel
-edge orbits between the same pair of vertex orbits are merged into a
-single edge whose weight is the multiplicity, which leaves matching
-generating functions unchanged.
+elements.  One cell index keyed by (u, v) serves the symmetries, the
+dual graph, counting's cell search and the quotient, which is built from
+the element alone.  The quotient under a rotation identifies each orbit
+of cells to one vertex and reads that vertex off the neighbours of the
+orbit's least cell, the only ones it looks up; an orbit of edges whose
+endpoints fall into the same vertex orbit becomes a loop when a
+symmetric matching can use it.  Parallel edge orbits between the same
+pair of vertex orbits are merged into a single edge whose weight is the
+multiplicity, which leaves matching generating functions unchanged.
 
 factorization_split performs the axis surgery on a graph that is
 mirror-symmetric about a horizontal axis of vertices: every axis
 vertex's edge to the upper side is deleted and every edge joining two
 axis vertices has its weight halved.  The matching count of the input
 graph then equals 2**multiplier_log2 times the matching generating
-function of the surgered graph.
+function of the surgered graph, provided every axis vertex lies on an
+axis edge; a graph with an axis vertex on none is refused.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ from .lattice import (
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+# a cell has at most three neighbours, so a quotient weight is 1, 2 or 3
+_COUNTS = (None, ONE, Fraction(2), Fraction(3))
 
 
 class _MatchGraphFields(NamedTuple):
@@ -86,11 +88,15 @@ class MatchGraph(_MatchGraphFields):
         if any((i, j) >= (k, m)
                for (i, j, _), (k, m, _) in zip(self.edges, self.edges[1:])):
             raise ContractError("edges not sorted/unique")
+        # the edges are sorted, so each list comes out increasing
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         for i, j, w in self.edges:
             if not 0 <= i < j < n:
                 raise ContractError("bad edge endpoints (%r, %r)" % (i, j))
             if not (isinstance(w, Fraction) and w.numerator > 0):
                 raise ContractError("bad weight %r" % (w,))
+            nbrs[i].append(j)
+            nbrs[j].append(i)
         if any(u >= v for (u, _), (v, _) in zip(self.loops, self.loops[1:])):
             raise ContractError("loops not sorted/unique")
         for v, w in self.loops:
@@ -101,15 +107,15 @@ class MatchGraph(_MatchGraphFields):
         if len(self.rotations) != n:
             raise ContractError("rotation system has %d entries for %d "
                                 "vertices" % (len(self.rotations), n))
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for i, j, _ in self.edges:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
         for i, rot in enumerate(self.rotations):
+            try:
+                if sorted(rot) == nbrs[i]:
+                    continue
+            except TypeError:  # entries that do not compare
+                pass
             if len(rot) != len(set(rot)):
                 raise ContractError("repeated neighbor in rotation at %d" % i)
-            if set(rot) != nbrs[i]:
-                raise ContractError("rotation disagrees with edges at %d" % i)
+            raise ContractError("rotation disagrees with edges at %d" % i)
         v, e = n, len(self.edges)
         f, c = self.face_count(), len(self.components)
         if v - e + f != 2 * c:
@@ -172,27 +178,33 @@ class MatchGraph(_MatchGraphFields):
         start = [0]
         for rot in rots:
             start.append(start[-1] + len(rot))
-        succ = [0] * start[-1]
-        order = []
-        for i, rot in enumerate(rots):
-            for k, j in enumerate(rot):
-                # dart j -> i continues to the next neighbour after j in
-                # the cyclic order at i
-                d = start[j] + rots[j].index(i)
-                succ[d] = start[i] + (k + 1) % len(rot)
-                order.append(d)
-        # succ permutes the darts, so every walk closes where it began
+        # each edge's two darts, found once: opp reverses a dart, and
+        # forward[e] is the dart i -> j of edge e = (i, j)
+        opp = [0] * start[-1]
+        forward = []
+        for i, j, _ in self.edges:
+            d, r = start[i] + rots[i].index(j), start[j] + rots[j].index(i)
+            opp[d], opp[r] = r, d
+            forward.append(d)
+        # dart j -> i continues to the next neighbour after j in the
+        # cyclic order at i
+        succ = [0] * len(opp)
+        for s, t in zip(start, start[1:]):
+            for d in range(s, t - 1):
+                succ[opp[d]] = d + 1
+            if t > s:
+                succ[opp[t - 1]] = s
+        # succ permutes the darts, so every walk closes where it began;
+        # opp lists the darts into vertex 0, then into vertex 1, ...
         face = [-1] * len(succ)
         count = 0
-        for d in order:
+        for d in opp:
             if face[d] < 0:
                 while face[d] < 0:
                     face[d] = count
                     d = succ[d]
                 count += 1
-        return count, tuple((face[start[i] + rots[i].index(j)],
-                             face[start[j] + rots[j].index(i)])
-                            for i, j, _ in self.edges)
+        return count, tuple([(face[d], face[opp[d]]) for d in forward])
 
 
 def graph_text(g: MatchGraph) -> str:
@@ -209,18 +221,24 @@ def graph_text(g: MatchGraph) -> str:
 # dual graphs
 
 
-def _cell_rotations(cells: Sequence[TriCell]) -> tuple[tuple[int, ...], ...]:
-    """The region adjacency: each cell's neighbours among the sorted
-    cells, as indices in counterclockwise order."""
-    index = {c: i for i, c in enumerate(cells)}
+def _cell_index(cells: Sequence[TriCell]) -> dict[tuple[int, int], int]:
+    """Each cell's index among the sorted cells, keyed by its (u, v): in
+    a region the parity of u + v fixes the orientation."""
+    return {(u, v): k for k, (u, v, _) in enumerate(cells)}
+
+
+def _cell_rotations(index: dict[tuple[int, int], int],
+                    cells: Iterable[TriCell]) -> tuple[tuple[int, ...], ...]:
+    """For each of the given cells, the indices of its neighbours in the
+    indexed region, in counterclockwise order."""
+    get = index.get
     rotations = []
     for u, v, orient in cells:
-        # plain tuples hash and compare like the TriCells they spell
         if orient == UP:
-            ccw = ((u, v + 1, DOWN), (u - 1, v, DOWN), (u, v - 1, DOWN))
+            ks = (get((u, v + 1)), get((u - 1, v)), get((u, v - 1)))
         else:
-            ccw = ((u + 1, v, UP), (u, v + 1, UP), (u, v - 1, UP))
-        rotations.append(tuple(index[d] for d in ccw if d in index))
+            ks = (get((u + 1, v)), get((u, v + 1)), get((u, v - 1)))
+        rotations.append(tuple([k for k in ks if k is not None]))
     return tuple(rotations)
 
 
@@ -230,7 +248,7 @@ def dual_graph(region: Region) -> MatchGraph:
     Free boundary edges do not contribute edges here; they matter only
     to the free-boundary counting routines.
     """
-    rotations = _cell_rotations(region.cells)
+    rotations = _cell_rotations(_cell_index(region.cells), region.cells)
     edges = sorted((i, j, ONE) for i, rot in enumerate(rotations)
                    for j in rot if j > i)
     return MatchGraph(tuple(region.cells), tuple(edges), (), rotations)
@@ -249,10 +267,6 @@ class SymmetryElement(NamedTuple):
     kind: str
     cells: tuple[TriCell, ...]
     perm: tuple[int, ...]
-
-    @property
-    def mapping(self) -> dict[TriCell, TriCell]:
-        return dict(zip(self.cells, map(self.cells.__getitem__, self.perm)))
 
 
 def _point_map(kind: str, cx2: int, cy2: int):
@@ -307,7 +321,7 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
     # tripling the center keeps every condition _point_map checks on it
     pmap = _point_map(kind, 3 * (xmin + xmax), 3 * (ymin + ymax))
     cells = region.cells
-    index = {c: k for k, c in enumerate(cells)}
+    get = _cell_index(cells).get
     perm = []
     for cell in cells:
         x, y = pmap(_centroid3(cell))
@@ -320,13 +334,12 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
         if (u + v + r) % 2:
             raise SymmetryAbsentError(
                 "%s does not preserve the lattice on %s" % (kind, region.family))
-        # plain tuples hash and compare like the TriCells they spell
-        image = (u, v, UP if r == 1 else DOWN)
-        if image not in index:
+        k = get((u, v))
+        if k is None:
             raise SymmetryAbsentError(
                 "%s does not map the region to itself (cell %r -> %r)"
-                % (kind, tuple(cell), image))
-        perm.append(index[image])
+                % (kind, tuple(cell), (u, v, UP if r == 1 else DOWN)))
+        perm.append(k)
     if len(set(perm)) != len(perm):
         raise ContractError("%s is not injective" % (kind,))
     if ({pmap(_centroid3(nb)) for nb in cell_neighbors(cells[0])}
@@ -404,7 +417,6 @@ def quotient_graph(elem: SymmetryElement) -> MatchGraph:
         raise ContractError(
             "quotient requires a rotation generator, got %r" % (elem.kind,))
     cells, perm = elem.cells, elem.perm
-    adjacency = _cell_rotations(cells)
     orbits: list[list[int]] = []
     orbit_of = [-1] * len(cells)
     for start in range(len(cells)):
@@ -430,15 +442,19 @@ def quotient_graph(elem: SymmetryElement) -> MatchGraph:
     edges: list[tuple[int, int, Fraction]] = []
     loops: list[tuple[int, Fraction]] = []
     rotations = []
-    for o, orbit in enumerate(orbits):
-        nbs = [orbit_of[c] for c in adjacency[orbit[0]]]
+    adjacency = _cell_rotations(_cell_index(cells),
+                                [cells[orbit[0]] for orbit in orbits])
+    for o, (orbit, adjacent) in enumerate(zip(orbits, adjacency)):
+        nbs = [orbit_of[c] for c in adjacent]
         rot = tuple(dict.fromkeys(q for q in nbs if q != o))
         rotations.append(rot)
-        edges += [(o, q, Fraction(nbs.count(q))) for q in sorted(rot) if q > o]
-        ts = [orbit.index(c) for c in adjacency[orbit[0]] if orbit_of[c] == o]
-        k = sum(1 for t in ts if 2 * t == m or (2 * t < m and n_q % 2 == 0))
-        if k:
-            loops.append((o, Fraction(k)))
+        edges += [(o, q, _COUNTS[nbs.count(q)]) for q in sorted(rot) if q > o]
+        if o in nbs:
+            ts = [orbit.index(c) for c in adjacent if orbit_of[c] == o]
+            k = sum(1 for t in ts
+                    if 2 * t == m or (2 * t < m and n_q % 2 == 0))
+            if k:
+                loops.append((o, _COUNTS[k]))
     return MatchGraph(tags, tuple(edges), tuple(loops), tuple(rotations))
 
 
@@ -527,7 +543,9 @@ def factorization_split(g: MatchGraph, axis: SymmetryElement) -> FactorSplit:
     loses its edge to the upper side and every edge between two fixed
     vertices has its weight halved; the count of matchings of g equals
     2**(number of halved edges) times the matching generating function
-    of the result.
+    of the result.  That holds when every fixed vertex lies on an axis
+    edge; one on none raises ContractError, since cutting above it can
+    miscount (Ciucu's theorem cuts above and below in turn).
     """
     if g.loops:
         raise ContractError(
@@ -544,13 +562,19 @@ def factorization_split(g: MatchGraph, axis: SymmetryElement) -> FactorSplit:
     # halve each axis pair, drop each axis vertex's edge to the upper side
     edges = []
     halved = 0
+    paired = set()
     for i, j, w in g.edges:
         fi, fj = sigma[i] == i, sigma[j] == j
         if fi and fj:
             edges.append((i, j, w * HALF))
             halved += 1
+            paired.update((i, j))
         elif not (fi or fj) or row[j if fi else i] <= level:
             edges.append((i, j, w))
+    lone = [i for i, s in enumerate(sigma) if s == i and i not in paired]
+    if lone:
+        raise ContractError("axis vertex %d lies on no axis edge, so the "
+                            "split need not keep the count" % lone[0])
     kept = {d for i, j, _ in edges for d in ((i, j), (j, i))}
     rotations = tuple(tuple(x for x in rot if (i, x) in kept)
                       for i, rot in enumerate(g.rotations))

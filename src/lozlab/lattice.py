@@ -167,7 +167,7 @@ class Region(_RegionFields):
 
     def __new__(cls, family, params, cells, free_edges=()):
         self = super().__new__(cls, family, params, cells, free_edges)
-        if list(self.cells) != sorted(set(self.cells)):
+        if any(a >= b for a, b in zip(self.cells, self.cells[1:])):
             raise ContractError("cells not sorted/unique")
         if not all(cell_ok(c) for c in self.cells):
             raise ContractError("malformed cell")
@@ -212,7 +212,10 @@ def region_corner_bounds(r: Region) -> tuple[int, int, int, int]:
 
     Either orientation of cell (u, v) has corners in columns u and u + 1
     and rows v - 1 .. v + 1, so the bounds follow from those of u and v.
+    An empty region has none: ContractError.
     """
+    if not r.cells:
+        raise ContractError("an empty region has no corner bounds")
     us = [c.u for c in r.cells]
     vs = [c.v for c in r.cells]
     return (min(us), max(us) + 1, min(vs) - 1, max(vs) + 1)

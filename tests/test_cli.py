@@ -285,6 +285,16 @@ def test_split_refuses_a_half_turn_centre_on_an_edge(capsys):
     assert "midpoint of a lattice edge" in err
 
 
+@pytest.mark.parametrize("a,c", [(1, 1), (3, 5), (5, 3)])
+def test_split_refuses_an_axis_vertex_on_no_axis_edge(capsys, a, c):
+    # with a and c odd an axis vertex of the central quotient has no
+    # axis partner, so the cut above every axis vertex is not proven
+    code, out, err = run(capsys, "split", "--family", "hexagon",
+                         "--a", str(a), "--b", str(a), "--c", str(c))
+    assert (code, out) == (2, "")
+    assert "lies on no axis edge" in err and "Traceback" not in err
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     script = ("import sys, lozlab.cli; "
               "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")

@@ -37,7 +37,8 @@ from lozlab.formulas import d_count, macmahon_box
 from lozlab.lattice import (cell_neighbors, cored_hexagon, d_region, hexagon,
                            holed_hexagon, rbar_region)
 from test_duality import (axis_pair_dual_graph, corpus_regions,
-                          corpus_rotations, planar_k4, traced_faces)
+                          corpus_rotations, mapping, planar_k4,
+                          traced_faces)
 
 
 def test_six_cycle_has_two_matchings():
@@ -489,7 +490,7 @@ def _set_filter_count(region, group):
     """Reference: the filter that checks every element, the identity
     too, against a set of each tiling's pairs."""
     g = dual_graph(region)
-    perms = [[g.tags.index(e.mapping[c]) for c in g.tags] for e in group]
+    perms = [[g.tags.index(m[c]) for c in g.tags] for m in map(mapping, group)]
     count = 0
     for matching in enumerate_matchings(g):
         mset = set(matching)
@@ -553,7 +554,7 @@ def test_cell_moves_are_the_reference_moves_that_can_fire():
     dead = 0
     for region, group in cases:
         new = counting._cell_moves(region, [e.perm for e in group])
-        old = _every_cell_moves(region, [e.mapping for e in group])
+        old = _every_cell_moves(region, [mapping(e) for e in group])
         for p, (got, want) in enumerate(zip(new, old)):
             live = [m for m in want if m[0] & -m[0] == 1 << p]
             assert sorted(got) == sorted(live), (region.params, p)

@@ -1,11 +1,13 @@
 """Dual graphs, symmetries, quotients, axis factorization."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -112,10 +114,17 @@ def test_faces_partition_the_darts():
                           for i, j, _ in g.edges)
 
 
+def mapping(e):
+    """Reference for perm: the element as a dict from each cell to its
+    image."""
+    return dict(zip(e.cells, map(e.cells.__getitem__, e.perm)))
+
+
 def _order(e):
-    n, current = 1, dict(e.mapping)
+    step = mapping(e)
+    n, current = 1, dict(step)
     while any(c != d for c, d in current.items()):
-        current = {c: e.mapping[d] for c, d in current.items()}
+        current = {c: step[d] for c, d in current.items()}
         n += 1
     return n
 
@@ -149,10 +158,10 @@ def test_dihedral_relations():
     r180 = symmetry(r, "Rot180")
     refh = symmetry(r, "ReflH")
     refv = symmetry(r, "ReflV")
-    assert compose(r60, r60).mapping == r120.mapping
-    assert compose(r60, r120).mapping == r180.mapping
-    assert compose(refh, refv).mapping == r180.mapping
-    assert compose(r180, r180).mapping == identity_element(r).mapping
+    assert mapping(compose(r60, r60)) == mapping(r120)
+    assert mapping(compose(r60, r120)) == mapping(r180)
+    assert mapping(compose(refh, refv)) == mapping(r180)
+    assert mapping(compose(r180, r180)) == mapping(identity_element(r))
 
 
 def test_elements_are_permutations_of_the_cell_indices():
@@ -162,7 +171,6 @@ def test_elements_are_permutations_of_the_cell_indices():
     for f in group:
         assert sorted(f.perm) == list(range(24))
         assert f.cells is r.cells
-        assert f.mapping == {c: r.cells[k] for c, k in zip(r.cells, f.perm)}
         for g in group:
             assert compose(f, g).perm == tuple(f.perm[k] for k in g.perm)
 
@@ -238,10 +246,11 @@ def corpus_regions():
     return regions
 
 
-def corpus_rotations():
-    """Every Rot60, Rot120 and Rot180 of the corpus regions."""
+def corpus_rotations(regions=None):
+    """Every Rot60, Rot120 and Rot180 of the regions, by default the
+    corpus regions."""
     elems = []
-    for region in corpus_regions():
+    for region in regions or corpus_regions():
         for kind in ("Rot60", "Rot120", "Rot180"):
             try:
                 elems.append(symmetry(region, kind))
@@ -250,12 +259,66 @@ def corpus_rotations():
     return elems
 
 
+def tricell_rotations(cells):
+    """Reference for the (u, v) cell index: the region adjacency read
+    off a dict keyed by whole cells."""
+    index = {c: i for i, c in enumerate(cells)}
+    rotations = []
+    for u, v, orient in cells:
+        if orient == "U":
+            ccw = ((u, v + 1, "D"), (u - 1, v, "D"), (u, v - 1, "D"))
+        else:
+            ccw = ((u + 1, v, "U"), (u, v + 1, "U"), (u, v - 1, "U"))
+        # plain tuples hash and compare like the TriCells they spell
+        rotations.append(tuple(index[d] for d in ccw if d in index))
+    return tuple(rotations)
+
+
+def _reference_dual_graph(region):
+    """Reference for dual_graph, on the whole-cell index."""
+    rotations = tricell_rotations(region.cells)
+    edges = sorted((i, j, ONE) for i, rot in enumerate(rotations)
+                   for j in rot if j > i)
+    return MatchGraph(region.cells, tuple(edges), (), rotations)
+
+
+def _full_adjacency_quotient(elem):
+    """Reference for quotient_graph: the adjacency of every cell is
+    built, and each orbit reads its least cell's row."""
+    cells, perm = elem.cells, elem.perm
+    adjacency = tricell_rotations(cells)
+    orbits, orbit_of = [], [-1] * len(cells)
+    for start in range(len(cells)):
+        if orbit_of[start] < 0:
+            orbit, cur = [start], perm[start]
+            while cur != start:
+                orbit.append(cur)
+                cur = perm[cur]
+            for v in orbit:
+                orbit_of[v] = len(orbits)
+            orbits.append(orbit)
+    m = len(orbits[0])
+    tags = tuple(tuple(cells[v] for v in sorted(o)) for o in orbits)
+    edges, loops, rotations = [], [], []
+    for o, orbit in enumerate(orbits):
+        nbs = [orbit_of[c] for c in adjacency[orbit[0]]]
+        rot = tuple(dict.fromkeys(q for q in nbs if q != o))
+        rotations.append(rot)
+        edges += [(o, q, Fraction(nbs.count(q))) for q in sorted(rot) if q > o]
+        ts = [orbit.index(c) for c in adjacency[orbit[0]] if orbit_of[c] == o]
+        k = sum(1 for t in ts
+                if 2 * t == m or (2 * t < m and len(orbits) % 2 == 0))
+        if k:
+            loops.append((o, Fraction(k)))
+    return MatchGraph(tags, tuple(edges), tuple(loops), tuple(rotations))
+
+
 def _orbit_walk_quotient(elem):
     """Reference for quotient_graph: every edge orbit is walked once,
     marked edge by edge in a set of cell pairs, and counted where the
     walk starts; the rotations come in a second pass."""
     cells, perm = elem.cells, elem.perm
-    adjacency = duality._cell_rotations(cells)
+    adjacency = tricell_rotations(cells)
     orbits, orbit_of = [], [-1] * len(cells)
     for start in range(len(cells)):
         if orbit_of[start] < 0:
@@ -318,6 +381,106 @@ def test_quotient_matches_the_edge_orbit_walk():
     assert kinds == {"Rot60": 8, "Rot120": 8, "Rot180": 358}
     assert looped == {"partial matching": 192, "parity blocked": 5,
                       "dropped": 3}
+
+
+def reference_corpus():
+    """The corpus regions with hexagon(n, n, n) up to n = 12 and the d
+    regions up to a = 4, and every Rot60, Rot120 and Rot180 of them."""
+    regions = corpus_regions()
+    regions += [hexagon(n, n, n) for n in range(7, 13)]
+    regions += [d_region(a, b, eps, is_) for a in range(1, 5) for b in (1, 2)
+                for eps in (-1, 0) for is_ in ((), tuple(range(1, a + 1)))]
+    return regions, corpus_rotations(regions)
+
+
+def reference_faces(g):
+    """g.faces as the tuple-dart trace numbers them."""
+    faces = traced_faces(g)
+    face_of = {d: f for f, cycle in enumerate(faces) for d in cycle}
+    return len(faces), tuple((face_of[(i, j)], face_of[(j, i)])
+                             for i, j, _ in g.edges)
+
+
+def test_graph_layers_match_the_tricell_references():
+    # the (u, v) index, the quotient's least-cell rows and the face trace
+    # against the whole-cell index, the full adjacency and tuple darts
+    regions, elems = reference_corpus()
+    pairs = [(dual_graph(r), _reference_dual_graph(r)) for r in regions]
+    pairs += [(quotient_graph(e), _full_adjacency_quotient(e)) for e in elems]
+    assert (len(regions), len(elems)) == (396, 394)
+    for got, want in pairs:
+        assert got == want and graph_text(got) == graph_text(want)
+        faces = reference_faces(want)
+        assert got.faces == faces
+        flips = counting._kasteleyn_orientation(SimpleNamespace(faces=faces))
+        assert counting._kasteleyn_orientation(got) == flips
+
+
+def _set_rotation_check(g):
+    """Reference for the rotation check: the first vertex whose rotation
+    repeats a neighbour or differs from its edges as a set."""
+    nbrs = [set() for _ in range(len(g.rotations))]
+    for i, j, _ in g.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    for i, rot in enumerate(g.rotations):
+        if len(rot) != len(set(rot)):
+            return "repeated neighbor in rotation at %d" % i
+        if set(rot) != nbrs[i]:
+            return "rotation disagrees with edges at %d" % i
+    return None
+
+
+def _rotation_mutants(g, rng):
+    """Rotation systems of g with one vertex's rotation reordered,
+    shortened, repeated, padded or redirected."""
+    for _ in range(12):
+        rots = [list(rot) for rot in g.rotations]
+        v = rng.randrange(g.n)
+        rot = rots[v]
+        how = rng.randrange(6)
+        if how == 0 and len(rot) > 1:
+            i, j = rng.sample(range(len(rot)), 2)
+            rot[i], rot[j] = rot[j], rot[i]
+        elif how == 1 and rot:
+            del rot[rng.randrange(len(rot))]
+        elif how == 2 and rot:
+            rot.insert(rng.randrange(len(rot) + 1), rng.choice(rot))
+        elif how == 3:
+            rot.append(rng.randrange(g.n))
+        elif how == 4 and rot:
+            rot[rng.randrange(len(rot))] = rng.randrange(g.n)
+        elif how == 5:
+            rot.append("x")
+        yield tuple(map(tuple, rots))
+
+
+def test_rotation_check_matches_the_set_reference():
+    rng = random.Random(21)
+    regions, elems = reference_corpus()
+    graphs = [dual_graph(r) for r in regions[::9]]
+    graphs += [quotient_graph(e) for e in elems[::9]] + [planar_k4()]
+    refused = 0
+    for g in graphs:
+        for rotations in _rotation_mutants(g, rng):
+            want = _set_rotation_check(SimpleNamespace(
+                edges=g.edges, rotations=rotations))
+            try:
+                MatchGraph(g.tags, g.edges, g.loops, rotations)
+            except ContractError as exc:
+                got = str(exc)
+            else:
+                got = None
+            if want is None:
+                assert got is None or got.startswith("embedding not planar")
+            else:
+                assert got == want
+                refused += 1
+    for tags, edges, loops, rotations, fragment in MALFORMED.values():
+        if fragment.startswith(("repeated neighbor", "rotation disagrees")):
+            assert _set_rotation_check(SimpleNamespace(
+                edges=edges, rotations=rotations)) == fragment
+    assert refused > 100
 
 
 def test_remove_loop_vertex_requires_one_loop():
@@ -416,28 +579,117 @@ def _split_cases():
 
 
 def test_central_axis_split_keeps_the_quotient_count():
-    refused = []
+    refused = {"midpoint of a lattice edge": [], "lies on no axis edge": []}
     for region in _split_cases():
         try:
             split, loop_weight = central_axis_split(region)
         except SymmetryAbsentError:
             continue  # no horizontal mirror
         except ContractError as exc:
-            assert "midpoint of a lattice edge" in str(exc)
-            refused.append(region.params)
+            reason, = (r for r in refused if r in str(exc))
+            refused[reason].append(region.params)
             continue
         q = quotient_graph(symmetry(region, "Rot180"))
         assert (loop_weight * 2 ** split.multiplier_log2
                 * counting.mgf(split.subgraph)
                 == counting.count_matchings(q)), region.params
     # a even and c odd: the half-turn centre is the midpoint of an edge,
-    # so the quotient is even and keeps a dead-weight loop
-    assert refused == [hexagon(a, a, c).params
-                       for a, c in ((2, 1), (2, 3), (4, 1), (4, 3))]
+    # so the quotient is even and keeps a dead-weight loop; a and c odd:
+    # an axis vertex has no axis partner, and the split is not proven
+    assert refused == {
+        "midpoint of a lattice edge": [
+            hexagon(a, a, c).params for a, c in ((2, 1), (2, 3), (4, 1), (4, 3))],
+        "lies on no axis edge": [
+            hexagon(a, a, c).params for a, c in ((1, 1), (1, 3), (3, 1), (3, 3))]}
     for a, c in ((2, 1), (4, 3)):
         r = hexagon(a, a, c)
         q = quotient_graph(symmetry(r, "Rot180"))
         assert q.n % 2 == 0 and len(q.loops) == 1
+
+
+def _lone_axis_regions():
+    """Two regions whose axis has a vertex on no axis edge: hexagon(3, 3,
+    2) less two vertical triples, split on its dual graph, and
+    hexagon(4, 4, 2) less four, split on its central quotient."""
+    def less(region, drop):
+        return Region("hand", (), tuple(c for c in region.cells
+                                        if c not in drop))
+    dual = less(hexagon(3, 3, 2), {cell_at(u, v) for u in (0, 5)
+                                   for v in (-3, -2, -1)})
+    central = less(hexagon(4, 4, 2), {cell_at(u, v) for u in (0, 3, 4, 7)
+                                      for v in (-3, -2, -1)})
+    return dual, central
+
+
+def test_split_refuses_an_axis_vertex_on_no_axis_edge():
+    # cutting above every axis vertex gave 3 for the first (6 matchings)
+    # and 1 for the second (a quotient with 2)
+    dual, central = _lone_axis_regions()
+    assert counting.count_tilings(dual) == 6
+    assert counting.count_matchings(
+        quotient_graph(symmetry(central, "Rot180"))) == 2
+    with pytest.raises(ContractError, match="lies on no axis edge"):
+        factorization_split(dual_graph(dual), symmetry(dual, "ReflH"))
+    with pytest.raises(ContractError, match="lies on no axis edge"):
+        central_axis_split(central)
+
+
+def _split_identity_cases(rng, count):
+    """Seeded mirror-symmetric regions: hexagon(a, a, c) less the orbits
+    of one to three random lozenges, under ReflH or under Rot180 and
+    ReflH, with the kind of split each is checked by.  A region whose
+    corner box differs from its hexagon's is skipped, since its
+    symmetries would have another centre."""
+    while count:
+        a, c = rng.randint(1, 4), rng.randint(1, 4)
+        hexa = hexagon(a, a, c)
+        central = rng.random() < 0.5
+        group = symmetry_group(hexa, ("Rot180", "ReflH") if central
+                               else ("ReflH",))
+        rotations = dual_graph(hexa).rotations
+        gone = set()
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(hexa.cells))
+            j = rng.choice(rotations[k])
+            gone.update(p for e in group for p in (e.perm[k], e.perm[j]))
+        region = Region("hand", (), tuple(
+            c for i, c in enumerate(hexa.cells) if i not in gone))
+        if (region.cells and region_corner_bounds(region)
+                == region_corner_bounds(hexa)):
+            count -= 1
+            yield central, region
+
+
+def test_split_keeps_the_count_wherever_it_returns():
+    outcomes = {"dual": 0, "central": 0, "refused": 0}
+    for central, region in _split_identity_cases(random.Random(8), 400):
+        try:
+            if central:
+                split, weight = central_axis_split(region)
+                want = counting.count_matchings(
+                    quotient_graph(symmetry(region, "Rot180")))
+            else:
+                g = dual_graph(region)
+                split = factorization_split(g, symmetry(region, "ReflH"))
+                weight, want = 1, counting.count_matchings(g)
+        except (ContractError, SymmetryAbsentError):
+            outcomes["refused"] += 1
+            continue
+        assert (weight * 2 ** split.multiplier_log2
+                * counting.mgf(split.subgraph) == want), region.cells
+        outcomes["central" if central else "dual"] += 1
+    # refused: lone axis vertices, and loops kept by central quotients
+    assert outcomes == {"dual": 81, "central": 75, "refused": 244}
+
+
+def test_empty_region_has_no_symmetry():
+    empty = Region("hand", (), ())
+    assert counting.count_tilings(empty) == 1
+    for call in (lambda: symmetry(empty, "Rot180"),
+                 lambda: counting.count_symmetric_tilings(empty, ["ReflH"])):
+        with pytest.raises(ContractError,
+                           match="an empty region has no corner bounds"):
+            call()
 
 
 def test_records_are_read_only_tuples():
@@ -671,6 +923,9 @@ HAND_BUILT = {
                                   "axis map not an involution"),
     "split with a tilted axis": (lambda: _split_on("Identity"),
                                  "axis vertices not at a single height"),
+    "split with a lone axis vertex": (
+        lambda: central_axis_split(_lone_axis_regions()[1]),
+        "lies on no axis edge"),
     "split orbit twice below": (
         lambda: split_dual_region(_hand_split((cell_at(0, 0), cell_at(1, 0)),
                                               (cell_at(0, 2),))),
@@ -786,7 +1041,7 @@ def test_symmetry_matches_the_corner_reference():
     for region in regions:
         for kind in KINDS:
             want = _outcome(_corner_symmetry, region, kind)
-            got = _outcome(lambda r, k: symmetry(r, k).mapping, region, kind)
+            got = _outcome(lambda r, k: mapping(symmetry(r, k)), region, kind)
             assert got == want, (region.family, region.params, kind)
             seen[want[0]] += 1
     assert seen == {"map": 490, "absent": 578}
@@ -822,15 +1077,15 @@ def test_every_symmetry_is_an_automorphism_cell_by_cell():
         have = region.cell_set
         for kind in KINDS:
             try:
-                mapping = symmetry(region, kind).mapping
+                image = mapping(symmetry(region, kind))
             except SymmetryAbsentError:
                 continue
-            assert len(set(mapping.values())) == len(mapping)
+            assert len(set(image.values())) == len(image)
             for cell in region.cells:
-                image_nbrs = cell_neighbors(mapping[cell])
+                image_nbrs = cell_neighbors(image[cell])
                 for nb in cell_neighbors(cell):
                     if nb in have:
-                        assert mapping[nb] in image_nbrs
+                        assert image[nb] in image_nbrs
             maps += 1
     assert maps == 490
 
@@ -838,18 +1093,18 @@ def test_every_symmetry_is_an_automorphism_cell_by_cell():
 def _all_pairs_group(region, kinds):
     """Reference: the closure that composes every pair of elements each
     round, elements keyed by their set of (cell, image) pairs."""
-    elems = {frozenset(identity_element(region).mapping.items()):
+    elems = {frozenset(mapping(identity_element(region)).items()):
              identity_element(region)}
     for kind in kinds:
         e = symmetry(region, kind)
-        elems.setdefault(frozenset(e.mapping.items()), e)
+        elems.setdefault(frozenset(mapping(e).items()), e)
     while True:
         new = {}
         items = list(elems.values())
         for f in items:
             for g in items:
                 h = compose(f, g)
-                k = frozenset(h.mapping.items())
+                k = frozenset(mapping(h).items())
                 if k not in elems and k not in new:
                     new[k] = h
         if not new:
@@ -872,12 +1127,12 @@ def test_symmetry_group_matches_the_all_pairs_closure():
                 continue
             got = symmetry_group(region, kinds)
             assert len(got) == len(want)
-            assert ({tuple(e.mapping[c] for c in region.cells) for e in got}
-                    == {tuple(e.mapping[c] for c in region.cells)
+            assert ({tuple(mapping(e)[c] for c in region.cells) for e in got}
+                    == {tuple(mapping(e)[c] for c in region.cells)
                         for e in want})
             # the identity and the named generators lead, in order
-            named = [(e.kind, e.mapping) for e in want if "*" not in e.kind]
-            assert [(e.kind, e.mapping) for e in got[:len(named)]] == named
+            named = [(e.kind, mapping(e)) for e in want if "*" not in e.kind]
+            assert [(e.kind, mapping(e)) for e in got[:len(named)]] == named
             sizes[(region.family, region.params, kinds)] = len(got)
     assert sizes[("Hexagon", (("a", 3), ("b", 3), ("c", 3)),
                   ("Rot60", "ReflH"))] == 12

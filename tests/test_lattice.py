@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import permutations
@@ -11,7 +12,8 @@ import pytest
 
 import lozlab
 from lozlab.duality import central_axis_split, dual_graph, split_dual_region
-from lozlab.errors import FormatError, HoleCollisionError, ParameterError
+from lozlab.errors import (ContractError, FormatError, HoleCollisionError,
+                           ParameterError)
 from lozlab.lattice import (
     DOWN,
     UP,
@@ -142,6 +144,30 @@ def test_free_edge_not_on_the_boundary_is_rejected(edge, inside):
     doc["free_edges"] = [[list(edge[0]), list(edge[1])]]
     with pytest.raises(FormatError):
         deserialize_region(json.dumps(doc).encode("utf-8"))
+
+
+def test_region_order_check_matches_the_set_reference():
+    # the pairwise order check refuses exactly what a comparison with
+    # sorted(set(cells)) refused, with the same text
+    rng = random.Random(5)
+    refused = 0
+    for base in (hexagon(2, 3, 1).cells, holed_hexagon(4, 1, [2]).cells):
+        for _ in range(60):
+            cells = list(base)
+            i, j = rng.randrange(len(cells)), rng.randrange(len(cells))
+            if rng.random() < 0.5:
+                cells[i], cells[j] = cells[j], cells[i]
+            else:
+                cells.insert(i, cells[j])
+            want = list(cells) != sorted(set(cells))
+            try:
+                Region("hand", (), tuple(cells))
+            except ContractError as exc:
+                assert want and str(exc) == "cells not sorted/unique"
+                refused += 1
+            else:
+                assert not want
+    assert refused > 60
 
 
 def test_adjacency_is_symmetric_and_shares_an_edge():
