@@ -142,53 +142,59 @@ def count_matchings_oracle(g: MatchGraph) -> int:
     return _as_count(mgf_oracle(g))
 
 
-def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect matchings as sorted tuples of vertex pairs.
+def _matchings(g: MatchGraph) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
+    """Each perfect matching as the search's live mate array, mate[v]
+    being v's partner, and its list of pairs (v, u), v < u, the v
+    increasing; both change in place once the search moves on.
 
-    The least uncovered vertex is matched to each uncovered neighbor in
-    increasing order, depth first.  The search keeps an explicit stack
-    of (vertex, next neighbor index) frames, so its depth is not bound
-    by the interpreter's recursion limit.  Each frame pushed is one
-    partial matching, a search state counted against SEARCH_STATE_CAP.
+    The least uncovered vertex v is matched to each uncovered neighbour
+    above it in increasing order, depth first; every neighbour below v
+    is already covered.  The search keeps an explicit stack of (vertex,
+    neighbour iterator) frames, so its depth is not bound by the
+    interpreter's recursion limit.  Each frame pushed is one partial
+    matching, a search state counted against SEARCH_STATE_CAP.
     """
     if g.loops:
         raise ContractError("enumeration needs a loopless graph")
     n = g.n
-    if n == 0:
-        yield ()
-        return
-    adj = [sorted(rot) for rot in g.rotations]
-    covered = [False] * n
+    mate = [-1] * n
     pairs: list[tuple[int, int]] = []
-    stack = [[0, 0]]
+    if n == 0:
+        yield mate, pairs
+        return
+    above = [sorted(u for u in rot if u > v) for v, rot in enumerate(g.rotations)]
+    stack = [(0, iter(above[0]))]
     states = 1
     while stack:
-        frame = stack[-1]
-        v, i = frame
-        if len(pairs) == len(stack):
-            _, u = pairs.pop()
-            covered[v] = covered[u] = False
-        nbrs = adj[v]
-        while i < len(nbrs) and covered[nbrs[i]]:
-            i += 1
-        if i == len(nbrs):
+        v, nbrs = stack[-1]
+        u = mate[v]
+        if u >= 0:  # the frame's last pair, undone
+            mate[u] = mate[v] = -1
+            pairs.pop()
+        for u in nbrs:
+            if mate[u] < 0:
+                break
+        else:
             stack.pop()
             continue
-        u = nbrs[i]
-        frame[1] = i + 1
-        covered[v] = covered[u] = True
+        mate[v], mate[u] = u, v
         pairs.append((v, u))
+        if 2 * len(pairs) == n:
+            yield mate, pairs
+            continue
         w = v + 1
-        while w < n and covered[w]:
+        while mate[w] >= 0:
             w += 1
-        if w == n:
-            # v < u in every pair, and the v increase down the stack
-            yield tuple(pairs)
-        else:
-            states += 1
-            if states > SEARCH_STATE_CAP:
-                raise _over_budget()
-            stack.append([w, 0])
+        states += 1
+        if states > SEARCH_STATE_CAP:
+            raise _over_budget()
+        stack.append((w, iter(above[w])))
+
+
+def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All perfect matchings as sorted tuples of vertex pairs, in the
+    order and under the state cap of the search in _matchings."""
+    return (tuple(pairs) for _, pairs in _matchings(g))
 
 
 # ---------------------------------------------------------------------
@@ -464,16 +470,12 @@ def _filter_count(region: Region, groups) -> list[int]:
     """Tilings fixed by each group, from one enumeration of the region:
     a tiling counts for a group when every element but the identity,
     which symmetry_group puts first, sends each of its pairs to a pair,
-    read off a mate array filled once per tiling."""
-    g = dual_graph(region)
+    read off the enumeration's live mate array."""
     perms = [[e.perm for e in group[1:]] for group in groups]
-    mate = [0] * g.n
     counts = [0] * len(perms)
-    for matching in enumerate_matchings(g):
-        for i, j in matching:
-            mate[i], mate[j] = j, i
+    for mate, pairs in _matchings(dual_graph(region)):
         for k, ps in enumerate(perms):
-            counts[k] += all(mate[p[i]] == p[j] for p in ps for i, j in matching)
+            counts[k] += all(mate[p[i]] == p[j] for p in ps for i, j in pairs)
     return counts
 
 
@@ -501,10 +503,8 @@ def count_symmetric_tilings(region: Region, kinds: Sequence[str],
         kind = _ROTATION_OF_ORDER[len(group)]
         if kind == "Identity":
             return count_tilings(region)
-        # a group named by other rotations holds its generator unnamed
-        gen = (next((e for e in group if e.kind == kind), None)
-               or symmetry(region, kind))
-        return count_matchings(quotient_graph(gen))
+        # the region keeps each element: a named generator is not rebuilt
+        return count_matchings(quotient_graph(symmetry(region, kind)))
     if method == "orbit":
         return _sweep(_cell_moves(region, [e.perm for e in group]))
     if method == "filter":

@@ -316,7 +316,10 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
     itself.  The point map is affine, so one cell whose three lattice
     neighbours go to those of its image makes the map an automorphism;
     that and injectivity are checked once, a failure raising ContractError.
+    The region keeps the element; a refusal is not kept and raises again.
     """
+    if kind in region._symmetries:
+        return region._symmetries[kind]
     xmin, xmax, ymin, ymax = region_corner_bounds(region)
     # tripling the center keeps every condition _point_map checks on it
     pmap = _point_map(kind, 3 * (xmin + xmax), 3 * (ymin + ymax))
@@ -345,7 +348,8 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
     if ({pmap(_centroid3(nb)) for nb in cell_neighbors(cells[0])}
             != {_centroid3(nb) for nb in cell_neighbors(cells[perm[0]])}):
         raise ContractError("%s is not a graph automorphism" % (kind,))
-    return SymmetryElement(kind, cells, tuple(perm))
+    elem = region._symmetries[kind] = SymmetryElement(kind, cells, tuple(perm))
+    return elem
 
 
 def compose(f: SymmetryElement, g: SymmetryElement) -> SymmetryElement:
@@ -417,6 +421,8 @@ def quotient_graph(elem: SymmetryElement) -> MatchGraph:
         raise ContractError(
             "quotient requires a rotation generator, got %r" % (elem.kind,))
     cells, perm = elem.cells, elem.perm
+    if not cells:
+        raise ContractError("an element with no cells has no quotient")
     orbits: list[list[int]] = []
     orbit_of = [-1] * len(cells)
     for start in range(len(cells)):
@@ -600,6 +606,8 @@ def split_dual_region(split: FactorSplit) -> Region:
     """Redraw the surgered graph as a region: every vertex keeps the
     orbit member on or below the axis (on the axis: the western one)."""
     vs = [c.v for t in split.subgraph.tags for c in tag_cells(t)]
+    if not vs:
+        raise ContractError("an empty split has no axis")
     lvl2 = min(vs) + max(vs)
     cells = []
     for t in split.subgraph.tags:

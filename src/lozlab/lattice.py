@@ -160,10 +160,9 @@ class Region(_RegionFields):
     repeated or malformed cells raise ContractError.  Free edges are
     checked edge by edge on construction: each must be a lattice edge
     (endpoints in sorted order) with exactly one bordering cell in the
-    region, else ParameterError.
+    region, else ParameterError.  A region keeps the symmetry elements
+    built from it, which ==, hash and serialization do not read.
     """
-
-    __slots__ = ()
 
     def __new__(cls, family, params, cells, free_edges=()):
         self = super().__new__(cls, family, params, cells, free_edges)
@@ -172,12 +171,17 @@ class Region(_RegionFields):
         if not all(cell_ok(c) for c in self.cells):
             raise ContractError("malformed cell")
         self.free_cell_map()  # raises ParameterError for a bad free edge
+        self.__dict__["_symmetries"] = {}  # duality.symmetry's, by kind
         return self
 
     @classmethod
     def _make(cls, iterable):
         # _replace builds its copy here, so a copy passes the checks too
         return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        # __new__ puts the symmetry memo into the instance __dict__ directly
+        raise AttributeError("Region is immutable")
 
     @property
     def cell_set(self) -> frozenset[TriCell]:

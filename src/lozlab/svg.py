@@ -129,6 +129,8 @@ def region_svg(region: Region,
                tiling: Iterable[Pair] | None = None,
                graph: MatchGraph | None = None) -> str:
     """Render a region, optionally overlaying a tiling or a graph."""
+    if not region.cells:
+        raise ContractError("an empty region has nothing to draw")
     holes = _ambient_holes(region)
     corner_pool = [p for c in list(region.cells) + list(holes)
                    for p in cell_corners(c)]

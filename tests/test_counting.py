@@ -273,6 +273,101 @@ def test_enumerate_matchings_keeps_the_recursive_order():
     assert list(enumerate_matchings(empty)) == [()]
 
 
+def _parent_enumerate_matchings(g):
+    """Reference: the enumerator before it kept a mate array, reading the
+    cap and its error from counting, so a patched cap applies to it too."""
+    if g.loops:
+        raise ContractError("enumeration needs a loopless graph")
+    n = g.n
+    if n == 0:
+        yield ()
+        return
+    adj = [sorted(rot) for rot in g.rotations]
+    covered = [False] * n
+    pairs = []
+    stack = [[0, 0]]
+    states = 1
+    while stack:
+        frame = stack[-1]
+        v, i = frame
+        if len(pairs) == len(stack):
+            _, u = pairs.pop()
+            covered[v] = covered[u] = False
+        nbrs = adj[v]
+        while i < len(nbrs) and covered[nbrs[i]]:
+            i += 1
+        if i == len(nbrs):
+            stack.pop()
+            continue
+        u = nbrs[i]
+        frame[1] = i + 1
+        covered[v] = covered[u] = True
+        pairs.append((v, u))
+        w = v + 1
+        while w < n and covered[w]:
+            w += 1
+        if w == n:
+            yield tuple(pairs)
+        else:
+            states += 1
+            if states > counting.SEARCH_STATE_CAP:
+                raise counting._over_budget()
+            stack.append([w, 0])
+
+
+def _until_cap(matchings):
+    """The matchings a search yields, and whether it then met the cap."""
+    out = []
+    try:
+        for m in matchings:
+            out.append(m)
+    except BudgetError:
+        return out, True
+    return out, False
+
+
+def test_enumeration_core_matches_the_parent_enumerator(monkeypatch):
+    graphs = [dual_graph(hexagon(a, b, c))
+              for a, b, c in product(range(1, 4), repeat=3)]
+    graphs += [dual_graph(holed_hexagon(a, b, ks)) for a, b, ks in (
+        (2, 1, []), (2, 1, [1]), (3, 1, [1]), (4, 1, [1]), (4, 1, [2]),
+        (4, 1, [1, 2]), (3, 2, [1]))]
+    graphs += [dual_graph(d_region(a, b, eps, is_)) for a, b, eps, is_ in (
+        (1, 1, -1, [1]), (2, 1, -1, [1, 2]), (2, 1, 0, [2]), (3, 2, 0, [1, 2, 3]),
+        (3, 1, -1, [2, 3]))]
+    graphs += [MatchGraph((), (), (), ()),
+               MatchGraph((0,), (), (), ((),)),
+               MatchGraph((0, 1, 2), ((0, 1, Fraction(1)),), (), ((1,), (0,), ())),
+               MatchGraph((0, 1, 2, 3), ((1, 2, Fraction(1)),), (),
+                          ((), (2,), (1,), ()))]
+    states, top = [], counting.SEARCH_STATE_CAP
+    for g in graphs:
+        # the least cap the reference finishes under is its state count
+        lo, hi = 1, top
+        while lo < hi:
+            mid = (lo + hi) // 2
+            monkeypatch.setattr(counting, "SEARCH_STATE_CAP", mid)
+            if _until_cap(_parent_enumerate_matchings(g))[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        states.append(lo)
+        for cap in sorted({lo, lo - 1, lo // 2} - {0}):
+            monkeypatch.setattr(counting, "SEARCH_STATE_CAP", cap)
+            want = _until_cap(_parent_enumerate_matchings(g))
+            assert want[1] == (cap < lo)
+            assert _until_cap(enumerate_matchings(g)) == want, (g.tags, cap)
+        # the live mate array holds the partners of each yielded matching
+        monkeypatch.setattr(counting, "SEARCH_STATE_CAP", lo)
+        for mate, pairs in counting._matchings(g):
+            partner = [-1] * g.n
+            for v, u in pairs:
+                partner[v], partner[u] = u, v
+            assert mate == partner
+    # hexagon(3, 3, 3), the filter route's entry in CAP_BOUNDARIES
+    assert states[26] == 8436
+
+
 def test_mgf_of_folded_bottom_half():
     g = axis_pair_dual_graph(rbar_region([], [1], 1))
     assert mgf(g) == Fraction(2)

@@ -16,6 +16,7 @@ from lozlab import counting, duality
 from lozlab.duality import (
     FactorSplit,
     MatchGraph,
+    SymmetryElement,
     central_axis_split,
     compose,
     dual_graph,
@@ -43,6 +44,7 @@ from lozlab.lattice import (
     holed_hexagon,
     rbar_region,
     region_corner_bounds,
+    serialize_region,
 )
 from lozlab.svg import region_svg
 from lozlab.verify import check, default_grid, sweep
@@ -710,6 +712,30 @@ def test_records_are_read_only_tuples():
     assert counting.count_matchings(g) == 260
 
 
+def test_a_region_builds_each_symmetry_element_once():
+    region = holed_hexagon(4, 1, [2])
+    blob, key = serialize_region(region), hash(region)
+    elem = symmetry(region, "Rot180")
+    assert symmetry(region, "Rot180") is elem
+    assert symmetry_group(region, ["Rot180"])[1] is elem
+    # an equal region, new or copied, builds its own
+    for other in (holed_hexagon(4, 1, [2]), region._replace(),
+                  Region(*region)):
+        again = symmetry(other, "Rot180")
+        assert other == region and again == elem and again is not elem
+    # a refusal is not kept: it raises again, with the same text
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SymmetryAbsentError) as refused:
+            symmetry(region, "Rot60")
+        texts.append(str(refused.value))
+    assert texts[0] == texts[1]
+    assert region == holed_hexagon(4, 1, [2]) and hash(region) == key
+    assert serialize_region(region) == blob
+    with pytest.raises(AttributeError):
+        region.note = "x"
+
+
 def test_split_rejects_foreign_axis():
     g = dual_graph(hexagon(1, 2, 1))
     axis = symmetry(hexagon(1, 1, 2), "ReflH")
@@ -946,6 +972,13 @@ HAND_BUILT = {
     "region copy with cells unsorted": (
         lambda: hexagon(1, 1, 1)._replace(cells=hexagon(1, 1, 1).cells[::-1]),
         "cells not sorted/unique"),
+    "quotient of an element with no cells": (
+        lambda: quotient_graph(SymmetryElement("Rot180", (), ())),
+        "an element with no cells has no quotient"),
+    "split with no vertices": (lambda: split_dual_region(_hand_split()),
+                               "an empty split has no axis"),
+    "svg of an empty region": (lambda: region_svg(Region("X", (), ())),
+                               "an empty region has nothing to draw"),
     "graph copy with a bad rotation": (
         lambda: dual_graph(hexagon(1, 1, 1))._replace(rotations=((),) * 6),
         "rotation disagrees with edges at 0"),

@@ -238,14 +238,15 @@ def test_i1_9_verifies_at_a4_b1():
 
 
 def test_both_mirror_counts_share_one_enumeration(monkeypatch):
+    # the filter reads the enumeration core, not the tuple wrapper
     calls = []
-    enumerate_matchings = counting.enumerate_matchings
+    matchings = counting._matchings
 
     def counted(g):
         calls.append(g.n)
-        return enumerate_matchings(g)
+        return matchings(g)
 
-    monkeypatch.setattr(counting, "enumerate_matchings", counted)
+    monkeypatch.setattr(counting, "_matchings", counted)
     for identity_id, params in (("I1_9", {"a": 2, "b": 2}),
                                 ("FOUR_CLASS", {"eq": 1, "a": 2, "b": 1}),
                                 ("I1_11", {"a": 1})):
