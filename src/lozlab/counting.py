@@ -357,38 +357,18 @@ def _kasteleyn_rows(edges, orient, scale: int, row_of: dict[int, int],
     return rows
 
 
-def _two_color(g: MatchGraph) -> list[int] | None:
-    """A 0/1 colour per vertex with every edge joining two colours, each
-    component's least vertex coloured 0; None when there is an odd
-    cycle."""
-    color = [-1] * g.n
-    for root in range(g.n):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in g.rotations[v]:
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
-    return color
-
-
 def count_matchings_pfaffian(g: MatchGraph) -> Fraction:
     """Weighted perfect matching count from the planar embedding, by
-    one determinant for the whole graph; a single loop on an even graph
-    is dead weight and is ignored."""
+    one determinant for the whole graph: the biadjacency determinant
+    when the graph's walk two-colours it, else the skew one.  A single
+    loop on an even graph is dead weight and is ignored."""
     if len(g.loops) > 1 or (g.loops and g.n % 2):
         raise ContractError("normalize loops before determinant counting")
     if g.n % 2:
         return ZERO
     orient = _kasteleyn_orientation(g)
     scale = lcm(*[w.denominator for _, _, w in g.edges]) if g.edges else 1
-    color = _two_color(g)
+    _, color = g.walk
     if color is not None:
         # a component with unequal colour classes makes this singular
         us = [v for v in range(g.n) if color[v] == 0]

@@ -9,11 +9,13 @@ fixes a planar embedding.  Every graph has one, and it is the graph's
 adjacency: nothing else lists a vertex's neighbours.  Edge weights are
 exact fractions; loops are stored separately from ordinary edges and
 never take part in the rotation system.  A graph is checked when it is
-built, and its derived structures (connected components, the face
-trace of the embedding) are computed at most once per graph.  The face
-trace runs once on integer darts, offsets into the rotation lists; the
-Euler check reads its face count and the Kasteleyn orientation the
-faces on either side of each edge.
+built, and its derived structures (the walk, the face trace of the
+embedding) are computed at most once per graph.  The walk is one
+breadth-first pass that numbers the components and two-colours the
+vertices; the Euler check reads its component count and the
+determinant its colouring.  The face trace runs once on integer darts,
+offsets into the rotation lists; the Euler check reads its face count
+and the Kasteleyn orientation the faces on either side of each edge.
 
 A symmetry of a region is a permutation perm of the indices of its
 sorted cells, the dual graph's vertex numbering: perm[k] is the index of
@@ -77,7 +79,8 @@ class MatchGraph(_MatchGraphFields):
     order.  The constructor checks its input: sorted unique tags, edges
     and loops, endpoints in range, positive Fraction weights, a rotation
     system that lists exactly each vertex's neighbours, and Euler's
-    formula for the embedding.  A violation raises ContractError.
+    formula for the embedding, whose component count it reads off the
+    walk.  A violation raises ContractError.
     """
 
     def __new__(cls, tags, edges, loops, rotations):
@@ -117,7 +120,7 @@ class MatchGraph(_MatchGraphFields):
                 raise ContractError("repeated neighbor in rotation at %d" % i)
             raise ContractError("rotation disagrees with edges at %d" % i)
         v, e = n, len(self.edges)
-        f, c = self.face_count(), len(self.components)
+        f, c = self.face_count(), max(self.walk[0], default=-1) + 1
         if v - e + f != 2 * c:
             raise ContractError("embedding not planar: V=%d E=%d F=%d C=%d"
                                 % (v, e, f, c))
@@ -147,22 +150,31 @@ class MatchGraph(_MatchGraphFields):
     # -- derived structures, computed once per graph -------------------
 
     @cached_property
-    def components(self) -> tuple[frozenset[int], ...]:
-        """The vertex sets of the connected components."""
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
+    def walk(self) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+        """One breadth-first walk from each least unvisited vertex: each
+        vertex's component number, and a 0/1 colour per vertex with each
+        component's least vertex coloured 0, None when an edge joins two
+        equal colours."""
+        component = [-1] * self.n
+        color = [0] * self.n
+        bipartite = True
+        count = 0
+        for root in range(self.n):
+            if component[root] >= 0:
                 continue
-            seen[start] = True
-            comp = [start]
-            for v in comp:  # comp grows as it is walked
+            component[root] = count
+            queue = [root]
+            for v in queue:  # queue grows as it is walked
+                other = 1 - color[v]
                 for m in self.rotations[v]:
-                    if not seen[m]:
-                        seen[m] = True
-                        comp.append(m)
-            out.append(frozenset(comp))
-        return tuple(out)
+                    if component[m] < 0:
+                        component[m] = count
+                        color[m] = other
+                        queue.append(m)
+                    elif color[m] != other:
+                        bipartite = False
+            count += 1
+        return tuple(component), tuple(color) if bipartite else None
 
     @cached_property
     def faces(self) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -256,9 +268,6 @@ def dual_graph(region: Region) -> MatchGraph:
 
 # ---------------------------------------------------------------------
 # symmetries
-
-KINDS = ("Identity", "Rot60", "Rot120", "Rot180", "ReflH", "ReflV")
-
 
 class SymmetryElement(NamedTuple):
     """A permutation of one region's cells (shared, not copied), with the
@@ -519,8 +528,14 @@ class FactorSplit(NamedTuple):
 
 def tag_cells(tag) -> tuple[TriCell, ...]:
     """The cells a vertex tag names: a dual graph tags a vertex with its
-    cell, a quotient with the sorted tuple of its orbit's cells."""
-    return (tag,) if isinstance(tag, TriCell) else tuple(tag)
+    cell, a quotient with the sorted tuple of its orbit's cells.  Any
+    other tag raises ContractError."""
+    if isinstance(tag, TriCell):
+        return (tag,)
+    if (isinstance(tag, tuple) and tag
+            and all(isinstance(c, TriCell) for c in tag)):
+        return tag
+    raise ContractError("vertex tag %r names no cells" % (tag,))
 
 
 def _vertex_action(g: MatchGraph, elem: SymmetryElement) -> list[int]:

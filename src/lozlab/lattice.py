@@ -437,13 +437,15 @@ def rbar_region(l, q, base: int) -> Region:
 # ---------------------------------------------------------------------
 # serialization (schema version 1)
 
-_FAMILY_PARAMS = {
-    "Hexagon": ("a", "b", "c"),
-    "HoledHexagon": ("a", "b", "ks"),
-    "CoredHexagon": ("a", "b", "ks", "x"),
-    "DRegion": ("a", "b", "eps", "is"),
-    "RBarRegion": ("l", "q", "base"),
-    "SplitDual": (),
+# each family's builder and its parameters in the builder's order; a
+# "SplitDual" document has no builder and is taken as it stands
+_FAMILIES = {
+    "Hexagon": (hexagon, ("a", "b", "c")),
+    "HoledHexagon": (holed_hexagon, ("a", "b", "ks")),
+    "CoredHexagon": (cored_hexagon, ("a", "b", "ks", "x")),
+    "DRegion": (d_region, ("a", "b", "eps", "is")),
+    "RBarRegion": (rbar_region, ("l", "q", "base")),
+    "SplitDual": (None, ()),
 }
 
 # the parameters, in any family or identity, whose value is an integer list
@@ -487,24 +489,18 @@ def deserialize_region(data: bytes) -> Region:
     if doc["v"] != 1:
         _fail(data, '"v"', "unsupported schema version %r" % (doc["v"],))
     family = doc["family"]
-    if family not in _FAMILY_PARAMS:
+    if family not in _FAMILIES:
         _fail(data, '"family"', "unknown family %r" % (family,))
     raw_params = doc["params"]
     if not isinstance(raw_params, dict):
         _fail(data, '"params"', "params must be an object")
     params = []
-    for key in _FAMILY_PARAMS[family]:
+    build, keys = _FAMILIES[family]
+    for key in keys:
         if key not in raw_params:
             _fail(data, '"params"', "missing parameter %r for %s" % (key, family))
         value = raw_params[key]
-        if key in LIST_PARAMS:
-            if not isinstance(value, list) or not all(_is_int(x) for x in value):
-                _fail(data, '"%s"' % key, "parameter %r must be an integer list" % key)
-            params.append((key, tuple(value)))
-        else:
-            if not _is_int(value):
-                _fail(data, '"%s"' % key, "parameter %r must be an integer" % key)
-            params.append((key, value))
+        params.append((key, tuple(value) if isinstance(value, list) else value))
     if not isinstance(doc["cells"], list):
         _fail(data, '"cells"', "cells must be a list")
     cells = []
@@ -536,7 +532,14 @@ def deserialize_region(data: bytes) -> Region:
             _fail(data, json.dumps(item, separators=(",", ":")),
                   "free edge endpoints out of order in %r" % (item,))
         free_edges.append(e)
+    # the document's own cells are checked first, then the family's
+    # builder refuses ill-typed parameters and builds the region again
     try:
-        return Region(family, tuple(params), tuple(cells), tuple(free_edges))
+        region = Region(family, tuple(params), tuple(cells), tuple(free_edges))
+        built = build(*[value for _, value in params]) if build else region
     except ParameterError as exc:
         raise FormatError("inconsistent region document: %s" % exc, offset=0)
+    if built != region:
+        _fail(data, '"cells"', "inconsistent region document: it is not "
+              "the region %s builds from its parameters" % family)
+    return region

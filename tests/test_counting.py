@@ -36,7 +36,7 @@ from lozlab.errors import BudgetError, ContractError, SymmetryAbsentError
 from lozlab.formulas import d_count, macmahon_box
 from lozlab.lattice import (cell_neighbors, cored_hexagon, d_region, hexagon,
                            holed_hexagon, rbar_region)
-from test_duality import (axis_pair_dual_graph, corpus_regions,
+from test_duality import (_split_cases, axis_pair_dual_graph, corpus_regions,
                           corpus_rotations, mapping, planar_k4,
                           traced_faces)
 
@@ -788,15 +788,15 @@ def test_one_determinant_counts_a_graph_with_mixed_components(monkeypatch):
     bip = dual_graph(hexagon(1, 1, 2))
     r = hexagon(2, 2, 2)
     quo = quotient_graph(symmetry(r, "Rot180"))
-    assert counting._two_color(bip) is not None
-    assert counting._two_color(quo) is None and not quo.loops
+    assert bip.walk[1] is not None
+    assert quo.walk[1] is None and not quo.loops
     parts = count_matchings_pfaffian(bip) * count_matchings_pfaffian(quo)
     assert parts == mgf_oracle(bip) * mgf_oracle(quo) == 3 * 4
     calls = _count_det_mod_calls(monkeypatch)
     rng = random.Random(13)
     for g in (_disjoint_union((bip, quo), rng),
               _disjoint_union((quo, bip), rng)):
-        assert len(g.components) == 2 and counting._two_color(g) is None
+        assert set(g.walk[0]) == {0, 1} and g.walk[1] is None
         calls.clear()
         assert count_matchings_pfaffian(g) == parts == mgf_oracle(g)
         assert len(calls) == 1
@@ -806,11 +806,95 @@ def test_one_determinant_counts_a_graph_with_mixed_components(monkeypatch):
                        tuple((i, j, Fraction(1))
                              for i, j in ((0, 1), (1, 2), (3, 4), (3, 5))),
                        (), ((1,), (0, 2), (1,), (4, 5), (3,), (3,)))
-    color = counting._two_color(paths)
+    _, color = paths.walk
     assert color.count(0) == color.count(1) == 3
     calls.clear()
     assert count_matchings_pfaffian(paths) == 0 == mgf_oracle(paths)
     assert len(calls) == 1
+
+
+# references: the two walks that MatchGraph.walk replaced, the component
+# sets MatchGraph.components built and counting._two_color's colouring
+
+
+def _components_reference(g):
+    seen = [False] * g.n
+    out = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for v in comp:  # comp grows as it is walked
+            for m in g.rotations[v]:
+                if not seen[m]:
+                    seen[m] = True
+                    comp.append(m)
+        out.append(frozenset(comp))
+    return tuple(out)
+
+
+def _two_color_reference(g):
+    color = [-1] * g.n
+    for root in range(g.n):
+        if color[root] >= 0:
+            continue
+        color[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u in g.rotations[v]:
+                if color[u] < 0:
+                    color[u] = 1 - color[v]
+                    stack.append(u)
+                elif color[u] == color[v]:
+                    return None
+    return color
+
+
+def _walk_corpus():
+    graphs = _oracle_reference_graphs()
+    graphs += [dual_graph(r) for r in corpus_regions()]
+    graphs += [quotient_graph(elem) for elem in corpus_rotations()]
+    for region in _split_cases():
+        for split in (lambda: central_axis_split(region)[0],
+                      lambda: factorization_split(
+                          dual_graph(region), symmetry(region, "ReflH"))):
+            try:
+                graphs.append(split().subgraph)
+            except (ContractError, SymmetryAbsentError):
+                pass
+    one = Fraction(1)
+    graphs += [
+        MatchGraph((), (), (), ()),
+        MatchGraph((0, 1, 2), (), (), ((),) * 3),
+        # a triangle beside a path, and a path beside a triangle
+        MatchGraph(tuple(range(5)),
+                   ((0, 1, one), (0, 2, one), (1, 2, one), (3, 4, one)), (),
+                   ((1, 2), (2, 0), (0, 1), (4,), (3,))),
+        MatchGraph(tuple(range(6)),
+                   ((0, 1, one), (2, 3, one), (2, 4, one), (3, 4, one)), (),
+                   ((1,), (0,), (3, 4), (4, 2), (2, 3), ())),
+    ]
+    return graphs
+
+
+def test_walk_numbers_and_colours_as_the_two_walks_did():
+    seen = {"graphs": 0, "disconnected": 0, "odd": 0, "both": 0}
+    for g in _walk_corpus():
+        component, color = g.walk
+        count = max(component, default=-1) + 1
+        parts = tuple(frozenset(v for v in range(g.n) if component[v] == k)
+                      for k in range(count))
+        assert parts == _components_reference(g), g.tags[:3]
+        reference = _two_color_reference(g)
+        assert color == (None if reference is None else tuple(reference))
+        seen["graphs"] += 1
+        seen["disconnected"] += count > 1
+        seen["odd"] += color is None
+        seen["both"] += count > 1 and color is None
+    assert seen == {"graphs": 1019, "disconnected": 168, "odd": 347,
+                    "both": 2}
 
 
 def _even_faces(g):
@@ -818,8 +902,8 @@ def _even_faces(g):
     darts, with an even number of edges oriented along the trace."""
     orient = counting._kasteleyn_orientation(g)
     forward = {(i, j) if o else (j, i) for (i, j, _), o in zip(g.edges, orient)}
-    component = {v: k for k, comp in enumerate(g.components) for v in comp}
-    even = [0] * len(g.components)
+    component, _ = g.walk
+    even = [0] * len(set(component))
     for cycle in traced_faces(g):
         if sum(d in forward for d in cycle) % 2 == 0:
             even[component[cycle[0][0]]] += 1
@@ -1124,6 +1208,6 @@ def test_rotation_quotient_counts_match_product_formulas():
         q, _ = counting.normalize_loops(quotient_graph(symmetry(r, "Rot60")))
         # the quotient keeps its dead-weight loop, which the determinant
         # ignores; it is not bipartite, so the skew route runs
-        assert counting._two_color(q) is None
+        assert q.walk[1] is None
         assert count_symmetric_tilings(r, ["Rot60"], "quotient") == \
             _asm(n // 2) ** 2, n

@@ -706,7 +706,7 @@ def test_records_are_read_only_tuples():
             with pytest.raises(AttributeError):
                 setattr(record, field, getattr(record, field))
     g = records[1]
-    for name in ("rotations", "components", "faces"):
+    for name in ("rotations", "walk", "faces"):
         with pytest.raises(AttributeError):
             setattr(g, name, ())
     assert counting.count_matchings(g) == 260
@@ -776,23 +776,23 @@ def test_graph_text_format():
 
 def test_shared_structures_cannot_be_changed():
     g = dual_graph(holed_hexagon(3, 1, [1]))
-    adj, comps, faces = g.rotations, g.components, g.faces
-    assert adj is g.rotations and comps is g.components and faces is g.faces
+    adj, walk, faces = g.rotations, g.walk, g.faces
+    assert adj is g.rotations and walk is g.walk and faces is g.faces
     count, pairs = faces
     assert g.face_count() == count
-    for outer in (adj, comps, faces):
+    for outer in (adj, walk, faces):
         assert type(outer) is tuple
         with pytest.raises(TypeError):
             outer[0] = outer[0]
         with pytest.raises(AttributeError):
             outer.append(outer[0])
     assert all(type(inner) is tuple for inner in adj)
-    for inner in comps:
-        assert type(inner) is frozenset
+    for inner in walk:
+        assert type(inner) is tuple
+        with pytest.raises(TypeError):
+            inner[0] = inner[0]
         with pytest.raises(AttributeError):
-            inner.add(g.n)
-        with pytest.raises(AttributeError):
-            inner.clear()
+            inner.append(inner[0])
     assert type(pairs) is tuple and all(type(p) is tuple for p in pairs)
     with pytest.raises(TypeError):
         pairs[0] = pairs[0]
@@ -903,6 +903,11 @@ def _hand_split(*tags):
                                   ((),) * len(tags)), 0)
 
 
+def _int_tagged():
+    """A valid graph, one edge, whose vertex tags are ints, not cells."""
+    return MatchGraph((0, 1), ((0, 1, Fraction(1)),), (), ((1,), (0,)))
+
+
 def _svg_with_distant_pair():
     r = hexagon(1, 1, 1)
     c = r.cells[0]
@@ -979,10 +984,29 @@ HAND_BUILT = {
                                "an empty split has no axis"),
     "svg of an empty region": (lambda: region_svg(Region("X", (), ())),
                                "an empty region has nothing to draw"),
+    "split of a graph tagged with ints": (
+        lambda: factorization_split(_int_tagged(),
+                                    symmetry(hexagon(1, 1, 1), "ReflH")),
+        "vertex tag 0 names no cells"),
+    "split region of a graph tagged with ints": (
+        lambda: split_dual_region(FactorSplit(_int_tagged(), 0)),
+        "vertex tag 0 names no cells"),
+    "svg of a graph tagged with ints": (
+        lambda: region_svg(hexagon(1, 1, 1), graph=_int_tagged()),
+        "vertex tag 0 names no cells"),
     "graph copy with a bad rotation": (
         lambda: dual_graph(hexagon(1, 1, 1))._replace(rotations=((),) * 6),
         "rotation disagrees with edges at 0"),
 }
+
+
+def test_tag_cells_reads_cells_and_refuses_other_tags():
+    cells = hexagon(1, 1, 1).cells
+    assert tag_cells(cells[0]) == (cells[0],)
+    assert tag_cells(cells[:2]) == cells[:2]
+    for tag in (0, (), "ab", (cells[0], 1), (tuple(cells[0]),)):
+        with pytest.raises(ContractError, match="names no cells"):
+            tag_cells(tag)
 
 
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))

@@ -182,7 +182,7 @@ def test_adjacency_is_symmetric_and_shares_an_edge():
 
 
 def _connected(region):
-    return len(dual_graph(region).components) == 1
+    return len(set(dual_graph(region).walk[0])) == 1
 
 
 def test_hexagon_counts():
@@ -359,6 +359,56 @@ def test_serialization_roundtrip():
         assert deserialize_region(blob) == r
         # byte determinism
         assert serialize_region(deserialize_region(blob)) == blob
+
+
+def test_deserialize_refuses_cells_its_parameters_do_not_build():
+    # the six cells of hexagon(1, 1, 1) under holed-hexagon parameters
+    doc = json.loads(serialize_region(hexagon(1, 1, 1)))
+    doc["family"] = "HoledHexagon"
+    for params, fragment in (
+            ({"a": 3, "b": 1, "ks": []}, "not the region HoledHexagon builds"),
+            ({"a": 0, "b": 1, "ks": []}, "a must be an integer >= 1"),
+            ({"a": 3, "b": 1, "ks": [5]}, "ks must be strictly increasing")):
+        doc["params"] = params
+        with pytest.raises(FormatError, match=fragment):
+            deserialize_region(json.dumps(doc).encode("utf-8"))
+    # a quarter region that drops one of its free edges
+    doc = json.loads(serialize_region(d_region(2, 1, -1, [1])))
+    doc["free_edges"] = doc["free_edges"][1:]
+    with pytest.raises(FormatError, match="not the region DRegion builds"):
+        deserialize_region(json.dumps(doc).encode("utf-8"))
+    # a split region has no builder: any cells are taken as they stand
+    doc = json.loads(serialize_region(hexagon(1, 1, 1)))
+    doc["family"], doc["params"] = "SplitDual", {}
+    region = deserialize_region(json.dumps(doc).encode("utf-8"))
+    assert region.cells == hexagon(1, 1, 1).cells
+
+
+def test_deserialize_refuses_ill_typed_parameters():
+    # the builders refuse what a type check on the document would: bool,
+    # str, float and list for an integer, a non-list for a list
+    split = central_axis_split(holed_hexagon(4, 1, [2]))[0]
+    regions = (hexagon(2, 2, 2), holed_hexagon(4, 1, [2]),
+               cored_hexagon(2, 1, [], 1), d_region(2, 1, -1, [1]),
+               rbar_region([], [1], 1), split_dual_region(split))
+    ints = (True, False, "1", "", 1.0, 2.0, None, [1], {})
+    lists = (1, True, "1", "", "12", 1.0, None, {}, {"1": 1},
+             [True], [1.0], [[1]], ["1"], [None])
+    refused = 0
+    for region in regions:
+        doc = json.loads(serialize_region(region))
+        for key, value in doc["params"].items():
+            for bad in lists if isinstance(value, list) else ints:
+                doc["params"][key] = bad
+                with pytest.raises(FormatError) as info:
+                    deserialize_region(json.dumps(doc).encode("utf-8"))
+                assert str(info.value).startswith(
+                    "inconsistent region document: "), (key, bad)
+                refused += 1
+            doc["params"][key] = value
+        assert deserialize_region(json.dumps(doc).encode("utf-8")) == region
+    # twelve integer parameters and five lists across the five families
+    assert refused == 12 * len(ints) + 5 * len(lists)
 
 
 def test_serialization_fields():
