@@ -29,10 +29,9 @@ from .counting import (count_symmetric_tilings, count_tilings,
 from .duality import (central_axis_split, dual_graph, graph_text,
                       quotient_graph, symmetry)
 from .errors import LozlabError, ParameterError
-from .lattice import (LIST_PARAMS, cored_hexagon, d_region, hexagon,
-                      holed_hexagon, rbar_region)
+from .lattice import LIST_PARAMS, _FAMILIES as _BUILDERS
 from .svg import first_tiling, region_svg
-from .verify import check, count_text, default_grid, sweep
+from .verify import _CATALOG, check, count_text, default_grid, sweep
 
 _SYM_KINDS = {"id": "Identity", "reflh": "ReflH", "reflv": "ReflV",
               "rot60": "Rot60", "rot120": "Rot120", "rot180": "Rot180"}
@@ -49,40 +48,42 @@ def _ints(text: str) -> list[int]:
             "expected a comma-separated integer list, got %r" % text)
 
 
-# each family's builder and flags (argparse dests, which are also the
-# builder's keywords: --is is is_), in the order of its JSON params: the
-# required ones, then the list flag that defaults to empty.  A region flag
-# the chosen family's entry does not name is refused.
-_FAMILIES = {
-    "hexagon": (hexagon, ("a", "b", "c"), None),
-    "holed": (holed_hexagon, ("a", "b"), "ks"),
-    "cored": (cored_hexagon, ("a", "b", "x"), "ks"),
-    "d": (d_region, ("a", "b", "eps"), "is_"),
-    "rbar": (rbar_region, ("q", "base"), "l"),
-}
-_REGION_FLAGS = sorted({name for _, needed, listed in _FAMILIES.values()
-                        for name in (*needed, listed) if name})
+# each family's lattice family, whose entry in the lattice table gives the
+# builder and its parameters in builder order, and the one list flag that
+# may be omitted (read as empty).  The JSON params are the required ones in
+# builder order, then that list.  A region flag the family lacks is refused.
+_FAMILIES = {"hexagon": ("Hexagon", None), "holed": ("HoledHexagon", "ks"),
+             "cored": ("CoredHexagon", "ks"), "d": ("DRegion", "is"),
+             "rbar": ("RBarRegion", "l")}
+
+
+def _flags(names) -> list[str]:
+    """Each name once: integers, then lists, each in order of first use."""
+    return sorted(dict.fromkeys(names), key=lambda name: name in LIST_PARAMS)
+
+
+_REGION_FLAGS = _flags(n for family, _ in _FAMILIES.values()
+                       for n in _BUILDERS[family][1])
+_VERIFY_FLAGS = _flags(n for keys, _ in _CATALOG.values() for n in keys)
 
 
 def _build_region(args):
     """The region the family flags describe, and its JSON params."""
     family = args.family
-    build, needed, listed = _FAMILIES[family]
-    takes = (*needed, listed)
-    for name in _REGION_FLAGS:
-        if name not in takes and getattr(args, name) is not None:
+    lattice_family, omissible = _FAMILIES[family]
+    build, names = _BUILDERS[lattice_family]
+    # of several foreign flags, the alphabetically first is named
+    for name in sorted(_REGION_FLAGS):
+        if name not in names and getattr(args, name) is not None:
             raise ParameterError("family %s does not take --%s"
-                                 % (family, name.rstrip("_")))
-    p = {}
-    for name in needed:
-        if getattr(args, name) is None:
+                                 % (family, name))
+    p = {name: getattr(args, name) for name in names if name != omissible}
+    for name, value in p.items():
+        if value is None:
             raise ParameterError("family %s needs --%s" % (family, name))
-        p[name] = getattr(args, name)
-    if listed:
-        p[listed] = getattr(args, listed) or []
-    region = build(**p)
-    return region, {"family": family,
-                    **{name.rstrip("_"): v for name, v in p.items()}}
+    if omissible:
+        p[omissible] = getattr(args, omissible) or []
+    return build(*(p[name] for name in names)), {"family": family, **p}
 
 
 def _fraction_json(value: Fraction):
@@ -130,12 +131,9 @@ def _cmd_count_sym(args) -> int:
 
 
 def _verify_params(args) -> dict:
-    out = {}
-    for name in ("a", "b", "x", "eq", "ks", "is"):
-        value = getattr(args, "is_" if name == "is" else name)
-        if value is not None:
-            out[name] = tuple(value) if name in LIST_PARAMS else value
-    return out
+    values = {name: getattr(args, name) for name in _VERIFY_FLAGS}
+    return {name: tuple(v) if name in LIST_PARAMS else v
+            for name, v in values.items() if v is not None}
 
 
 def _cmd_verify(args) -> int:
@@ -237,18 +235,15 @@ def _cmd_split(args) -> int:
 # argument wiring
 
 
+def _add_param_flags(sub, names) -> None:
+    for name in names:
+        sub.add_argument("--" + name,
+                         type=_ints if name in LIST_PARAMS else int)
+
+
 def _add_region_flags(sub) -> None:
     sub.add_argument("--family", required=True, choices=tuple(_FAMILIES))
-    sub.add_argument("--a", type=int)
-    sub.add_argument("--b", type=int)
-    sub.add_argument("--c", type=int)
-    sub.add_argument("--x", type=int)
-    sub.add_argument("--eps", type=int)
-    sub.add_argument("--base", type=int)
-    sub.add_argument("--ks", type=_ints)
-    sub.add_argument("--is", dest="is_", metavar="IS", type=_ints)
-    sub.add_argument("--l", type=_ints)
-    sub.add_argument("--q", type=_ints)
+    _add_param_flags(sub, _REGION_FLAGS)
 
 
 def _add_output_flags(sub) -> None:
@@ -278,12 +273,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="check one identity instance")
     sub.add_argument("--id", required=True)
-    sub.add_argument("--a", type=int)
-    sub.add_argument("--b", type=int)
-    sub.add_argument("--x", type=int)
-    sub.add_argument("--eq", type=int)
-    sub.add_argument("--ks", type=_ints)
-    sub.add_argument("--is", dest="is_", metavar="IS", type=_ints)
+    _add_param_flags(sub, _VERIFY_FLAGS)
     _add_output_flags(sub)
     sub.set_defaults(fn=_cmd_verify)
 

@@ -538,12 +538,13 @@ def tag_cells(tag) -> tuple[TriCell, ...]:
     raise ContractError("vertex tag %r names no cells" % (tag,))
 
 
-def _vertex_action(g: MatchGraph, elem: SymmetryElement) -> list[int]:
-    """Action of a region symmetry on the vertices of g: each vertex goes
-    to the vertex whose tag holds exactly the images of its tag's cells."""
+def _vertex_action(g: MatchGraph, elem: SymmetryElement,
+                   members: list[tuple[TriCell, ...]]) -> list[int]:
+    """Action of a region symmetry on the vertices of g, members[v] being
+    the cells v's tag names: v goes to the vertex holding their images."""
     index = {c: k for k, c in enumerate(elem.cells)}
     try:
-        cells = [frozenset(index[c] for c in tag_cells(t)) for t in g.tags]
+        cells = [frozenset(index[c] for c in m) for m in members]
         vertex_of = {s: v for v, s in enumerate(cells)}
         out = [vertex_of[frozenset(elem.perm[k] for k in s)] for s in cells]
     except KeyError:
@@ -572,10 +573,11 @@ def factorization_split(g: MatchGraph, axis: SymmetryElement) -> FactorSplit:
         raise ContractError(
             "cannot split a graph with a loop: a Rot180 quotient keeps one "
             "when the half-turn centre is the midpoint of a lattice edge")
-    sigma = _vertex_action(g, axis)
+    members = [tag_cells(t) for t in g.tags]
+    sigma = _vertex_action(g, axis, members)
     if any(sigma[s] != i for i, s in enumerate(sigma)):
         raise ContractError("axis map not an involution")
-    row = [min(tag_cells(t)).v for t in g.tags]
+    row = [min(m).v for m in members]
     levels = {row[i] for i, s in enumerate(sigma) if s == i}
     if len(levels) > 1:
         raise ContractError("axis vertices not at a single height")
@@ -620,13 +622,13 @@ def central_axis_split(region: Region) -> tuple[FactorSplit, Fraction]:
 def split_dual_region(split: FactorSplit) -> Region:
     """Redraw the surgered graph as a region: every vertex keeps the
     orbit member on or below the axis (on the axis: the western one)."""
-    vs = [c.v for t in split.subgraph.tags for c in tag_cells(t)]
+    tagged = [tag_cells(t) for t in split.subgraph.tags]
+    vs = [c.v for members in tagged for c in members]
     if not vs:
         raise ContractError("an empty split has no axis")
     lvl2 = min(vs) + max(vs)
     cells = []
-    for t in split.subgraph.tags:
-        members = tag_cells(t)
+    for members in tagged:
         below = [c for c in members if 2 * c.v < lvl2]
         if below:
             if len(below) != 1:

@@ -110,10 +110,6 @@ def _cell_center(cell: TriCell) -> tuple[float, float]:
     return (cell.u + 1 / 3, cell.v)
 
 
-def _tag_center(tag) -> tuple[float, float]:
-    return _cell_center(min(tag_cells(tag)))
-
-
 def first_tiling(region: Region) -> tuple[Pair, ...]:
     """A deterministic sample tiling: first in enumeration order, found
     under the search state cap.  The determinant settles an untileable
@@ -170,17 +166,16 @@ def region_svg(region: Region,
                            stroke=TILE_STROKE, stroke_width=2)
 
     if graph is not None:
+        centers = [_cell_center(min(tag_cells(t))) for t in graph.tags]
         for i, j, w in sorted(graph.edges):
             dash = None if w == Fraction(1) else "3 3"
-            canvas.line(_tag_center(graph.tags[i]),
-                        _tag_center(graph.tags[j]),
-                        stroke=GRAPH_STROKE, stroke_width=1.5,
-                        stroke_dasharray=dash)
+            canvas.line(centers[i], centers[j], stroke=GRAPH_STROKE,
+                        stroke_width=1.5, stroke_dasharray=dash)
         for v, _w in sorted(graph.loops):
-            x, y = _tag_center(graph.tags[v])
+            x, y = centers[v]
             canvas.circle((x + 0.25, y - 0.5), SCALE / 4, fill="none",
                           stroke=GRAPH_STROKE, stroke_width=1.5)
-        for i in range(graph.n):
-            canvas.circle(_tag_center(graph.tags[i]), 3, fill=GRAPH_STROKE)
+        for center in centers:
+            canvas.circle(center, 3, fill=GRAPH_STROKE)
 
     return canvas.document()

@@ -389,7 +389,7 @@ def default_grid(identity_id: str) -> tuple[dict, ...]:
                      for x in range(1, a + 1)
                      for ks in _legal_ks(a - x))
     if identity_id in ("E3_1", "E3_5", "E3_7", "E3_9", "E3_10", "E3_12"):
-        holes = "is" if identity_id in ("E3_7", "E3_12") else "ks"
+        _, _, holes = _CATALOG[identity_id][0]
         return tuple({"a": a, "b": b, holes: ks}
                      for a in (1, 2, 3) for b in (1, 2)
                      for ks in _legal_ks(a))

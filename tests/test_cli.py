@@ -122,6 +122,68 @@ def test_verify_json_envelope(capsys):
     assert doc["result"]["verdict"] is True
 
 
+# exact envelope bytes: the params keep their order, the required family
+# parameters in builder order and the list that may be omitted last, or
+# for verify the flag order; a dict comparison would not see a reorder
+@pytest.mark.parametrize("argv, params, result", [
+    (("count", "--family", "cored", "--a", "3", "--b", "1", "--ks", "1",
+      "--x", "1"),
+     '{"family": "cored", "a": 3, "b": 1, "x": 1, "ks": [1]}', "1372"),
+    (("count", "--family", "rbar", "--q", "1,2", "--base", "1", "--l", "1"),
+     '{"family": "rbar", "q": [1, 2], "base": 1, "l": [1]}', "23"),
+    (("verify", "--id", "T2_1_cored", "--a", "3", "--b", "1", "--ks", "1",
+      "--x", "1"),
+     '{"id": "T2_1_cored", "a": 3, "b": 1, "x": 1, "ks": [1]}',
+     '{"lhs": 36, "rhs": 36, "factors": [6, 6], "verdict": true, '
+     '"lhs_route": "rot180-quotient+pfaffian", '
+     '"rhs_route": "orbit-enumeration"}'),
+    (("verify", "--id", "E3_13", "--a", "3", "--b", "1", "--ks", "1",
+      "--x", "2"),
+     '{"id": "E3_13", "a": 3, "b": 1, "x": 2, "ks": [1]}',
+     '{"lhs": 1, "rhs": 1, "factors": [1], "verdict": true, '
+     '"lhs_route": "product-formula", '
+     '"rhs_route": "rot180-quotient+pfaffian"}'),
+    (("verify", "--id", "E3_7", "--a", "2", "--b", "1", "--is", "1"),
+     '{"id": "E3_7", "a": 2, "b": 1, "is": [1]}',
+     '{"lhs": 3, "rhs": 3, "factors": [3], "verdict": true, '
+     '"lhs_route": "product-formula", "rhs_route": "free-boundary-sum"}'),
+    (("verify", "--id", "FOUR_CLASS", "--eq", "1", "--a", "1", "--b", "1"),
+     '{"id": "FOUR_CLASS", "a": 1, "b": 1, "eq": 1}',
+     '{"lhs": 3, "rhs": 3, "factors": [3, 1], "verdict": true, '
+     '"lhs_route": "pfaffian", "rhs_route": "enumeration+filter"}'),
+])
+def test_json_envelope_bytes(capsys, argv, params, result):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert out == '{"command": "%s", "params": %s, "result": %s}\n' % (
+        argv[0], params, result)
+
+
+REGION_USAGE = ("--family {hexagon,holed,cored,d,rbar} [--a A] [--b B] "
+                "[--c C] [--x X] [--eps EPS] [--base BASE] [--ks KS] "
+                "[--is IS] [--l L] [--q Q]")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("count", REGION_USAGE),
+    ("count-sym", REGION_USAGE + " --sym SYM "
+     "[--method {auto,orbit,filter,quotient}]"),
+    ("verify", "--id ID [--a A] [--b B] [--x X] [--eq EQ] [--ks KS] "
+     "[--is IS]"),
+    ("sweep", "--id ID --grid GRID"),
+    ("render", REGION_USAGE + " [--tiling] [--graph {dual,quotient}]"),
+    ("quotient", REGION_USAGE + " [--rot {rot60,rot120,rot180}]"),
+    ("split", REGION_USAGE),
+])
+def test_usage_line_of_each_subcommand(capsys, command, flags):
+    # the flag order, with argparse's line wrapping folded away
+    with pytest.raises(SystemExit):
+        main([command])
+    usage = capsys.readouterr().err.split("\nlozlab %s: error" % command)[0]
+    assert " ".join(usage.split()) == (
+        "usage: lozlab %s [-h] %s [--out OUT] [--json]" % (command, flags))
+
+
 def test_verify_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--id", "NOPE", "--a", "1")
     assert code == 2 and "unknown identity" in err

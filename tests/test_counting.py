@@ -1012,6 +1012,28 @@ def test_det_exact_retries_on_a_pivot_sharing_a_prime(monkeypatch):
     assert calls == [p0 ** 2, p1]
 
 
+def _looped_quotient():
+    # the Rot180 quotient of hexagon(2, 2, 1) is even and keeps its loop
+    g = quotient_graph(symmetry(hexagon(2, 2, 1), "Rot180"))
+    assert g.loops
+    return g
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: count_symmetric_tilings(hexagon(2, 2, 2), ["ReflH"], "quotient"),
+     "quotient counting needs a rotation group"),
+    (lambda: count_symmetric_tilings(hexagon(2, 2, 2), ["Rot180"], "guess"),
+     "unknown method 'guess'"),
+    (lambda: list(enumerate_matchings(_looped_quotient())),
+     "enumeration needs a loopless graph"),
+    (lambda: count_matchings_oracle(_looped_quotient()),
+     "oracle counts need a loopless graph"),
+])
+def test_counting_routines_refuse_what_they_cannot_count(call, fragment):
+    with pytest.raises(ContractError, match=fragment):
+        call()
+
+
 def test_det_exact_refuses_a_pivot_every_prime_divides(monkeypatch):
     calls = _count_det_mod_calls(monkeypatch)
     entry = prod(MERSENNE)

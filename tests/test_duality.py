@@ -946,6 +946,8 @@ HAND_BUILT = {
         "cells not sorted/unique"),
     "region cell malformed": (
         lambda: Region("hand", (), (TriCell(0, 0, "U"),)), "malformed cell"),
+    "region cell with an unknown tag": (
+        lambda: Region("hand", (), (TriCell(0, 1, "X"),)), "malformed cell"),
     "compose across regions": (
         lambda: compose(identity_element(hexagon(1, 1, 1)),
                         identity_element(hexagon(2, 1, 1))),
@@ -980,6 +982,10 @@ HAND_BUILT = {
     "quotient of an element with no cells": (
         lambda: quotient_graph(SymmetryElement("Rot180", (), ())),
         "an element with no cells has no quotient"),
+    "quotient of an element that does not act freely": (
+        lambda: quotient_graph(SymmetryElement(
+            "Rot180", hexagon(1, 1, 1).cells, (1, 0, 2, 3, 4, 5))),
+        "symmetry does not act freely on cells"),
     "split with no vertices": (lambda: split_dual_region(_hand_split()),
                                "an empty split has no axis"),
     "svg of an empty region": (lambda: region_svg(Region("X", (), ())),
@@ -1007,6 +1013,16 @@ def test_tag_cells_reads_cells_and_refuses_other_tags():
     for tag in (0, (), "ab", (cells[0], 1), (tuple(cells[0]),)):
         with pytest.raises(ContractError, match="names no cells"):
             tag_cells(tag)
+
+
+@pytest.mark.parametrize("region, kind, fragment", [
+    (Region("X", (), (cell_at(0, 1),)), "Rot180",
+     "half turn is not a lattice map"),
+    (hexagon(1, 1, 1), "Rot90", "unknown symmetry kind 'Rot90'"),
+])
+def test_symmetry_refuses_a_map_it_cannot_build(region, kind, fragment):
+    with pytest.raises(SymmetryAbsentError, match=fragment):
+        symmetry(region, kind)
 
 
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))

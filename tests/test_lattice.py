@@ -436,6 +436,54 @@ def test_deserialize_errors_carry_offsets():
         deserialize_region(blob.replace(b'"v":1', b'"v":2'))
 
 
+def _hexagon_doc(**fields) -> bytes:
+    # the hexagon(1, 1, 1) document with some fields replaced, compact
+    doc = json.loads(serialize_region(hexagon(1, 1, 1)))
+    doc.update(fields)
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+# name -> (document, message fragment, the text the offset points at, or
+# None for offset 0)
+BAD_DOCUMENTS = {
+    "invalid UTF-8": (b'{"v":1,"family":"\xff"}', "not valid UTF-8", b"\xff"),
+    "top level not an object": (b"[1,2]", "top level must be an object",
+                                None),
+    "unknown family": (_hexagon_doc(family="Square"),
+                       "unknown family 'Square'", b'"family"'),
+    "params not an object": (_hexagon_doc(params=[1]),
+                             "params must be an object", b'"params"'),
+    "missing parameter": (_hexagon_doc(params={"a": 1, "b": 1}),
+                          "missing parameter 'c' for Hexagon", b'"params"'),
+    "cells not a list": (_hexagon_doc(cells={}), "cells must be a list",
+                         b'"cells"'),
+    "bad cell entry": (_hexagon_doc(cells=[[0, -2]]), "bad cell entry",
+                       b"[0,-2]"),
+    "cells unsorted": (_hexagon_doc(cells=[[0, -1, "U"], [0, -2, "D"]]),
+                       "cells must be sorted and unique", b'"cells"'),
+    "free edges not a list": (_hexagon_doc(free_edges=1),
+                              "free_edges must be a list", b'"free_edges"'),
+    "bad free edge entry": (_hexagon_doc(free_edges=[[[0, 0]]]),
+                            "bad free edge entry", b"[[0,0]]"),
+    "free edge endpoints out of order": (
+        _hexagon_doc(free_edges=[[[1, 0], [0, 0]]]),
+        "free edge endpoints out of order", b"[[1,0],[0,0]]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+def test_deserialize_refusals_name_the_field_and_its_offset(name):
+    data, fragment, needle = BAD_DOCUMENTS[name]
+    with pytest.raises(FormatError, match=fragment) as info:
+        deserialize_region(data)
+    assert info.value.offset == (data.index(needle) if needle else 0)
+
+
+def test_deserialize_reads_a_str_document_as_its_utf8_bytes():
+    blob = serialize_region(d_region(2, 1, -1, [1]))
+    assert deserialize_region(blob.decode("utf-8")) == deserialize_region(blob)
+
+
 def test_free_edge_off_the_boundary_is_a_format_error_under_O():
     # the check must not be an assert, which python -O strips
     script = """

@@ -260,9 +260,9 @@ def test_filter_reads_element_perms_not_tags(monkeypatch):
     calls = []
     vertex_action = duality._vertex_action
 
-    def counted(g, elem):
+    def counted(g, elem, members):
         calls.append(elem.kind)
-        return vertex_action(g, elem)
+        return vertex_action(g, elem, members)
 
     # every lozlab module that imported the function by name
     for name, module in sorted(sys.modules.items()):
