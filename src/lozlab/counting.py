@@ -432,12 +432,16 @@ def count_tilings_free(region: Region) -> int:
     """Tilings where each free-edge cell may also protrude outward.
 
     Equals the sum over subsets S of the free cells of the tiling count
-    of the region minus S.  Counted by the memoized search on cells,
-    where a cell hosting a free edge may also be removed alone.
+    of the region minus S.  Counted by the memoized search on cells:
+    each edge (k, j), j > k, is a move of its lower cell k, the moves
+    _cell_moves gives for the one-element group, and a cell hosting a
+    free edge may also be removed alone.
     """
-    moves = _cell_moves(region, [range(len(region.cells))])
-    for host in region.free_cell_map().values():
-        k = region.cells.index(host)
+    index = _cell_index(region.cells)
+    moves = [[(1 << k | 1 << j, 1) for j in rot if j > k]
+             for k, rot in enumerate(_cell_rotations(index, region.cells))]
+    for u, v, _ in region.free_cell_map().values():
+        k = index[u, v]
         moves[k].append((1 << k, 1))
     return _sweep(moves)
 

@@ -314,24 +314,10 @@ def _centroid3(cell: TriCell) -> tuple[int, int]:
     return (3 * cell.u + (1 if cell.orient == UP else 2), 3 * cell.v)
 
 
-def symmetry(region: Region, kind: str) -> SymmetryElement:
-    """The named symmetry as a cell permutation of the region.
-
-    The center and axes are taken from the bounding box of the region's
-    corners.  Each cell is mapped through its tripled centroid, (3u+1, 3v)
-    for "U" and (3u+2, 3v) for "D", which the point map sends to the
-    tripled centroid of the image cell.  Raises SymmetryAbsentError when
-    the map is not a lattice isometry or does not send the region onto
-    itself.  The point map is affine, so one cell whose three lattice
-    neighbours go to those of its image makes the map an automorphism;
-    that and injectivity are checked once, a failure raising ContractError.
-    The region keeps the element; a refusal is not kept and raises again.
-    """
-    if kind in region._symmetries:
-        return region._symmetries[kind]
-    xmin, xmax, ymin, ymax = region_corner_bounds(region)
-    # tripling the center keeps every condition _point_map checks on it
-    pmap = _point_map(kind, 3 * (xmin + xmax), 3 * (ymin + ymax))
+def _cell_perm(region: Region, kind: str, cx2: int, cy2: int) -> list[int]:
+    """The named map about the center (cx2 / 2, cy2 / 2), in tripled
+    coordinates, as a permutation of the region's cell indices."""
+    pmap = _point_map(kind, cx2, cy2)
     cells = region.cells
     get = _cell_index(cells).get
     perm = []
@@ -357,7 +343,47 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
     if ({pmap(_centroid3(nb)) for nb in cell_neighbors(cells[0])}
             != {_centroid3(nb) for nb in cell_neighbors(cells[perm[0]])}):
         raise ContractError("%s is not a graph automorphism" % (kind,))
-    elem = region._symmetries[kind] = SymmetryElement(kind, cells, tuple(perm))
+    return perm
+
+
+def symmetry(region: Region, kind: str) -> SymmetryElement:
+    """The named symmetry as a cell permutation of the region.
+
+    The center and axes are taken from the bounding box of the region's
+    corners.  Each cell is mapped through its tripled centroid, (3u+1, 3v)
+    for "U" and (3u+2, 3v) for "D", which the point map sends to the
+    tripled centroid of the image cell.  Raises SymmetryAbsentError when
+    the map is not a lattice isometry or does not send the region onto
+    itself.  The point map is affine, so one cell whose three lattice
+    neighbours go to those of its image makes the map an automorphism;
+    that and injectivity are checked once, a failure raising ContractError.
+    The region keeps the element; a refusal is not kept and raises again.
+
+    A mirror or half turn of the region maps the corner box onto itself,
+    and a sixth turn's cube is a half turn, so their centers are the
+    box's; a third turn's need not be.  A Rot120 refused about the box's
+    center is tried about the centroid of the region's cells, which every
+    isometry of the region fixes; if that fails too, the refusal about
+    the box's center stands.
+    """
+    if kind in region._symmetries:
+        return region._symmetries[kind]
+    xmin, xmax, ymin, ymax = region_corner_bounds(region)
+    try:
+        # tripling the center keeps every condition _point_map checks on it
+        perm = _cell_perm(region, kind, 3 * (xmin + xmax), 3 * (ymin + ymax))
+    except SymmetryAbsentError as refusal:
+        n = len(region.cells)
+        cx2 = 2 * sum(_centroid3(cell)[0] for cell in region.cells)
+        cy2 = 6 * sum(cell.v for cell in region.cells)
+        if kind != "Rot120" or cx2 % n or cy2 % n:
+            raise
+        try:
+            perm = _cell_perm(region, kind, cx2 // n, cy2 // n)
+        except SymmetryAbsentError:
+            raise refusal from None
+    elem = region._symmetries[kind] = SymmetryElement(kind, region.cells,
+                                                      tuple(perm))
     return elem
 
 

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, prod
@@ -34,8 +35,9 @@ from lozlab.duality import (
 )
 from lozlab.errors import BudgetError, ContractError, SymmetryAbsentError
 from lozlab.formulas import d_count, macmahon_box
-from lozlab.lattice import (cell_neighbors, cored_hexagon, d_region, hexagon,
-                           holed_hexagon, rbar_region)
+from lozlab.lattice import (Region, cell_edges, cell_neighbors, cored_hexagon,
+                           d_region, edge_cells, hexagon, holed_hexagon,
+                           rbar_region, region_corner_bounds)
 from test_duality import (_split_cases, axis_pair_dual_graph, corpus_regions,
                           corpus_rotations, mapping, planar_k4,
                           traced_faces)
@@ -527,6 +529,86 @@ def test_free_boundary_search_matches_subset_sum_and_formula():
                         assert got == _free_subset_sum(region), (a, b, eps, is_)
 
 
+def _free_host_sum(region):
+    """Reference: the docstring's sum over each set T of free-edge hosts
+    of the tiling count of the region less T, times the number of free
+    edges at each host in T (each is a way for its host to protrude)."""
+    edges_at = Counter(region.free_cell_map().values())
+    total = 0
+    for r in range(len(edges_at) + 1):
+        for drop in combinations(edges_at, r):
+            rest = Region("hand", (), tuple(c for c in region.cells
+                                            if c not in drop))
+            total += prod(edges_at[c] for c in drop) * count_tilings(rest)
+    return total
+
+
+def _random_free_region(rng):
+    """hexagon(a, b, c), sides 2..4, less up to three random lozenges,
+    with up to four of its boundary edges free, on the outer boundary or
+    on a hole, where a cell may border two of them."""
+    full = hexagon(*(rng.randint(2, 4) for _ in range(3)))
+    cells = set(full.cells)
+    for _ in range(rng.randint(0, 3)):
+        cell = rng.choice(sorted(cells))
+        partners = [d for d in cell_neighbors(cell) if d in cells]
+        if partners:
+            cells -= {cell, rng.choice(partners)}
+    # a boundary edge borders one kept cell
+    boundary = sorted(e for cell in cells for e in cell_edges(cell)
+                      if not cells.issuperset(edge_cells(e)))
+    free = rng.sample(boundary, rng.randint(0, min(4, len(boundary))))
+    return Region("hand", (), tuple(sorted(cells)), tuple(free))
+
+
+def test_free_search_matches_the_host_sum_on_random_regions():
+    rng = random.Random(20261020)
+    hosts = shared = 0
+    for _ in range(80):
+        region = _random_free_region(rng)
+        assert count_tilings_free(region) == _free_host_sum(region), region
+        free = region.free_cell_map()
+        hosts += len(free)
+        shared += len(set(free.values())) < len(free)
+    # one host with two free edges, whose moves weigh 2 in the sum
+    assert (hosts, shared) == (146, 1)
+
+
+def test_free_search_without_free_edges_counts_tilings():
+    regions = [hexagon(a, b, c) for a, b, c in product((1, 2, 3), repeat=3)]
+    regions += [holed_hexagon(a, b, ks) for a, b, ks in (
+        (2, 1, []), (4, 1, [2]), (4, 2, [1, 2]), (5, 1, [1]))]
+    regions += [cored_hexagon(a, b, ks, x) for a, b, ks, x in (
+        (2, 1, [], 1), (3, 1, [1], 1), (3, 2, [], 2))]
+    for region in regions:
+        assert count_tilings_free(region) == count_tilings(region), \
+            (region.family, region.params)
+
+
+def test_free_moves_are_the_identity_orbit_moves_and_host_moves(monkeypatch):
+    # the free route lists the moves _cell_moves gives for the trivial
+    # group, then one move per free edge at its host, in the same order,
+    # so its sweep visits the same states
+    seen = []
+    monkeypatch.setattr(counting, "_sweep", seen.append)
+    rng = random.Random(20261021)
+    checked = 0
+    for a, b, eps in product(range(1, 7), range(1, 5), (-1, 0)):
+        for r in range(a + 1):
+            sets = list(combinations(range(1, a + 1), r))
+            for is_ in rng.sample(sets, min(2, len(sets))):
+                region = d_region(a, b, eps, list(is_))
+                count_tilings_free(region)
+                want = counting._cell_moves(region,
+                                            [range(len(region.cells))])
+                for host in region.free_cell_map().values():
+                    k = region.cells.index(host)
+                    want[k].append((1 << k, 1))
+                assert seen.pop() == want, (a, b, eps, is_)
+                checked += 1
+    assert checked == 336
+
+
 def test_orbit_search_matches_filter_and_quotient_on_holed_hexagons():
     for a, b, ks in ((2, 1, []), (2, 2, []), (3, 1, []), (3, 2, []),
                      (4, 1, [2]), (4, 1, [1, 2]), (5, 1, [2])):
@@ -580,6 +662,67 @@ def test_orbit_quotient_and_filter_agree_on_every_group():
             routes[route] += 1
     assert routes == {"orbit": 270, "quotient": 114, "filter": 162}
 
+
+
+def _rot120_counts(region):
+    methods = ["quotient", "orbit"]
+    if len(region.cells) <= CROSS_FILTER_CELLS:
+        methods.append("filter")
+    return [count_symmetric_tilings(region, ["Rot120"], method)
+            for method in methods]
+
+
+def _box_refuses(region, kind):
+    xmin, xmax, ymin, ymax = region_corner_bounds(region)
+    try:
+        duality._cell_perm(region, kind, 3 * (xmin + xmax), 3 * (ymin + ymax))
+    except SymmetryAbsentError:
+        return True
+    return False
+
+
+def test_rot120_off_the_box_center_is_taken_about_the_centroid():
+    # hexagon(2, 2, 2) less the Rot120 orbit of one lozenge: the turn's
+    # center is the cell centroid, (12, -12) in doubled tripled
+    # coordinates, not the center of the corner box
+    drop = {(0, -4, "D"), (0, -3, "U"), (1, 1, "D"), (2, 1, "U"),
+            (3, -4, "U"), (3, -3, "D")}
+    region = Region("hand", (), tuple(c for c in hexagon(2, 2, 2).cells
+                                      if tuple(c) not in drop))
+    assert len(region.cells) == 18 and count_tilings(region) == 9
+    assert _box_refuses(region, "Rot120")
+    assert _rot120_counts(region) == [3, 3, 3]
+    # a sixth turn is taken about the box's center alone
+    with pytest.raises(SymmetryAbsentError,
+                       match="^rotation center is not a lattice point$"):
+        symmetry(region, "Rot60")
+
+
+def test_rot120_invariant_regions_are_counted_by_every_route():
+    rng = random.Random(20261022)
+    off_centre = filtered = 0
+    for _ in range(120):
+        full = hexagon(*[rng.randint(2, 4)] * 3)
+        perm = symmetry(full, "Rot120").perm
+        drop = set()
+        for _ in range(rng.randint(1, 2)):
+            k = rng.randrange(len(full.cells))
+            j = rng.choice(dual_graph(full).rotations[k])
+            for _ in range(3):
+                drop |= {k, j}
+                k, j = perm[k], perm[j]
+        region = Region("hand", (), tuple(c for k, c in enumerate(full.cells)
+                                          if k not in drop))
+        off_centre += _box_refuses(region, "Rot120")
+        elem = symmetry(region, "Rot120")
+        assert elem.perm != tuple(range(len(region.cells)))
+        assert all(elem.perm[elem.perm[elem.perm[k]]] == k
+                   for k in range(len(region.cells)))
+        counts = _rot120_counts(region)
+        assert len(set(counts)) == 1, (region.cells, counts)
+        filtered += len(counts) == 3
+    # about a sixth sit off their corner box's center
+    assert (off_centre, filtered) == (21, 83)
 
 def _set_filter_count(region, group):
     """Reference: the filter that checks every element, the identity
