@@ -211,20 +211,6 @@ class Region(_RegionFields):
         return out
 
 
-def region_corner_bounds(r: Region) -> tuple[int, int, int, int]:
-    """(min X, max X, min Y, max Y) over all cell corners.
-
-    Either orientation of cell (u, v) has corners in columns u and u + 1
-    and rows v - 1 .. v + 1, so the bounds follow from those of u and v.
-    An empty region has none: ContractError.
-    """
-    if not r.cells:
-        raise ContractError("an empty region has no corner bounds")
-    us = [c.u for c in r.cells]
-    vs = [c.v for c in r.cells]
-    return (min(us), max(us) + 1, min(vs) - 1, max(vs) + 1)
-
-
 # ---------------------------------------------------------------------
 # region families
 

@@ -37,10 +37,10 @@ from lozlab.errors import BudgetError, ContractError, SymmetryAbsentError
 from lozlab.formulas import d_count, macmahon_box
 from lozlab.lattice import (Region, cell_edges, cell_neighbors, cored_hexagon,
                            d_region, edge_cells, hexagon, holed_hexagon,
-                           rbar_region, region_corner_bounds)
+                           rbar_region)
 from test_duality import (_split_cases, axis_pair_dual_graph, corpus_regions,
-                          corpus_rotations, mapping, planar_k4,
-                          traced_faces)
+                          corpus_rotations, less_lozenge_orbits, mapping,
+                          planar_k4, traced_faces)
 
 
 def test_six_cycle_has_two_matchings():
@@ -673,9 +673,12 @@ def _rot120_counts(region):
 
 
 def _box_refuses(region, kind):
-    xmin, xmax, ymin, ymax = region_corner_bounds(region)
+    """Whether kind fails about the center of the region's corner box:
+    columns min u .. max u + 1, rows min v - 1 .. max v + 1."""
+    us, vs = [c.u for c in region.cells], [c.v for c in region.cells]
     try:
-        duality._cell_perm(region, kind, 3 * (xmin + xmax), 3 * (ymin + ymax))
+        duality._cell_perm(region, kind, 3 * (min(us) + max(us) + 1),
+                           3 * (min(vs) + max(vs)))
     except SymmetryAbsentError:
         return True
     return False
@@ -692,9 +695,9 @@ def test_rot120_off_the_box_center_is_taken_about_the_centroid():
     assert len(region.cells) == 18 and count_tilings(region) == 9
     assert _box_refuses(region, "Rot120")
     assert _rot120_counts(region) == [3, 3, 3]
-    # a sixth turn is taken about the box's center alone
+    # the centroid is a lattice point, so a sixth turn is tried about it
     with pytest.raises(SymmetryAbsentError,
-                       match="^rotation center is not a lattice point$"):
+                       match="^Rot60 does not map the region to itself"):
         symmetry(region, "Rot60")
 
 
@@ -703,16 +706,8 @@ def test_rot120_invariant_regions_are_counted_by_every_route():
     off_centre = filtered = 0
     for _ in range(120):
         full = hexagon(*[rng.randint(2, 4)] * 3)
-        perm = symmetry(full, "Rot120").perm
-        drop = set()
-        for _ in range(rng.randint(1, 2)):
-            k = rng.randrange(len(full.cells))
-            j = rng.choice(dual_graph(full).rotations[k])
-            for _ in range(3):
-                drop |= {k, j}
-                k, j = perm[k], perm[j]
-        region = Region("hand", (), tuple(c for k, c in enumerate(full.cells)
-                                          if k not in drop))
+        region = less_lozenge_orbits(rng, full,
+                                     symmetry_group(full, ["Rot120"]), 2)
         off_centre += _box_refuses(region, "Rot120")
         elem = symmetry(region, "Rot120")
         assert elem.perm != tuple(range(len(region.cells)))

@@ -1,5 +1,6 @@
 """Dual graphs, symmetries, quotients, axis factorization."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -43,7 +44,6 @@ from lozlab.lattice import (
     hexagon,
     holed_hexagon,
     rbar_region,
-    region_corner_bounds,
     serialize_region,
 )
 from lozlab.svg import region_svg
@@ -636,28 +636,32 @@ def test_split_refuses_an_axis_vertex_on_no_axis_edge():
         central_axis_split(central)
 
 
+def less_lozenge_orbits(rng, hexa, group, most):
+    """hexa less the orbits under group of one to most random lozenges,
+    each a random cell and a random neighbour of it."""
+    rotations = dual_graph(hexa).rotations
+    gone = set()
+    for _ in range(rng.randint(1, most)):
+        k = rng.randrange(len(hexa.cells))
+        j = rng.choice(rotations[k])
+        gone.update(p for e in group for p in (e.perm[k], e.perm[j]))
+    return Region("hand", (), tuple(
+        c for i, c in enumerate(hexa.cells) if i not in gone))
+
+
 def _split_identity_cases(rng, count):
     """Seeded mirror-symmetric regions: hexagon(a, a, c) less the orbits
     of one to three random lozenges, under ReflH or under Rot180 and
-    ReflH, with the kind of split each is checked by.  A region whose
-    corner box differs from its hexagon's is skipped, since its
-    symmetries would have another centre."""
+    ReflH, with the kind of split each is checked by.  A region left
+    with no cells is skipped."""
     while count:
         a, c = rng.randint(1, 4), rng.randint(1, 4)
         hexa = hexagon(a, a, c)
         central = rng.random() < 0.5
         group = symmetry_group(hexa, ("Rot180", "ReflH") if central
                                else ("ReflH",))
-        rotations = dual_graph(hexa).rotations
-        gone = set()
-        for _ in range(rng.randint(1, 3)):
-            k = rng.randrange(len(hexa.cells))
-            j = rng.choice(rotations[k])
-            gone.update(p for e in group for p in (e.perm[k], e.perm[j]))
-        region = Region("hand", (), tuple(
-            c for i, c in enumerate(hexa.cells) if i not in gone))
-        if (region.cells and region_corner_bounds(region)
-                == region_corner_bounds(hexa)):
+        region = less_lozenge_orbits(rng, hexa, group, 3)
+        if region.cells:
             count -= 1
             yield central, region
 
@@ -681,7 +685,7 @@ def test_split_keeps_the_count_wherever_it_returns():
                 * counting.mgf(split.subgraph) == want), region.cells
         outcomes["central" if central else "dual"] += 1
     # refused: lone axis vertices, and loops kept by central quotients
-    assert outcomes == {"dual": 81, "central": 75, "refused": 244}
+    assert outcomes == {"dual": 66, "central": 72, "refused": 262}
 
 
 def test_empty_region_has_no_symmetry():
@@ -690,7 +694,7 @@ def test_empty_region_has_no_symmetry():
     for call in (lambda: symmetry(empty, "Rot180"),
                  lambda: counting.count_symmetric_tilings(empty, ["ReflH"])):
         with pytest.raises(ContractError,
-                           match="an empty region has no corner bounds"):
+                           match="an empty region has no centroid"):
             call()
 
 
@@ -1076,15 +1080,23 @@ def _symmetry_regions():
 def _corner_symmetry(region, kind):
     """Reference: each cell mapped through its three corners and read
     back with cell_from_corners, with the checks and messages of the
-    corner-mapping implementation."""
+    corner-mapping implementation.  The center is the mean of all the
+    cells' corners, passed doubled and tripled as _point_map takes it."""
     corners = [p for cell in region.cells for p in cell_corners(cell)]
-    xs, ys = [x for x, _ in corners], [y for _, y in corners]
-    assert region_corner_bounds(region) == (min(xs), max(xs), min(ys), max(ys))
-    pmap = duality._point_map(kind, min(xs) + max(xs), min(ys) + max(ys))
+    center2 = [Fraction(2 * sum(p[i] for p in corners), len(region.cells))
+               for i in (0, 1)]
+    pmap = duality._point_map(kind, *(int(c) if c.denominator == 1 else c
+                                      for c in center2))
     have = region.cell_set
     mapping = {}
     for cell in region.cells:
-        pts = [pmap(p) for p in cell_corners(cell)]
+        pts = []
+        for x, y in cell_corners(cell):
+            x3, y3 = pmap((3 * x, 3 * y))
+            if x3 % 3 or y3 % 3:
+                raise SymmetryAbsentError(
+                    "%s does not preserve unit cells" % (kind,))
+            pts.append((x3 // 3, y3 // 3))
         if any((x + y) % 2 for x, y in pts):
             raise SymmetryAbsentError(
                 "%s does not preserve the lattice on %s" % (kind, region.family))
@@ -1106,6 +1118,49 @@ def _outcome(fn, *args):
         return "map", fn(*args)
     except SymmetryAbsentError as exc:
         return "absent", str(exc)
+
+
+def _pinned_symmetry_regions():
+    """_symmetry_regions, two one-cell regions, seeded hexagons less up
+    to two cells, and seeded hexagons less Rot120 orbits of lozenges."""
+    rng = random.Random(20261019)
+    regions = _symmetry_regions()
+    regions += [Region("hand", (), (cell_at(0, 1),)),
+                Region("hand", (), (cell_at(0, 0),))]
+    for _ in range(300):
+        hexa = hexagon(*[rng.randint(1, 4) for _ in range(3)])
+        drop = set(rng.sample(hexa.cells, rng.randint(0, 2)))
+        regions.append(Region("hand", (), tuple(c for c in hexa.cells
+                                                if c not in drop)))
+    for _ in range(200):
+        full = hexagon(*[rng.randint(2, 4)] * 3)
+        regions.append(less_lozenge_orbits(
+            rng, full, symmetry_group(full, ["Rot120"]), 2))
+    return regions
+
+
+def test_symmetry_maps_are_pinned():
+    # which kinds map, and to which permutations; refusal texts are not
+    # pinned here
+    maps = dict.fromkeys(KINDS, 0)
+    digest = hashlib.sha256()
+    for region in _pinned_symmetry_regions():
+        for kind in KINDS:
+            try:
+                perm = symmetry(region, kind).perm
+            except SymmetryAbsentError:
+                continue
+            maps[kind] += 1
+            digest.update(("%s %r\n" % (kind, perm)).encode())
+    assert maps == {"Identity": 680, "Rot60": 20, "Rot120": 213,
+                    "Rot180": 275, "ReflH": 127, "ReflV": 125}
+    assert digest.hexdigest() == (
+        "2a0bc48476a588def6af56bf2c189cab4d13f1340c2603fb0fcf125fce5df8a8")
+    # a mirror reads only its own axis: this region's cell centroid has
+    # x = 5 / 9, and ReflH still maps it
+    column = Region("X", (), (TriCell(0, -4, "D"), TriCell(0, -3, "U"),
+                              TriCell(0, -2, "D")))
+    assert symmetry(column, "ReflH").perm == (2, 1, 0)
 
 
 def test_symmetry_matches_the_corner_reference():
