@@ -20,19 +20,21 @@ and the Kasteleyn orientation the faces on either side of each edge.
 A symmetry of a region is a permutation perm of the indices of its
 sorted cells, the dual graph's vertex numbering: perm[k] is the index of
 the image of cell k, and every consumer reads perm directly.  Every map
-is about the centroid of the region's cells.  A cell is mapped by
-arithmetic on its tripled centroid, an integer point; the map is affine,
-so one cell and its three lattice neighbours check it once.  A group is
-closed by composing its generators with the newest elements.  One cell
-index keyed by (u, v) serves the symmetries, the dual graph, counting's
-cell search and the quotient, which is built from the element alone.
-The quotient under a rotation identifies each orbit of cells to one
-vertex and reads that vertex off the neighbours of the orbit's least
-cell, the only ones it looks up; an orbit of edges whose endpoints fall
-into the same vertex orbit becomes a loop when a symmetric matching can
-use it.  Parallel edge orbits between the same pair of vertex orbits are
-merged into a single edge whose weight is the multiplicity, which leaves
-matching generating functions unchanged.
+is about the centroid of the region's cells, and a kind is refused
+unless it is a lattice isometry about that point, which the point map
+alone decides.  A cell is mapped by arithmetic on its tripled centroid,
+an integer point; the map is affine, so one cell and its three lattice
+neighbours check it once.  A group is closed by composing its
+generators with the newest elements.  One cell index keyed by (u, v)
+serves the symmetries, the dual graph, counting's cell search and the
+quotient, which is built from the element alone.  The quotient under a
+rotation identifies each orbit of cells to one vertex and reads that
+vertex off the neighbours of the orbit's least cell, the only ones it
+looks up; an orbit of edges whose endpoints fall into the same vertex
+orbit becomes a loop when a symmetric matching can use it.  Parallel
+edge orbits between the same pair of vertex orbits are merged into a
+single edge whose weight is the multiplicity, which leaves matching
+generating functions unchanged.
 
 factorization_split performs the axis surgery on a graph that is
 mirror-symmetric about a horizontal axis of vertices: every axis
@@ -280,8 +282,11 @@ class SymmetryElement(NamedTuple):
 
 def _point_map(kind: str, cx2, cy2):
     """The named map of tripled points about (cx2 / 2, cy2 / 2), refused
-    where it is no lattice isometry, as about a Fraction coordinate that
-    it reads.  Only a third turn may be about a cell's centroid."""
+    unless it is a lattice isometry about that center, as about a
+    Fraction coordinate that it reads.  Each test is exactly that
+    condition: ReflH cy2 = 0 (mod 6), ReflV cx2 = 0 (mod 6), Rot180 both
+    = 0 (mod 3) with an even sum, Rot60 a lattice point, and Rot120 a
+    lattice point or a cell's centroid."""
     if kind == "Identity":
         return lambda p: p
     if kind == "ReflH":
@@ -297,8 +302,8 @@ def _point_map(kind: str, cx2, cy2):
             raise SymmetryAbsentError("half turn is not a lattice map")
         return lambda p: (cx2 - p[0], cy2 - p[1])
     if kind in ("Rot60", "Rot120"):
-        if (cx2 % 2 or cy2 % 2 or (cx2 // 2 + cy2 // 2) % 2
-                or kind == "Rot60" and (cx2 % 3 or cy2 % 3)):
+        if (cx2 % 2 or cy2 % 6 or (cx2 // 2 + cy2 // 2) % 2
+                or kind == "Rot60" and cx2 % 3):
             raise SymmetryAbsentError(
                 "rotation center is not a lattice point")
         cx, cy = cx2 // 2, cy2 // 2
@@ -318,38 +323,6 @@ def _centroid3(cell: TriCell) -> tuple[int, int]:
     return (3 * cell.u + (1 if cell.orient == UP else 2), 3 * cell.v)
 
 
-def _cell_perm(region: Region, kind: str, cx2, cy2) -> list[int]:
-    """The named map about the center (cx2 / 2, cy2 / 2), in tripled
-    coordinates, as a permutation of the region's cell indices."""
-    pmap = _point_map(kind, cx2, cy2)
-    cells = region.cells
-    get = _cell_index(cells).get
-    perm = []
-    for cell in cells:
-        x, y = pmap(_centroid3(cell))
-        u, r = divmod(x, 3)
-        v, s = divmod(y, 3)
-        if s or not r:
-            raise SymmetryAbsentError(
-                "%s does not preserve unit cells" % (kind,))
-        # "U" (r = 1) needs u + v odd, "D" (r = 2) needs u + v even
-        if (u + v + r) % 2:
-            raise SymmetryAbsentError(
-                "%s does not preserve the lattice on %s" % (kind, region.family))
-        k = get((u, v))
-        if k is None:
-            raise SymmetryAbsentError(
-                "%s does not map the region to itself (cell %r -> %r)"
-                % (kind, tuple(cell), (u, v, UP if r == 1 else DOWN)))
-        perm.append(k)
-    if len(set(perm)) != len(perm):
-        raise ContractError("%s is not injective" % (kind,))
-    if ({pmap(_centroid3(nb)) for nb in cell_neighbors(cells[0])}
-            != {_centroid3(nb) for nb in cell_neighbors(cells[perm[0]])}):
-        raise ContractError("%s is not a graph automorphism" % (kind,))
-    return perm
-
-
 def symmetry(region: Region, kind: str) -> SymmetryElement:
     """The named symmetry as a cell permutation of the region.
 
@@ -357,28 +330,43 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
     every isometry of the region fixes.  Each cell is mapped through its
     tripled centroid, (3u+1, 3v) for "U" and (3u+2, 3v) for "D", which
     the point map sends to the tripled centroid of the image cell.
-    Raises SymmetryAbsentError when the map is not a lattice isometry or
-    does not send the region onto itself, and ContractError for an empty
-    region.  The point map is affine, so one cell whose three lattice
-    neighbours go to those of its image makes the map an automorphism;
-    that and injectivity are checked once, a failure raising
-    ContractError.  The region keeps the element; a refusal is not kept
-    and raises again.
+    Raises SymmetryAbsentError when the map is not a lattice isometry
+    about the centroid, which _point_map alone decides, or does not send
+    the region onto itself, and ContractError for an empty region.  The
+    point map is affine, so one cell whose three lattice neighbours go to
+    those of its image makes the map an automorphism; that and
+    injectivity are checked once, a failure raising ContractError.  The
+    region keeps the element; a refusal is not kept and raises again.
     """
     if kind in region._symmetries:
         return region._symmetries[kind]
-    n = len(region.cells)
+    cells = region.cells
+    n = len(cells)
     if not n:
         raise ContractError("an empty region has no centroid")
     # twice the mean tripled centroid, a Fraction where it is no integer;
     # _centroid3 inlined, which halves the time of this pass
-    sums = (2 * sum(3 * c.u + (1 if c.orient == UP else 2)
-                    for c in region.cells),
-            6 * sum(c.v for c in region.cells))
+    sums = (2 * sum(3 * c.u + (1 if c.orient == UP else 2) for c in cells),
+            6 * sum(c.v for c in cells))
     cx2, cy2 = (s // n if s % n == 0 else Fraction(s, n) for s in sums)
-    perm = _cell_perm(region, kind, cx2, cy2)
-    elem = region._symmetries[kind] = SymmetryElement(kind, region.cells,
-                                                      tuple(perm))
+    pmap = _point_map(kind, cx2, cy2)
+    get = _cell_index(cells).get
+    perm = []
+    for cell in cells:
+        x, y = pmap(_centroid3(cell))
+        u, v = x // 3, y // 3
+        k = get((u, v))
+        if k is None:
+            raise SymmetryAbsentError(
+                "%s does not map the region to itself (cell %r -> %r)"
+                % (kind, tuple(cell), (u, v, UP if x % 3 == 1 else DOWN)))
+        perm.append(k)
+    if len(set(perm)) != n:
+        raise ContractError("%s is not injective" % (kind,))
+    if ({pmap(_centroid3(nb)) for nb in cell_neighbors(cells[0])}
+            != {_centroid3(nb) for nb in cell_neighbors(cells[perm[0]])}):
+        raise ContractError("%s is not a graph automorphism" % (kind,))
+    elem = region._symmetries[kind] = SymmetryElement(kind, cells, tuple(perm))
     return elem
 
 

@@ -191,7 +191,8 @@ class Region(_RegionFields):
         for key, value in self.params:
             if key == name:
                 return value
-        raise KeyError(name)
+        raise ContractError("%s region has no parameter %r"
+                            % (self.family, name))
 
     def free_cell_map(self) -> dict[Edge, TriCell]:
         """Each free edge with the unique region cell it borders.
@@ -487,6 +488,9 @@ def deserialize_region(data: bytes) -> Region:
             _fail(data, '"params"', "missing parameter %r for %s" % (key, family))
         value = raw_params[key]
         params.append((key, tuple(value) if isinstance(value, list) else value))
+    for key in raw_params:
+        if key not in keys:
+            _fail(data, '"params"', "unknown parameter %r for %s" % (key, family))
     if not isinstance(doc["cells"], list):
         _fail(data, '"cells"', "cells must be a list")
     cells = []

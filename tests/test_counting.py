@@ -672,16 +672,18 @@ def _rot120_counts(region):
             for method in methods]
 
 
-def _box_refuses(region, kind):
-    """Whether kind fails about the center of the region's corner box:
-    columns min u .. max u + 1, rows min v - 1 .. max v + 1."""
+def _off_box_center(region):
+    """Whether the center of the region's corner box, columns min u ..
+    max u + 1 and rows min v - 1 .. max v + 1, is not its cells'
+    centroid, the one point a Rot120-invariant region turns about."""
     us, vs = [c.u for c in region.cells], [c.v for c in region.cells]
-    try:
-        duality._cell_perm(region, kind, 3 * (min(us) + max(us) + 1),
-                           3 * (min(vs) + max(vs)))
-    except SymmetryAbsentError:
-        return True
-    return False
+    n = len(region.cells)
+    centroid = (Fraction(sum(3 * c.u + (1 if c.orient == "U" else 2)
+                             for c in region.cells), n),
+                Fraction(3 * sum(vs), n))
+    box = (Fraction(3 * (min(us) + max(us) + 1), 2),
+           Fraction(3 * (min(vs) + max(vs)), 2))
+    return box != centroid
 
 
 def test_rot120_off_the_box_center_is_taken_about_the_centroid():
@@ -693,7 +695,7 @@ def test_rot120_off_the_box_center_is_taken_about_the_centroid():
     region = Region("hand", (), tuple(c for c in hexagon(2, 2, 2).cells
                                       if tuple(c) not in drop))
     assert len(region.cells) == 18 and count_tilings(region) == 9
-    assert _box_refuses(region, "Rot120")
+    assert _off_box_center(region)
     assert _rot120_counts(region) == [3, 3, 3]
     # the centroid is a lattice point, so a sixth turn is tried about it
     with pytest.raises(SymmetryAbsentError,
@@ -708,7 +710,7 @@ def test_rot120_invariant_regions_are_counted_by_every_route():
         full = hexagon(*[rng.randint(2, 4)] * 3)
         region = less_lozenge_orbits(rng, full,
                                      symmetry_group(full, ["Rot120"]), 2)
-        off_centre += _box_refuses(region, "Rot120")
+        off_centre += _off_box_center(region)
         elem = symmetry(region, "Rot120")
         assert elem.perm != tuple(range(len(region.cells)))
         assert all(elem.perm[elem.perm[elem.perm[k]]] == k

@@ -1004,6 +1004,10 @@ HAND_BUILT = {
     "svg of a graph tagged with ints": (
         lambda: region_svg(hexagon(1, 1, 1), graph=_int_tagged()),
         "vertex tag 0 names no cells"),
+    "svg of a family region without its parameters": (
+        lambda: region_svg(Region("HoledHexagon", (),
+                                  holed_hexagon(4, 1, [2]).cells)),
+        "HoledHexagon region has no parameter 'a'"),
     "graph copy with a bad rotation": (
         lambda: dual_graph(hexagon(1, 1, 1))._replace(rotations=((),) * 6),
         "rotation disagrees with edges at 0"),
@@ -1175,26 +1179,112 @@ def test_symmetry_matches_the_corner_reference():
     assert seen == {"map": 490, "absent": 578}
 
 
-def test_symmetry_lattice_check_matches_the_reference(monkeypatch):
-    # hexagon(1, 2, 1) has its mirror axes off the lattice; with the
-    # center's parity test skipped, the per-cell check must reject them
-    # with the same text as the corner reference
-    region = hexagon(1, 2, 1)
-    for kind in ("ReflH", "ReflV"):
-        with pytest.raises(SymmetryAbsentError, match="is not a lattice map"):
-            symmetry(region, kind)
+# the 15 cells u = 0..2, v = -2..2
+WINDOW = tuple(cell_at(u, v) for u in range(3) for v in range(-2, 3))
 
-    def unchecked(kind, cx2, cy2):
-        if kind == "ReflH":
-            return lambda p: (p[0], cy2 - p[1])
-        return lambda p: (cx2 - p[0], p[1])
+# each kind as a linear map of tripled offsets, doubled so that its
+# entries are integers.  A step of (1, 1) is as long as one of (0, 2),
+# so with X = sqrt(3) x a turn by t takes x to x cos t - y sin t / sqrt(3)
+# and y to sqrt(3) x sin t + y cos t
+PLANE2 = {
+    "Identity": ((2, 0), (0, 2)),
+    "Rot60": ((1, -1), (3, 1)),
+    "Rot120": ((-1, -1), (3, -1)),
+    "Rot180": ((-2, 0), (0, -2)),
+    "ReflH": ((2, 0), (0, -2)),
+    "ReflV": ((-2, 0), (0, 2)),
+}
 
-    monkeypatch.setattr(duality, "_point_map", unchecked)
-    for kind in ("ReflH", "ReflV"):
-        want = _outcome(_corner_symmetry, region, kind)
-        assert want == ("absent", "%s does not preserve the lattice on "
-                        "Hexagon" % kind)
-        assert _outcome(symmetry, region, kind) == want
+
+def _tripled(cell):
+    return (3 * cell.u + (1 if cell.orient == "U" else 2), 3 * cell.v)
+
+
+def _plane_image(kind, c2, cell):
+    """The cell whose tripled centroid kind sends cell's to, about the
+    center c2 / 2, or None where that point is no cell's centroid."""
+    (a, b), (c, d) = PLANE2[kind]
+    x, y = _tripled(cell)
+    dx, dy = 2 * x - c2[0], 2 * y - c2[1]
+    x4, y4 = 2 * c2[0] + a * dx + b * dy, 2 * c2[1] + c * dx + d * dy
+    if x4 % 4 or y4 % 4:
+        return None
+    x, y = x4 // 4, y4 // 4
+    if y % 3 or not x % 3:
+        return None
+    image = cell_at(x // 3, y // 3)
+    return image if _tripled(image) == (x, y) else None
+
+
+def _plane_map(kind, c2):
+    """kind about c2 / 2 on WINDOW, or None unless it sends every cell
+    to a cell and every pair of neighbours to neighbours."""
+    image = {cell: _plane_image(kind, c2, cell) for cell in WINDOW}
+    if None in image.values():
+        return None
+    for cell in WINDOW:
+        for nb in cell_neighbors(cell):
+            if nb in image and image[nb] not in cell_neighbors(image[cell]):
+                return None
+    return image
+
+
+def test_point_map_accepts_exactly_the_lattice_isometries():
+    # the center rule against the maps written out in the plane, over
+    # every integer center in a window of two periods and a few Fraction
+    # centers, which a mirror reads only along its own axis
+    centers = list(product(range(-12, 12), repeat=2))
+    centers += [(Fraction(1, 3), 0), (0, Fraction(1, 3)),
+                (Fraction(5, 2), Fraction(7, 2)), (Fraction(18, 5), 6),
+                (6, Fraction(-6, 7))]
+    accepted = dict.fromkeys(KINDS, 0)
+    for kind in KINDS:
+        for c2 in centers:
+            want = _plane_map(kind, c2)
+            try:
+                pmap = duality._point_map(kind, *c2)
+            except SymmetryAbsentError:
+                assert want is None, (kind, c2)
+                continue
+            assert want is not None, (kind, c2)
+            assert all(pmap(_tripled(cell)) == _tripled(want[cell])
+                       for cell in WINDOW), (kind, c2)
+            accepted[kind] += 1
+    assert accepted == {"Identity": 581, "Rot60": 8, "Rot120": 24,
+                        "Rot180": 32, "ReflH": 98, "ReflV": 98}
+
+
+def test_symmetry_of_every_small_window_region_is_pinned():
+    # every 1- to 5-cell subset of WINDOW under every kind: which kinds
+    # map and to which permutations; refusal texts are not pinned here,
+    # and no map may fail a ContractError guard
+    maps = dict.fromkeys(KINDS, 0)
+    digest = hashlib.sha256()
+    for size in range(1, 6):
+        for cells in combinations(WINDOW, size):
+            region = Region("hand", (), cells)
+            for kind in KINDS:
+                try:
+                    perm = symmetry(region, kind).perm
+                except SymmetryAbsentError:
+                    continue
+                maps[kind] += 1
+                digest.update(("%s %r\n" % (kind, perm)).encode())
+    assert maps == {"Identity": 4943, "Rot60": 0, "Rot120": 44,
+                    "Rot180": 128, "ReflH": 215, "ReflV": 30}
+    assert digest.hexdigest() == (
+        "80cf4cc9273f9fb678b30a76564c0bfa86e6093ac07dcef5e5b0d90794fea316")
+
+
+def test_rot120_about_no_lattice_point_or_centroid_is_refused_by_center():
+    # the centroid is (8, -4) in doubled tripled coordinates, neither a
+    # lattice point nor a cell's centroid: a third turn about it takes no
+    # cell to a cell
+    region = Region("hand", (), (cell_at(0, -2), cell_at(0, 0),
+                                 cell_at(2, 0)))
+    with pytest.raises(SymmetryAbsentError,
+                       match="^rotation center is not a lattice point$"):
+        symmetry(region, "Rot120")
 
 
 def test_every_symmetry_is_an_automorphism_cell_by_cell():

@@ -455,6 +455,9 @@ BAD_DOCUMENTS = {
                              "params must be an object", b'"params"'),
     "missing parameter": (_hexagon_doc(params={"a": 1, "b": 1}),
                           "missing parameter 'c' for Hexagon", b'"params"'),
+    "unknown parameter": (_hexagon_doc(params={"a": 1, "b": 1, "c": 1,
+                                               "zzz": 5}),
+                          "unknown parameter 'zzz' for Hexagon", b'"params"'),
     "cells not a list": (_hexagon_doc(cells={}), "cells must be a list",
                          b'"cells"'),
     "bad cell entry": (_hexagon_doc(cells=[[0, -2]]), "bad cell entry",
