@@ -23,15 +23,11 @@ order) and () for anything else.  Regions check their free edges with
 it, one edge at a time.
 
 Geometry is computed, not searched.  The cells of hexagon(a, b, c) in
-strip u (0 <= u < a + b) are the "U" cells (u + v odd) with
+strip u (0 <= u < a + b) are one run of rows,
 
-    max(u+1-2b-2c, 1-u-2c) <= v <= min(u-1, 2a-u-1)
+    max(u+1-2b-2c, -u-2c) <= v <= min(u, 2a-u-1),
 
-and the "D" cells (u + v even) with
-
-    max(u+2-2b-2c, -u-2c) <= v <= min(u, 2a-u-2);
-
-every bound already has its orientation's parity.
+"U" where u + v is odd and "D" where it is even.
 
 Region families:
 
@@ -155,19 +151,21 @@ class _RegionFields(NamedTuple):
 class Region(_RegionFields):
     """A finite set of cells plus optional free boundary edges.
 
-    cells are sorted lexicographically; params is an ordered tuple of
-    (name, value) pairs echoing the construction call.  Unsorted,
-    repeated or malformed cells raise ContractError.  Free edges are
-    checked edge by edge on construction: each must be a lattice edge
-    (endpoints in sorted order) with exactly one bordering cell in the
-    region, else ParameterError.  A region keeps the symmetry elements
-    built from it, which ==, hash and serialization do not read.
+    cells and free edges are sorted and unique, else ContractError, as
+    for a malformed cell; params is an ordered tuple of (name, value)
+    pairs echoing the construction call.  Each free edge must also be a
+    lattice edge (endpoints in sorted order) with exactly one bordering
+    cell in the region, else ParameterError.  A region keeps the
+    symmetry elements built from it, which ==, hash and serialization
+    do not read.
     """
 
     def __new__(cls, family, params, cells, free_edges=()):
         self = super().__new__(cls, family, params, cells, free_edges)
-        if any(a >= b for a, b in zip(self.cells, self.cells[1:])):
-            raise ContractError("cells not sorted/unique")
+        for what, items in (("cells", self.cells),
+                            ("free edges", self.free_edges)):
+            if any(a >= b for a, b in zip(items, items[1:])):
+                raise ContractError("%s not sorted/unique" % what)
         if not all(cell_ok(c) for c in self.cells):
             raise ContractError("malformed cell")
         self.free_cell_map()  # raises ParameterError for a bad free edge
@@ -267,16 +265,11 @@ def require_eps(eps) -> None:
 
 
 def _hexagon_cells(a: int, b: int, c: int) -> set[TriCell]:
-    # every bound has the parity of its orientation, so step 2 from it
-    cells = set()
-    for u in range(a + b):
-        for v in range(max(u + 1 - 2 * b - 2 * c, 1 - u - 2 * c),
-                       min(u - 1, 2 * a - u - 1) + 1, 2):
-            cells.add(TriCell(u, v, UP))
-        for v in range(max(u + 2 - 2 * b - 2 * c, -u - 2 * c),
-                       min(u, 2 * a - u - 2) + 1, 2):
-            cells.add(TriCell(u, v, DOWN))
-    return cells
+    # cell_at's parity rule written inline: this runs in every region build
+    return {TriCell(u, v, UP if (u + v) & 1 else DOWN)
+            for u in range(a + b)
+            for v in range(max(u + 1 - 2 * b - 2 * c, -u - 2 * c),
+                           min(u, 2 * a - u - 1) + 1)}
 
 
 def hexagon(a: int, b: int, c: int) -> Region:
@@ -290,17 +283,10 @@ def hexagon(a: int, b: int, c: int) -> Region:
 
 
 def _triangle(apex_x: int, apex_y: int, size: int, east: bool) -> set[TriCell]:
-    """Triangle of the given side with its apex at a lattice point,
-    pointing east or west."""
-    tip, back = (UP, DOWN) if east else (DOWN, UP)
-    cells = set()
-    for j in range(size):
-        u = apex_x - 1 - j if east else apex_x + j
-        for t in range(j + 1):
-            cells.add(TriCell(u, apex_y - j + 2 * t, tip))
-        for t in range(j):
-            cells.add(TriCell(u, apex_y - j + 1 + 2 * t, back))
-    return cells
+    """Triangle of the given side, apex at a lattice point, pointing east
+    or west; its j-th strip from the apex has rows apex_y-j .. apex_y+j."""
+    return {cell_at(apex_x - 1 - j if east else apex_x + j, v)
+            for j in range(size) for v in range(apex_y - j, apex_y + j + 1)}
 
 
 def _holed_cells(side: int, b: int, ks: tuple[int, ...]) -> set[TriCell]:
@@ -522,6 +508,8 @@ def deserialize_region(data: bytes) -> Region:
             _fail(data, json.dumps(item, separators=(",", ":")),
                   "free edge endpoints out of order in %r" % (item,))
         free_edges.append(e)
+    if sorted(set(free_edges)) != free_edges:
+        _fail(data, '"free_edges"', "free_edges must be sorted and unique")
     # the document's own cells are checked first, then the family's
     # builder refuses ill-typed parameters and builds the region again
     try:

@@ -27,15 +27,7 @@ from lozlab import (
     sweep,
 )
 from lozlab.duality import without_vertices
-
-
-def _legal_ks(a):
-    """All strictly increasing hole-index tuples drawn from 1..a."""
-    pool = range(1, a + 1)
-    out = [()]
-    for k in pool:
-        out.extend(tail + (k,) for tail in out[:] if not tail or tail[-1] < k)
-    return sorted(set(out), key=lambda t: (len(t), t))
+from lozlab.verify import _legal_ks
 
 
 def _connected_sample(g, size, rng):

@@ -558,7 +558,7 @@ def _random_free_region(rng):
     boundary = sorted(e for cell in cells for e in cell_edges(cell)
                       if not cells.issuperset(edge_cells(e)))
     free = rng.sample(boundary, rng.randint(0, min(4, len(boundary))))
-    return Region("hand", (), tuple(sorted(cells)), tuple(free))
+    return Region("hand", (), tuple(sorted(cells)), tuple(sorted(free)))
 
 
 def test_free_search_matches_the_host_sum_on_random_regions():

@@ -47,7 +47,7 @@ from lozlab.lattice import (
     serialize_region,
 )
 from lozlab.svg import region_svg
-from lozlab.verify import check, default_grid, sweep
+from lozlab.verify import _legal_ks, check, default_grid, sweep
 from test_lattice import cell_from_corners
 
 ONE = Fraction(1)
@@ -237,14 +237,11 @@ def test_quotient_rejects_reflections():
 def corpus_regions():
     """Hexagons with sides up to 6, holed hexagons with a up to 8 and
     cored hexagons with a up to 4, each with every hole list."""
-    def hole_lists(top):
-        return [ks for r in range(top + 1)
-                for ks in combinations(range(1, top + 1), r)]
     regions = [hexagon(a, b, c) for a, b, c in product(range(1, 7), repeat=3)]
     regions += [holed_hexagon(a, b, ks) for a in range(1, 9) for b in (1, 2)
-                for ks in hole_lists(a // 2)]
+                for ks in _legal_ks(a // 2)]
     regions += [cored_hexagon(a, b, ks, x) for a in range(1, 5) for b in (1, 2)
-                for x in range(1, a + 1) for ks in hole_lists(a - x)]
+                for x in range(1, a + 1) for ks in _legal_ks(a - x)]
     return regions
 
 
@@ -937,6 +934,11 @@ def _swap_first_cell(p):
     return other if p == first else first if p == other else p
 
 
+def _with_free_edges(change):
+    r = d_region(2, 1, -1, [1, 2])
+    return Region(r.family, r.params, r.cells, change(r.free_edges))
+
+
 def _split_on(kind):
     r = hexagon(1, 1, 1)
     axis = identity_element(r) if kind == "Identity" else symmetry(r, kind)
@@ -980,6 +982,12 @@ HAND_BUILT = {
         "Rot180 is not a graph automorphism"),
     "svg tiling pair apart": (_svg_with_distant_pair,
                               "tiling pair is not adjacent"),
+    "region free edges unsorted": (
+        lambda: _with_free_edges(lambda edges: edges[::-1]),
+        "free edges not sorted/unique"),
+    "region free edge repeated": (
+        lambda: _with_free_edges(lambda edges: edges[:1] + edges),
+        "free edges not sorted/unique"),
     "region copy with cells unsorted": (
         lambda: hexagon(1, 1, 1)._replace(cells=hexagon(1, 1, 1).cells[::-1]),
         "cells not sorted/unique"),

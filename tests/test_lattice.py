@@ -33,7 +33,7 @@ from lozlab.lattice import (
     serialize_region,
     shared_edge,
 )
-from lozlab.lattice import _hexagon_cells
+from lozlab.lattice import _hexagon_cells, _triangle
 
 
 def test_cell_parity_and_corners():
@@ -111,6 +111,32 @@ def test_hexagon_cells_match_the_box_scan():
         for b in range(1, 9):
             for c in range(1, 9):
                 assert _hexagon_cells(a, b, c) == _box_scan_hexagon_cells(a, b, c)
+
+
+def _corner_rule_triangle(x, y, size, east):
+    """Reference: every cell near the apex whose corners (X, Y) all lie
+    in the closed triangle x <= X <= x + size, |Y - y| <= X - x, or in
+    its mirror image across column x when it points east."""
+    sign = 1 if east else -1
+    def inside(cx, cy):
+        depth = sign * (x - cx)
+        return 0 <= depth <= size and abs(cy - y) <= depth
+    return {cell_at(u, v)
+            for u in range(x - size - 1, x + size + 1)
+            for v in range(y - size - 1, y + size + 2)
+            if all(inside(*p) for p in cell_corners(cell_at(u, v)))}
+
+
+def test_triangle_matches_the_corner_rule():
+    for x in range(-3, 4):
+        for y in range(-3, 4):
+            if (x + y) & 1:
+                continue
+            for size in range(1, 7):
+                for east in (False, True):
+                    cells = _triangle(x, y, size, east)
+                    assert cells == _corner_rule_triangle(x, y, size, east)
+                    assert len(cells) == size * size
 
 
 def test_edge_cells_lists_both_sides_of_every_edge():
@@ -468,6 +494,10 @@ BAD_DOCUMENTS = {
                               "free_edges must be a list", b'"free_edges"'),
     "bad free edge entry": (_hexagon_doc(free_edges=[[[0, 0]]]),
                             "bad free edge entry", b"[[0,0]]"),
+    "free edges repeated": (
+        _hexagon_doc(family="SplitDual", params={},
+                     free_edges=[[[0, 0], [1, 1]], [[0, 0], [1, 1]]]),
+        "free_edges must be sorted and unique", b'"free_edges"'),
     "free edge endpoints out of order": (
         _hexagon_doc(free_edges=[[[1, 0], [0, 0]]]),
         "free edge endpoints out of order", b"[[1,0],[0,0]]"),
