@@ -26,10 +26,11 @@ has.
 
 Tiling-level wrappers count tilings of a region (perfect matchings of
 its dual graph), tilings invariant under a symmetry group (by direct
-orbit search, by filtering the full enumeration, or by counting
-matchings of the quotient graph when the group is a rotation group),
-and free-boundary tilings where marked boundary cells may stay
-uncovered (by the search on region cells).
+orbit search, by an enumeration that drops a partial tiling as soon as
+one of its pairs breaks the symmetry, or by counting matchings of the
+quotient graph when the group is a rotation group), and free-boundary
+tilings where marked boundary cells may stay uncovered (by the search
+on region cells).
 
 One search engine serves the oracle, the orbit route and the
 free-boundary route: it settles items (graph vertices or region cells)
@@ -142,31 +143,45 @@ def count_matchings_oracle(g: MatchGraph) -> int:
     return _as_count(mgf_oracle(g))
 
 
-def _matchings(g: MatchGraph) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
+def _matchings(g: MatchGraph, groups: Sequence[Sequence[Sequence[int]]] = ()
+               ) -> Iterator[tuple[list[int], list[tuple[int, int]], int]]:
     """Each perfect matching as the search's live mate array, mate[v]
-    being v's partner, and its list of pairs (v, u), v < u, the v
-    increasing; both change in place once the search moves on.
+    being v's partner, its list of pairs (v, u), v < u, the v
+    increasing, both changing in place once the search moves on, and
+    the bitmask of the groups that fix it, bit k for groups[k].
 
     The least uncovered vertex v is matched to each uncovered neighbour
     above it in increasing order, depth first; every neighbour below v
     is already covered.  The search keeps an explicit stack of (vertex,
-    neighbour iterator) frames, so its depth is not bound by the
+    neighbour iterator, mask) frames, so its depth is not bound by the
     interpreter's recursion limit.  Each frame pushed is one partial
     matching, a search state counted against SEARCH_STATE_CAP.
+
+    Each group is a closed set of vertex permutations; the identity may
+    be left out.  A frame's mask holds the groups that may still fix its
+    partial matching.  Once (v, u) is placed, a group is dropped when
+    one of its elements p sends v or u to a covered vertex and
+    mate[p[v]] != p[u]; since a group holds each element's inverse,
+    every image pair is checked when the later of its two pairs is
+    placed.  A pair that drops the last group is undone at once and
+    its frame never pushed.  With no groups nothing is dropped, every
+    mask is 0, and the search is the plain enumeration.
     """
     if g.loops:
         raise ContractError("enumeration needs a loopless graph")
     n = g.n
     mate = [-1] * n
     pairs: list[tuple[int, int]] = []
+    live = (1 << len(groups)) - 1
+    bits = [(1 << k, group) for k, group in enumerate(groups)]
     if n == 0:
-        yield mate, pairs
+        yield mate, pairs, live
         return
     above = [sorted(u for u in rot if u > v) for v, rot in enumerate(g.rotations)]
-    stack = [(0, iter(above[0]))]
+    stack = [(0, iter(above[0]), live)]
     states = 1
     while stack:
-        v, nbrs = stack[-1]
+        v, nbrs, live = stack[-1]
         u = mate[v]
         if u >= 0:  # the frame's last pair, undone
             mate[u] = mate[v] = -1
@@ -178,9 +193,20 @@ def _matchings(g: MatchGraph) -> Iterator[tuple[list[int], list[tuple[int, int]]
             stack.pop()
             continue
         mate[v], mate[u] = u, v
+        mask = live
+        for bit, group in bits:
+            if mask & bit:
+                for p in group:
+                    x = mate[p[v]]
+                    if x != p[u] and (x >= 0 or mate[p[u]] >= 0):
+                        mask ^= bit
+                        break
+        if live and not mask:
+            mate[u] = mate[v] = -1
+            continue
         pairs.append((v, u))
         if 2 * len(pairs) == n:
-            yield mate, pairs
+            yield mate, pairs, mask
             continue
         w = v + 1
         while mate[w] >= 0:
@@ -188,13 +214,13 @@ def _matchings(g: MatchGraph) -> Iterator[tuple[list[int], list[tuple[int, int]]
         states += 1
         if states > SEARCH_STATE_CAP:
             raise _over_budget()
-        stack.append((w, iter(above[w])))
+        stack.append((w, iter(above[w]), mask))
 
 
 def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
     """All perfect matchings as sorted tuples of vertex pairs, in the
     order and under the state cap of the search in _matchings."""
-    return (tuple(pairs) for _, pairs in _matchings(g))
+    return (tuple(pairs) for _, pairs, _ in _matchings(g))
 
 
 # ---------------------------------------------------------------------
@@ -451,15 +477,15 @@ _ROTATION_OF_ORDER = {1: "Identity", 2: "Rot180", 3: "Rot120", 6: "Rot60"}
 
 
 def _filter_count(region: Region, groups) -> list[int]:
-    """Tilings fixed by each group, from one enumeration of the region:
-    a tiling counts for a group when every element but the identity,
-    which symmetry_group puts first, sends each of its pairs to a pair,
-    read off the enumeration's live mate array."""
+    """Tilings fixed by each group, from one enumeration of the region
+    that drops a branch as soon as no group can fix it: the sum of the
+    fixing masks _matchings yields.  symmetry_group puts the identity
+    first, and it is left out."""
     perms = [[e.perm for e in group[1:]] for group in groups]
     counts = [0] * len(perms)
-    for mate, pairs in _matchings(dual_graph(region)):
-        for k, ps in enumerate(perms):
-            counts[k] += all(mate[p[i]] == p[j] for p in ps for i, j in pairs)
+    for _, _, mask in _matchings(dual_graph(region), perms):
+        for k in range(len(counts)):
+            counts[k] += mask >> k & 1
     return counts
 
 
@@ -467,10 +493,11 @@ def count_symmetric_tilings(region: Region, kinds: Sequence[str],
                             method: str = "auto") -> int:
     """Tilings invariant under the group generated by the named symmetries.
 
-    method: "orbit" searches over edge orbits directly, "filter" filters
-    the full tiling enumeration, "quotient" counts matchings of the
-    quotient graph (rotation groups only), "auto" picks quotient when
-    every named kind is a rotation or the identity and orbit otherwise.
+    method: "orbit" searches over edge orbits directly, "filter"
+    enumerates the tilings and drops each partial tiling the group
+    cannot fix, "quotient" counts matchings of the quotient graph
+    (rotation groups only), "auto" picks quotient when every named kind
+    is a rotation or the identity and orbit otherwise.
     A region with free edges is refused with ContractError: no route
     lets a tile protrude across them.
     """

@@ -3,9 +3,9 @@
 Every entry in the catalog states an exact equality between two counts
 attached to one region family.  ``check`` computes both sides through
 disjoint code paths (closed product formula, plain Pfaffian count,
-tiling enumeration with symmetry filtering, orbit search, quotient
-graph, or axis surgery) and reports them side by side; ``sweep`` runs a
-whole parameter grid and renders a CSV report.  A false verdict means
+tiling enumeration pruned by symmetry, orbit search, quotient graph,
+or axis surgery) and reports them side by side; ``sweep`` runs a whole
+parameter grid and renders a CSV report.  A false verdict means
 an implementation bug somewhere, never a tolerance issue: all
 arithmetic is exact.
 

@@ -359,14 +359,17 @@ def test_enumeration_core_matches_the_parent_enumerator(monkeypatch):
             want = _until_cap(_parent_enumerate_matchings(g))
             assert want[1] == (cap < lo)
             assert _until_cap(enumerate_matchings(g)) == want, (g.tags, cap)
-        # the live mate array holds the partners of each yielded matching
+        # the live mate array holds the partners of each yielded
+        # matching, and with no groups every mask is 0
         monkeypatch.setattr(counting, "SEARCH_STATE_CAP", lo)
-        for mate, pairs in counting._matchings(g):
+        for mate, pairs, mask in counting._matchings(g):
             partner = [-1] * g.n
             for v, u in pairs:
                 partner[v], partner[u] = u, v
             assert mate == partner
-    # hexagon(3, 3, 3), the filter route's entry in CAP_BOUNDARIES
+            assert mask == 0
+    # hexagon(3, 3, 3) unpruned; the filter route's entry in
+    # CAP_BOUNDARIES is its search pruned by ReflV
     assert states[26] == 8436
 
 
@@ -626,7 +629,8 @@ def test_orbit_search_matches_filter_and_quotient_on_holed_hexagons():
 CROSS_GROUPS = (("Rot180",), ("Rot120",), ("Rot60",), ("ReflH",), ("ReflV",),
                 ("Rot180", "ReflH"), ("Rot120", "ReflV"), ("Rot60", "ReflH"),
                 ("Rot120", "Rot180"))
-# the filter enumerates every tiling; past this it costs seconds a region
+# the filter still walks every partial tiling the group may fix; past this
+# one region can take a second (holed_hexagon(5, 2, []) under ReflV)
 CROSS_FILTER_CELLS = 60
 
 
@@ -721,18 +725,28 @@ def test_rot120_invariant_regions_are_counted_by_every_route():
     # about a sixth sit off their corner box's center
     assert (off_centre, filtered) == (21, 83)
 
-def _set_filter_count(region, group):
-    """Reference: the filter that checks every element, the identity
-    too, against a set of each tiling's pairs."""
+def _set_fixing_masks(region, groups):
+    """Reference: each tiling of the unpruned enumeration with the mask
+    of the groups that fix it, bit k for groups[k], every element, the
+    identity too, checked against a set of the tiling's pairs."""
     g = dual_graph(region)
-    perms = [[g.tags.index(m[c]) for c in g.tags] for m in map(mapping, group)]
-    count = 0
+    perms = [[[g.tags.index(m[c]) for c in g.tags] for m in map(mapping, group)]
+             for group in groups]
+    out = []
     for matching in enumerate_matchings(g):
         mset = set(matching)
-        if all(((p[i], p[j]) if p[i] < p[j] else (p[j], p[i])) in mset
-               for p in perms for i, j in matching):
-            count += 1
-    return count
+        mask = 0
+        for k, ps in enumerate(perms):
+            if all(((p[i], p[j]) if p[i] < p[j] else (p[j], p[i])) in mset
+                   for p in ps for i, j in matching):
+                mask |= 1 << k
+        out.append((matching, mask))
+    return out
+
+
+def _set_filter_count(region, group):
+    """Reference: how many tilings the set check finds fixed by group."""
+    return sum(mask for _, mask in _set_fixing_masks(region, [group]))
 
 
 def _mirror_partner(kinds):
@@ -762,6 +776,29 @@ def test_filter_matches_the_set_reference():
         paired += 1
     assert checked == 162
     assert paired == 120
+
+
+def test_pruned_search_yields_exactly_the_fixed_tilings():
+    # the filter's search, with a group and its mirror partner, keeps
+    # each tiling some group fixes, in the unpruned order and with the
+    # reference's mask, and drops every other tiling
+    checked = 0
+    for region, kinds, group in _cross_cases():
+        if len(region.cells) > CROSS_FILTER_CELLS:
+            continue
+        groups = [group]
+        try:
+            groups.append(symmetry_group(region, _mirror_partner(kinds)))
+        except SymmetryAbsentError:
+            pass
+        want = [(m, mask) for m, mask in _set_fixing_masks(region, groups)
+                if mask]
+        perms = [[e.perm for e in grp[1:]] for grp in groups]
+        got = [(tuple(pairs), mask) for _, pairs, mask
+               in counting._matchings(dual_graph(region), perms)]
+        assert got == want, (region.params, kinds)
+        checked += 1
+    assert checked == 162
 
 
 def _every_cell_moves(region, maps):
@@ -804,7 +841,7 @@ CAP_BOUNDARIES = {
     "orbit": (lambda: count_symmetric_tilings(holed_hexagon(4, 2, [2]),
                                               ["Rot180"], "orbit"), 332, 100),
     "filter": (lambda: count_symmetric_tilings(hexagon(3, 3, 3), ["ReflV"],
-                                               "filter"), 8436, 112),
+                                               "filter"), 1761, 112),
     "free": (lambda: count_tilings_free(d_region(3, 2, 0, [1, 2, 3])),
              140, 490),
 }

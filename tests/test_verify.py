@@ -222,19 +222,31 @@ def test_catalog_routes_and_default_grid_csv_are_pinned():
 
 def test_four_class_eq1_keeps_its_own_enumeration():
     # eq=1 takes the cell-count switch between filter and orbit search,
-    # I1_9 always filters, and at a=5 its enumeration meets the state cap
+    # I1_9 always filters, and its pruned enumeration meets the state
+    # cap at a=6 b=2
     assert check("FOUR_CLASS", eq=1, a=3, b=2).rhs_route == "orbit-enumeration"
     assert check("I1_9", a=3, b=2).rhs_route == "enumeration+filter"
-    assert check("FOUR_CLASS", eq=1, a=5, b=2).verdict
+    c = check("FOUR_CLASS", eq=1, a=5, b=2)
+    assert c.verdict
+    assert (c.lhs, c.factors) == (16818516, (28314, 594))
     with pytest.raises(BudgetError, match="search states"):
-        check("I1_9", a=5, b=2)
+        check("I1_9", a=6, b=2)
 
 
 def test_i1_9_verifies_at_a4_b1():
-    # the reach of I1_9's filter: a=4 b=2 meets the state cap
     c = check("I1_9", a=4, b=1)
     assert c.verdict
     assert (c.lhs, c.factors) == (1764, (126, 14))
+
+
+def test_i1_9_at_a4_b2_gives_the_orbit_search_factors():
+    # FOUR_CLASS eq 1 counts the same mirror classes by orbit search
+    c = check("I1_9", a=4, b=2)
+    assert c.verdict
+    assert (c.lhs, c.factors) == (232848, (2772, 84))
+    orbit = check("FOUR_CLASS", eq=1, a=4, b=2)
+    assert orbit.rhs_route == "orbit-enumeration"
+    assert orbit.factors == c.factors
 
 
 def test_both_mirror_counts_share_one_enumeration(monkeypatch):
@@ -242,9 +254,9 @@ def test_both_mirror_counts_share_one_enumeration(monkeypatch):
     calls = []
     matchings = counting._matchings
 
-    def counted(g):
+    def counted(g, groups=()):
         calls.append(g.n)
-        return matchings(g)
+        return matchings(g, groups)
 
     monkeypatch.setattr(counting, "_matchings", counted)
     for identity_id, params in (("I1_9", {"a": 2, "b": 2}),
