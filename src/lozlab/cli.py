@@ -71,7 +71,7 @@ def _build_region(args):
     """The region the family flags describe, and its JSON params."""
     family = args.family
     lattice_family, omissible = _FAMILIES[family]
-    build, names = _BUILDERS[lattice_family]
+    build, names, _ = _BUILDERS[lattice_family]
     # of several foreign flags, the alphabetically first is named
     for name in sorted(_REGION_FLAGS):
         if name not in names and getattr(args, name) is not None:

@@ -33,11 +33,15 @@ tilings where marked boundary cells may stay uncovered (by the search
 on region cells).
 
 One search engine serves the oracle, the orbit route and the
-free-boundary route: it settles items (graph vertices or region cells)
-in sorted order and memoizes the weighted ways to reach each set of
-items left, a broken-profile transfer-matrix count.  The orbit and
-free-boundary routes run it on region cells, never on the dual graph
-or a determinant.
+free-boundary route: it settles items in sorted order and memoizes the
+weighted ways to reach each set of items left, a broken-profile
+transfer-matrix count.  The oracle's items are graph vertices, the
+free-boundary route's region cells, and the orbit route's the cell
+orbits of its group, one per orbit, numbered by least cell; the cell
+routes never touch the dual graph or a determinant.  A state is keyed
+by the items gone at or above its least item left, and a move by the
+items it takes, both shifted down to that item, so a key is only as
+wide as the frontier.
 
 SEARCH_STATE_CAP is the one budget: it bounds the sweep's memo states
 and the partial matchings the enumerator visits, whatever the size of
@@ -78,30 +82,41 @@ def _sweep(moves: list[list[tuple[int, int | Fraction]]]) -> int | Fraction:
     """Weighted ways to remove every item by moves, each taken by its
     least item.
 
-    moves[p] lists (mask, weight) pairs whose least set bit is p.  Items
-    left are an int bitmask, so the least item is the lowest set bit.
-    Each state waits in the bucket of its least item together with the
-    weighted number of ways to reach it, and the buckets are settled in
-    item order, so every state is expanded once and a settled bucket is
-    dropped.  The sweep is a loop, not a recursion, so a deep input runs
-    into the state cap, never into the interpreter's stack limit.  Int
-    weights give an int, Fraction weights a Fraction.
+    Items are 0 .. n-1, n = len(moves), and moves[p] lists the (mask,
+    weight) pairs whose least item is p, the mask relative to p: bit i
+    stands for item p + i, so bit 0 is always set.  Each state waits in
+    the bucket of its least item left, p, keyed by the items gone at or
+    above p, shifted down by p; every item below p is gone, so the key
+    names the state, and it is only as wide as the frontier.  A move
+    fires when it meets no gone item; the next state's bucket is p plus
+    the run of low set bits of the new key, which it is shifted by.  The
+    buckets are settled in item order, so every state is expanded once
+    and a settled bucket is dropped.  The sweep is a loop, not a
+    recursion, so a deep input runs into the state cap, never into the
+    interpreter's stack limit.  Int weights give an int, Fraction
+    weights a Fraction.
     """
     n = len(moves)
     waiting: list[dict] = [{} for _ in range(n + 1)]
-    waiting[0][(1 << n) - 1] = 1
+    waiting[0][0] = 1
     states = 1
     for p in range(n):
-        for left, ways in waiting[p].items():
-            for m, w in moves[p]:
-                if left & m != m:
+        at = moves[p]
+        for gone, ways in waiting[p].items():
+            for m, w in at:
+                if gone & m:
                     continue
-                rest = left ^ m
-                bucket = waiting[(rest & -rest).bit_length() - 1 if rest else n]
-                if rest in bucket:
-                    bucket[rest] += ways * w
+                rest = gone | m
+                # the least item left is the lowest zero bit of rest, the
+                # lowest set bit of rest + 1
+                low = rest + 1
+                t = (low & -low).bit_length() - 1
+                bucket = waiting[p + t]
+                key = rest >> t
+                if key in bucket:
+                    bucket[key] += ways * w
                     continue
-                bucket[rest] = ways * w
+                bucket[key] = ways * w
                 states += 1
                 if states > SEARCH_STATE_CAP:
                     raise _over_budget()
@@ -128,9 +143,9 @@ def mgf_oracle(g: MatchGraph) -> Fraction:
     """
     moves: list[list[tuple[int, Fraction]]] = [[] for _ in range(g.n)]
     for i, j, w in g.edges:
-        moves[i].append(((1 << i) | (1 << j), w))
+        moves[i].append((1 | 1 << j - i, w))
     for v, w in g.loops:
-        moves[v].append((1 << v, w))
+        moves[v].append((1, w))
     return Fraction(_sweep(moves))
 
 
@@ -433,24 +448,52 @@ def count_tilings(region: Region) -> int:
 
 
 def _cell_moves(region: Region, perms) -> list[list[tuple[int, int]]]:
-    """For each region cell in sorted order, the moves of the search that
-    remove it: the bitmask of the union of the orbit of each edge under
-    the cell index permutations, kept when its pairs are disjoint, with
-    weight 1.  Each orbit is built once and filed at its least cell, the
-    only bucket from which the sweep can take it."""
-    moves: list[list[tuple[int, int]]] = [[] for _ in region.cells]
-    done: set[int] = set()
-    rotations = _cell_rotations(_cell_index(region.cells), region.cells)
-    for k, rot in enumerate(rotations):
+    """The moves of the search on the cell orbits of a group, given by
+    its cell index permutations: one item per orbit, numbered by its
+    least cell, and for each orbit the moves filed at it.
+
+    Each orbit of edges is a move, with weight 1, when its edges are
+    disjoint: its cells, the orbits o <= q of the edge's two ends, then
+    number twice its edges.  Some edge of the orbit meets o's least
+    cell, so the edges there, read once, find every move; an edge from
+    there to an earlier orbit belongs to that orbit's moves.  The mask
+    is relative to o, as _sweep takes it: 1 | 1 << (q - o).  Where only
+    the identity fixes o's least cell and q != o, no other edge there is
+    in the edge's orbit, which has one edge per element, so it is a
+    move exactly when only the identity fixes the cells of q either.
+    """
+    cells = region.cells
+    orbit_of = [-1] * len(cells)
+    least, size = [], []
+    for k in range(len(cells)):
+        if orbit_of[k] < 0:
+            images = {p[k] for p in perms}
+            for c in images:
+                orbit_of[c] = len(least)
+            least.append(k)
+            size.append(len(images))
+    moves: list[list[tuple[int, int]]] = []
+    rotations = _cell_rotations(_cell_index(cells), [cells[k] for k in least])
+    order = len(perms)
+    for o, (k, rot) in enumerate(zip(least, rotations)):
+        at = []
+        done: set[tuple[int, int]] = set()
         for j in rot:
-            if j < k or (1 << k | 1 << j) in done:
+            q = orbit_of[j]
+            # (k, j) is sorted as done keeps its pairs: o holds no cell
+            # below k, and an orbit q > o none below its own least cell
+            if q < o or (k, j) in done:
                 continue
-            pairs = {1 << p[k] | 1 << p[j] for p in perms}
+            if q != o and size[o] == order:
+                if size[q] == order:
+                    at.append((1 | 1 << q - o, 1))
+                continue
+            pairs = {(p[k], p[j]) if p[k] < p[j] else (p[j], p[k])
+                     for p in perms}
             done |= pairs
-            # the two-bit pairs are disjoint when their sum carries nowhere
-            mask = sum(pairs)
-            if mask.bit_count() == 2 * len(pairs):
-                moves[(mask & -mask).bit_length() - 1].append((mask, 1))
+            if 2 * len(pairs) == size[o] + (size[q] if q != o else 0):
+                at.append((1 | 1 << q - o, 1))
+        moves.append(at)
     return moves
 
 
@@ -461,14 +504,13 @@ def count_tilings_free(region: Region) -> int:
     of the region minus S.  Counted by the memoized search on cells:
     each edge (k, j), j > k, is a move of its lower cell k, the moves
     _cell_moves gives for the one-element group, and a cell hosting a
-    free edge may also be removed alone.
+    free edge may also be removed alone, each mask relative to k.
     """
     index = _cell_index(region.cells)
-    moves = [[(1 << k | 1 << j, 1) for j in rot if j > k]
+    moves = [[(1 | 1 << j - k, 1) for j in rot if j > k]
              for k, rot in enumerate(_cell_rotations(index, region.cells))]
     for u, v, _ in region.free_cell_map().values():
-        k = index[u, v]
-        moves[k].append((1 << k, 1))
+        moves[index[u, v]].append((1, 1))
     return _sweep(moves)
 
 

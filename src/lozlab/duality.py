@@ -22,19 +22,22 @@ sorted cells, the dual graph's vertex numbering: perm[k] is the index of
 the image of cell k, and every consumer reads perm directly.  Every map
 is about the centroid of the region's cells, and a kind is refused
 unless it is a lattice isometry about that point, which the point map
-alone decides.  A cell is mapped by arithmetic on its tripled centroid,
-an integer point; the map is affine, so one cell and its three lattice
-neighbours check it once.  A group is closed by composing its
-generators with the newest elements.  One cell index keyed by (u, v)
-serves the symmetries, the dual graph, counting's cell search and the
-quotient, which is built from the element alone.  The quotient under a
-rotation identifies each orbit of cells to one vertex and reads that
-vertex off the neighbours of the orbit's least cell, the only ones it
-looks up; an orbit of edges whose endpoints fall into the same vertex
-orbit becomes a loop when a symmetric matching can use it.  Parallel
-edge orbits between the same pair of vertex orbits are merged into a
-single edge whose weight is the multiplicity, which leaves matching
-generating functions unchanged.
+alone decides.  Every cell's tripled centroid, an integer point, is
+mapped in one pass and every image looked up in a second; the map is
+affine, so one cell and its three lattice neighbours check it once.  A
+group is closed by composing its generators with the newest elements.
+One cell index keyed by (u, v) serves the symmetries, the dual graph,
+counting's cell search and the quotient, which is built from the
+element alone.  The quotient under a rotation identifies each orbit of
+cells to one vertex, in one pass over the cycles of perm, and reads
+that vertex off the neighbours of the orbit's least cell, the only ones
+it looks up.  When those lie in distinct other orbits the vertex takes
+them as its rotation and unit edges directly.  Otherwise parallel edge
+orbits between the same pair of vertex orbits are merged into a single
+edge whose weight is the multiplicity, which leaves matching generating
+functions unchanged, and an orbit of edges whose endpoints fall into
+the same vertex orbit becomes a loop when a symmetric matching can use
+it.
 
 factorization_split performs the axis surgery on a graph that is
 mirror-symmetric about a horizontal axis of vertices: every axis
@@ -42,13 +45,16 @@ vertex's edge to the upper side is deleted and every edge joining two
 axis vertices has its weight halved.  The matching count of the input
 graph then equals 2**multiplier_log2 times the matching generating
 function of the surgered graph, provided every axis vertex lies on an
-axis edge; a graph with an axis vertex on none is refused.
+axis edge; a graph with an axis vertex on none is refused.  The axis
+acts on a graph's vertices through the sorted cell indices of their
+tags: each vertex goes to the vertex of its least member's image.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
+from operator import ge
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import ContractError, SymmetryAbsentError
@@ -79,29 +85,34 @@ class MatchGraph(_MatchGraphFields):
     All four fields are required.  The rotation system is the
     adjacency: rotations[v] lists v's neighbours in counterclockwise
     order.  The constructor checks its input: sorted unique tags, edges
-    and loops, endpoints in range, positive Fraction weights, a rotation
-    system that lists exactly each vertex's neighbours, and Euler's
-    formula for the embedding, whose component count it reads off the
-    walk.  A violation raises ContractError.
+    and loops, endpoints in range, positive Fraction weights (each
+    distinct weight object once), a rotation system that lists exactly
+    each vertex's neighbours, and Euler's formula for the embedding,
+    whose component count it reads off the walk.  The face trace checks
+    the rotations as it claims each edge's two darts, and only a fault
+    makes it scan the vertices for the lowest one at fault.  The checks
+    fail in the order listed.  A violation raises ContractError.
     """
 
     def __new__(cls, tags, edges, loops, rotations):
         self = super().__new__(cls, tags, edges, loops, rotations)
         n = len(self.tags)
-        if any(a >= b for a, b in zip(self.tags, self.tags[1:])):
+        if any(map(ge, self.tags, self.tags[1:])):
             raise ContractError("tags not sorted/unique")
-        if any((i, j) >= (k, m)
-               for (i, j, _), (k, m, _) in zip(self.edges, self.edges[1:])):
+        pairs = [(i, j) for i, j, _ in self.edges]
+        if any(map(ge, pairs, pairs[1:])):
             raise ContractError("edges not sorted/unique")
-        # the edges are sorted, so each list comes out increasing
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for i, j, w in self.edges:
-            if not 0 <= i < j < n:
-                raise ContractError("bad edge endpoints (%r, %r)" % (i, j))
-            if not (isinstance(w, Fraction) and w.numerator > 0):
-                raise ContractError("bad weight %r" % (w,))
-            nbrs[i].append(j)
-            nbrs[j].append(i)
+        # each distinct weight object is checked once; only a fault
+        # makes the scan below name the first faulty edge
+        weights = {id(w): w for _, _, w in self.edges}.values()
+        if not (all(isinstance(w, Fraction) and w.numerator > 0
+                    for w in weights)
+                and all(0 <= i < j < n for i, j in pairs)):
+            for i, j, w in self.edges:
+                if not 0 <= i < j < n:
+                    raise ContractError("bad edge endpoints (%r, %r)" % (i, j))
+                if not (isinstance(w, Fraction) and w.numerator > 0):
+                    raise ContractError("bad weight %r" % (w,))
         if any(u >= v for (u, _), (v, _) in zip(self.loops, self.loops[1:])):
             raise ContractError("loops not sorted/unique")
         for v, w in self.loops:
@@ -112,6 +123,20 @@ class MatchGraph(_MatchGraphFields):
         if len(self.rotations) != n:
             raise ContractError("rotation system has %d entries for %d "
                                 "vertices" % (len(self.rotations), n))
+        # the face trace checks the rotations against the edges first
+        v, e = n, len(self.edges)
+        f, c = self.face_count(), max(self.walk[0], default=-1) + 1
+        if v - e + f != 2 * c:
+            raise ContractError("embedding not planar: V=%d E=%d F=%d C=%d"
+                                % (v, e, f, c))
+        return self
+
+    def _rotation_fault(self) -> ContractError:
+        """The first vertex whose rotation is not its neighbour list."""
+        nbrs: list[list[int]] = [[] for _ in self.rotations]
+        for i, j, _ in self.edges:  # sorted, so each list comes out sorted
+            nbrs[i].append(j)
+            nbrs[j].append(i)
         for i, rot in enumerate(self.rotations):
             try:
                 if sorted(rot) == nbrs[i]:
@@ -119,14 +144,9 @@ class MatchGraph(_MatchGraphFields):
             except TypeError:  # entries that do not compare
                 pass
             if len(rot) != len(set(rot)):
-                raise ContractError("repeated neighbor in rotation at %d" % i)
-            raise ContractError("rotation disagrees with edges at %d" % i)
-        v, e = n, len(self.edges)
-        f, c = self.face_count(), max(self.walk[0], default=-1) + 1
-        if v - e + f != 2 * c:
-            raise ContractError("embedding not planar: V=%d E=%d F=%d C=%d"
-                                % (v, e, f, c))
-        return self
+                return ContractError("repeated neighbor in rotation at %d" % i)
+            return ContractError("rotation disagrees with edges at %d" % i)
+        return ContractError("rotation system is not the adjacency")
 
     @classmethod
     def _make(cls, iterable):
@@ -186,20 +206,32 @@ class MatchGraph(_MatchGraphFields):
         Darts are CSR offsets into the rotations: dart start[i] + k runs
         from i to rotations[i][k].  Faces are numbered in the order the
         trace first meets them, visiting the darts into vertex 0, then
-        into vertex 1, and so on, each vertex in its rotation order.
+        into vertex 1, and so on, each vertex in its rotation order.  A
+        rotation system that is not the adjacency raises ContractError,
+        which names the lowest vertex at fault.
         """
         rots = self.rotations
-        start = [0]
-        for rot in rots:
-            start.append(start[-1] + len(rot))
-        # each edge's two darts, found once: opp reverses a dart, and
-        # forward[e] is the dart i -> j of edge e = (i, j)
-        opp = [0] * start[-1]
+        # each edge claims its two darts: opp reverses a dart, and
+        # forward[e] is the dart i -> j of edge e = (i, j).  The rotation
+        # system is the adjacency exactly when there are two darts per
+        # edge and no dart is left unclaimed or claimed twice.
         forward = []
-        for i, j, _ in self.edges:
-            d, r = start[i] + rots[i].index(j), start[j] + rots[j].index(i)
-            opp[d], opp[r] = r, d
-            forward.append(d)
+        try:
+            start = [0]
+            for rot in rots:
+                start.append(start[-1] + len(rot))
+            opp = [-1] * start[-1]
+            if len(opp) != 2 * len(self.edges):
+                raise ValueError
+            for i, j, _ in self.edges:
+                d = start[i] + rots[i].index(j)
+                r = start[j] + rots[j].index(i)
+                if opp[d] >= 0 or opp[r] >= 0:
+                    raise ValueError
+                opp[d], opp[r] = r, d
+                forward.append(d)
+        except (AttributeError, TypeError, ValueError):
+            raise self._rotation_fault() from None
         # dart j -> i continues to the next neighbour after j in the
         # cyclic order at i
         succ = [0] * len(opp)
@@ -351,16 +383,16 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
     cx2, cy2 = (s // n if s % n == 0 else Fraction(s, n) for s in sums)
     pmap = _point_map(kind, cx2, cy2)
     get = _cell_index(cells).get
-    perm = []
-    for cell in cells:
-        x, y = pmap(_centroid3(cell))
-        u, v = x // 3, y // 3
-        k = get((u, v))
-        if k is None:
-            raise SymmetryAbsentError(
-                "%s does not map the region to itself (cell %r -> %r)"
-                % (kind, tuple(cell), (u, v, UP if x % 3 == 1 else DOWN)))
-        perm.append(k)
+    images = [pmap((3 * u + (1 if orient == UP else 2), 3 * v))
+              for u, v, orient in cells]
+    perm = [get((x // 3, y // 3)) for x, y in images]
+    if None in perm:
+        k = perm.index(None)
+        x, y = images[k]
+        raise SymmetryAbsentError(
+            "%s does not map the region to itself (cell %r -> %r)"
+            % (kind, tuple(cells[k]), (x // 3, y // 3,
+                                       UP if x % 3 == 1 else DOWN)))
     if len(set(perm)) != n:
         raise ContractError("%s is not injective" % (kind,))
     if ({pmap(_centroid3(nb)) for nb in cell_neighbors(cells[0])}
@@ -374,8 +406,9 @@ def compose(f: SymmetryElement, g: SymmetryElement) -> SymmetryElement:
     """f after g, on a common region."""
     if f.cells != g.cells:
         raise ContractError("elements live on different regions")
+    fp = f.perm
     return SymmetryElement("%s*%s" % (f.kind, g.kind), f.cells,
-                           tuple(f.perm[k] for k in g.perm))
+                           tuple([fp[k] for k in g.perm]))
 
 
 def identity_element(region: Region) -> SymmetryElement:
@@ -460,7 +493,7 @@ def quotient_graph(elem: SymmetryElement) -> MatchGraph:
             "symmetry does not act freely on cells; quotient undefined")
     # each orbit is found from its least cell and the cells are sorted,
     # so the orbits already come in the order of their tags
-    tags = tuple(tuple(cells[v] for v in sorted(o)) for o in orbits)
+    tags = tuple(tuple([cells[v] for v in sorted(o)]) for o in orbits)
     n_q = len(orbits)
 
     edges: list[tuple[int, int, Fraction]] = []
@@ -470,6 +503,11 @@ def quotient_graph(elem: SymmetryElement) -> MatchGraph:
                                 [cells[orbit[0]] for orbit in orbits])
     for o, (orbit, adjacent) in enumerate(zip(orbits, adjacency)):
         nbs = [orbit_of[c] for c in adjacent]
+        if o not in nbs and len(set(nbs)) == len(nbs):
+            # distinct other orbits: unit edges and no loop
+            rotations.append(tuple(nbs))
+            edges += [(o, q, ONE) for q in sorted(nbs) if q > o]
+            continue
         rot = tuple(dict.fromkeys(q for q in nbs if q != o))
         rotations.append(rot)
         edges += [(o, q, _COUNTS[nbs.count(q)]) for q in sorted(rot) if q > o]
@@ -550,13 +588,19 @@ def tag_cells(tag) -> tuple[TriCell, ...]:
 def _vertex_action(g: MatchGraph, elem: SymmetryElement,
                    members: list[tuple[TriCell, ...]]) -> list[int]:
     """Action of a region symmetry on the vertices of g, members[v] being
-    the cells v's tag names: v goes to the vertex holding their images."""
+    the cells v's tag names: v goes to the vertex holding the image of
+    its least member, whose members must be exactly the images of v's,
+    compared as sorted cell index lists."""
     index = {c: k for k, c in enumerate(elem.cells)}
+    perm = elem.perm
     try:
-        cells = [frozenset(index[c] for c in m) for m in members]
-        vertex_of = {s: v for v, s in enumerate(cells)}
-        out = [vertex_of[frozenset(elem.perm[k] for k in s)] for s in cells]
+        ks = [sorted([index[c] for c in m]) for m in members]
+        vertex_of = {k: v for v, m in enumerate(ks) for k in m}
+        out = [vertex_of[perm[m[0]]] for m in ks]
     except KeyError:
+        out = None
+    if out is None or any(sorted([perm[k] for k in m]) != ks[w]
+                          for m, w in zip(ks, out)):
         raise SymmetryAbsentError("symmetry does not permute the graph's tags")
     weight = {(i, j): w for i, j, w in g.edges}
     for i, j, w in g.edges:

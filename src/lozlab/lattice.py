@@ -272,12 +272,23 @@ def _hexagon_cells(a: int, b: int, c: int) -> set[TriCell]:
                            min(u, 2 * a - u - 1) + 1)}
 
 
-def hexagon(a: int, b: int, c: int) -> Region:
-    """Hexagonal region with sides a, b, c, a, b, c clockwise from NW."""
+# Each family that deserialize_region can check in closed form has a
+# size function beside its builder: it runs the builder's parameter
+# checks, in the builder's order, and returns the checked parameters and
+# the region's cell count.
+
+
+def _hexagon_size(a, b, c) -> tuple[tuple, int]:
     for name, value in (("a", a), ("b", b), ("c", c)):
         require_int(name, value)
+    return (a, b, c), 2 * (a * b + b * c + c * a)
+
+
+def hexagon(a: int, b: int, c: int) -> Region:
+    """Hexagonal region with sides a, b, c, a, b, c clockwise from NW."""
+    _, size = _hexagon_size(a, b, c)
     cells = _hexagon_cells(a, b, c)
-    assert len(cells) == 2 * (a * b + b * c + c * a)
+    assert len(cells) == size
     return Region("Hexagon", (("a", a), ("b", b), ("c", c)),
                   tuple(sorted(cells)))
 
@@ -299,6 +310,13 @@ def _holed_cells(side: int, b: int, ks: tuple[int, ...]) -> set[TriCell]:
     return cells - holes
 
 
+def _holed_size(a, b, ks) -> tuple[tuple, int]:
+    require_int("a", a)
+    require_int("b", b)
+    ks = require_indices("ks", ks, a // 2)
+    return (a, b, ks), 2 * (a * a + 4 * a * b) - 8 * len(ks)
+
+
 def holed_hexagon(a: int, b: int, ks) -> Region:
     """hexagon(a, a, 2b) minus paired side-2 boundary triangles on the axis.
 
@@ -309,13 +327,22 @@ def holed_hexagon(a: int, b: int, ks) -> Region:
     regions may fall apart into independent pieces, which is fine for
     counting (matchings multiply over pieces).
     """
-    require_int("a", a)
-    require_int("b", b)
-    ks = require_indices("ks", ks, a // 2)
+    (_, _, ks), size = _holed_size(a, b, ks)
     cells = _holed_cells(a, b, ks)
-    assert len(cells) == 2 * (a * a + 4 * a * b) - 8 * len(ks)
+    assert len(cells) == size
     return Region("HoledHexagon", (("a", a), ("b", b), ("ks", ks)),
                   tuple(sorted(cells)))
+
+
+def _cored_size(a, b, ks, x) -> tuple[tuple, int]:
+    require_int("a", a)
+    require_int("b", b)
+    require_int("x", x)
+    ks = require_indices("ks", ks)
+    require_core(a, ks, x)
+    side = 2 * a - 1
+    return (a, b, ks, x), (2 * (side * side + 4 * side * b) - 8 * len(ks)
+                           - 2 * (2 * x - 1) ** 2)
 
 
 def cored_hexagon(a: int, b: int, ks, x: int) -> Region:
@@ -325,19 +352,15 @@ def cored_hexagon(a: int, b: int, ks, x: int) -> Region:
     Raises HoleCollisionError when a hole would overlap the core, which
     happens exactly for k > a - x.
     """
-    require_int("a", a)
-    require_int("b", b)
-    require_int("x", x)
-    ks = require_indices("ks", ks)
-    require_core(a, ks, x)
+    (_, _, ks, _), size = _cored_size(a, b, ks, x)
     side = 2 * a - 1
     m = 2 * x - 1
     core = (_triangle(side - m, -2 * b, m, False)
             | _triangle(side + m, -2 * b, m, True))
-    assert len(core) == 2 * m * m
     base = _holed_cells(side, b, ks)
     assert core <= base
     cells = base - core
+    assert len(cells) == size
     return Region("CoredHexagon",
                   (("a", a), ("b", b), ("ks", ks), ("x", x)),
                   tuple(sorted(cells)))
@@ -410,15 +433,16 @@ def rbar_region(l, q, base: int) -> Region:
 # ---------------------------------------------------------------------
 # serialization (schema version 1)
 
-# each family's builder and its parameters in the builder's order; a
-# "SplitDual" document has no builder and is taken as it stands
+# each family's builder, its parameters in the builder's order and its
+# size function, where it has one; a "SplitDual" document has no builder
+# and is taken as it stands
 _FAMILIES = {
-    "Hexagon": (hexagon, ("a", "b", "c")),
-    "HoledHexagon": (holed_hexagon, ("a", "b", "ks")),
-    "CoredHexagon": (cored_hexagon, ("a", "b", "ks", "x")),
-    "DRegion": (d_region, ("a", "b", "eps", "is")),
-    "RBarRegion": (rbar_region, ("l", "q", "base")),
-    "SplitDual": (None, ()),
+    "Hexagon": (hexagon, ("a", "b", "c"), _hexagon_size),
+    "HoledHexagon": (holed_hexagon, ("a", "b", "ks"), _holed_size),
+    "CoredHexagon": (cored_hexagon, ("a", "b", "ks", "x"), _cored_size),
+    "DRegion": (d_region, ("a", "b", "eps", "is"), None),
+    "RBarRegion": (rbar_region, ("l", "q", "base"), None),
+    "SplitDual": (None, (), None),
 }
 
 # the parameters, in any family or identity, whose value is an integer list
@@ -468,7 +492,7 @@ def deserialize_region(data: bytes) -> Region:
     if not isinstance(raw_params, dict):
         _fail(data, '"params"', "params must be an object")
     params = []
-    build, keys = _FAMILIES[family]
+    build, keys, size = _FAMILIES[family]
     for key in keys:
         if key not in raw_params:
             _fail(data, '"params"', "missing parameter %r for %s" % (key, family))
@@ -511,10 +535,15 @@ def deserialize_region(data: bytes) -> Region:
     if sorted(set(free_edges)) != free_edges:
         _fail(data, '"free_edges"', "free_edges must be sorted and unique")
     # the document's own cells are checked first, then the family's
-    # builder refuses ill-typed parameters and builds the region again
+    # checks refuse ill-typed parameters; a family with a size function
+    # refuses a wrong cell count before it builds the region again
+    values = [value for _, value in params]
     try:
         region = Region(family, tuple(params), tuple(cells), tuple(free_edges))
-        built = build(*[value for _, value in params]) if build else region
+        if size and size(*values)[1] != len(cells):
+            built = None
+        else:
+            built = build(*values) if build else region
     except ParameterError as exc:
         raise FormatError("inconsistent region document: %s" % exc, offset=0)
     if built != region:

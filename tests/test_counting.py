@@ -594,22 +594,29 @@ def test_free_moves_are_the_identity_orbit_moves_and_host_moves(monkeypatch):
     # so its sweep visits the same states
     seen = []
     monkeypatch.setattr(counting, "_sweep", seen.append)
-    rng = random.Random(20261021)
     checked = 0
+    for region in _free_move_corpus():
+        count_tilings_free(region)
+        identity = [range(len(region.cells))]
+        want = counting._cell_moves(region, identity)
+        orbit_of = _orbit_numbers(len(region.cells), identity)
+        for host in region.free_cell_map().values():
+            k = region.cells.index(host)
+            want[k].append((_bucket_relative(orbit_of, 1 << k), 1))
+        assert seen.pop() == want, region.params
+        checked += 1
+    assert checked == 336
+
+
+def _free_move_corpus():
+    """Two seeded hole sets of d_region(a, b, eps) per size r, or every
+    set where there are fewer, for a <= 6 and b <= 4."""
+    rng = random.Random(20261021)
     for a, b, eps in product(range(1, 7), range(1, 5), (-1, 0)):
         for r in range(a + 1):
             sets = list(combinations(range(1, a + 1), r))
             for is_ in rng.sample(sets, min(2, len(sets))):
-                region = d_region(a, b, eps, list(is_))
-                count_tilings_free(region)
-                want = counting._cell_moves(region,
-                                            [range(len(region.cells))])
-                for host in region.free_cell_map().values():
-                    k = region.cells.index(host)
-                    want[k].append((1 << k, 1))
-                assert seen.pop() == want, (a, b, eps, is_)
-                checked += 1
-    assert checked == 336
+                yield d_region(a, b, eps, list(is_))
 
 
 def test_orbit_search_matches_filter_and_quotient_on_holed_hexagons():
@@ -818,20 +825,119 @@ def _every_cell_moves(region, maps):
     return moves
 
 
+def _orbit_numbers(n, perms):
+    """Each cell's orbit under the permutations, the orbits numbered in
+    the order of their least cells."""
+    orbit_of = [-1] * n
+    count = 0
+    for k in range(n):
+        if orbit_of[k] < 0:
+            for p in perms:
+                orbit_of[p[k]] = count
+            count += 1
+    return orbit_of
+
+
+def _bucket_relative(orbit_of, mask):
+    """A cell mask as the sweep takes it: one bit per orbit it meets,
+    shifted down to its least orbit, the bucket it is filed at."""
+    bits = 0
+    for k in range(mask.bit_length()):
+        if mask >> k & 1:
+            bits |= 1 << orbit_of[k]
+    return bits >> (bits & -bits).bit_length() - 1
+
+
 def test_cell_moves_are_the_reference_moves_that_can_fire():
-    # a move can fire only from the bucket of its least cell
+    # a move can fire only from the bucket of its least cell, the least
+    # cell of its least orbit; the reference's cell masks are mapped
+    # to orbit masks relative to that orbit
     cases = [(region, group) for region, _, group in _cross_cases()]
     cases += [(r, [identity_element(r)]) for r in (
         d_region(3, 2, 0, [1, 2, 3]), d_region(4, 2, -1, [1, 3]))]
     dead = 0
     for region, group in cases:
-        new = counting._cell_moves(region, [e.perm for e in group])
+        perms = [e.perm for e in group]
+        new = counting._cell_moves(region, perms)
         old = _every_cell_moves(region, [mapping(e) for e in group])
-        for p, (got, want) in enumerate(zip(new, old)):
+        orbit_of = _orbit_numbers(len(region.cells), perms)
+        at = [[] for _ in new]
+        for p, want in enumerate(old):
             live = [m for m in want if m[0] & -m[0] == 1 << p]
-            assert sorted(got) == sorted(live), (region.params, p)
+            at[orbit_of[p]] += [(_bucket_relative(orbit_of, m), w)
+                                for m, w in live]
             dead += len(want) - len(live)
+        for o, (got, want) in enumerate(zip(new, at)):
+            assert sorted(got) == sorted(want), (region.params, o)
     assert dead > 0
+
+
+def _reference_sweep(moves):
+    """The sweep on absolute masks, one bit per cell: each state the
+    bitmask of the items left, waiting in the bucket of its least item.
+    Returns the count and the number of states it visits."""
+    n = len(moves)
+    waiting = [{} for _ in range(n + 1)]
+    waiting[0][(1 << n) - 1] = 1
+    states = 1
+    for p in range(n):
+        for left, ways in waiting[p].items():
+            for m, w in moves[p]:
+                if left & m != m:
+                    continue
+                rest = left ^ m
+                bucket = waiting[(rest & -rest).bit_length() - 1 if rest else n]
+                if rest not in bucket:
+                    bucket[rest] = 0
+                    states += 1
+                bucket[rest] += ways * w
+        waiting[p] = {}
+    return waiting[n].get(0, 0), states
+
+
+def _same_count_and_states(monkeypatch, count, want):
+    """count() gives want[0] under a cap of want[1] states, and meets
+    the cap one state below it; the cap is checked as a state is added,
+    so a search that adds none never meets it."""
+    value, states = want
+    monkeypatch.setattr(counting, "SEARCH_STATE_CAP", states)
+    assert count() == value
+    if states > 1:
+        monkeypatch.setattr(counting, "SEARCH_STATE_CAP", states - 1)
+        with pytest.raises(BudgetError):
+            count()
+
+
+def test_bucket_relative_sweep_visits_the_reference_states(monkeypatch):
+    # each state of the reference maps to one bucket-relative key, so
+    # every route keeps its count and its state count
+    runs = 0
+    for region, kinds, group in _cross_cases():
+        moves = _every_cell_moves(region, [mapping(e) for e in group])
+        _same_count_and_states(
+            monkeypatch,
+            lambda: count_symmetric_tilings(region, kinds, "orbit"),
+            _reference_sweep(moves))
+        runs += 1
+    for region in _free_move_corpus():
+        moves = _every_cell_moves(region, [{c: c for c in region.cells}])
+        for host in region.free_cell_map().values():
+            k = region.cells.index(host)
+            moves[k].append((1 << k, 1))
+        _same_count_and_states(monkeypatch,
+                               lambda: count_tilings_free(region),
+                               _reference_sweep(moves))
+        runs += 1
+    for g in _oracle_reference_graphs()[::5]:
+        moves = [[] for _ in range(g.n)]
+        for i, j, w in g.edges:
+            moves[i].append((1 << i | 1 << j, w))
+        for v, w in g.loops:
+            moves[v].append((1 << v, w))
+        _same_count_and_states(monkeypatch, lambda: mgf_oracle(g),
+                               _reference_sweep(moves))
+        runs += 1
+    assert runs == 270 + 336 + 15
 
 
 # the exact state counts of one search per route: each passes at its

@@ -837,6 +837,19 @@ MALFORMED = {
     "rotation extra neighbor": ((0, 1, 2), ((0, 1, ONE),), (),
                                 ((1, 2), (0,), ()),
                                 "rotation disagrees with edges at 0"),
+    # two faults each: the first check to fail names the fault, whatever
+    # order the faster passes find them in
+    "edges unsorted, bad weight": ((0, 1, 2), ((1, 2, 1), (0, 1, ONE)), (),
+                                   None, "edges not sorted/unique"),
+    "two bad weights": ((0, 1, 2), ((0, 1, 2), (1, 2, -1)), (), None,
+                        "bad weight 2"),
+    "bad endpoints, then a bad weight": ((0, 1, 2), ((1, 0, ONE), (1, 2, 0)),
+                                         (), None, "bad edge endpoints"),
+    # edge (0, 3) meets the fault at vertex 3 before edge (1, 2) meets
+    # the one at vertex 1, the lower vertex, which is named
+    "rotation faults at 3 and 1": ((0, 1, 2, 3), ((0, 3, ONE), (1, 2, ONE)),
+                                   (), ((3,), (0,), (1,), (1,)),
+                                   "rotation disagrees with edges at 1"),
     # K4 with every rotation in increasing order traces two faces, not four
     "embedding not planar": (
         (0, 1, 2, 3),

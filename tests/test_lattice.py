@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import lozlab
+from lozlab import lattice
 from lozlab.duality import central_axis_split, dual_graph, split_dual_region
 from lozlab.errors import (ContractError, FormatError, HoleCollisionError,
                            ParameterError)
@@ -408,6 +409,31 @@ def test_deserialize_refuses_cells_its_parameters_do_not_build():
     doc["family"], doc["params"] = "SplitDual", {}
     region = deserialize_region(json.dumps(doc).encode("utf-8"))
     assert region.cells == hexagon(1, 1, 1).cells
+
+
+def test_deserialize_refuses_a_wrong_cell_count_without_building(monkeypatch):
+    # a document whose parameters give another cell count is refused by
+    # the closed form alone, at the cells, however large the parameters
+    def never(*_):
+        raise AssertionError("the builder ran")
+
+    for region, big in ((hexagon(2, 2, 2), {"a": 200, "b": 200, "c": 200}),
+                        (holed_hexagon(4, 1, [2]), {"a": 400, "b": 200}),
+                        (cored_hexagon(2, 1, [], 1), {"a": 200, "b": 200})):
+        build, keys, size = lattice._FAMILIES[region.family]
+        monkeypatch.setitem(lattice._FAMILIES, region.family,
+                            (never, keys, size))
+        doc = json.loads(serialize_region(region))
+        doc["params"].update(big)
+        data = json.dumps(doc, separators=(",", ":")).encode("utf-8")
+        with pytest.raises(FormatError, match="^inconsistent region document: "
+                           "it is not the region %s builds" % region.family
+                           ) as info:
+            deserialize_region(data)
+        assert info.value.offset == data.find(b'"cells"') > 0
+        # the count matches: only the builder can tell, and it is asked
+        with pytest.raises(AssertionError, match="the builder ran"):
+            deserialize_region(serialize_region(region))
 
 
 def test_deserialize_refuses_ill_typed_parameters():
