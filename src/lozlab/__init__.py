@@ -12,8 +12,7 @@ from .counting import (count_matchings, count_matchings_oracle,
                        enumerate_matchings, mgf)
 from .duality import (FactorSplit, MatchGraph, dual_graph,
                       factorization_split, graph_text, quotient_graph,
-                      remove_loop_vertex, split_dual_region, symmetry,
-                      symmetry_group)
+                      remove_loop_vertex, symmetry, symmetry_group)
 from .errors import (BudgetError, ContractError, FormatError,
                      FormulaRangeError, HoleCollisionError, LozlabError,
                      ParameterError, SymmetryAbsentError)

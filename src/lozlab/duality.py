@@ -670,27 +670,3 @@ def central_axis_split(region: Region) -> tuple[FactorSplit, Fraction]:
     q = quotient_graph(symmetry(region, "Rot180"))
     q, loop_weight = normalize_loops(q)
     return factorization_split(q, symmetry(region, "ReflH")), loop_weight
-
-
-def split_dual_region(split: FactorSplit) -> Region:
-    """Redraw the surgered graph as a region: every vertex keeps the
-    orbit member on or below the axis (on the axis: the western one)."""
-    tagged = [tag_cells(t) for t in split.subgraph.tags]
-    vs = [c.v for members in tagged for c in members]
-    if not vs:
-        raise ContractError("an empty split has no axis")
-    lvl2 = min(vs) + max(vs)
-    cells = []
-    for members in tagged:
-        below = [c for c in members if 2 * c.v < lvl2]
-        if below:
-            if len(below) != 1:
-                raise ContractError("orbit has several cells below the axis")
-            cells.append(below[0])
-        else:
-            on_axis = sorted(c for c in members if 2 * c.v == lvl2)
-            if not on_axis:
-                raise ContractError("orbit entirely above the axis")
-            cells.append(on_axis[0])
-    return Region("SplitDual", (), tuple(sorted(cells)))
-

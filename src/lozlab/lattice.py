@@ -434,15 +434,13 @@ def rbar_region(l, q, base: int) -> Region:
 # serialization (schema version 1)
 
 # each family's builder, its parameters in the builder's order and its
-# size function, where it has one; a "SplitDual" document has no builder
-# and is taken as it stands
+# size function, where it has one
 _FAMILIES = {
     "Hexagon": (hexagon, ("a", "b", "c"), _hexagon_size),
     "HoledHexagon": (holed_hexagon, ("a", "b", "ks"), _holed_size),
     "CoredHexagon": (cored_hexagon, ("a", "b", "ks", "x"), _cored_size),
     "DRegion": (d_region, ("a", "b", "eps", "is"), None),
     "RBarRegion": (rbar_region, ("l", "q", "base"), None),
-    "SplitDual": (None, (), None),
 }
 
 # the parameters, in any family or identity, whose value is an integer list
@@ -470,6 +468,17 @@ def _fail(data: bytes, needle: str, message: str):
 
 
 def deserialize_region(data: bytes) -> Region:
+    """The region a schema-1 document describes, rebuilt or refused.
+
+    The family is Hexagon, HoledHexagon, CoredHexagon, DRegion or
+    RBarRegion. The checks run in order: the fields (an object, its
+    schema version, family and parameter names), the cells, the free
+    edges, the parameter values (the family's own checks), then the
+    cell count from the family's closed-form size where it has one, and
+    the rebuild, which must give exactly the document's region. Every
+    refusal is a FormatError carrying the offset of the bad field, or 0
+    where it names none (a missing field, a refused parameter value).
+    """
     if isinstance(data, str):
         data = data.encode("utf-8")
     try:
@@ -534,16 +543,13 @@ def deserialize_region(data: bytes) -> Region:
         free_edges.append(e)
     if sorted(set(free_edges)) != free_edges:
         _fail(data, '"free_edges"', "free_edges must be sorted and unique")
-    # the document's own cells are checked first, then the family's
-    # checks refuse ill-typed parameters; a family with a size function
-    # refuses a wrong cell count before it builds the region again
     values = [value for _, value in params]
     try:
         region = Region(family, tuple(params), tuple(cells), tuple(free_edges))
         if size and size(*values)[1] != len(cells):
             built = None
         else:
-            built = build(*values) if build else region
+            built = build(*values)
     except ParameterError as exc:
         raise FormatError("inconsistent region document: %s" % exc, offset=0)
     if built != region:

@@ -1,6 +1,9 @@
 """End-to-end checks of the command line surface."""
 
+import ast
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -456,6 +459,23 @@ def test_golden_invocations_replay(capsys):
         if (code, digest.hexdigest()) != (expected["exit"], expected["sha256"]):
             mismatched.append(key)
     assert mismatched == []
+
+
+def test_traced_names_are_functions_of_their_modules():
+    # the benchmark's tracer wraps each name by getattr on its module, so
+    # a renamed or deleted one would crash every traced run.  The table
+    # is read from the source, which writes no bytecode under lozbench/
+    source = (Path(__file__).resolve().parent.parent / "lozbench"
+              / "spans.py").read_text(encoding="utf-8")
+    table, = (node.value for node in ast.parse(source).body
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"])
+    wrapped = ast.literal_eval(table)
+    missing = [module + "." + name
+               for module, names in wrapped.items() for name in names
+               if not inspect.isfunction(getattr(
+                   importlib.import_module("lozlab." + module), name, None))]
+    assert missing == []
 
 
 def test_module_entry_point():

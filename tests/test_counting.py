@@ -9,7 +9,7 @@ from math import factorial, prod
 
 import pytest
 
-from lozlab import check, cli, counting, duality
+from lozlab import check, cli, counting, default_grid, duality
 from lozlab.counting import (
     count_matchings,
     count_matchings_oracle,
@@ -586,6 +586,23 @@ def test_free_search_without_free_edges_counts_tilings():
     for region in regions:
         assert count_tilings_free(region) == count_tilings(region), \
             (region.family, region.params)
+
+
+@pytest.mark.parametrize("identity, delta, eps", [("E3_1", 0, -1),
+                                                  ("E3_9", 1, 0)])
+def test_quarter_legs_tie_the_central_engines(identity, delta, eps):
+    # the free sweep on the quarter d region against the Klein orbit search
+    # and the Rot180 quotient determinant on the holed hexagon, with no
+    # formula between them: Klein = free, Rot180 = free squared
+    for row in default_grid(identity):
+        a, b, ks = row["a"], row["b"], row["ks"]
+        region = holed_hexagon(2 * a + delta, b, ks)
+        is_ = [i for i in range(1, a + 1) if a - i + 1 not in ks]
+        free = count_tilings_free(d_region(a, b, eps, is_))
+        assert count_symmetric_tilings(region, ("Rot180", "ReflV"),
+                                       "orbit") == free, row
+        assert count_symmetric_tilings(region, ("Rot180",),
+                                       "quotient") == free ** 2, row
 
 
 def test_free_moves_are_the_identity_orbit_moves_and_host_moves(monkeypatch):

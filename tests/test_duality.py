@@ -26,7 +26,6 @@ from lozlab.duality import (
     identity_element,
     quotient_graph,
     remove_loop_vertex,
-    split_dual_region,
     symmetry,
     symmetry_group,
     tag_cells,
@@ -503,35 +502,41 @@ def test_split_multiplier_counts_axis_pairs():
     assert _split_of(holed_hexagon(4, 2, [2])).multiplier_log2 == 1
 
 
+REDRAWN_SPLITS = (
+    (holed_hexagon(2, 1, []), [], [1], 1),
+    (holed_hexagon(3, 1, []), [1], [1], 1),
+    (holed_hexagon(4, 2, [2]), [1], [2], 2),
+    (holed_hexagon(10, 4, [2, 4]), [2, 4], [1, 3, 5], 4))
+
+
+def _redrawn_cell(split):
+    """The split redrawn as a region: each vertex keeps its orbit's member
+    below the axis, or on the axis its western one."""
+    vs = [c.v for t in split.subgraph.tags for c in tag_cells(t)]
+    lvl2 = min(vs) + max(vs)
+
+    def rep(tag):
+        members = tag_cells(tag)
+        below = [c for c in members if 2 * c.v < lvl2]
+        if below:
+            return below[0]
+        return sorted(c for c in members if 2 * c.v == lvl2)[0]
+
+    return rep
+
+
 def test_split_dual_region_matches_rbar():
-    split = _split_of(holed_hexagon(10, 4, [2, 4]))
-    assert (split_dual_region(split).cell_set
-            == rbar_region([2, 4], [1, 3, 5], 4).cell_set)
-    split = _split_of(holed_hexagon(2, 1, []))
-    assert split_dual_region(split).cell_set == rbar_region([], [1], 1).cell_set
-    split = _split_of(holed_hexagon(3, 1, []))
-    assert split_dual_region(split).cell_set == rbar_region([1], [1], 1).cell_set
+    for region, l, q_, base in REDRAWN_SPLITS:
+        split = _split_of(region)
+        rep = _redrawn_cell(split)
+        assert ({rep(t) for t in split.subgraph.tags}
+                == rbar_region(l, q_, base).cell_set)
 
 
 def test_split_subgraph_is_the_weighted_dual_of_the_redrawn_region():
-    for region, l, q_, base in (
-            (holed_hexagon(2, 1, []), [], [1], 1),
-            (holed_hexagon(3, 1, []), [1], [1], 1),
-            (holed_hexagon(4, 2, [2]), [1], [2], 2),
-            (holed_hexagon(10, 4, [2, 4]), [2, 4], [1, 3, 5], 4)):
+    for region, l, q_, base in REDRAWN_SPLITS:
         split = _split_of(region)
-        # vertex i of the subgraph corresponds to a redrawn cell via the
-        # same bottom-representative rule used by split_dual_region
-        vs = [c.v for t in split.subgraph.tags for c in tag_cells(t)]
-        lvl2 = min(vs) + max(vs)
-
-        def rep(tag):
-            members = tag_cells(tag)
-            below = [c for c in members if 2 * c.v < lvl2]
-            if below:
-                return below[0]
-            return sorted(c for c in members if 2 * c.v == lvl2)[0]
-
+        rep = _redrawn_cell(split)
         actual = {}
         for i, j, w in split.subgraph.edges:
             a, b = sorted((rep(split.subgraph.tags[i]),
@@ -912,11 +917,6 @@ for name, (tags, edges, loops, rotations, fragment) in sorted(MALFORMED.items())
 # public routines check hand-built objects, also under python -O
 
 
-def _hand_split(*tags):
-    return FactorSplit(MatchGraph(tuple(sorted(tags)), (), (),
-                                  ((),) * len(tags)), 0)
-
-
 def _int_tagged():
     """A valid graph, one edge, whose vertex tags are ints, not cells."""
     return MatchGraph((0, 1), ((0, 1, Fraction(1)),), (), ((1,), (0,)))
@@ -978,14 +978,6 @@ HAND_BUILT = {
     "split with a lone axis vertex": (
         lambda: central_axis_split(_lone_axis_regions()[1]),
         "lies on no axis edge"),
-    "split orbit twice below": (
-        lambda: split_dual_region(_hand_split((cell_at(0, 0), cell_at(1, 0)),
-                                              (cell_at(0, 2),))),
-        "orbit has several cells below the axis"),
-    "split orbit above": (
-        lambda: split_dual_region(_hand_split((cell_at(0, 0),),
-                                              (cell_at(0, 2),))),
-        "orbit entirely above the axis"),
     "symmetry not injective": (
         lambda: _symmetry_under(
             lambda p: duality._centroid3(hexagon(1, 1, 1).cells[0])),
@@ -1011,16 +1003,11 @@ HAND_BUILT = {
         lambda: quotient_graph(SymmetryElement(
             "Rot180", hexagon(1, 1, 1).cells, (1, 0, 2, 3, 4, 5))),
         "symmetry does not act freely on cells"),
-    "split with no vertices": (lambda: split_dual_region(_hand_split()),
-                               "an empty split has no axis"),
     "svg of an empty region": (lambda: region_svg(Region("X", (), ())),
                                "an empty region has nothing to draw"),
     "split of a graph tagged with ints": (
         lambda: factorization_split(_int_tagged(),
                                     symmetry(hexagon(1, 1, 1), "ReflH")),
-        "vertex tag 0 names no cells"),
-    "split region of a graph tagged with ints": (
-        lambda: split_dual_region(FactorSplit(_int_tagged(), 0)),
         "vertex tag 0 names no cells"),
     "svg of a graph tagged with ints": (
         lambda: region_svg(hexagon(1, 1, 1), graph=_int_tagged()),

@@ -12,7 +12,7 @@ import pytest
 
 import lozlab
 from lozlab import lattice
-from lozlab.duality import central_axis_split, dual_graph, split_dual_region
+from lozlab.duality import dual_graph
 from lozlab.errors import (ContractError, FormatError, HoleCollisionError,
                            ParameterError)
 from lozlab.lattice import (
@@ -378,10 +378,9 @@ def test_rbar_odd_shape():
 
 
 def test_serialization_roundtrip():
-    split = central_axis_split(holed_hexagon(4, 1, [2]))[0]
     for r in (hexagon(2, 2, 2), holed_hexagon(4, 1, [2]),
               cored_hexagon(2, 1, [], 1), d_region(2, 1, -1, [1]),
-              rbar_region([], [1], 1), split_dual_region(split)):
+              rbar_region([], [1], 1)):
         blob = serialize_region(r)
         assert deserialize_region(blob) == r
         # byte determinism
@@ -404,11 +403,15 @@ def test_deserialize_refuses_cells_its_parameters_do_not_build():
     doc["free_edges"] = doc["free_edges"][1:]
     with pytest.raises(FormatError, match="not the region DRegion builds"):
         deserialize_region(json.dumps(doc).encode("utf-8"))
-    # a split region has no builder: any cells are taken as they stand
+    # every family has a builder: a document no builder vouches for, such
+    # as a redrawn split, is refused at its family
     doc = json.loads(serialize_region(hexagon(1, 1, 1)))
     doc["family"], doc["params"] = "SplitDual", {}
-    region = deserialize_region(json.dumps(doc).encode("utf-8"))
-    assert region.cells == hexagon(1, 1, 1).cells
+    data = json.dumps(doc).encode("utf-8")
+    with pytest.raises(FormatError, match="^unknown family 'SplitDual'$"
+                       ) as info:
+        deserialize_region(data)
+    assert info.value.offset == data.find(b'"family"') > 0
 
 
 def test_deserialize_refuses_a_wrong_cell_count_without_building(monkeypatch):
@@ -439,10 +442,9 @@ def test_deserialize_refuses_a_wrong_cell_count_without_building(monkeypatch):
 def test_deserialize_refuses_ill_typed_parameters():
     # the builders refuse what a type check on the document would: bool,
     # str, float and list for an integer, a non-list for a list
-    split = central_axis_split(holed_hexagon(4, 1, [2]))[0]
     regions = (hexagon(2, 2, 2), holed_hexagon(4, 1, [2]),
                cored_hexagon(2, 1, [], 1), d_region(2, 1, -1, [1]),
-               rbar_region([], [1], 1), split_dual_region(split))
+               rbar_region([], [1], 1))
     ints = (True, False, "1", "", 1.0, 2.0, None, [1], {})
     lists = (1, True, "1", "", "12", 1.0, None, {}, {"1": 1},
              [True], [1.0], [[1]], ["1"], [None])
@@ -521,8 +523,7 @@ BAD_DOCUMENTS = {
     "bad free edge entry": (_hexagon_doc(free_edges=[[[0, 0]]]),
                             "bad free edge entry", b"[[0,0]]"),
     "free edges repeated": (
-        _hexagon_doc(family="SplitDual", params={},
-                     free_edges=[[[0, 0], [1, 1]], [[0, 0], [1, 1]]]),
+        _hexagon_doc(free_edges=[[[0, 0], [1, 1]], [[0, 0], [1, 1]]]),
         "free_edges must be sorted and unique", b'"free_edges"'),
     "free edge endpoints out of order": (
         _hexagon_doc(free_edges=[[[1, 0], [0, 0]]]),
