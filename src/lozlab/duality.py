@@ -48,6 +48,10 @@ function of the surgered graph, provided every axis vertex lies on an
 axis edge; a graph with an axis vertex on none is refused.  The axis
 acts on a graph's vertices through the sorted cell indices of their
 tags: each vertex goes to the vertex of its least member's image.
+central_axis_split reads no tags: it works on the Rot180 quotient's
+unchecked orbit parts, drops a forced loop's vertex by rank, and reads
+the ReflH action off each orbit's least cell, so it builds and checks
+only the subgraph it returns.
 """
 
 from __future__ import annotations
@@ -468,6 +472,13 @@ def quotient_graph(elem: SymmetryElement) -> MatchGraph:
     the least cell at orbit[t] and orbit[m - t], and counts once, at
     2t <= m; it is a partial matching exactly when 2t = m.
     """
+    return MatchGraph(*_quotient_parts(elem)[0])
+
+
+def _quotient_parts(elem: SymmetryElement):
+    """The quotient's fields, (tags, edges, loops, rotations), unchecked,
+    with its orbits, each a list of cell indices from its least cell on,
+    and orbit_of, each cell's orbit, which is its vertex."""
     if elem.kind not in ("Rot60", "Rot120", "Rot180"):
         raise ContractError(
             "quotient requires a rotation generator, got %r" % (elem.kind,))
@@ -517,21 +528,30 @@ def quotient_graph(elem: SymmetryElement) -> MatchGraph:
                     if 2 * t == m or (2 * t < m and n_q % 2 == 0))
             if k:
                 loops.append((o, _COUNTS[k]))
-    return MatchGraph(tags, tuple(edges), tuple(loops), tuple(rotations))
+    fields = (tags, tuple(edges), tuple(loops), tuple(rotations))
+    return fields, orbits, orbit_of
+
+
+def _induced(g, gone: set[int]):
+    """The fields (tags, edges, loops, rotations) of g, a MatchGraph or
+    its unchecked fields, induced on the vertices not in gone.  The new
+    ranks increase with the old, so kept edges and loops stay sorted."""
+    tags, edges, loops, rotations = g
+    keep = [i for i in range(len(tags)) if i not in gone]
+    rank = [-1] * len(tags)
+    for new, old in enumerate(keep):
+        rank[old] = new
+    return (tuple([tags[i] for i in keep]),
+            tuple([(rank[i], rank[j], wt) for i, j, wt in edges
+                   if i not in gone and j not in gone]),
+            tuple([(rank[v], wt) for v, wt in loops if v not in gone]),
+            tuple([tuple([rank[x] for x in rotations[i] if x not in gone])
+                   for i in keep]))
 
 
 def without_vertices(g: MatchGraph, drop: Iterable[int]) -> MatchGraph:
     """Induced subgraph on the remaining vertices, reindexed."""
-    gone = set(drop)
-    keep = [i for i in range(g.n) if i not in gone]
-    rank = {old: new for new, old in enumerate(keep)}
-    tags = tuple(g.tags[i] for i in keep)
-    edges = tuple(sorted((rank[i], rank[j], wt) for i, j, wt in g.edges
-                         if i not in gone and j not in gone))
-    loops = tuple(sorted((rank[v], wt) for v, wt in g.loops if v not in gone))
-    rotations = tuple(tuple(rank[x] for x in g.rotations[i] if x not in gone)
-                      for i in keep)
-    return MatchGraph(tags, edges, loops, rotations)
+    return MatchGraph(*_induced(g, set(drop)))
 
 
 def remove_loop_vertex(g: MatchGraph) -> tuple[MatchGraph, Fraction]:
@@ -585,12 +605,17 @@ def tag_cells(tag) -> tuple[TriCell, ...]:
     raise ContractError("vertex tag %r names no cells" % (tag,))
 
 
-def _vertex_action(g: MatchGraph, elem: SymmetryElement,
+_LOOPED = ("cannot split a graph with a loop: a Rot180 quotient keeps one "
+           "when the half-turn centre is the midpoint of a lattice edge")
+_UNPERMUTED = "symmetry does not permute the graph's tags"
+
+
+def _vertex_action(elem: SymmetryElement,
                    members: list[tuple[TriCell, ...]]) -> list[int]:
-    """Action of a region symmetry on the vertices of g, members[v] being
-    the cells v's tag names: v goes to the vertex holding the image of
-    its least member, whose members must be exactly the images of v's,
-    compared as sorted cell index lists."""
+    """Action of a region symmetry on the vertices of a graph, members[v]
+    being the cells v's tag names: v goes to the vertex holding the
+    image of its least member, whose members must be exactly the images
+    of v's, compared as sorted cell index lists."""
     index = {c: k for k, c in enumerate(elem.cells)}
     perm = elem.perm
     try:
@@ -601,13 +626,48 @@ def _vertex_action(g: MatchGraph, elem: SymmetryElement,
         out = None
     if out is None or any(sorted([perm[k] for k in m]) != ks[w]
                           for m, w in zip(ks, out)):
-        raise SymmetryAbsentError("symmetry does not permute the graph's tags")
-    weight = {(i, j): w for i, j, w in g.edges}
-    for i, j, w in g.edges:
-        a, b = out[i], out[j]
+        raise SymmetryAbsentError(_UNPERMUTED)
+    return out
+
+
+def _axis_surgery(g, sigma: list[int], row: list[int]) -> FactorSplit:
+    """The surgery of factorization_split on g, a loopless MatchGraph or
+    its unchecked fields, with sigma the axis action on its vertices and
+    row[v] the height of v's least cell.  Only the subgraph it returns
+    is built, and checked."""
+    tags, edges, _, rotations = g
+    weight = {(i, j): w for i, j, w in edges}
+    for i, j, w in edges:
+        a, b = sigma[i], sigma[j]
         if weight.get((a, b) if a < b else (b, a)) != w:
             raise SymmetryAbsentError("symmetry is not a weighted automorphism")
-    return out
+    if any(sigma[s] != i for i, s in enumerate(sigma)):
+        raise ContractError("axis map not an involution")
+    levels = {row[i] for i, s in enumerate(sigma) if s == i}
+    if len(levels) > 1:
+        raise ContractError("axis vertices not at a single height")
+    level = min(levels, default=None)
+    # halve each axis pair, drop each axis vertex's edge to the upper side
+    kept_edges = []
+    halved = 0
+    paired = set()
+    for i, j, w in edges:
+        fi, fj = sigma[i] == i, sigma[j] == j
+        if fi and fj:
+            kept_edges.append((i, j, w * HALF))
+            halved += 1
+            paired.update((i, j))
+        elif not (fi or fj) or row[j if fi else i] <= level:
+            kept_edges.append((i, j, w))
+    lone = [i for i, s in enumerate(sigma) if s == i and i not in paired]
+    if lone:
+        raise ContractError("axis vertex %d lies on no axis edge, so the "
+                            "split need not keep the count" % lone[0])
+    kept = {d for i, j, _ in kept_edges for d in ((i, j), (j, i))}
+    rotations = tuple([tuple([x for x in rot if (i, x) in kept])
+                       for i, rot in enumerate(rotations)])
+    return FactorSplit(MatchGraph(tags, tuple(kept_edges), (), rotations),
+                       halved)
 
 
 def factorization_split(g: MatchGraph, axis: SymmetryElement) -> FactorSplit:
@@ -623,38 +683,10 @@ def factorization_split(g: MatchGraph, axis: SymmetryElement) -> FactorSplit:
     miscount (Ciucu's theorem cuts above and below in turn).
     """
     if g.loops:
-        raise ContractError(
-            "cannot split a graph with a loop: a Rot180 quotient keeps one "
-            "when the half-turn centre is the midpoint of a lattice edge")
+        raise ContractError(_LOOPED)
     members = [tag_cells(t) for t in g.tags]
-    sigma = _vertex_action(g, axis, members)
-    if any(sigma[s] != i for i, s in enumerate(sigma)):
-        raise ContractError("axis map not an involution")
-    row = [min(m).v for m in members]
-    levels = {row[i] for i, s in enumerate(sigma) if s == i}
-    if len(levels) > 1:
-        raise ContractError("axis vertices not at a single height")
-    level = min(levels, default=None)
-    # halve each axis pair, drop each axis vertex's edge to the upper side
-    edges = []
-    halved = 0
-    paired = set()
-    for i, j, w in g.edges:
-        fi, fj = sigma[i] == i, sigma[j] == j
-        if fi and fj:
-            edges.append((i, j, w * HALF))
-            halved += 1
-            paired.update((i, j))
-        elif not (fi or fj) or row[j if fi else i] <= level:
-            edges.append((i, j, w))
-    lone = [i for i, s in enumerate(sigma) if s == i and i not in paired]
-    if lone:
-        raise ContractError("axis vertex %d lies on no axis edge, so the "
-                            "split need not keep the count" % lone[0])
-    kept = {d for i, j, _ in edges for d in ((i, j), (j, i))}
-    rotations = tuple(tuple(x for x in rot if (i, x) in kept)
-                      for i, rot in enumerate(g.rotations))
-    return FactorSplit(MatchGraph(g.tags, tuple(edges), (), rotations), halved)
+    return _axis_surgery(g, _vertex_action(axis, members),
+                         [min(m).v for m in members])
 
 
 def central_axis_split(region: Region) -> tuple[FactorSplit, Fraction]:
@@ -665,8 +697,32 @@ def central_axis_split(region: Region) -> tuple[FactorSplit, Fraction]:
     dead-weight loop, which the split refuses with ContractError.
     Returns the split and the removed loop's weight (1 without one), so
     the quotient has loop_weight * 2**multiplier_log2 * MGF(subgraph)
-    matchings.
+    matchings.  The split works on the quotient's unchecked orbit parts
+    and reads the ReflH action off each orbit's least cell: the orbit
+    goes to the orbit of that cell's image, which must hold the images
+    of all its cells.  It refuses what factorization_split of the
+    normalized quotient refuses, with the same text and in the same
+    order, and builds and checks only the subgraph it returns.
     """
-    q = quotient_graph(symmetry(region, "Rot180"))
-    q, loop_weight = normalize_loops(q)
-    return factorization_split(q, symmetry(region, "ReflH")), loop_weight
+    rot = symmetry(region, "Rot180")
+    q, orbits, orbit_of = _quotient_parts(rot)
+    loops = q[2]
+    if len(loops) > 1:
+        raise ContractError("cannot normalize %d loops" % len(loops))
+    axis = symmetry(region, "ReflH")
+    # an even quotient keeps its loop; an odd one's is forced, so its
+    # vertex goes and its weight stays
+    if loops and len(orbits) % 2 == 0:
+        raise ContractError(_LOOPED)
+    perm = axis.perm
+    sigma = [orbit_of[perm[o[0]]] for o in orbits]
+    if ([orbit_of[k] for k in perm] != [sigma[o] for o in orbit_of]
+            or any(sigma[v] != v for v, _ in loops)):
+        raise SymmetryAbsentError(_UNPERMUTED)
+    row = [rot.cells[o[0]].v for o in orbits]
+    if not loops:
+        return _axis_surgery(q, sigma, row), ONE
+    (v, loop_weight), = loops
+    del row[v]
+    sigma = [s - (s > v) for s in sigma if s != v]
+    return _axis_surgery(_induced(q, {v}), sigma, row), loop_weight

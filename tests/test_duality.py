@@ -50,6 +50,7 @@ from lozlab.verify import _legal_ks, check, default_grid, sweep
 from test_lattice import cell_from_corners
 
 ONE = Fraction(1)
+_UNPERMUTED = "symmetry does not permute the graph's tags"
 KINDS = ("Identity", "Rot60", "Rot120", "Rot180", "ReflH", "ReflV")
 GROUPS = (("Rot180",), ("Rot120",), ("Rot60",), ("ReflH",), ("ReflV",),
           ("Rot180", "ReflH"), ("Rot120", "ReflV"), ("Rot60", "ReflH"))
@@ -690,6 +691,51 @@ def test_split_keeps_the_count_wherever_it_returns():
     assert outcomes == {"dual": 66, "central": 72, "refused": 262}
 
 
+def _chain_split(region):
+    """Reference for central_axis_split: the checked quotient, its
+    normalized copy, and the split of that graph."""
+    q = quotient_graph(symmetry(region, "Rot180"))
+    q, loop_weight = duality.normalize_loops(q)
+    return factorization_split(q, symmetry(region, "ReflH")), loop_weight
+
+
+def _split_or_refusal(split, region):
+    try:
+        return split(region)
+    except (ContractError, SymmetryAbsentError) as exc:
+        return type(exc), str(exc)
+
+
+def test_central_axis_split_matches_the_three_step_chain(monkeypatch):
+    regions = [holed_hexagon(a, b, ks) for a in range(1, 9)
+               for b in range(1, 4) for ks in _legal_ks(a // 2)]
+    regions += [cored_hexagon(a, b, ks, x) for a in range(1, 5)
+                for b in range(1, 3) for x in range(1, a + 1)
+                for ks in _legal_ks(a - x)]
+    regions += [hexagon(a, b, c) for a, b, c in product(range(1, 6), repeat=3)]
+    want = [_split_or_refusal(_chain_split, r) for r in regions]
+    # the split builds only the graph it returns: it calls no step of
+    # the chain, nor the tag-reading vertex action
+    calls = []
+    for name in ("quotient_graph", "normalize_loops", "without_vertices",
+                 "factorization_split", "_vertex_action"):
+        def counted(*args, _name=name, _fn=getattr(duality, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(duality, name, counted)
+    got = [_split_or_refusal(central_axis_split, r) for r in regions]
+    assert calls == []
+    # subgraph fields, multiplier and loop weight, or refusal type and text
+    for region, g, w in zip(regions, got, want):
+        assert g == w, region.params
+    splits = sum(isinstance(w[0], FactorSplit) for w in want)
+    assert (splits, len(want) - splits) == (197, 115)
+    assert {w[1] for w in want if not isinstance(w[0], FactorSplit)} >= {
+        "horizontal mirror is not a lattice map",
+        "cannot split a graph with a loop: a Rot180 quotient keeps one "
+        "when the half-turn centre is the midpoint of a lattice edge"}
+
+
 def test_empty_region_has_no_symmetry():
     empty = Region("hand", (), ())
     assert counting.count_tilings(empty) == 1
@@ -761,6 +807,32 @@ def test_split_rejects_an_axis_that_is_no_automorphism():
     with pytest.raises(SymmetryAbsentError,
                        match="symmetry does not permute the graph's tags"):
         factorization_split(without_vertices(g, {0}), symmetry(r, "ReflH"))
+
+
+def _with_hand_built_axis(region, swaps):
+    """A copy of region whose ReflH is the identity with the given cell
+    pairs swapped, no lattice map."""
+    r = Region(*region)
+    perm = list(range(len(r.cells)))
+    for i, j in swaps:
+        perm[i], perm[j] = j, i
+    r._symmetries["ReflH"] = SymmetryElement("ReflH", r.cells, tuple(perm))
+    return r
+
+
+def test_central_split_refuses_an_axis_that_does_not_permute_orbits():
+    # one swap carries a quotient orbit onto two; two swaps carry an odd
+    # quotient's forced-loop orbit onto another orbit, and back
+    odd = holed_hexagon(3, 1, [])
+    q = quotient_graph(symmetry(odd, "Rot180"))
+    (v, _), = q.loops
+    loop_cells, other = (sorted(odd.cells.index(c) for c in q.tags[u])
+                         for u in (v, v - 1))
+    for r in (_with_hand_built_axis(hexagon(2, 2, 2), [(0, 1)]),
+              _with_hand_built_axis(odd, zip(loop_cells, other))):
+        for split in (central_axis_split, _chain_split):
+            with pytest.raises(SymmetryAbsentError, match=_UNPERMUTED):
+                split(r)
 
 
 def test_graph_text_format():
