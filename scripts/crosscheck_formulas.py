@@ -3,9 +3,9 @@
 Four passes:
 
 1. box counts against the graph engine at desk scale and on the
-   hexagon ladder n = 4..20, then the pure permutation symmetry of the
+   hexagon ladder n = 4..24, then the pure permutation symmetry of the
    closed form at larger scale;
-2. the rotation quotients of hexagon(n, n, n), n = 1..20, against the
+2. the rotation quotients of hexagon(n, n, n), n = 1..24, against the
    classical product formulas for symmetric plane partitions;
 3. the central counts of holed hexagons against rotation quotients of
    the actual regions at desk scale;
@@ -34,6 +34,10 @@ from lozlab import (
     macmahon_box,
 )
 
+# the last n of both hexagon ladders; the determinant of hexagon(n, n, n)
+# leaves a core of n columns, so the ladders take cores past 20 columns
+LADDER_TOP = 24
+
 
 def legal_ks(a):
     pool = list(range(1, a + 1))
@@ -48,11 +52,11 @@ def pass_boxes() -> int:
             print(f"  MISMATCH box {a},{b},{c}")
             bad += 1
     t0 = time.monotonic()
-    for n in range(4, 21):
+    for n in range(4, LADDER_TOP + 1):
         if count_tilings(hexagon(n, n, n)) != macmahon_box(n, n, n):
             print(f"  MISMATCH box {n},{n},{n}")
             bad += 1
-    print(f"  hexagon ladder n=4..20 ({time.monotonic() - t0:.1f}s)")
+    print(f"  hexagon ladder n=4..{LADDER_TOP} ({time.monotonic() - t0:.1f}s)")
     for a, b, c in itertools.product(range(1, 11), repeat=3):
         want = macmahon_box(a, b, c)
         for perm in itertools.permutations((a, b, c)):
@@ -93,7 +97,7 @@ def asm_squared(n: int) -> int:
     return int(out) ** 2
 
 
-def pass_quotients(top: int = 20) -> int:
+def pass_quotients(top: int = LADDER_TOP) -> int:
     bad = 0
     for n in range(1, top + 1):
         region = hexagon(n, n, n)

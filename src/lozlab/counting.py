@@ -7,14 +7,17 @@ routines build a Kasteleyn orientation from the planar embedding and
 take one determinant per graph of the signed matrix, kept as sparse
 rows: a bipartite graph's biadjacency determinant is the count, else
 the skew adjacency determinant is its square.  Weighted graphs are
-scaled to integers first.  One engine takes every determinant: one
-sparse elimination modulo a power of the Mersenne prime 2**61 - 1
-above twice the Hadamard bound, which certifies the result exact; a
-non-unit pivot retries with 2**89 - 1, 2**107 - 1, then 2**127 - 1.
-The elimination keeps its entries as small signed ints in (-m, m) and
-reduces one only when an update leaves that range; since an entry in
-that range is 0 mod m only when it is 0, the pivots and the residue
-are those of full reduction, and a +-1 entry stays one word wide.
+scaled to integers first, each vertex by the lcm of its own edges'
+denominators.  One engine takes every determinant: exact integer
+elimination of each column with a +-1 pivot, then one sparse
+elimination of the small core left, modulo a power of the Mersenne
+prime 2**61 - 1 above twice the core's Hadamard bound, which certifies
+it exact; a non-unit pivot retries with 2**89 - 1, 2**107 - 1, then
+2**127 - 1.  The modular elimination keeps its entries as small
+signed ints in (-m, m) and reduces one only when an update leaves that
+range; since an entry in that range is 0 mod m only when it is 0, the
+pivots and the residue are those of full reduction, and a +-1 entry
+stays one word wide.
 
 Loop conventions: a loop covers its own vertex and a matching may use
 it, so on a graph with an even vertex count a single loop is dead
@@ -51,7 +54,7 @@ the input.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from typing import Iterator, Sequence
 
 from .duality import (
@@ -340,32 +343,95 @@ def _det_mod(rows: list[dict[int, int]], n: int, m: int) -> int:
                 elif j in row:
                     del row[j]
                     rows_at[j].discard(r)
-    seen = [False] * n
-    for c in range(n):
+    return det * _pairing_sign(pivot_row) % m
+
+
+def _pairing_sign(row_of: list[int]) -> int:
+    """Sign of the permutation that pairs each column c with row row_of[c]."""
+    sign = 1
+    seen = [False] * len(row_of)
+    for c in range(len(row_of)):
         # each cycle of length k contributes k - 1 transpositions
         k = c
         while not seen[k]:
             seen[k] = True
-            k = pivot_row[k]
+            k = row_of[k]
             if k != c:
-                det = -det
-    return det % m
+                sign = -sign
+    return sign
 
 
 def _det_exact(rows: list[dict[int, int]], n: int) -> int:
     """Exact determinant of the n x n integer matrix with the given
-    sparse rows (column -> entry).
+    sparse rows (column -> entry), which it consumes.
 
-    |det| is at most the Hadamard bound H, whose square is the product
-    of the rows' sums of squares.  One elimination runs modulo M = p**k,
-    p the first Mersenne prime of _MERSENNE and k the least power with
-    M > 2H; the symmetric residue in (-M/2, M/2] is then the determinant
-    itself.  Elimination with unit pivots gives det mod M for a prime
+    One pass over the columns eliminates, in exact integer arithmetic,
+    each column with a +-1 entry in a row not yet taken, pivoting on the
+    fewest-entry such row, the lowest index on a tie; any other column
+    is deferred.  The deferred columns and the rows never taken form the
+    core, the Schur complement of a block of determinant +-1, so by
+    Sylvester's identity each entry met is +- a minor of the matrix,
+    within its Hadamard bound.  The determinant is the sign of the
+    pairing of each column with its pivot row, or of the k-th deferred
+    column with the k-th core row, times the pivots, times det(core).
+
+    |det(core)| is at most its Hadamard bound H, whose square is the
+    product of its rows' sums of squares.  One elimination runs modulo
+    M = p**k, p the first Mersenne prime of _MERSENNE and k the least
+    power with M > 2H; the symmetric residue in (-M/2, M/2] is then
+    det(core).  Elimination with unit pivots gives det mod M for a prime
     power too, so the stop is a certificate.  A pivot divisible by p
     stops the elimination, which is retried with the next prime.
     """
+    rows_at: list[set[int]] = [set() for _ in range(n)]
+    for i, r in enumerate(rows):
+        for j in r:
+            rows_at[j].add(i)
+    det = 1
+    pivot_row = [-1] * n
+    deferred = []
+    for c in range(n):
+        at = rows_at[c]
+        if not at:
+            return 0
+        piv = fewest = n + 1
+        for i in at:
+            row = rows[i]
+            k = len(row)
+            if (k < fewest or k == fewest and i < piv) and row[c] in (1, -1):
+                piv, fewest = i, k
+        if piv > n:
+            deferred.append(c)
+            continue
+        prow = rows[piv]
+        for j in prow:
+            rows_at[j].discard(piv)
+        pivot_row[c] = piv
+        pv = prow.pop(c)
+        det *= pv
+        for r in at:
+            row = rows[r]
+            f = row.pop(c) * pv
+            for j, v in prow.items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    if j not in row:
+                        rows_at[j].add(r)
+                    row[j] = x
+                else:
+                    del row[j]
+                    rows_at[j].discard(r)
+    taken = set(pivot_row)
+    core_rows = [i for i in range(n) if i not in taken]
+    for c, i in zip(deferred, core_rows):
+        pivot_row[c] = i
+    det *= _pairing_sign(pivot_row)
+    if not deferred:
+        return det
+    col_of = {c: k for k, c in enumerate(deferred)}
+    core = [{col_of[j]: v for j, v in rows[i].items()} for i in core_rows]
     bound = 1
-    for r in rows:
+    for r in core:
         norm = sum(v * v for v in r.values())
         if not norm:
             return 0
@@ -375,21 +441,22 @@ def _det_exact(rows: list[dict[int, int]], n: int) -> int:
         while modulus * modulus <= 4 * bound:
             modulus *= p
         try:
-            residue = _det_mod(rows, n, modulus)
+            residue = _det_mod(core, len(core), modulus)
         except ValueError:
             continue
-        return residue - modulus if residue > modulus // 2 else residue
+        return det * (residue - modulus if residue > modulus // 2 else residue)
     raise ContractError("each Mersenne prime tried divides a pivot")
 
 
-def _kasteleyn_rows(edges, orient, scale: int, row_of: dict[int, int],
+def _kasteleyn_rows(edges, orient, scale: list[int], row_of: dict[int, int],
                     col_of: dict[int, int]) -> list[dict[int, int]]:
-    """Sparse rows of the signed matrix: an edge oriented a -> b puts its
-    scaled weight at (a, b) and its negative at (b, a), wherever the
-    index maps place that pair.  orient holds one bool per edge."""
+    """Sparse rows of the signed matrix: an edge (i, j) oriented a -> b
+    puts its weight times scale[i] * scale[j] at (a, b) and its negative
+    at (b, a), wherever the index maps place that pair.  orient holds
+    one bool per edge."""
     rows: list[dict[int, int]] = [{} for _ in row_of]
     for (i, j, w), forward in zip(edges, orient):
-        val = w.numerator * (scale // w.denominator)
+        val = w.numerator * (scale[i] * scale[j] // w.denominator)
         a, b = (i, j) if forward else (j, i)
         if a in row_of and b in col_of:
             rows[row_of[a]][col_of[b]] = val
@@ -402,13 +469,21 @@ def count_matchings_pfaffian(g: MatchGraph) -> Fraction:
     """Weighted perfect matching count from the planar embedding, by
     one determinant for the whole graph: the biadjacency determinant
     when the graph's walk two-colours it, else the skew one.  A single
-    loop on an even graph is dead weight and is ignored."""
+    loop on an even graph is dead weight and is ignored.  Each vertex's
+    scale is the lcm of its own edges' denominators: the biadjacency
+    matrix scales its rows, and the skew matrix K becomes D K D, D the
+    diagonal of scales, so a fractional weight widens only its own
+    vertices' rows and columns and leaves the +-1 pivots elsewhere."""
     if len(g.loops) > 1 or (g.loops and g.n % 2):
         raise ContractError("normalize loops before determinant counting")
     if g.n % 2:
         return ZERO
     orient = _kasteleyn_orientation(g)
-    scale = lcm(*[w.denominator for _, _, w in g.edges]) if g.edges else 1
+    scale = [1] * g.n
+    for i, j, w in g.edges:
+        if w.denominator != 1:
+            scale[i] = lcm(scale[i], w.denominator)
+            scale[j] = lcm(scale[j], w.denominator)
     _, color = g.walk
     if color is not None:
         # a component with unequal colour classes makes this singular
@@ -416,16 +491,18 @@ def count_matchings_pfaffian(g: MatchGraph) -> Fraction:
         ds = [v for v in range(g.n) if color[v] == 1]
         if len(us) != len(ds):
             return ZERO
+        for v in ds:  # the columns stay unscaled
+            scale[v] = 1
         rows = _kasteleyn_rows(g.edges, orient, scale,
                                {v: k for k, v in enumerate(us)},
                                {v: k for k, v in enumerate(ds)})
-        return Fraction(abs(_det_exact(rows, len(us))), scale ** len(us))
+        return Fraction(abs(_det_exact(rows, len(us))), prod(scale))
     # block-diagonal by component: the product of their squared Pfaffians
     loc = {v: v for v in range(g.n)}
     det = _det_exact(_kasteleyn_rows(g.edges, orient, scale, loc, loc), g.n)
     if det < 0 or isqrt(det) ** 2 != det:
         raise ContractError("skew determinant %d is not a square" % det)
-    return Fraction(isqrt(det), scale ** (g.n // 2))
+    return Fraction(isqrt(det), prod(scale))
 
 
 def mgf(g: MatchGraph) -> Fraction:

@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, prod
+from math import factorial, isqrt, lcm, prod
 
 import pytest
 
@@ -27,6 +27,7 @@ from lozlab.duality import (
     dual_graph,
     factorization_split,
     identity_element,
+    normalize_loops,
     quotient_graph,
     remove_loop_vertex,
     symmetry,
@@ -1099,7 +1100,9 @@ def test_one_determinant_counts_a_graph_with_mixed_components(monkeypatch):
         assert set(g.walk[0]) == {0, 1} and g.walk[1] is None
         calls.clear()
         assert count_matchings_pfaffian(g) == parts == mgf_oracle(g)
-        assert len(calls) == 1
+        # one determinant: at most one modular elimination, of the core
+        # its integer phase leaves
+        assert len(calls) <= 1
     # each path's colour classes are 2 and 1, but the second path's least
     # vertex is its middle one, so the two classes balance in total
     paths = MatchGraph(tuple(range(6)),
@@ -1110,7 +1113,7 @@ def test_one_determinant_counts_a_graph_with_mixed_components(monkeypatch):
     assert color.count(0) == color.count(1) == 3
     calls.clear()
     assert count_matchings_pfaffian(paths) == 0 == mgf_oracle(paths)
-    assert len(calls) == 1
+    assert len(calls) <= 1
 
 
 # references: the two walks that MatchGraph.walk replaced, the component
@@ -1291,6 +1294,20 @@ def _count_det_mod_calls(monkeypatch):
     return calls
 
 
+def _record_cores(monkeypatch):
+    # each core the integer phase leaves, as (rows, order, modulus) of
+    # each modular elimination
+    cores = []
+    det_mod = counting._det_mod
+
+    def recorded(rows, n, m):
+        cores.append((rows, n, m))
+        return det_mod(rows, n, m)
+
+    monkeypatch.setattr(counting, "_det_mod", recorded)
+    return cores
+
+
 MERSENNE = [(1 << e) - 1 for e in (61, 89, 107, 127)]
 
 
@@ -1306,9 +1323,10 @@ def test_det_exact_retries_on_a_pivot_sharing_a_prime(monkeypatch):
     calls.clear()
     assert counting._det_exact([{0: -3 * p0}], 1) == -3 * p0
     assert calls == [p0 ** 2, p1]
-    # the first pivot is p0 itself; the retry gives det = p0 - 1
+    # no +-1 entry, so the whole matrix is core; its first pivot is p0
+    # itself, and the retry gives det = 2 * p0 - 4
     calls.clear()
-    assert _det_exact([[p0, 1], [1, 1]]) == p0 - 1
+    assert _det_exact([[p0, 2], [2, 2]]) == 2 * p0 - 4
     assert calls == [p0 ** 2, p1]
 
 
@@ -1344,16 +1362,78 @@ def test_det_exact_refuses_a_pivot_every_prime_divides(monkeypatch):
 
 
 def test_one_elimination_per_determinant(monkeypatch):
-    calls = _count_det_mod_calls(monkeypatch)
+    cores = _record_cores(monkeypatch)
     assert count_tilings(hexagon(8, 8, 8)) == macmahon_box(8, 8, 8)
-    # one modulus, a power of the first prime above the prime itself
-    k = calls[0].bit_length() // 61
-    assert calls == [MERSENNE[0] ** k] and k > 1
+    # the integer phase leaves an 8-column core of the 192-column matrix,
+    # eliminated once, modulo a power of the first prime above the prime
+    # itself
+    [(_, n, m)] = cores
+    k = m.bit_length() // 61
+    assert n == 8 and m == MERSENNE[0] ** k and k > 1
 
 
-def test_det_exact_matches_bareiss_on_random_matrices():
+def test_det_exact_phases_against_bareiss(monkeypatch):
+    cores = _record_cores(monkeypatch)
+
+    def det_and_cores(m):
+        cores.clear()
+        got = _det_exact(m)
+        assert got == _bareiss(m), m
+        return got, [n for _, n, _ in cores]
+
+    # every column finds a +-1 pivot, so the integer phase finishes alone;
+    # row 1 pivots column 0, and the pairing is odd
+    assert det_and_cores([[0, 1, 0, -2], [1, 2, 2, -1], [2, 2, 0, 3],
+                          [1, 0, 1, 3]]) == (-1, [])
+    # no +-1 entry: all core
+    assert det_and_cores([[2, 3], [5, 7]]) == (-1, [2])
+    # columns 0 and 3 pivot on rows 3 and 0, columns 1 and 2 defer, and
+    # their core pairs them with rows 1 and 2
+    assert det_and_cores([[0, 2, 3, 1], [2, 1, 0, 4], [3, 0, 2, 5],
+                          [1, 4, 5, 3]]) == (13, [2])
+    # column 0 pivots on row 0, and the core [[-4, -8], [-4, -8]] of
+    # columns 1 and 2 is singular
+    assert det_and_cores([[1, 2, 4], [3, 2, 4], [5, 6, 12]]) == (0, [2])
+    # column 1 empties before its turn: the pivot on row 0 cancels row
+    # 1's entry there, and row 2 has none
+    assert det_and_cores([[1, 1, 5], [1, 1, 7], [0, 0, 3]]) == (0, [])
+    # deferred column 0 empties once column 1 pivots on row 0, so the
+    # core is one zero row, found before any modular elimination
+    assert det_and_cores([[2, 1], [4, 2]]) == (0, [])
+
+
+def test_hexagon_cores_stay_small(monkeypatch):
+    # the integer phase leaves a core of at most n columns of the
+    # Kasteleyn matrix of hexagon(n, n, n); by Sylvester's identity each
+    # core entry is +- a minor, so within the matrix's Hadamard bound
+    cores = _record_cores(monkeypatch)
+    matrices = []
+    det_exact = counting._det_exact
+
+    def recorded(rows, n):
+        # the order and the squared Hadamard bound of the whole matrix
+        matrices.append((n, prod(sum(v * v for v in r.values())
+                                 for r in rows)))
+        return det_exact(rows, n)
+
+    monkeypatch.setattr(counting, "_det_exact", recorded)
+    for n in range(4, 13):
+        cores.clear()
+        matrices.clear()
+        assert count_tilings(hexagon(n, n, n)) == macmahon_box(n, n, n)
+        [(order, bound)] = matrices
+        [(rows, k, _)] = cores
+        assert order == 3 * n * n and 0 < k <= n
+        assert all(v * v <= bound for r in rows for v in r.values()), n
+
+
+def test_det_exact_matches_bareiss_on_random_matrices(monkeypatch):
+    cores = _record_cores(monkeypatch)
     rng = random.Random(20261018)
     multi_power = negative = 0
+    # trials that end in the integer phase, that leave it a core, and
+    # that are all core
+    phases = Counter()
     for trial in range(300):
         n = rng.randrange(1, 13)
         span = rng.choice((1, 3, 1000, 1 << 70))
@@ -1363,10 +1443,14 @@ def test_det_exact_matches_bareiss_on_random_matrices():
         if trial % 7 == 0 and n > 1:
             m[rng.randrange(n)] = list(m[rng.randrange(n)])  # likely singular
         want = _bareiss(m)
+        cores.clear()
         assert _det_exact(m) == want, (m, want)
         multi_power += abs(want) >= 1 << 61
         negative += want < 0
+        phases["integer" if not cores else
+               "all core" if cores[0][1] == n else "core"] += 1
     assert multi_power > 20 and negative > 50
+    assert phases == {"integer": 139, "core": 58, "all core": 103}
 
 
 def _det_mod_reference(rows, n, m):
@@ -1468,16 +1552,10 @@ def test_det_mod_matches_full_reduction_on_random_matrices():
 
 
 def test_det_mod_matches_full_reduction_on_the_ladder(monkeypatch):
-    # the Kasteleyn rows of the hexagon ladder, its rotation quotients
-    # and the product-formula identities at a = 4..6, b = 1, two holes
-    calls = []
-    det_mod = counting._det_mod
-
-    def recorded(rows, n, m):
-        calls.append((rows, n, m))
-        return det_mod(rows, n, m)
-
-    monkeypatch.setattr(counting, "_det_mod", recorded)
+    # the cores of the Kasteleyn rows of the hexagon ladder, its rotation
+    # quotients and the product-formula identities at a = 4..6, b = 1,
+    # two holes
+    calls = _record_cores(monkeypatch)
     for n in range(4, 13):
         count_tilings(hexagon(n, n, n))
     for kinds, sizes in ((("Rot180", "Rot60"), (2, 4, 6, 8)),
@@ -1495,6 +1573,91 @@ def test_det_mod_matches_full_reduction_on_the_ladder(monkeypatch):
     assert len(calls) > 100
     for rows, n, m in calls:
         assert _same_det_mod(rows, n, m) is not None
+
+
+# ---------------------------------------------------------------------
+# per-vertex weight scaling
+
+
+def _global_lcm_count(g):
+    """The count under the rule per-vertex scaling replaced: every
+    vertex scaled by the lcm L of all the graph's denominators, the
+    biadjacency matrix on its rows and the skew one on both sides, and
+    the scales divided back out."""
+    orient = counting._kasteleyn_orientation(g)
+    big = lcm(*[w.denominator for _, _, w in g.edges])
+    _, color = g.walk
+    if color is not None:
+        us = [v for v in range(g.n) if color[v] == 0]
+        ds = [v for v in range(g.n) if color[v] == 1]
+        scale = [big if c == 0 else 1 for c in color]
+        rows = counting._kasteleyn_rows(g.edges, orient, scale,
+                                        {v: k for k, v in enumerate(us)},
+                                        {v: k for k, v in enumerate(ds)})
+        return Fraction(abs(counting._det_exact(rows, len(us))),
+                        big ** len(us))
+    loc = {v: v for v in range(g.n)}
+    rows = counting._kasteleyn_rows(g.edges, orient, [big] * g.n, loc, loc)
+    return Fraction(isqrt(counting._det_exact(rows, g.n)), big ** g.n)
+
+
+def test_axis_split_subgraphs_keep_their_counts(monkeypatch):
+    # every E3_1 and E3_9 default-grid row's split halves its axis edges;
+    # scaling only the rows of their vertices leaves most pivots +-1
+    cores = _record_cores(monkeypatch)
+    order = core = halved = 0
+    for identity_id, odd in (("E3_1", 0), ("E3_9", 1)):
+        for params in default_grid(identity_id):
+            region = holed_hexagon(2 * params["a"] + odd, params["b"],
+                                   list(params["ks"]))
+            sub = central_axis_split(region)[0].subgraph
+            assert not sub.loops and sub.walk[1] is not None
+            cores.clear()
+            got = count_matchings_pfaffian(sub)
+            core += sum(n for _, n, _ in cores)
+            assert got == mgf_oracle(sub) == _global_lcm_count(sub), params
+            order += sub.n // 2
+            halved += any(w.denominator == 2 for _, _, w in sub.edges)
+    # 56 determinants, 44 of them with halved edges, of 1 620 columns in
+    # all leave cores of 77 columns; one lcm for the whole graph left
+    # 1 302
+    assert halved == 44 and order == 1620
+    assert core <= order // 10
+
+
+def test_per_vertex_scaling_keeps_every_weighted_count():
+    # each vertex gets 1, 1/2 or 1/3 and each edge the product of its
+    # ends' values times 1, 2 or 3, on bipartite graphs and on skew
+    # quotients; then the rotation quotients, whose weights are whole
+    # (1 under Rot60, 1 and 2 under Rot120), so every scale is 1
+    rng = random.Random(33)
+    seen = Counter()
+    for g in (dual_graph(hexagon(2, 2, 2)), dual_graph(hexagon(2, 3, 3)),
+              quotient_graph(symmetry(hexagon(2, 2, 2), "Rot180")),
+              quotient_graph(symmetry(hexagon(2, 2, 4), "Rot180"))):
+        for _ in range(4):
+            f = [rng.choice((Fraction(1), Fraction(1, 2), Fraction(1, 3)))
+                 for _ in range(g.n)]
+            h = MatchGraph(g.tags, tuple((i, j, w * f[i] * f[j]
+                                          * rng.choice((1, 2, 3)))
+                                         for i, j, w in g.edges),
+                           (), g.rotations)
+            dens = {w.denominator for _, _, w in h.edges}
+            assert {2, 3} <= dens
+            got = count_matchings_pfaffian(h)
+            assert got == mgf_oracle(h) == _global_lcm_count(h)
+            seen["bipartite" if h.walk[1] is not None else "skew"] += 1
+    for n in range(2, 6):
+        for kind in ("Rot60", "Rot120"):
+            # an even quotient keeps its dead-weight loop, which no
+            # perfect matching uses
+            q, _ = normalize_loops(
+                quotient_graph(symmetry(hexagon(n, n, n), kind)))
+            got = count_matchings_pfaffian(q)
+            assert got == mgf_oracle(q) == _global_lcm_count(q), (n, kind)
+            seen[kind, "bipartite" if q.walk[1] is not None else "skew"] += 1
+    assert seen == {"bipartite": 8, "skew": 8, ("Rot60", "skew"): 4,
+                    ("Rot120", "bipartite"): 4}
 
 
 def test_hexagon_counts_beyond_dense_elimination():
