@@ -33,7 +33,9 @@ orbit search, by an enumeration that drops a partial tiling as soon as
 one of its pairs breaks the symmetry, or by counting matchings of the
 quotient graph when the group is a rotation group), and free-boundary
 tilings where marked boundary cells may stay uncovered (by the search
-on region cells).
+on region cells).  The quotient route builds one checked quotient: it
+drops a forced loop's vertex from the quotient's unchecked parts, then
+builds and checks the graph it counts.
 
 One search engine serves the oracle, the orbit route and the
 free-boundary route: it settles items in sorted order and memoizes the
@@ -58,12 +60,14 @@ from math import isqrt, lcm, prod
 from typing import Iterator, Sequence
 
 from .duality import (
+    ONE,
     MatchGraph,
     _cell_index,
     _cell_rotations,
+    _induced,
+    _quotient_parts,
     dual_graph,
     normalize_loops,
-    quotient_graph,
     symmetry,
     symmetry_group,
 )
@@ -74,7 +78,6 @@ from .lattice import Region
 SEARCH_STATE_CAP = 1_000_000
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------
@@ -448,20 +451,25 @@ def _det_exact(rows: list[dict[int, int]], n: int) -> int:
     raise ContractError("each Mersenne prime tried divides a pivot")
 
 
-def _kasteleyn_rows(edges, orient, scale: list[int], row_of: dict[int, int],
-                    col_of: dict[int, int]) -> list[dict[int, int]]:
-    """Sparse rows of the signed matrix: an edge (i, j) oriented a -> b
-    puts its weight times scale[i] * scale[j] at (a, b) and its negative
-    at (b, a), wherever the index maps place that pair.  orient holds
-    one bool per edge."""
-    rows: list[dict[int, int]] = [{} for _ in row_of]
+def _kasteleyn_rows(edges, orient, scale: list[int], row_of: list[int],
+                    col_of: list[int], n_rows: int) -> list[dict[int, int]]:
+    """The n_rows sparse rows of the signed matrix: an edge (i, j)
+    oriented a -> b puts its weight times scale[i] * scale[j] at (a, b)
+    and its negative at (b, a), wherever the rank lists place that pair:
+    row_of[v] and col_of[v] are v's row and column, -1 where v has none.
+    orient holds one bool per edge."""
+    rows: list[dict[int, int]] = [{} for _ in range(n_rows)]
     for (i, j, w), forward in zip(edges, orient):
-        val = w.numerator * (scale[i] * scale[j] // w.denominator)
+        val = scale[i] * scale[j]
+        if w is not ONE:
+            val = w.numerator * (val // w.denominator)
         a, b = (i, j) if forward else (j, i)
-        if a in row_of and b in col_of:
-            rows[row_of[a]][col_of[b]] = val
-        if b in row_of and a in col_of:
-            rows[row_of[b]][col_of[a]] = -val
+        r, c = row_of[a], col_of[b]
+        if r >= 0 and c >= 0:
+            rows[r][c] = val
+        r, c = row_of[b], col_of[a]
+        if r >= 0 and c >= 0:
+            rows[r][c] = -val
     return rows
 
 
@@ -481,25 +489,31 @@ def count_matchings_pfaffian(g: MatchGraph) -> Fraction:
     orient = _kasteleyn_orientation(g)
     scale = [1] * g.n
     for i, j, w in g.edges:
-        if w.denominator != 1:
+        if w is not ONE and w.denominator != 1:
             scale[i] = lcm(scale[i], w.denominator)
             scale[j] = lcm(scale[j], w.denominator)
     _, color = g.walk
     if color is not None:
+        # colour 0 ranks the rows, colour 1 the columns, in vertex order
+        row_of, col_of = [-1] * g.n, [-1] * g.n
+        sizes = [0, 0]
+        for v, c in enumerate(color):
+            if c:
+                col_of[v] = sizes[1]
+                scale[v] = 1  # the columns stay unscaled
+            else:
+                row_of[v] = sizes[0]
+            sizes[c] += 1
         # a component with unequal colour classes makes this singular
-        us = [v for v in range(g.n) if color[v] == 0]
-        ds = [v for v in range(g.n) if color[v] == 1]
-        if len(us) != len(ds):
+        if sizes[0] != sizes[1]:
             return ZERO
-        for v in ds:  # the columns stay unscaled
-            scale[v] = 1
-        rows = _kasteleyn_rows(g.edges, orient, scale,
-                               {v: k for k, v in enumerate(us)},
-                               {v: k for k, v in enumerate(ds)})
-        return Fraction(abs(_det_exact(rows, len(us))), prod(scale))
+        rows = _kasteleyn_rows(g.edges, orient, scale, row_of, col_of,
+                               sizes[0])
+        return Fraction(abs(_det_exact(rows, sizes[0])), prod(scale))
     # block-diagonal by component: the product of their squared Pfaffians
-    loc = {v: v for v in range(g.n)}
-    det = _det_exact(_kasteleyn_rows(g.edges, orient, scale, loc, loc), g.n)
+    loc = list(range(g.n))
+    det = _det_exact(_kasteleyn_rows(g.edges, orient, scale, loc, loc, g.n),
+                     g.n)
     if det < 0 or isqrt(det) ** 2 != det:
         raise ContractError("skew determinant %d is not a square" % det)
     return Fraction(isqrt(det), prod(scale))
@@ -591,8 +605,10 @@ def count_tilings_free(region: Region) -> int:
     return _sweep(moves)
 
 
-# the rotation generating a pure rotation group, by the group's order
-_ROTATION_OF_ORDER = {1: "Identity", 2: "Rot180", 3: "Rot120", 6: "Rot60"}
+# the order of each rotation about a region's centroid, and the rotation
+# generating the cyclic group of each order
+_ORDER = {"Identity": 1, "Rot180": 2, "Rot120": 3, "Rot60": 6}
+_ROTATION_OF_ORDER = {order: kind for kind, order in _ORDER.items()}
 
 
 def _filter_count(region: Region, groups) -> list[int]:
@@ -606,6 +622,22 @@ def _filter_count(region: Region, groups) -> list[int]:
         for k in range(len(counts)):
             counts[k] += mask >> k & 1
     return counts
+
+
+def _quotient_count(elem) -> int:
+    """count_matchings of the element's quotient graph, from its
+    unchecked parts: an odd quotient's forced loop drops its vertex
+    before the one graph counted is built and checked, and the
+    refusals are those of the chain, with the same text and order."""
+    fields = _quotient_parts(elem)[0]
+    tags, _, loops, _ = fields
+    if len(loops) > 1:
+        raise ContractError("cannot normalize %d loops" % len(loops))
+    weight = ONE
+    if loops and len(tags) % 2:
+        (v, weight), = loops
+        fields = _induced(fields, {v})
+    return _as_count(weight * count_matchings_pfaffian(MatchGraph(*fields)))
 
 
 def count_symmetric_tilings(region: Region, kinds: Sequence[str],
@@ -623,20 +655,23 @@ def count_symmetric_tilings(region: Region, kinds: Sequence[str],
     if region.free_edges:
         raise ContractError("symmetric counts of a region with free edges "
                             "are not supported")
-    group = symmetry_group(region, kinds)
-    pure_rotation = all(k in _ROTATION_OF_ORDER.values() for k in kinds)
+    for kind in kinds:  # the region keeps each element, or it refuses
+        symmetry(region, kind)
+    pure_rotation = all(k in _ORDER for k in kinds)
     if method == "auto":
         method = "quotient" if pure_rotation else "orbit"
     if method == "quotient":
         if not pure_rotation:
             raise ContractError("quotient counting needs a rotation group")
-        kind = _ROTATION_OF_ORDER[len(group)]
+        # rotations about one point generate the cyclic group of the lcm
+        # of their orders
+        kind = _ROTATION_OF_ORDER[lcm(*[_ORDER[k] for k in kinds])]
         if kind == "Identity":
             return count_tilings(region)
-        # the region keeps each element: a named generator is not rebuilt
-        return count_matchings(quotient_graph(symmetry(region, kind)))
+        return _quotient_count(symmetry(region, kind))
     if method == "orbit":
+        group = symmetry_group(region, kinds)
         return _sweep(_cell_moves(region, [e.perm for e in group]))
     if method == "filter":
-        return _filter_count(region, [group])[0]
+        return _filter_count(region, [symmetry_group(region, kinds)])[0]
     raise ContractError("unknown method %r" % (method,))

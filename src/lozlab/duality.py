@@ -299,8 +299,12 @@ def dual_graph(region: Region) -> MatchGraph:
     to the free-boundary counting routines.
     """
     rotations = _cell_rotations(_cell_index(region.cells), region.cells)
-    edges = sorted((i, j, ONE) for i, rot in enumerate(rotations)
-                   for j in rot if j > i)
+    # cells sort by (u, v), so a "U" cell's one higher neighbour is
+    # (u, v+1), and a "D" cell's are (u, v+1) < (u+1, v): read backwards,
+    # each rotation gives its higher neighbours in order, and the edges
+    # come sorted
+    edges = [(i, j, ONE) for i, rot in enumerate(rotations)
+             for j in reversed(rot) if j > i]
     return MatchGraph(tuple(region.cells), tuple(edges), (), rotations)
 
 

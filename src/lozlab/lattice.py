@@ -27,7 +27,10 @@ strip u (0 <= u < a + b) are one run of rows,
 
     max(u+1-2b-2c, -u-2c) <= v <= min(u, 2a-u-1),
 
-"U" where u + v is odd and "D" where it is even.
+"U" where u + v is odd and "D" where it is even.  The builders emit
+sorted runs: the hexagon's cells come strip by strip, each strip in row
+order, which is the sorted cell order, and every other family filters
+that list, so no builder collects a set of cells or sorts one.
 
 Region families:
 
@@ -264,12 +267,14 @@ def require_eps(eps) -> None:
         raise ParameterError("eps must be -1 or 0, got %r" % (eps,))
 
 
-def _hexagon_cells(a: int, b: int, c: int) -> set[TriCell]:
+def _hexagon_cells(a: int, b: int, c: int) -> list[TriCell]:
+    """The cells of hexagon(a, b, c) in sorted order: each strip's run of
+    rows, strip by strip."""
     # cell_at's parity rule written inline: this runs in every region build
-    return {TriCell(u, v, UP if (u + v) & 1 else DOWN)
+    return [TriCell(u, v, UP if (u + v) & 1 else DOWN)
             for u in range(a + b)
             for v in range(max(u + 1 - 2 * b - 2 * c, -u - 2 * c),
-                           min(u, 2 * a - u - 1) + 1)}
+                           min(u, 2 * a - u - 1) + 1)]
 
 
 # Each family that deserialize_region can check in closed form has a
@@ -289,8 +294,7 @@ def hexagon(a: int, b: int, c: int) -> Region:
     _, size = _hexagon_size(a, b, c)
     cells = _hexagon_cells(a, b, c)
     assert len(cells) == size
-    return Region("Hexagon", (("a", a), ("b", b), ("c", c)),
-                  tuple(sorted(cells)))
+    return Region("Hexagon", (("a", a), ("b", b), ("c", c)), tuple(cells))
 
 
 def _triangle(apex_x: int, apex_y: int, size: int, east: bool) -> set[TriCell]:
@@ -300,14 +304,18 @@ def _triangle(apex_x: int, apex_y: int, size: int, east: bool) -> set[TriCell]:
             for j in range(size) for v in range(apex_y - j, apex_y + j + 1)}
 
 
-def _holed_cells(side: int, b: int, ks: tuple[int, ...]) -> set[TriCell]:
+def _holed_cells(side: int, b: int, ks: tuple[int, ...]) -> list[TriCell]:
     cells = _hexagon_cells(side, side, 2 * b)
+    if not ks:
+        return cells
     holes: set[TriCell] = set()
     for k in ks:
         holes |= _triangle(2 * k - 2, -2 * b, 2, False)
         holes |= _triangle(2 * side - 2 * k + 2, -2 * b, 2, True)
-    assert len(holes) == 8 * len(ks) and holes <= cells
-    return cells - holes
+    kept = [c for c in cells if c not in holes]
+    # every hole cell is distinct and is a cell of the hexagon
+    assert len(holes) == 8 * len(ks) and len(kept) == len(cells) - len(holes)
+    return kept
 
 
 def _holed_size(a, b, ks) -> tuple[tuple, int]:
@@ -331,7 +339,7 @@ def holed_hexagon(a: int, b: int, ks) -> Region:
     cells = _holed_cells(a, b, ks)
     assert len(cells) == size
     return Region("HoledHexagon", (("a", a), ("b", b), ("ks", ks)),
-                  tuple(sorted(cells)))
+                  tuple(cells))
 
 
 def _cored_size(a, b, ks, x) -> tuple[tuple, int]:
@@ -358,12 +366,20 @@ def cored_hexagon(a: int, b: int, ks, x: int) -> Region:
     core = (_triangle(side - m, -2 * b, m, False)
             | _triangle(side + m, -2 * b, m, True))
     base = _holed_cells(side, b, ks)
-    assert core <= base
-    cells = base - core
-    assert len(cells) == size
+    cells = [c for c in base if c not in core]
+    # every core cell is a cell of the holed hexagon
+    assert len(cells) == len(base) - len(core) == size
     return Region("CoredHexagon",
-                  (("a", a), ("b", b), ("ks", ks), ("x", x)),
-                  tuple(sorted(cells)))
+                  (("a", a), ("b", b), ("ks", ks), ("x", x)), tuple(cells))
+
+
+def _d_size(a, b, eps, is_) -> tuple[tuple, int]:
+    require_int("a", a)
+    require_int("b", b)
+    require_eps(eps)
+    is_ = require_indices("is", is_, a)
+    n = 2 * a + (1 if eps == 0 else 0)
+    return (a, b, eps, is_), n * (n - 1) // 2 + 2 * b * n - (a - len(is_))
 
 
 def d_region(a: int, b: int, eps: int, is_) -> Region:
@@ -377,19 +393,18 @@ def d_region(a: int, b: int, eps: int, is_) -> Region:
     cell whose east side lies on the vertical axis gets a free edge
     there, across which a tile may protrude.
     """
-    require_int("a", a)
-    require_int("b", b)
-    require_eps(eps)
-    is_ = require_indices("is", is_, a)
+    (_, _, _, is_), size = _d_size(a, b, eps, is_)
     n = 2 * a + (1 if eps == 0 else 0)
-    ks = tuple(sorted(a - i + 1 for i in set(range(1, a + 1)) - set(is_)))
-    base = _holed_cells(n, b, ks)
-    keep = {c for c in base if c.u <= n - 1 and c.v >= -2 * b + 1}
-    free_edges = sorted(((n, c.v - 1), (n, c.v + 1))
-                        for c in keep if c.orient == DOWN and c.u == n - 1)
+    ks = tuple(a - i + 1 for i in range(a, 0, -1) if i not in is_)
+    keep = [c for c in _holed_cells(n, b, ks)
+            if c.u <= n - 1 and c.v >= -2 * b + 1]
+    assert len(keep) == size
+    # the cells of strip n - 1 come in row order, so these edges do too
+    free_edges = [((n, c.v - 1), (n, c.v + 1))
+                  for c in keep if c.orient == DOWN and c.u == n - 1]
     return Region("DRegion",
                   (("a", a), ("b", b), ("eps", eps), ("is", is_)),
-                  tuple(sorted(keep)), tuple(free_edges))
+                  tuple(keep), tuple(free_edges))
 
 
 def rbar_region(l, q, base: int) -> Region:
@@ -410,24 +425,23 @@ def rbar_region(l, q, base: int) -> Region:
     if not q:
         raise ParameterError("q must be nonempty")
     a = q[-1]
-    missing = sorted(set(range(1, a + 1)) - set(q))
-    ks = tuple(sorted(a - d + 1 for d in missing))
+    missing = [d for d in range(1, a + 1) if d not in q]
+    ks = tuple(a - d + 1 for d in reversed(missing))
     if l == q:
         n = 2 * a + 1
     else:
-        removed = {d - 1 for d in missing} - {0}
-        expected_l = sorted(set(range(1, a)) - removed)
+        expected_l = [d for d in range(1, a) if d + 1 not in missing]
         if list(l) != expected_l:
             raise ParameterError(
                 "lower bump list %r inconsistent with upper %r (expected %r)"
                 % (list(l), list(q), expected_l))
         n = 2 * a
-    keep = {c for c in _holed_cells(n, base, ks)
-            if c.v <= -2 * base - 1 or (c.v == -2 * base and c.u <= n - 1)}
-    if n % 2:
-        keep.discard(TriCell(n - 1, -2 * base, DOWN))
+    # the odd shape also loses the easternmost on-axis cell, in strip n - 1
+    east = n - 1 - n % 2
+    keep = [c for c in _holed_cells(n, base, ks)
+            if c.v <= -2 * base - 1 or (c.v == -2 * base and c.u <= east)]
     return Region("RBarRegion", (("l", l), ("q", q), ("base", base)),
-                  tuple(sorted(keep)))
+                  tuple(keep))
 
 
 # ---------------------------------------------------------------------
@@ -439,7 +453,7 @@ _FAMILIES = {
     "Hexagon": (hexagon, ("a", "b", "c"), _hexagon_size),
     "HoledHexagon": (holed_hexagon, ("a", "b", "ks"), _holed_size),
     "CoredHexagon": (cored_hexagon, ("a", "b", "ks", "x"), _cored_size),
-    "DRegion": (d_region, ("a", "b", "eps", "is"), None),
+    "DRegion": (d_region, ("a", "b", "eps", "is"), _d_size),
     "RBarRegion": (rbar_region, ("l", "q", "base"), None),
 }
 

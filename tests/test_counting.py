@@ -9,7 +9,7 @@ from math import factorial, isqrt, lcm, prod
 
 import pytest
 
-from lozlab import check, cli, counting, default_grid, duality
+from lozlab import check, cli, counting, default_grid, duality, lattice
 from lozlab.counting import (
     count_matchings,
     count_matchings_oracle,
@@ -1591,13 +1591,18 @@ def _global_lcm_count(g):
         us = [v for v in range(g.n) if color[v] == 0]
         ds = [v for v in range(g.n) if color[v] == 1]
         scale = [big if c == 0 else 1 for c in color]
+        row_of, col_of = [-1] * g.n, [-1] * g.n
+        for k, v in enumerate(us):
+            row_of[v] = k
+        for k, v in enumerate(ds):
+            col_of[v] = k
         rows = counting._kasteleyn_rows(g.edges, orient, scale,
-                                        {v: k for k, v in enumerate(us)},
-                                        {v: k for k, v in enumerate(ds)})
+                                        row_of, col_of, len(us))
         return Fraction(abs(counting._det_exact(rows, len(us))),
                         big ** len(us))
-    loc = {v: v for v in range(g.n)}
-    rows = counting._kasteleyn_rows(g.edges, orient, [big] * g.n, loc, loc)
+    loc = list(range(g.n))
+    rows = counting._kasteleyn_rows(g.edges, orient, [big] * g.n, loc, loc,
+                                    g.n)
     return Fraction(isqrt(counting._det_exact(rows, g.n)), big ** g.n)
 
 
@@ -1696,3 +1701,95 @@ def test_rotation_quotient_counts_match_product_formulas():
         assert q.walk[1] is None
         assert count_symmetric_tilings(r, ["Rot60"], "quotient") == \
             _asm(n // 2) ** 2, n
+
+
+# ---------------------------------------------------------------------
+# the quotient route builds one graph
+
+
+def _chain_count(region, kinds):
+    """Reference for the quotient route: the group's closure names its
+    generator, whose checked quotient count_matchings counts after
+    normalize_loops has dropped a forced loop's vertex."""
+    order = len(symmetry_group(region, kinds))
+    rotations = {1: "Identity", 2: "Rot180", 3: "Rot120", 6: "Rot60"}
+    if not set(kinds) <= set(rotations.values()):
+        raise ContractError("quotient counting needs a rotation group")
+    kind = rotations[order]
+    if kind == "Identity":
+        return count_tilings(region)
+    return count_matchings(quotient_graph(symmetry(region, kind)))
+
+
+def _count_or_refusal(count, region, kinds):
+    try:
+        return count(region, kinds)
+    except (ContractError, SymmetryAbsentError) as exc:
+        return type(exc), str(exc)
+
+
+def test_quotient_route_matches_the_checked_chain(monkeypatch):
+    cases = [(holed_hexagon(2 * p["a"] + odd, p["b"], list(p["ks"])),
+              ("Rot180",))
+             for identity_id, odd in (("E3_5", 0), ("E3_10", 1))
+             for p in default_grid(identity_id)]
+    cases += [(cored_hexagon(p["a"], p["b"], list(p["ks"]), p["x"]),
+               ("Rot180",)) for p in default_grid("E3_13")]
+    cases += [(hexagon(n, n, n), (kind,)) for n in range(1, 9)
+              for kind in ("Rot60", "Rot120", "Rot180")]
+    # several generators: the lcm of their orders names the rotation
+    cases += [(hexagon(n, n, n), kinds) for n in (2, 3, 4)
+              for kinds in ((), ("Identity",), ("Rot180", "Rot180"),
+                            ("Rot120", "Rot180"), ("Identity", "Rot120"),
+                            ("Rot180", "Rot60"))]
+    # refusals: a map that is no lattice map, or does not keep the
+    # region, an action that is not free, an unknown kind, a mirror
+    tri = Region("hand", (), tuple(sorted(lattice._triangle(0, 0, 2, False))))
+    cases += [(hexagon(1, 2, 1), ("Rot120",)), (hexagon(2, 2, 1), ("Rot60",)),
+              (holed_hexagon(4, 1, [1]), ("Rot120",)), (tri, ("Rot120",)),
+              (hexagon(3, 3, 3), ("Rot180", "Rot45")),
+              (hexagon(1, 2, 1), ("Rot120", "Rot45")),
+              (hexagon(2, 2, 2), ("Rot180", "ReflH"))]
+    loops = Counter()
+    for region, kinds in cases[:102]:
+        q = quotient_graph(symmetry(region, kinds[0]))
+        loops[len(q.loops), q.n % 2] += 1
+    # 28 odd quotients lose a forced loop's vertex, 4 even ones keep
+    # a dead-weight loop
+    assert loops == {(0, 0): 62, (0, 1): 8, (1, 1): 28, (1, 0): 4}
+    want = [_count_or_refusal(_chain_count, r, kinds) for r, kinds in cases]
+    # the route calls no step of the chain, and builds one graph, the
+    # one it counts, whose check is MatchGraph's own
+    calls = []
+    for module in (duality, counting):
+        for name in ("quotient_graph", "normalize_loops", "without_vertices",
+                     "remove_loop_vertex", "symmetry_group"):
+            if hasattr(module, name):
+                def counted(*args, _name=name, _fn=getattr(module, name)):
+                    calls.append(_name)
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+    built = []
+    new = MatchGraph.__new__
+
+    def counted_new(cls, *fields):
+        built.append(cls)
+        return new(cls, *fields)
+    monkeypatch.setattr(MatchGraph, "__new__", counted_new)
+    for (region, kinds), w in zip(cases, want):
+        built.clear()
+        got = _count_or_refusal(
+            lambda r, k: count_symmetric_tilings(r, k, "quotient"),
+            region, kinds)
+        assert got == w, (region.params, kinds)
+        assert len(built) == (not isinstance(w, tuple)), (region.params, kinds)
+        # the identity group is the plain count, whose mgf normalizes
+        if set(kinds) <= {"Identity"}:
+            assert calls == ["normalize_loops"]
+        else:
+            assert calls == [], (region.params, kinds)
+        calls.clear()
+    monkeypatch.undo()
+    refusals = [w for w in want if isinstance(w, tuple)]
+    assert len(want) == 127 and len(refusals) == 7
+    assert {w[0] for w in refusals} == {ContractError, SymmetryAbsentError}

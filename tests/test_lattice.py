@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -111,7 +111,8 @@ def test_hexagon_cells_match_the_box_scan():
     for a in range(1, 9):
         for b in range(1, 9):
             for c in range(1, 9):
-                assert _hexagon_cells(a, b, c) == _box_scan_hexagon_cells(a, b, c)
+                assert _hexagon_cells(a, b, c) == sorted(
+                    _box_scan_hexagon_cells(a, b, c))
 
 
 def _corner_rule_triangle(x, y, size, east):
@@ -138,6 +139,91 @@ def test_triangle_matches_the_corner_rule():
                     cells = _triangle(x, y, size, east)
                     assert cells == _corner_rule_triangle(x, y, size, east)
                     assert len(cells) == size * size
+
+
+def _set_hexagon_cells(a, b, c):
+    return {cell_at(u, v) for u in range(a + b)
+            for v in range(max(u + 1 - 2 * b - 2 * c, -u - 2 * c),
+                           min(u, 2 * a - u - 1) + 1)}
+
+
+def _set_holed_cells(side, b, ks):
+    holes = set()
+    for k in ks:
+        holes |= _triangle(2 * k - 2, -2 * b, 2, False)
+        holes |= _triangle(2 * side - 2 * k + 2, -2 * b, 2, True)
+    return _set_hexagon_cells(side, side, 2 * b) - holes
+
+
+def _set_and_sort_region(family, *args):
+    """Reference for the five builders on legal parameters: each family
+    collects its cells in a set and sorts them, and sorts its free
+    edges; returns (cells, free_edges)."""
+    free_edges = []
+    if family == "hexagon":
+        cells = _set_hexagon_cells(*args)
+    elif family == "holed":
+        cells = _set_holed_cells(*args)
+    elif family == "cored":
+        a, b, ks, x = args
+        side, m = 2 * a - 1, 2 * x - 1
+        cells = (_set_holed_cells(side, b, ks)
+                 - _triangle(side - m, -2 * b, m, False)
+                 - _triangle(side + m, -2 * b, m, True))
+    elif family == "d":
+        a, b, eps, is_ = args
+        n = 2 * a + (1 if eps == 0 else 0)
+        ks = sorted(a - i + 1 for i in set(range(1, a + 1)) - set(is_))
+        cells = {c for c in _set_holed_cells(n, b, ks)
+                 if c.u <= n - 1 and c.v >= -2 * b + 1}
+        free_edges = sorted(((n, c.v - 1), (n, c.v + 1)) for c in cells
+                            if c.orient == DOWN and c.u == n - 1)
+    else:
+        l, q, base = args
+        a = q[-1]
+        missing = sorted(set(range(1, a + 1)) - set(q))
+        ks = sorted(a - d + 1 for d in missing)
+        n = 2 * a + 1 if list(l) == list(q) else 2 * a
+        cells = {c for c in _set_holed_cells(n, base, ks)
+                 if c.v <= -2 * base - 1 or (c.v == -2 * base and c.u <= n - 1)}
+        if n % 2:
+            cells.discard(TriCell(n - 1, -2 * base, DOWN))
+    return tuple(sorted(cells)), tuple(free_edges)
+
+
+def _index_sets(top):
+    for s in range(top + 1):
+        yield from combinations(range(1, top + 1), s)
+
+
+def test_builders_match_the_set_and_sort_reference():
+    builders = {"hexagon": hexagon, "holed": holed_hexagon,
+                "cored": cored_hexagon, "d": d_region, "rbar": rbar_region}
+    cases = [("hexagon", a, b, c) for a in range(1, 6) for b in range(1, 6)
+             for c in range(1, 6)]
+    for a in range(1, 7):
+        for b in (1, 2, 3):
+            cases += [("holed", a, b, ks) for ks in _index_sets(a // 2)]
+            cases += [("cored", a, b, ks, x) for x in range(1, a + 1)
+                      for ks in _index_sets(a - x)]
+            cases += [("d", a, b, eps, is_) for eps in (-1, 0)
+                      for is_ in _index_sets(a)]
+    for m in range(1, 6):
+        for q in _index_sets(m):
+            if not q or q[-1] != m:
+                continue
+            # the odd shape's l is q, the even shape's the hole-free part
+            # of 1..m-1 shifted down by one
+            even = tuple(d for d in range(1, m) if d + 1 in q)
+            cases += [("rbar", l, q, base) for l in (q, even)
+                      for base in (1, 2)]
+    seen = set()
+    for family, *args in cases:
+        r = builders[family](*args)
+        assert (r.cells, r.free_edges) == _set_and_sort_region(family, *args)
+        seen.add(family)
+        seen.add("free edges" if r.free_edges else family)
+    assert seen == {"hexagon", "holed", "cored", "d", "rbar", "free edges"}
 
 
 def test_edge_cells_lists_both_sides_of_every_edge():
@@ -352,6 +438,29 @@ def test_d_region_families():
         d_region(2, 1, 0, [3])
 
 
+def test_d_size_matches_the_builder():
+    # n(n-1)/2 + 2bn - (a - |is|) cells, n = 2a + (eps = 0), over every
+    # parameter set with a <= 7, b <= 4
+    sets = 0
+    for a in range(1, 8):
+        for b in range(1, 5):
+            for eps in (-1, 0):
+                for is_ in _index_sets(a):
+                    params, size = lattice._d_size(a, b, eps, list(is_))
+                    assert params == (a, b, eps, is_)
+                    assert size == len(d_region(a, b, eps, is_).cells)
+                    sets += 1
+    assert sets == 2032
+    # it runs the builder's checks, in the builder's order
+    for args in ((0, 1, -1, [1]), (1, 0, 1, [1]), (1, 1, 1, [1]),
+                 (2, 1, 0, [3]), (2, 1, 0, [2, 1])):
+        with pytest.raises(ParameterError) as want:
+            d_region(*args)
+        with pytest.raises(ParameterError) as got:
+            lattice._d_size(*args)
+        assert str(got.value) == str(want.value)
+
+
 def test_rbar_even_shape():
     r = rbar_region([], [1], 1)
     assert len(r.cells) == 12
@@ -422,7 +531,8 @@ def test_deserialize_refuses_a_wrong_cell_count_without_building(monkeypatch):
 
     for region, big in ((hexagon(2, 2, 2), {"a": 200, "b": 200, "c": 200}),
                         (holed_hexagon(4, 1, [2]), {"a": 400, "b": 200}),
-                        (cored_hexagon(2, 1, [], 1), {"a": 200, "b": 200})):
+                        (cored_hexagon(2, 1, [], 1), {"a": 200, "b": 200}),
+                        (d_region(2, 1, -1, [1]), {"a": 200, "b": 200})):
         build, keys, size = lattice._FAMILIES[region.family]
         monkeypatch.setitem(lattice._FAMILIES, region.family,
                             (never, keys, size))
