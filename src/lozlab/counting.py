@@ -62,10 +62,10 @@ from typing import Iterator, Sequence
 from .duality import (
     ONE,
     MatchGraph,
-    _cell_index,
     _cell_rotations,
     _induced,
     _quotient_parts,
+    _region_index,
     dual_graph,
     normalize_loops,
     symmetry,
@@ -564,7 +564,8 @@ def _cell_moves(region: Region, perms) -> list[list[tuple[int, int]]]:
             least.append(k)
             size.append(len(images))
     moves: list[list[tuple[int, int]]] = []
-    rotations = _cell_rotations(_cell_index(cells), [cells[k] for k in least])
+    rotations = _cell_rotations(_region_index(region),
+                                [cells[k] for k in least])
     order = len(perms)
     for o, (k, rot) in enumerate(zip(least, rotations)):
         at = []
@@ -597,7 +598,7 @@ def count_tilings_free(region: Region) -> int:
     _cell_moves gives for the one-element group, and a cell hosting a
     free edge may also be removed alone, each mask relative to k.
     """
-    index = _cell_index(region.cells)
+    index = _region_index(region)
     moves = [[(1 | 1 << j - k, 1) for j in rot if j > k]
              for k, rot in enumerate(_cell_rotations(index, region.cells))]
     for u, v, _ in region.free_cell_map().values():
@@ -624,12 +625,13 @@ def _filter_count(region: Region, groups) -> list[int]:
     return counts
 
 
-def _quotient_count(elem) -> int:
-    """count_matchings of the element's quotient graph, from its
-    unchecked parts: an odd quotient's forced loop drops its vertex
-    before the one graph counted is built and checked, and the
-    refusals are those of the chain, with the same text and order."""
-    fields = _quotient_parts(elem)[0]
+def _quotient_count(region: Region, kind: str) -> int:
+    """count_matchings of the quotient graph of the region's named
+    rotation, from its unchecked parts: an odd quotient's forced loop
+    drops its vertex before the one graph counted is built and checked,
+    and the refusals are those of the chain, with the same text and
+    order."""
+    fields = _quotient_parts(symmetry(region, kind), _region_index(region))[0]
     tags, _, loops, _ = fields
     if len(loops) > 1:
         raise ContractError("cannot normalize %d loops" % len(loops))
@@ -668,7 +670,7 @@ def count_symmetric_tilings(region: Region, kinds: Sequence[str],
         kind = _ROTATION_OF_ORDER[lcm(*[_ORDER[k] for k in kinds])]
         if kind == "Identity":
             return count_tilings(region)
-        return _quotient_count(symmetry(region, kind))
+        return _quotient_count(region, kind)
     if method == "orbit":
         group = symmetry_group(region, kinds)
         return _sweep(_cell_moves(region, [e.perm for e in group]))

@@ -18,26 +18,28 @@ offsets into the rotation lists; the Euler check reads its face count
 and the Kasteleyn orientation the faces on either side of each edge.
 
 A symmetry of a region is a permutation perm of the indices of its
-sorted cells, the dual graph's vertex numbering: perm[k] is the index of
-the image of cell k, and every consumer reads perm directly.  Every map
-is about the centroid of the region's cells, and a kind is refused
+sorted cells, the dual graph's vertex numbering: perm[k] is the index
+of the image of cell k, and every consumer reads perm directly.  Every
+map is about the centroid of the region's cells, and a kind is refused
 unless it is a lattice isometry about that point, which the point map
 alone decides.  Every cell's tripled centroid, an integer point, is
-mapped in one pass and every image looked up in a second; the map is
-affine, so one cell and its three lattice neighbours check it once.  A
-group is closed by composing its generators with the newest elements.
-One cell index keyed by (u, v) serves the symmetries, the dual graph,
-counting's cell search and the quotient, which is built from the
-element alone.  The quotient under a rotation identifies each orbit of
-cells to one vertex, in one pass over the cycles of perm, and reads
-that vertex off the neighbours of the orbit's least cell, the only ones
-it looks up.  When those lie in distinct other orbits the vertex takes
-them as its rotation and unit edges directly.  Otherwise parallel edge
-orbits between the same pair of vertex orbits are merged into a single
-edge whose weight is the multiplicity, which leaves matching generating
-functions unchanged, and an orbit of edges whose endpoints fall into
-the same vertex orbit becomes a loop when a symmetric matching can use
-it.
+mapped and its image looked up in one pass; the map is affine, so one
+cell and its three lattice neighbours check it once.  A group is closed
+by composing its generators with the newest elements.  Each region
+keeps one cell index keyed by (u, v) and one centroid, built on first
+use: the index serves the symmetries, the dual graph, counting's cell
+searches and the central quotient, so a region's cells are indexed
+once, and only the public quotient_graph, which holds the element
+alone, builds its own.  The quotient under a rotation identifies each
+orbit of cells to one vertex, in one pass over the cycles of perm, and
+reads that vertex off the neighbours of the orbit's least cell, the
+only ones it looks up.  When those lie in distinct other orbits the
+vertex takes them as its rotation and unit edges directly.  Otherwise
+parallel edge orbits between the same pair of vertex orbits are merged
+into a single edge whose weight is the multiplicity, which leaves
+matching generating functions unchanged, and an orbit of edges whose
+endpoints fall into the same vertex orbit becomes a loop when a
+symmetric matching can use it.
 
 factorization_split performs the axis surgery on a graph that is
 mirror-symmetric about a horizontal axis of vertices: every axis
@@ -273,8 +275,21 @@ def graph_text(g: MatchGraph) -> str:
 
 def _cell_index(cells: Sequence[TriCell]) -> dict[tuple[int, int], int]:
     """Each cell's index among the sorted cells, keyed by its (u, v): in
-    a region the parity of u + v fixes the orientation."""
+    a region the parity of u + v fixes the orientation.  A region keeps
+    its own, which _region_index gives; only a caller that holds no
+    region, as quotient_graph, builds one here."""
     return {(u, v): k for k, (u, v, _) in enumerate(cells)}
+
+
+def _region_index(region: Region) -> dict[tuple[int, int], int]:
+    """The region's cell index, built on first use and kept on the
+    region beside its symmetry elements, so that the symmetries, the
+    dual graph, the quotient and both cell searches share one."""
+    memo = region.__dict__  # Region refuses attribute assignment
+    index = memo.get("_index")
+    if index is None:
+        index = memo["_index"] = _cell_index(region.cells)
+    return index
 
 
 def _cell_rotations(index: dict[tuple[int, int], int],
@@ -288,7 +303,10 @@ def _cell_rotations(index: dict[tuple[int, int], int],
             ks = (get((u, v + 1)), get((u - 1, v)), get((u, v - 1)))
         else:
             ks = (get((u + 1, v)), get((u, v + 1)), get((u, v - 1)))
-        rotations.append(tuple([k for k in ks if k is not None]))
+        # an inner cell keeps its full triple; a boundary cell drops
+        # the neighbours outside the region
+        rotations.append(ks if None not in ks
+                         else tuple([k for k in ks if k is not None]))
     return tuple(rotations)
 
 
@@ -298,7 +316,7 @@ def dual_graph(region: Region) -> MatchGraph:
     Free boundary edges do not contribute edges here; they matter only
     to the free-boundary counting routines.
     """
-    rotations = _cell_rotations(_cell_index(region.cells), region.cells)
+    rotations = _cell_rotations(_region_index(region), region.cells)
     # cells sort by (u, v), so a "U" cell's one higher neighbour is
     # (u, v+1), and a "D" cell's are (u, v+1) < (u+1, v): read backwards,
     # each rotation gives its higher neighbours in order, and the edges
@@ -363,6 +381,28 @@ def _centroid3(cell: TriCell) -> tuple[int, int]:
     return (3 * cell.u + (1 if cell.orient == UP else 2), 3 * cell.v)
 
 
+def _centroid2(cells: Sequence[TriCell]):
+    """Twice the mean tripled centroid of the cells, (cx2, cy2), each a
+    Fraction where it is no integer; ContractError for no cells."""
+    n = len(cells)
+    if not n:
+        raise ContractError("an empty region has no centroid")
+    # _centroid3 inlined, which halves the time of this pass
+    sums = (2 * sum(3 * c.u + (1 if c.orient == UP else 2) for c in cells),
+            6 * sum(c.v for c in cells))
+    return tuple(s // n if s % n == 0 else Fraction(s, n) for s in sums)
+
+
+def _region_centroid(region: Region):
+    """The region's _centroid2, built on first use and kept on the
+    region, which every symmetry of it maps about."""
+    memo = region.__dict__
+    centroid = memo.get("_centroid")
+    if centroid is None:
+        centroid = memo["_centroid"] = _centroid2(region.cells)
+    return centroid
+
+
 def symmetry(region: Region, kind: str) -> SymmetryElement:
     """The named symmetry as a cell permutation of the region.
 
@@ -377,31 +417,25 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
     those of its image makes the map an automorphism; that and
     injectivity are checked once, a failure raising ContractError.  The
     region keeps the element; a refusal is not kept and raises again.
+    The centroid and the cell index are the region's own, shared by
+    every kind.
     """
     if kind in region._symmetries:
         return region._symmetries[kind]
     cells = region.cells
-    n = len(cells)
-    if not n:
-        raise ContractError("an empty region has no centroid")
-    # twice the mean tripled centroid, a Fraction where it is no integer;
-    # _centroid3 inlined, which halves the time of this pass
-    sums = (2 * sum(3 * c.u + (1 if c.orient == UP else 2) for c in cells),
-            6 * sum(c.v for c in cells))
-    cx2, cy2 = (s // n if s % n == 0 else Fraction(s, n) for s in sums)
-    pmap = _point_map(kind, cx2, cy2)
-    get = _cell_index(cells).get
-    images = [pmap((3 * u + (1 if orient == UP else 2), 3 * v))
-              for u, v, orient in cells]
-    perm = [get((x // 3, y // 3)) for x, y in images]
+    pmap = _point_map(kind, *_region_centroid(region))
+    get = _region_index(region).get
+    # _centroid3 inlined: each cell's image, looked up as it is mapped
+    perm = [get((x // 3, y // 3)) for u, v, orient in cells
+            for x, y in [pmap((3 * u + (1 if orient == UP else 2), 3 * v))]]
     if None in perm:
         k = perm.index(None)
-        x, y = images[k]
+        x, y = pmap(_centroid3(cells[k]))
         raise SymmetryAbsentError(
             "%s does not map the region to itself (cell %r -> %r)"
             % (kind, tuple(cells[k]), (x // 3, y // 3,
                                        UP if x % 3 == 1 else DOWN)))
-    if len(set(perm)) != n:
+    if len(set(perm)) != len(cells):
         raise ContractError("%s is not injective" % (kind,))
     if ({pmap(_centroid3(nb)) for nb in cell_neighbors(cells[0])}
             != {_centroid3(nb) for nb in cell_neighbors(cells[perm[0]])}):
@@ -476,13 +510,15 @@ def quotient_graph(elem: SymmetryElement) -> MatchGraph:
     the least cell at orbit[t] and orbit[m - t], and counts once, at
     2t <= m; it is a partial matching exactly when 2t = m.
     """
-    return MatchGraph(*_quotient_parts(elem)[0])
+    return MatchGraph(*_quotient_parts(elem, _cell_index(elem.cells))[0])
 
 
-def _quotient_parts(elem: SymmetryElement):
+def _quotient_parts(elem: SymmetryElement,
+                    index: dict[tuple[int, int], int]):
     """The quotient's fields, (tags, edges, loops, rotations), unchecked,
     with its orbits, each a list of cell indices from its least cell on,
-    and orbit_of, each cell's orbit, which is its vertex."""
+    and orbit_of, each cell's orbit, which is its vertex; index is the
+    cell index of the element's region."""
     if elem.kind not in ("Rot60", "Rot120", "Rot180"):
         raise ContractError(
             "quotient requires a rotation generator, got %r" % (elem.kind,))
@@ -514,8 +550,7 @@ def _quotient_parts(elem: SymmetryElement):
     edges: list[tuple[int, int, Fraction]] = []
     loops: list[tuple[int, Fraction]] = []
     rotations = []
-    adjacency = _cell_rotations(_cell_index(cells),
-                                [cells[orbit[0]] for orbit in orbits])
+    adjacency = _cell_rotations(index, [cells[orbit[0]] for orbit in orbits])
     for o, (orbit, adjacent) in enumerate(zip(orbits, adjacency)):
         nbs = [orbit_of[c] for c in adjacent]
         if o not in nbs and len(set(nbs)) == len(nbs):
@@ -653,6 +688,7 @@ def _axis_surgery(g, sigma: list[int], row: list[int]) -> FactorSplit:
     level = min(levels, default=None)
     # halve each axis pair, drop each axis vertex's edge to the upper side
     kept_edges = []
+    cut = set()
     halved = 0
     paired = set()
     for i, j, w in edges:
@@ -663,15 +699,18 @@ def _axis_surgery(g, sigma: list[int], row: list[int]) -> FactorSplit:
             paired.update((i, j))
         elif not (fi or fj) or row[j if fi else i] <= level:
             kept_edges.append((i, j, w))
+        else:
+            cut.update(((i, j), (j, i)))
     lone = [i for i, s in enumerate(sigma) if s == i and i not in paired]
     if lone:
         raise ContractError("axis vertex %d lies on no axis edge, so the "
                             "split need not keep the count" % lone[0])
-    kept = {d for i, j, _ in kept_edges for d in ((i, j), (j, i))}
-    rotations = tuple([tuple([x for x in rot if (i, x) in kept])
-                       for i, rot in enumerate(rotations)])
-    return FactorSplit(MatchGraph(tags, tuple(kept_edges), (), rotations),
-                       halved)
+    # only the ends of a cut edge lose a neighbour
+    rotations = list(rotations)
+    for i in {i for i, _ in cut}:
+        rotations[i] = tuple([x for x in rotations[i] if (i, x) not in cut])
+    return FactorSplit(MatchGraph(tags, tuple(kept_edges), (),
+                                  tuple(rotations)), halved)
 
 
 def factorization_split(g: MatchGraph, axis: SymmetryElement) -> FactorSplit:
@@ -709,7 +748,7 @@ def central_axis_split(region: Region) -> tuple[FactorSplit, Fraction]:
     order, and builds and checks only the subgraph it returns.
     """
     rot = symmetry(region, "Rot180")
-    q, orbits, orbit_of = _quotient_parts(rot)
+    q, orbits, orbit_of = _quotient_parts(rot, _region_index(region))
     loops = q[2]
     if len(loops) > 1:
         raise ContractError("cannot normalize %d loops" % len(loops))

@@ -27,10 +27,16 @@ strip u (0 <= u < a + b) are one run of rows,
 
     max(u+1-2b-2c, -u-2c) <= v <= min(u, 2a-u-1),
 
-"U" where u + v is odd and "D" where it is even.  The builders emit
-sorted runs: the hexagon's cells come strip by strip, each strip in row
-order, which is the sorted cell order, and every other family filters
-that list, so no builder collects a set of cells or sorts one.
+"U" where u + v is odd and "D" where it is even.  That parity rule is
+one table, _ORIENT, which cell_at, cell_ok, the hexagon builder and
+the Region check all read.  The builders emit sorted runs: the
+hexagon's cells come strip by strip, each strip in row order, which is
+the sorted cell order, and every other family filters that list, so no
+builder collects a set of cells or sorts one.  The hexagon builder
+makes each cell with tuple.__new__, without a call of TriCell's
+generated constructor per cell, and Region checks all its cells in one
+comprehension; a region keeps the cell set and free-cell map its
+checks build.
 
 Region families:
 
@@ -59,6 +65,8 @@ uses floating point.
 from __future__ import annotations
 
 import json
+from functools import cached_property
+from operator import ge
 from typing import NamedTuple
 
 from .errors import (ContractError, FormatError, HoleCollisionError,
@@ -66,6 +74,9 @@ from .errors import (ContractError, FormatError, HoleCollisionError,
 
 UP = "U"
 DOWN = "D"
+# the one parity rule: the orientation of the cell at (u, v) is
+# _ORIENT[(u + v) & 1]
+_ORIENT = (DOWN, UP)
 
 Point = tuple[int, int]
 Edge = tuple[Point, Point]
@@ -80,15 +91,14 @@ class TriCell(NamedTuple):
 
 
 def cell_ok(cell: TriCell) -> bool:
-    """Well-formedness: known tag and tag consistent with parity."""
-    if cell.orient not in (UP, DOWN):
-        return False
-    return ((cell.u + cell.v) & 1 == 1) == (cell.orient == UP)
+    """Well-formedness: the tag is the one the parity of u + v gives, so
+    an unknown tag fails too."""
+    return cell.orient == _ORIENT[(cell.u + cell.v) & 1]
 
 
 def cell_at(u: int, v: int) -> TriCell:
     """The unique cell occupying strip u at doubled row v."""
-    return TriCell(u, v, UP if (u + v) & 1 else DOWN)
+    return TriCell(u, v, _ORIENT[(u + v) & 1])
 
 
 def cell_corners(cell: TriCell) -> tuple[Point, Point, Point]:
@@ -158,21 +168,34 @@ class Region(_RegionFields):
     for a malformed cell; params is an ordered tuple of (name, value)
     pairs echoing the construction call.  Each free edge must also be a
     lattice edge (endpoints in sorted order) with exactly one bordering
-    cell in the region, else ParameterError.  A region keeps the
-    symmetry elements built from it, which ==, hash and serialization
-    do not read.
+    cell in the region, else ParameterError.  A region keeps what is
+    derived from its cells: the cell set and the free-cell map its
+    checks build, and the cell index, centroid and symmetry elements
+    that duality builds on first use.  ==, hash and serialization read
+    none of them, and a copy starts without them.
     """
 
     def __new__(cls, family, params, cells, free_edges=()):
         self = super().__new__(cls, family, params, cells, free_edges)
-        for what, items in (("cells", self.cells),
-                            ("free edges", self.free_edges)):
-            if any(a >= b for a, b in zip(items, items[1:])):
+        cells, free_edges = self.cells, self.free_edges
+        for what, items in (("cells", cells), ("free edges", free_edges)):
+            if any(map(ge, items, items[1:])):
                 raise ContractError("%s not sorted/unique" % what)
-        if not all(cell_ok(c) for c in self.cells):
+        # cell_ok on every cell, in one pass
+        if any([o != _ORIENT[(u + v) & 1] for u, v, o in cells]):
             raise ContractError("malformed cell")
-        self.free_cell_map()  # raises ParameterError for a bad free edge
-        self.__dict__["_symmetries"] = {}  # duality.symmetry's, by kind
+        memo = self.__dict__  # Region refuses attribute assignment
+        free_cells = {}
+        if free_edges:
+            have = memo["cell_set"] = frozenset(cells)
+            for e in free_edges:
+                inside = [c for c in edge_cells(e) if c in have]
+                if len(inside) != 1:
+                    raise ParameterError(
+                        "free edge %r not on the boundary" % (e,))
+                free_cells[e] = inside[0]
+        memo["_free_cells"] = free_cells
+        memo["_symmetries"] = {}  # duality.symmetry's, by kind
         return self
 
     @classmethod
@@ -181,10 +204,10 @@ class Region(_RegionFields):
         return cls(*iterable)
 
     def __setattr__(self, name, value):
-        # __new__ puts the symmetry memo into the instance __dict__ directly
+        # __new__ and cached_property write the instance __dict__ directly
         raise AttributeError("Region is immutable")
 
-    @property
+    @cached_property
     def cell_set(self) -> frozenset[TriCell]:
         return frozenset(self.cells)
 
@@ -196,21 +219,9 @@ class Region(_RegionFields):
                             % (self.family, name))
 
     def free_cell_map(self) -> dict[Edge, TriCell]:
-        """Each free edge with the unique region cell it borders.
-
-        Raises ParameterError for a free edge that is not a lattice edge
-        with exactly one side in the region.
-        """
-        if not self.free_edges:
-            return {}
-        have = self.cell_set
-        out = {}
-        for e in self.free_edges:
-            inside = [c for c in edge_cells(e) if c in have]
-            if len(inside) != 1:
-                raise ParameterError("free edge %r not on the boundary" % (e,))
-            out[e] = inside[0]
-        return out
+        """Each free edge with the unique region cell it borders: a fresh
+        copy of the map the region's checks built."""
+        return dict(self._free_cells)
 
 
 # ---------------------------------------------------------------------
@@ -270,17 +281,20 @@ def require_eps(eps) -> None:
 def _hexagon_cells(a: int, b: int, c: int) -> list[TriCell]:
     """The cells of hexagon(a, b, c) in sorted order: each strip's run of
     rows, strip by strip."""
-    # cell_at's parity rule written inline: this runs in every region build
-    return [TriCell(u, v, UP if (u + v) & 1 else DOWN)
+    # this runs in every region build: tuple.__new__ makes each cell
+    # without a call of TriCell's generated __new__, and _ORIENT is
+    # cell_at's parity rule
+    new = tuple.__new__
+    return [new(TriCell, (u, v, _ORIENT[(u + v) & 1]))
             for u in range(a + b)
             for v in range(max(u + 1 - 2 * b - 2 * c, -u - 2 * c),
                            min(u, 2 * a - u - 1) + 1)]
 
 
-# Each family that deserialize_region can check in closed form has a
-# size function beside its builder: it runs the builder's parameter
-# checks, in the builder's order, and returns the checked parameters and
-# the region's cell count.
+# Every family has a size function beside its builder: it runs the
+# builder's parameter checks, in the builder's order, and returns the
+# checked parameters and the region's cell count in closed form, which
+# deserialize_region checks before it rebuilds.
 
 
 def _hexagon_size(a, b, c) -> tuple[tuple, int]:
@@ -407,6 +421,29 @@ def d_region(a: int, b: int, eps: int, is_) -> Region:
                   tuple(keep), tuple(free_edges))
 
 
+def _rbar_size(l, q, base) -> tuple[tuple, int]:
+    require_int("base", base)
+    q = require_indices("q", q)
+    l = require_indices("l", l)
+    if not q:
+        raise ParameterError("q must be nonempty")
+    a = q[-1]
+    if l == q:
+        n = 2 * a + 1
+    else:
+        # the hole-free part of [1..a-1] shifted down by one
+        expected_l = [d for d in range(1, a) if d + 1 in q]
+        if list(l) != expected_l:
+            raise ParameterError(
+                "lower bump list %r inconsistent with upper %r (expected %r)"
+                % (list(l), list(q), expected_l))
+        n = 2 * a
+    # a - |q| holes, each taking two of the n^2 + 4n base - n cells below
+    # the axis of hexagon(n, n, 2 base) and two of the n (odd n: n - 1)
+    # western on-axis cells
+    return (l, q, base), n * n + 4 * n * base - n % 2 - 4 * (a - len(q))
+
+
 def rbar_region(l, q, base: int) -> Region:
     """Bottom half of a holed hexagon, keeping western on-axis cells.
 
@@ -419,27 +456,15 @@ def rbar_region(l, q, base: int) -> Region:
     even-side shape.  For the odd-side shape the easternmost on-axis
     cell (the one fixed by the fold) is removed as well.
     """
-    require_int("base", base)
-    q = require_indices("q", q)
-    l = require_indices("l", l)
-    if not q:
-        raise ParameterError("q must be nonempty")
+    (l, q, _), size = _rbar_size(l, q, base)
     a = q[-1]
-    missing = [d for d in range(1, a + 1) if d not in q]
-    ks = tuple(a - d + 1 for d in reversed(missing))
-    if l == q:
-        n = 2 * a + 1
-    else:
-        expected_l = [d for d in range(1, a) if d + 1 not in missing]
-        if list(l) != expected_l:
-            raise ParameterError(
-                "lower bump list %r inconsistent with upper %r (expected %r)"
-                % (list(l), list(q), expected_l))
-        n = 2 * a
+    ks = tuple(a - d + 1 for d in range(a, 0, -1) if d not in q)
+    n = 2 * a + 1 if l == q else 2 * a
     # the odd shape also loses the easternmost on-axis cell, in strip n - 1
     east = n - 1 - n % 2
     keep = [c for c in _holed_cells(n, base, ks)
             if c.v <= -2 * base - 1 or (c.v == -2 * base and c.u <= east)]
+    assert len(keep) == size
     return Region("RBarRegion", (("l", l), ("q", q), ("base", base)),
                   tuple(keep))
 
@@ -448,13 +473,13 @@ def rbar_region(l, q, base: int) -> Region:
 # serialization (schema version 1)
 
 # each family's builder, its parameters in the builder's order and its
-# size function, where it has one
+# size function
 _FAMILIES = {
     "Hexagon": (hexagon, ("a", "b", "c"), _hexagon_size),
     "HoledHexagon": (holed_hexagon, ("a", "b", "ks"), _holed_size),
     "CoredHexagon": (cored_hexagon, ("a", "b", "ks", "x"), _cored_size),
     "DRegion": (d_region, ("a", "b", "eps", "is"), _d_size),
-    "RBarRegion": (rbar_region, ("l", "q", "base"), None),
+    "RBarRegion": (rbar_region, ("l", "q", "base"), _rbar_size),
 }
 
 # the parameters, in any family or identity, whose value is an integer list
@@ -488,10 +513,10 @@ def deserialize_region(data: bytes) -> Region:
     RBarRegion. The checks run in order: the fields (an object, its
     schema version, family and parameter names), the cells, the free
     edges, the parameter values (the family's own checks), then the
-    cell count from the family's closed-form size where it has one, and
-    the rebuild, which must give exactly the document's region. Every
-    refusal is a FormatError carrying the offset of the bad field, or 0
-    where it names none (a missing field, a refused parameter value).
+    cell count from the family's closed-form size, and the rebuild,
+    which must give exactly the document's region. Every refusal is a
+    FormatError carrying the offset of the bad field, or 0 where it
+    names none (a missing field, a refused parameter value).
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -560,7 +585,7 @@ def deserialize_region(data: bytes) -> Region:
     values = [value for _, value in params]
     try:
         region = Region(family, tuple(params), tuple(cells), tuple(free_edges))
-        if size and size(*values)[1] != len(cells):
+        if size(*values)[1] != len(cells):
             built = None
         else:
             built = build(*values)

@@ -820,6 +820,55 @@ def _with_hand_built_axis(region, swaps):
     return r
 
 
+def _filled(region):
+    """The region after every route of this module has read it."""
+    dual_graph(region)
+    region.cell_set
+    for kind in KINDS:
+        try:
+            symmetry(region, kind)
+        except SymmetryAbsentError:
+            pass
+    return region
+
+
+def test_region_memo_is_invisible_and_per_region():
+    # a region keeps its cell index, centroid, cell set and symmetry
+    # elements; ==, hash and serialization read none of them, and a copy
+    # starts with its own
+    for build, args in ((hexagon, (2, 2, 2)), (holed_hexagon, (4, 1, [2])),
+                        (d_region, (3, 2, -1, [2])),
+                        (rbar_region, ([1], [1, 2], 1))):
+        fresh, used = build(*args), _filled(build(*args))
+        assert used._symmetries and not fresh._symmetries
+        assert used == fresh and hash(used) == hash(fresh)
+        assert serialize_region(used) == serialize_region(fresh)
+        copy = used._replace()
+        assert copy == used and copy is not used and not copy._symmetries
+        assert duality._region_index(copy) is not duality._region_index(used)
+        # a copy with other cells indexes, and maps about, its own cells
+        smaller = _filled(used._replace(cells=used.cells[1:]))
+        assert duality._region_index(smaller) == duality._cell_index(
+            smaller.cells)
+        assert duality._region_centroid(smaller) == duality._centroid2(
+            smaller.cells) != duality._region_centroid(used)
+        assert dual_graph(smaller).tags == smaller.cells
+        assert smaller.cell_set == frozenset(used.cells[1:])
+
+
+def test_a_check_builds_its_region_index_and_centroid_once(monkeypatch):
+    built = {"_cell_index": [], "_centroid2": []}
+    for name in built:
+        def spy(cells, name=name, original=getattr(duality, name)):
+            built[name].append(cells)
+            return original(cells)
+        monkeypatch.setattr(duality, name, spy)
+    result = check("E3_1", a=2, b=1, ks=())
+    assert result.verdict is True
+    cells = holed_hexagon(4, 1, []).cells
+    assert built == {"_cell_index": [cells], "_centroid2": [cells]}
+
+
 def test_central_split_refuses_an_axis_that_does_not_permute_orbits():
     # one swap carries a quotient orbit onto two; two swaps carry an odd
     # quotient's forced-loop orbit onto another orbit, and back
@@ -1037,6 +1086,8 @@ HAND_BUILT = {
         "cells not sorted/unique"),
     "region cell malformed": (
         lambda: Region("hand", (), (TriCell(0, 0, "U"),)), "malformed cell"),
+    "region cell with the other tag": (
+        lambda: Region("hand", (), (TriCell(0, 1, "D"),)), "malformed cell"),
     "region cell with an unknown tag": (
         lambda: Region("hand", (), (TriCell(0, 1, "X"),)), "malformed cell"),
     "compose across regions": (
@@ -1245,6 +1296,25 @@ def test_symmetry_maps_are_pinned():
     column = Region("X", (), (TriCell(0, -4, "D"), TriCell(0, -3, "U"),
                               TriCell(0, -2, "D")))
     assert symmetry(column, "ReflH").perm == (2, 1, 0)
+
+
+def test_symmetry_refusals_are_pinned():
+    # the refusal texts over the same regions, each "does not map the
+    # region to itself" naming the first cell that leaves and its image
+    texts = []
+    for region in _pinned_symmetry_regions():
+        for kind in KINDS:
+            try:
+                symmetry(region, kind)
+            except SymmetryAbsentError as exc:
+                texts.append(str(exc))
+    assert len(texts) == 2640
+    assert sum("does not map the region to itself" in t for t in texts) == 1007
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "8304b80a41b992d1f79f3bbb9cc5b4094d2f4e790d0fb7e8bcfc19a45c310e6f")
+    assert next(t for t in texts if "does not map" in t) == (
+        "Rot60 does not map the region to itself "
+        "(cell (0, -6, 'D') -> (2, -5, 'U'))")
 
 
 def test_symmetry_matches_the_corner_reference():

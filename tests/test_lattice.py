@@ -259,6 +259,21 @@ def test_free_edge_not_on_the_boundary_is_rejected(edge, inside):
         deserialize_region(json.dumps(doc).encode("utf-8"))
 
 
+def test_free_cell_map_is_a_fresh_copy():
+    # the region keeps the map its checks built; a caller's copy is its own
+    r = d_region(3, 2, -1, [2])
+    want = {e: c for e in r.free_edges for c in edge_cells(e)
+            if c in r.cell_set}
+    got = r.free_cell_map()
+    assert got == want and len(got) == len(r.free_edges) > 0
+    count = lozlab.count_tilings_free(r)
+    got.clear()
+    r.free_cell_map()[r.free_edges[0]] = None
+    assert r.free_cell_map() == want
+    assert lozlab.count_tilings_free(r) == count
+    assert hexagon(2, 2, 2).free_cell_map() == {}
+
+
 def test_region_order_check_matches_the_set_reference():
     # the pairwise order check refuses exactly what a comparison with
     # sorted(set(cells)) refused, with the same text
@@ -461,6 +476,33 @@ def test_d_size_matches_the_builder():
         assert str(got.value) == str(want.value)
 
 
+def test_rbar_size_matches_the_builder():
+    # n^2 + 4n base - (n mod 2) - 4 (a - |q|) cells, n = 2a + (l = q),
+    # a = max q, over every consistent parameter set with a <= 6, base <= 3
+    sets = 0
+    for a in range(1, 7):
+        for q in _index_sets(a):
+            if not q or q[-1] != a:
+                continue
+            even = tuple(d for d in range(1, a) if d + 1 in q)
+            for l in (q, even):
+                for base in (1, 2, 3):
+                    params, size = lattice._rbar_size(list(l), list(q), base)
+                    assert params == (l, q, base)
+                    assert size == len(rbar_region(l, q, base).cells)
+                    sets += 1
+    assert sets == 378
+    # it runs the builder's checks, in the builder's order
+    for args in (([], [1], 0), ([], [1], True), ([], [0], 1), ([], [2, 1], 1),
+                 ([0], [1], 1), ([], [], 1), ([1, 2], [1, 3, 5], 4),
+                 ([2], [1, 2], 1), ("x", "y", 0)):
+        with pytest.raises(ParameterError) as want:
+            rbar_region(*args)
+        with pytest.raises(ParameterError) as got:
+            lattice._rbar_size(*args)
+        assert str(got.value) == str(want.value)
+
+
 def test_rbar_even_shape():
     r = rbar_region([], [1], 1)
     assert len(r.cells) == 12
@@ -532,7 +574,10 @@ def test_deserialize_refuses_a_wrong_cell_count_without_building(monkeypatch):
     for region, big in ((hexagon(2, 2, 2), {"a": 200, "b": 200, "c": 200}),
                         (holed_hexagon(4, 1, [2]), {"a": 400, "b": 200}),
                         (cored_hexagon(2, 1, [], 1), {"a": 200, "b": 200}),
-                        (d_region(2, 1, -1, [1]), {"a": 200, "b": 200})):
+                        (d_region(2, 1, -1, [1]), {"a": 200, "b": 200}),
+                        (rbar_region([], [1], 1), {"base": 200}),
+                        (rbar_region([1, 2], [1, 2], 2),
+                         {"l": list(range(1, 201)), "q": list(range(1, 201))})):
         build, keys, size = lattice._FAMILIES[region.family]
         monkeypatch.setitem(lattice._FAMILIES, region.family,
                             (never, keys, size))
