@@ -15,6 +15,11 @@ the median and the quartiles of each side, the pairs each side won by
 the metric's direction in the parent's BENCHMARK.json, and the runs
 per side.  A run whose result is not correct is named on stderr, and
 the script then exits 1.
+
+A bytecode cache in one checkout alone makes its runs start faster and
+smaller, so before the first pair the script exits 2, naming both
+checkouts, when only one of them has a __pycache__ under src/ or
+lozbench/.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from pathlib import Path
 from statistics import median, quantiles
 
 PAIR_LINE = ("wall_s", "peak_rss_mb")
+# the trees whose bytecode the benchmark imports
+CACHED = ("src", "lozbench")
 
 
 def run_once(root: Path, args) -> dict:
@@ -43,6 +50,12 @@ def directions(root: Path) -> dict[str, str]:
     spec = json.loads((root / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"]
             for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def bytecode_caches(root: Path) -> list[Path]:
+    """The __pycache__ directories under root's CACHED trees."""
+    return sorted(p for tree in CACHED
+                  for p in (root / tree).rglob("__pycache__"))
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -63,6 +76,15 @@ def main() -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    caches = {side: bytecode_caches(root) for side, root in sides.items()}
+    if bool(caches["parent"]) != bool(caches["change"]):
+        for side, root in sides.items():
+            print("ab_bench: %s %s: %s" % (
+                side, root, ", ".join(map(str, caches[side]))
+                or "no bytecode cache"), file=sys.stderr)
+        print("ab_bench: only one checkout has a bytecode cache; remove it "
+              "or warm both", file=sys.stderr)
+        return 2
     better = directions(sides["parent"])
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     bad = 0

@@ -8,16 +8,11 @@ take one determinant per graph of the signed matrix, kept as sparse
 rows: a bipartite graph's biadjacency determinant is the count, else
 the skew adjacency determinant is its square.  Weighted graphs are
 scaled to integers first, each vertex by the lcm of its own edges'
-denominators.  One engine takes every determinant: exact integer
-elimination of each column with a +-1 pivot, then one sparse
-elimination of the small core left, modulo a power of the Mersenne
-prime 2**61 - 1 above twice the core's Hadamard bound, which certifies
-it exact; a non-unit pivot retries with 2**89 - 1, 2**107 - 1, then
-2**127 - 1.  The modular elimination keeps its entries as small
-signed ints in (-m, m) and reduces one only when an update leaves that
-range; since an entry in that range is 0 mod m only when it is 0, the
-pivots and the residue are those of full reduction, and a +-1 entry
-stays one word wide.
+denominators.  One engine takes every determinant, in exact integer
+arithmetic throughout: sparse elimination of each column with a +-1
+pivot, then fraction-free (Bareiss) elimination of the small dense
+core left, whose every entry is a minor of the core and whose every
+division is exact, so no result needs a certificate.
 
 Loop conventions: a loop covers its own vertex and a matching may use
 it, so on a graph with an even vertex count a single loop is dead
@@ -286,69 +281,6 @@ def _kasteleyn_orientation(g: MatchGraph) -> list[bool]:
     return orient
 
 
-# proven Mersenne primes, tried in turn as the base of the modulus
-_MERSENNE = tuple((1 << e) - 1 for e in (61, 89, 107, 127))
-
-
-def _det_mod(rows: list[dict[int, int]], n: int, m: int) -> int:
-    """Determinant modulo m by sparse elimination.
-
-    Columns are eliminated in order; the pivot is the candidate row with
-    the fewest entries, the lowest index on a tie, which keeps the
-    fill-in low.  The determinant is the product of the pivots times the
-    sign of the row permutation.  Row operations with a unit pivot are
-    valid modulo any m, prime or not; a pivot that is not a unit mod m
-    makes pow raise ValueError.
-
-    Entries stay small signed ints in (-m, m), each congruent to its
-    fully reduced residue, and are reduced only when an update leaves
-    that range, so a -1 stays -1 rather than m - 1.  In that range an
-    entry is 0 mod m exactly when it is 0, so the zero pattern, the
-    pivots and the returned residue are those of full reduction.  A +-1
-    pivot is its own inverse and keeps the multipliers small.
-    """
-    rows = [{j: x for j, v in r.items() if (x := v if -m < v < m else v % m)}
-            for r in rows]
-    rows_at: list[set[int]] = [set() for _ in range(n)]
-    for i, r in enumerate(rows):
-        for j in r:
-            rows_at[j].add(i)
-    det = 1
-    pivot_row = [0] * n
-    for c in range(n):
-        if not rows_at[c]:
-            return 0
-        piv = fewest = n + 1
-        for i in rows_at[c]:
-            k = len(rows[i])
-            if k < fewest or k == fewest and i < piv:
-                piv, fewest = i, k
-        prow = rows[piv]
-        for j in prow:
-            rows_at[j].discard(piv)
-        pivot_row[c] = piv
-        pv = prow.pop(c)
-        det = det * pv % m
-        inv = pv if pv == 1 or pv == -1 else pow(pv, -1, m)
-        for r in rows_at[c]:
-            row = rows[r]
-            f = row.pop(c) * inv
-            if not -m < f < m:
-                f %= m
-            for j, v in prow.items():
-                x = row.get(j, 0) - f * v
-                if not -m < x < m:
-                    x %= m
-                if x:
-                    if j not in row:
-                        rows_at[j].add(r)
-                    row[j] = x
-                elif j in row:
-                    del row[j]
-                    rows_at[j].discard(r)
-    return det * _pairing_sign(pivot_row) % m
-
-
 def _pairing_sign(row_of: list[int]) -> int:
     """Sign of the permutation that pairs each column c with row row_of[c]."""
     sign = 1
@@ -364,6 +296,37 @@ def _pairing_sign(row_of: list[int]) -> int:
     return sign
 
 
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of the dense square integer matrix m, which it
+    consumes, by fraction-free elimination (Bareiss 1968).
+
+    Step k eliminates column k below the pivot m[k][k], dividing each
+    update exactly by the previous pivot: by Sylvester's identity each
+    entry left is then the minor of m on its leading k + 1 rows and
+    columns bordered by the entry's own row and column.  A zero pivot
+    swaps in the first lower row with an entry in column k and flips
+    the sign; with none, det is 0.  The last pivot is det up to that
+    sign.
+    """
+    n = len(m)
+    sign = prev = 1
+    for k in range(n):
+        if not m[k][k]:
+            i = next((i for i in range(k + 1, n) if m[i][k]), 0)
+            if not i:
+                return 0
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+    return sign * prev
+
+
 def _det_exact(rows: list[dict[int, int]], n: int) -> int:
     """Exact determinant of the n x n integer matrix with the given
     sparse rows (column -> entry), which it consumes.
@@ -373,18 +336,12 @@ def _det_exact(rows: list[dict[int, int]], n: int) -> int:
     fewest-entry such row, the lowest index on a tie; any other column
     is deferred.  The deferred columns and the rows never taken form the
     core, the Schur complement of a block of determinant +-1, so by
-    Sylvester's identity each entry met is +- a minor of the matrix,
-    within its Hadamard bound.  The determinant is the sign of the
-    pairing of each column with its pivot row, or of the k-th deferred
-    column with the k-th core row, times the pivots, times det(core).
-
-    |det(core)| is at most its Hadamard bound H, whose square is the
-    product of its rows' sums of squares.  One elimination runs modulo
-    M = p**k, p the first Mersenne prime of _MERSENNE and k the least
-    power with M > 2H; the symmetric residue in (-M/2, M/2] is then
-    det(core).  Elimination with unit pivots gives det mod M for a prime
-    power too, so the stop is a certificate.  A pivot divisible by p
-    stops the elimination, which is retried with the next prime.
+    Sylvester's identity each entry met is +- a minor of the matrix.
+    The determinant is the sign of the pairing of each column with its
+    pivot row, or of the k-th deferred column with the k-th core row,
+    times the pivots, times det(core).  A core with an empty row is
+    singular; any other is copied into dense rows, in deferred column
+    order, and its determinant taken by _bareiss, exact throughout.
     """
     rows_at: list[set[int]] = [set() for _ in range(n)]
     for i, r in enumerate(rows):
@@ -431,24 +388,10 @@ def _det_exact(rows: list[dict[int, int]], n: int) -> int:
     det *= _pairing_sign(pivot_row)
     if not deferred:
         return det
-    col_of = {c: k for k, c in enumerate(deferred)}
-    core = [{col_of[j]: v for j, v in rows[i].items()} for i in core_rows]
-    bound = 1
-    for r in core:
-        norm = sum(v * v for v in r.values())
-        if not norm:
-            return 0
-        bound *= norm
-    for p in _MERSENNE:
-        modulus = p
-        while modulus * modulus <= 4 * bound:
-            modulus *= p
-        try:
-            residue = _det_mod(core, len(core), modulus)
-        except ValueError:
-            continue
-        return det * (residue - modulus if residue > modulus // 2 else residue)
-    raise ContractError("each Mersenne prime tried divides a pivot")
+    if not all(rows[i] for i in core_rows):
+        return 0
+    return det * _bareiss([[rows[i].get(c, 0) for c in deferred]
+                           for i in core_rows])
 
 
 def _kasteleyn_rows(edges, orient, scale: list[int], row_of: list[int],
