@@ -13,8 +13,12 @@ It prints one line per pair (wall time, peak RSS and kept samples of
 each side, with --trace 0), then, for every metric the runs report,
 the median and the quartiles of each side, the pairs each side won by
 the metric's direction in the parent's BENCHMARK.json, and the runs
-per side.  A run whose result is not correct is named on stderr, and
-the script then exits 1.
+per side, and then the five tasks whose median time moved most, with
+each side's median over the runs.  A run whose result is not correct
+is named on stderr, and the script then exits 1.  So is a pair whose
+two runs report different output digests in their record lines: both
+sides run the same workload with the same seed, so their outputs must
+be identical.
 
 A bytecode cache in one checkout alone makes its runs start faster and
 smaller, so before the first pair the script exits 2, naming both
@@ -34,15 +38,18 @@ from statistics import median, quantiles
 PAIR_LINE = ("wall_s", "peak_rss_mb")
 # the trees whose bytecode the benchmark imports
 CACHED = ("src", "lozbench")
+MOVED_TASKS = 5
 
 
-def run_once(root: Path, args) -> dict:
-    """The result line of one benchmark run in the checkout at root."""
+def run_once(root: Path, args) -> tuple[dict, dict]:
+    """The record and the result line of one benchmark run in the
+    checkout at root."""
     cmd = [sys.executable, "lozbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(args.trace)]
     out = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, check=True)
-    return json.loads(out.stdout.decode().splitlines()[-1])
+    record, result = out.stdout.decode().splitlines()[-2:]
+    return json.loads(record)["lozbench"], json.loads(result)
 
 
 def directions(root: Path) -> dict[str, str]:
@@ -56,6 +63,22 @@ def bytecode_caches(root: Path) -> list[Path]:
     """The __pycache__ directories under root's CACHED trees."""
     return sorted(p for tree in CACHED
                   for p in (root / tree).rglob("__pycache__"))
+
+
+def task_medians(records: dict[str, list[dict]]
+                 ) -> list[tuple[str, float, float]]:
+    """(task, parent median, change median) for every task both sides
+    timed, each the median over the runs of the run's own task median,
+    the largest move in seconds first; empty with --trace 1, whose
+    records time no task."""
+    def medians(side: list[dict]) -> dict[str, float]:
+        return {name: median(r["task_medians_s"][name][0] for r in side)
+                for name in side[0].get("task_medians_s", {})}
+
+    parent, change = medians(records["parent"]), medians(records["change"])
+    return sorted(((name, parent[name], change[name]) for name in parent
+                   if name in change),
+                  key=lambda t: -abs(t[2] - t[1]))
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -87,16 +110,23 @@ def main() -> int:
         return 2
     better = directions(sides["parent"])
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    records: dict[str, list[dict]] = {"parent": [], "change": []}
     bad = 0
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args)
+            record, result = run_once(sides[side], args)
+            records[side].append(record)
             runs[side].append(result)
             if not result["correct"]:
                 bad += 1
                 print("ab_bench: pair %d, %s: result not correct" % (k, side),
                       file=sys.stderr)
+        digests = [records[side][-1]["digest"] for side in sides]
+        if digests[0] != digests[1]:
+            bad += 1
+            print("ab_bench: pair %d: output digests differ: parent %s, "
+                  "change %s" % ((k,) + tuple(digests)), file=sys.stderr)
         p, c = runs["parent"][-1], runs["change"][-1]
         shown = [name for name in PAIR_LINE if name in p["metrics"]]
         print("pair %d  %s  samples %d -> %d" % (
@@ -121,6 +151,13 @@ def main() -> int:
     print("runs per side: %d; kept samples per run, median: %d -> %d" % (
         len(runs["parent"]), median(r["attempted"] for r in runs["parent"]),
         median(r["attempted"] for r in runs["change"])))
+    moved = task_medians(records)
+    if moved:
+        print("%-48s %12s %12s %8s" % ("task", "parent p50", "change p50",
+                                        "change"))
+        for name, p, c in moved[:MOVED_TASKS]:
+            print("%-48s %12.6g %12.6g %+7.1f%%" % (name, p, c,
+                                                     100 * (c - p) / p))
     return 1 if bad else 0
 
 

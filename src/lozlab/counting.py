@@ -25,8 +25,9 @@ has.
 Tiling-level wrappers count tilings of a region (perfect matchings of
 its dual graph), tilings invariant under a symmetry group (by direct
 orbit search, by an enumeration that drops a partial tiling as soon as
-one of its pairs breaks the symmetry, or by counting matchings of the
-quotient graph when the group is a rotation group), and free-boundary
+one of its pairs breaks the symmetry, run in orbit order so that each
+cell's images follow it, or by counting matchings of the quotient
+graph when the group is a rotation group), and free-boundary
 tilings where marked boundary cells may stay uncovered (by the search
 on region cells).  The quotient route builds one checked quotient: it
 drops a forced loop's vertex from the quotient's unchecked parts, then
@@ -159,12 +160,15 @@ def count_matchings_oracle(g: MatchGraph) -> int:
     return _as_count(mgf_oracle(g))
 
 
-def _matchings(g: MatchGraph, groups: Sequence[Sequence[Sequence[int]]] = ()
+def _matchings(above: Sequence[Sequence[int]],
+               groups: Sequence[Sequence[Sequence[int]]] = ()
                ) -> Iterator[tuple[list[int], list[tuple[int, int]], int]]:
-    """Each perfect matching as the search's live mate array, mate[v]
-    being v's partner, its list of pairs (v, u), v < u, the v
-    increasing, both changing in place once the search moves on, and
-    the bitmask of the groups that fix it, bit k for groups[k].
+    """Each perfect matching of the graph on vertices 0 .. n-1, n =
+    len(above), whose edges from v to higher vertices go to the sorted
+    list above[v], as the search's live mate array, mate[v] being v's
+    partner, its list of pairs (v, u), v < u, the v increasing, both
+    changing in place once the search moves on, and the bitmask of the
+    groups that fix it, bit k for groups[k].
 
     The least uncovered vertex v is matched to each uncovered neighbour
     above it in increasing order, depth first; every neighbour below v
@@ -183,9 +187,7 @@ def _matchings(g: MatchGraph, groups: Sequence[Sequence[Sequence[int]]] = ()
     its frame never pushed.  With no groups nothing is dropped, every
     mask is 0, and the search is the plain enumeration.
     """
-    if g.loops:
-        raise ContractError("enumeration needs a loopless graph")
-    n = g.n
+    n = len(above)
     mate = [-1] * n
     pairs: list[tuple[int, int]] = []
     live = (1 << len(groups)) - 1
@@ -193,7 +195,6 @@ def _matchings(g: MatchGraph, groups: Sequence[Sequence[Sequence[int]]] = ()
     if n == 0:
         yield mate, pairs, live
         return
-    above = [sorted(u for u in rot if u > v) for v, rot in enumerate(g.rotations)]
     stack = [(0, iter(above[0]), live)]
     states = 1
     while stack:
@@ -236,7 +237,11 @@ def _matchings(g: MatchGraph, groups: Sequence[Sequence[Sequence[int]]] = ()
 def enumerate_matchings(g: MatchGraph) -> Iterator[tuple[tuple[int, int], ...]]:
     """All perfect matchings as sorted tuples of vertex pairs, in the
     order and under the state cap of the search in _matchings."""
-    return (tuple(pairs) for _, pairs, _ in _matchings(g))
+    if g.loops:
+        raise ContractError("enumeration needs a loopless graph")
+    above = [sorted(u for u in rot if u > v) for v, rot in enumerate(g.rotations)]
+    for _, pairs, _ in _matchings(above):
+        yield tuple(pairs)
 
 
 # ---------------------------------------------------------------------
@@ -559,10 +564,37 @@ def _filter_count(region: Region, groups) -> list[int]:
     """Tilings fixed by each group, from one enumeration of the region
     that drops a branch as soon as no group can fix it: the sum of the
     fixing masks _matchings yields.  symmetry_group puts the identity
-    first, and it is left out."""
+    first, and it is left out.
+
+    The search runs in orbit order: the cells sorted by the least cell
+    of their orbit under all the groups' elements together, then by
+    cell, so each cell's images come right after it and a pair whose
+    image breaks a group is dropped soon after it is placed.  The
+    checked dual graph's rotations and each element's perm are
+    renumbered into that order; with no element the order is the
+    identity."""
+    g = dual_graph(region)
     perms = [[e.perm for e in group[1:]] for group in groups]
+    elems = [p for group in perms for p in group]
+    least = [-1] * g.n
+    for k in range(g.n):
+        if least[k] < 0:
+            least[k] = k
+            orbit = [k]
+            for c in orbit:  # orbit grows as it is walked
+                for p in elems:
+                    if least[p[c]] < 0:
+                        least[p[c]] = k
+                        orbit.append(p[c])
+    order = sorted(range(g.n), key=least.__getitem__)  # stable: then by cell
+    pos = [0] * g.n
+    for i, c in enumerate(order):
+        pos[c] = i
+    above = [sorted([pos[u] for u in g.rotations[c] if pos[u] > i])
+             for i, c in enumerate(order)]
+    perms = [[[pos[p[c]] for c in order] for p in group] for group in perms]
     counts = [0] * len(perms)
-    for _, _, mask in _matchings(dual_graph(region), perms):
+    for _, _, mask in _matchings(above, perms):
         for k in range(len(counts)):
             counts[k] += mask >> k & 1
     return counts

@@ -329,6 +329,12 @@ def _until_cap(matchings):
     return out, False
 
 
+def _u_major_above(g):
+    """The higher neighbours of each vertex in the graph's own order, as
+    enumerate_matchings hands them to the enumeration core."""
+    return [sorted(u for u in rot if u > v) for v, rot in enumerate(g.rotations)]
+
+
 def test_enumeration_core_matches_the_parent_enumerator(monkeypatch):
     graphs = [dual_graph(hexagon(a, b, c))
               for a, b, c in product(range(1, 4), repeat=3)]
@@ -363,14 +369,14 @@ def test_enumeration_core_matches_the_parent_enumerator(monkeypatch):
         # the live mate array holds the partners of each yielded
         # matching, and with no groups every mask is 0
         monkeypatch.setattr(counting, "SEARCH_STATE_CAP", lo)
-        for mate, pairs, mask in counting._matchings(g):
+        for mate, pairs, mask in counting._matchings(_u_major_above(g)):
             partner = [-1] * g.n
             for v, u in pairs:
                 partner[v], partner[u] = u, v
             assert mate == partner
             assert mask == 0
     # hexagon(3, 3, 3) unpruned; the filter route's entry in
-    # CAP_BOUNDARIES is its search pruned by ReflV
+    # CAP_BOUNDARIES is its search pruned by ReflV, in orbit order
     assert states[26] == 8436
 
 
@@ -803,6 +809,14 @@ def test_filter_matches_the_set_reference():
     assert paired == 120
 
 
+def _with_partner(region, kinds, group):
+    """group and, where the region has it, its mirror partner's group."""
+    try:
+        return [group, symmetry_group(region, _mirror_partner(kinds))]
+    except SymmetryAbsentError:
+        return [group]
+
+
 def test_pruned_search_yields_exactly_the_fixed_tilings():
     # the filter's search, with a group and its mirror partner, keeps
     # each tiling some group fixes, in the unpruned order and with the
@@ -811,19 +825,66 @@ def test_pruned_search_yields_exactly_the_fixed_tilings():
     for region, kinds, group in _cross_cases():
         if len(region.cells) > CROSS_FILTER_CELLS:
             continue
-        groups = [group]
-        try:
-            groups.append(symmetry_group(region, _mirror_partner(kinds)))
-        except SymmetryAbsentError:
-            pass
+        groups = _with_partner(region, kinds, group)
         want = [(m, mask) for m, mask in _set_fixing_masks(region, groups)
                 if mask]
         perms = [[e.perm for e in grp[1:]] for grp in groups]
         got = [(tuple(pairs), mask) for _, pairs, mask
-               in counting._matchings(dual_graph(region), perms)]
+               in counting._matchings(_u_major_above(dual_graph(region)),
+                                      perms)]
         assert got == want, (region.params, kinds)
         checked += 1
     assert checked == 162
+
+
+def _orbit_order(region, groups):
+    """Reference: the cell indices sorted by the least cell of their
+    orbit under every element of every group, read from the cell maps,
+    then by cell."""
+    maps = [mapping(e) for group in groups for e in group]
+    least = {}
+    for k, c in enumerate(region.cells):
+        if c in least:
+            continue
+        orbit, more = set(), {c}
+        while more:
+            orbit |= more
+            more = {m[d] for m in maps for d in more} - orbit
+        for d in orbit:
+            least[d] = k
+    return sorted(range(len(region.cells)),
+                  key=lambda k: (least[region.cells[k]], k))
+
+
+def test_orbit_order_search_yields_exactly_the_fixed_tilings(monkeypatch):
+    # the filter's own search runs in orbit order; its yields, mapped
+    # back to cell indices, are exactly the tilings some group fixes,
+    # each with the reference's mask
+    seen = []
+    matchings = counting._matchings
+
+    def recorded(above, groups=()):
+        for mate, pairs, mask in matchings(above, groups):
+            seen.append((tuple(pairs), mask))
+            yield mate, pairs, mask
+
+    monkeypatch.setattr(counting, "_matchings", recorded)
+    checked = reordered = 0
+    for region, kinds, group in _cross_cases():
+        if len(region.cells) > CROSS_FILTER_CELLS:
+            continue
+        groups = _with_partner(region, kinds, group)
+        want = {(frozenset(m), mask)
+                for m, mask in _set_fixing_masks(region, groups) if mask}
+        seen.clear()
+        counting._filter_count(region, groups)
+        order = _orbit_order(region, groups)
+        got = {(frozenset(tuple(sorted((order[v], order[u])))
+                          for v, u in pairs), mask) for pairs, mask in seen}
+        assert len(got) == len(seen) and got == want, (region.params, kinds)
+        checked += 1
+        reordered += order != sorted(order)
+    assert (checked, reordered) == (162, 158)
 
 
 def _every_cell_moves(region, maps):
@@ -965,7 +1026,7 @@ CAP_BOUNDARIES = {
     "orbit": (lambda: count_symmetric_tilings(holed_hexagon(4, 2, [2]),
                                               ["Rot180"], "orbit"), 332, 100),
     "filter": (lambda: count_symmetric_tilings(hexagon(3, 3, 3), ["ReflV"],
-                                               "filter"), 1761, 112),
+                                               "filter"), 721, 112),
     "free": (lambda: count_tilings_free(d_region(3, 2, 0, [1, 2, 3])),
              140, 490),
 }

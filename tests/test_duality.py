@@ -809,6 +809,26 @@ def test_split_rejects_an_axis_that_is_no_automorphism():
         factorization_split(without_vertices(g, {0}), symmetry(r, "ReflH"))
 
 
+def test_split_compares_weights_by_value_not_identity():
+    # an edge and its mirror image weighted by equal but distinct
+    # Fractions are still a weighted automorphism, and split
+    r = hexagon(2, 2, 2)
+    g = dual_graph(r)
+    axis = symmetry(r, "ReflH")
+    i, j, _ = next(e for e in g.edges if sorted((axis.perm[e[0]],
+                                                 axis.perm[e[1]])) != e[:2])
+    mirror = tuple(sorted((axis.perm[i], axis.perm[j])))
+    two, other_two = Fraction(2), Fraction(2)
+    assert two is not other_two
+    weight = {(i, j): two, mirror: other_two}
+    heavy = MatchGraph(g.tags, tuple((a, b, weight.get((a, b), w))
+                                     for a, b, w in g.edges),
+                       g.loops, g.rotations)
+    split, halved = factorization_split(heavy, axis)
+    assert 2 ** halved * counting.mgf(split) == counting.mgf(heavy)
+    assert counting.mgf(heavy) > counting.mgf(g)
+
+
 def _with_hand_built_axis(region, swaps):
     """A copy of region whose ReflH is the identity with the given cell
     pairs swapped, no lattice map."""

@@ -233,6 +233,20 @@ def test_four_class_eq1_keeps_its_own_enumeration():
         check("I1_9", a=6, b=2)
 
 
+def test_i1_9_filter_runs_in_orbit_order(monkeypatch):
+    # each cell's mirror images follow it in the search, so a=3 b=2
+    # pushes 2 456 frames and a=8 b=1 fits under the cap
+    monkeypatch.setattr(counting, "SEARCH_STATE_CAP", 2456)
+    assert check("I1_9", a=3, b=2).verdict
+    monkeypatch.setattr(counting, "SEARCH_STATE_CAP", 2455)
+    with pytest.raises(BudgetError, match="cap of 2455 search states"):
+        check("I1_9", a=3, b=2)
+    monkeypatch.undo()
+    c = check("I1_9", a=8, b=1)
+    assert c.verdict and c.rhs_route == "enumeration+filter"
+    assert c.factors == (24310, 1430)
+
+
 def test_i1_9_verifies_at_a4_b1():
     c = check("I1_9", a=4, b=1)
     assert c.verdict
@@ -254,9 +268,9 @@ def test_both_mirror_counts_share_one_enumeration(monkeypatch):
     calls = []
     matchings = counting._matchings
 
-    def counted(g, groups=()):
-        calls.append(g.n)
-        return matchings(g, groups)
+    def counted(above, groups=()):
+        calls.append(len(above))
+        return matchings(above, groups)
 
     monkeypatch.setattr(counting, "_matchings", counted)
     for identity_id, params in (("I1_9", {"a": 2, "b": 2}),
