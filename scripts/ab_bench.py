@@ -12,13 +12,24 @@ interpreter and the caller's environment.
 It prints one line per pair (wall time, peak RSS and kept samples of
 each side, with --trace 0), then, for every metric the runs report,
 the median and the quartiles of each side, the pairs each side won by
-the metric's direction in the parent's BENCHMARK.json, and the runs
-per side, and then the five tasks whose median time moved most, with
-each side's median over the runs.  A run whose result is not correct
-is named on stderr, and the script then exits 1.  So is a pair whose
-two runs report different output digests in their record lines: both
-sides run the same workload with the same seed, so their outputs must
-be identical.
+the metric's direction in the parent's BENCHMARK.json, and the
+metric's verdict, and then the runs per side and the five tasks whose
+median time moved most, with each side's median over the runs.
+
+A verdict is "gain" when the change won at least nine tenths of the
+pairs (ties count for neither) and its median beats the parent's by
+more than the distance between the parent's quartiles.  Otherwise,
+for a metric with a bound in BENCHMARK.json, a fraction of the
+parent's median, it is "worse" when the change's median is worse by
+more than the bound, "unresolved" when the parent's quartile distance
+exceeds the bound and not every run of the change beats every run of
+the parent, and else "no change".  A metric with no bound gets
+"no bound".
+
+A run whose result is not correct is named on stderr, and the script
+then exits 1.  So is a pair whose two runs report different output
+digests in their record lines: both sides run the same workload with
+the same seed, so their outputs must be identical.
 
 A bytecode cache in one checkout alone makes its runs start faster and
 smaller, so before the first pair the script exits 2, naming both
@@ -39,6 +50,9 @@ PAIR_LINE = ("wall_s", "peak_rss_mb")
 # the trees whose bytecode the benchmark imports
 CACHED = ("src", "lozbench")
 MOVED_TASKS = 5
+# one metric: each side's median and quartiles, the pairs each side won
+# and the verdict
+TABLE = "%-32s %12.6g %11.6g..%-11.6g %12.6g %11.6g..%-11.6g %6d %6d  %s"
 
 
 def run_once(root: Path, args) -> tuple[dict, dict]:
@@ -52,11 +66,12 @@ def run_once(root: Path, args) -> tuple[dict, dict]:
     return json.loads(record)["lozbench"], json.loads(result)
 
 
-def directions(root: Path) -> dict[str, str]:
-    """Each metric's better direction, "lower" or "higher"."""
+def metric_specs(root: Path) -> dict[str, dict]:
+    """Each metric's entry in root's BENCHMARK.json: its better
+    direction, "lower" or "higher", and for an end-to-end metric its
+    bound."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"]
-            for m in spec["end_to_end"] + spec["per_layer"]}
+    return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def bytecode_caches(root: Path) -> list[Path]:
@@ -88,6 +103,31 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def wins(first: list[float], second: list[float], sign: int) -> int:
+    """The pairs k in which second[k] beats first[k], sign -1 where
+    lower is better and 1 where higher is; a tie is no win."""
+    return sum(1 for x, y in zip(first, second) if sign * (y - x) > 0)
+
+
+def verdict(parent: list[float], change: list[float], sign: int,
+            bound: float | None) -> str:
+    """The verdict on one metric from the paired runs, parent[k] and
+    change[k] of pair k, by the rule in the module docstring."""
+    q1, q3 = quartiles(parent)
+    base = median(parent)
+    gain = sign * (median(change) - base)
+    if 10 * wins(parent, change, sign) >= 9 * len(parent) and gain > q3 - q1:
+        return "gain"
+    if bound is None:
+        return "no bound"
+    if -gain > bound * abs(base):
+        return "worse"
+    if q3 - q1 > bound * abs(base) and not all(
+            sign * (y - x) > 0 for x in parent for y in change):
+        return "unresolved"
+    return "no change"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path)
@@ -108,7 +148,7 @@ def main() -> int:
         print("ab_bench: only one checkout has a bytecode cache; remove it "
               "or warm both", file=sys.stderr)
         return 2
-    better = directions(sides["parent"])
+    specs = metric_specs(sides["parent"])
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     records: dict[str, list[dict]] = {"parent": [], "change": []}
     bad = 0
@@ -136,18 +176,18 @@ def main() -> int:
                          for name in shown),
             p["attempted"], c["attempted"]), flush=True)
 
-    print("%-32s %12s %23s %12s %23s %6s %6s" % (
+    print("%-32s %12s %23s %12s %23s %6s %6s  %s" % (
         "metric", "parent p50", "parent q1..q3", "change p50",
-        "change q1..q3", "wins P", "wins C"))
+        "change q1..q3", "wins P", "wins C", "verdict"))
     for name in runs["parent"][0]["metrics"]:
         p = [r["metrics"][name]["value"] for r in runs["parent"]]
         c = [r["metrics"][name]["value"] for r in runs["change"]]
-        sign = -1 if better.get(name, "lower") == "lower" else 1
-        wins_c = sum(1 for x, y in zip(p, c) if sign * (y - x) > 0)
-        wins_p = sum(1 for x, y in zip(p, c) if sign * (x - y) > 0)
-        print("%-32s %12.6g %11.6g..%-11.6g %12.6g %11.6g..%-11.6g %6d %6d"
-              % ((name, median(p)) + quartiles(p) + (median(c),)
-                 + quartiles(c) + (wins_p, wins_c)))
+        spec = specs.get(name, {})
+        sign = -1 if spec.get("better", "lower") == "lower" else 1
+        print(TABLE % ((name, median(p)) + quartiles(p) + (median(c),)
+                       + quartiles(c) + (wins(c, p, sign), wins(p, c, sign),
+                                         verdict(p, c, sign,
+                                                 spec.get("bound")))))
     print("runs per side: %d; kept samples per run, median: %d -> %d" % (
         len(runs["parent"]), median(r["attempted"] for r in runs["parent"]),
         median(r["attempted"] for r in runs["change"])))

@@ -23,22 +23,35 @@ of the image of cell k, and every consumer reads perm directly.  Every
 map is about the centroid of the region's cells, and a kind is refused
 unless it is a lattice isometry about that point, which the point map
 alone decides.  Every cell's tripled centroid, an integer point, is
-mapped and its image looked up in one pass; the map is affine, so one
+mapped to the tripled centroid of its image; the map is affine, so one
 cell and its three lattice neighbours check it once.  A group is closed
 by composing its generators with the newest elements.  Each region
-keeps one cell index keyed by (u, v) and one centroid, built on first
-use: the index serves the symmetries, the dual graph, counting's cell
-searches and the central quotient, so a region's cells are indexed
-once, and only the public quotient_graph, which holds the element
-alone, builds its own.  The quotient under a rotation identifies each
-orbit of cells to one vertex, in one pass over the cycles of perm, and
-reads that vertex off the neighbours of the orbit's least cell, the
-only ones it looks up.  When those lie in distinct other orbits the
-vertex takes them as its rotation and unit edges directly.  Otherwise
-parallel edge orbits between the same pair of vertex orbits are merged
-into a single edge whose weight is the multiplicity, which leaves
-matching generating functions unchanged, and an orbit of edges whose
-endpoints fall into the same vertex orbit becomes a loop when a
+keeps one cell index keyed by (u, v), one centroid and its strip runs,
+each built on first use: the index serves the symmetries, the dual
+graph, counting's cell searches and the central quotient, so a region's
+cells are indexed once, and only the public quotient_graph, which holds
+the element alone, builds its own.
+
+A strip run (u, v, k, n) is the n cells of strip u at rows v .. v+n-1,
+which are the sorted cells k .. k+n-1; each cell lies in exactly one
+maximal run, and the runs are found in one pass over the sorted cells.
+The centroid is a closed-form sum over the runs.  The identity, both
+mirrors and the half turn keep strips, sending each strip onto a strip
+row by row, so symmetry looks up only the images of each run's two end
+cells: when they lie in one strip n - 1 indices apart, the run's image
+is that index range.  Any other run, and every cell under Rot60 or
+Rot120, is looked up cell by cell, so perm and every refusal are those
+of the per-cell map.
+
+The quotient under a rotation identifies each orbit of cells to one
+vertex, in one pass over the cycles of perm, and reads that vertex off
+the neighbours of the orbit's least cell, the only ones it looks up, in
+the pass that builds the vertex.  When those lie in distinct other
+orbits the vertex takes them as its rotation and unit edges directly.
+Otherwise parallel edge orbits between the same pair of vertex orbits
+are merged into a single edge whose weight is the multiplicity, which
+leaves matching generating functions unchanged, and an orbit of edges
+whose endpoints fall into the same vertex orbit becomes a loop when a
 symmetric matching can use it.
 
 factorization_split performs the axis surgery on a graph that is
@@ -60,6 +73,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
+from itertools import count
 from operator import ge
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
@@ -381,25 +395,44 @@ def _centroid3(cell: TriCell) -> tuple[int, int]:
     return (3 * cell.u + (1 if cell.orient == UP else 2), 3 * cell.v)
 
 
-def _centroid2(cells: Sequence[TriCell]):
-    """Twice the mean tripled centroid of the cells, (cx2, cy2), each a
-    Fraction where it is no integer; ContractError for no cells."""
-    n = len(cells)
-    if not n:
-        raise ContractError("an empty region has no centroid")
-    # _centroid3 inlined, which halves the time of this pass
-    sums = (2 * sum(3 * c.u + (1 if c.orient == UP else 2) for c in cells),
-            6 * sum(c.v for c in cells))
-    return tuple(s // n if s % n == 0 else Fraction(s, n) for s in sums)
+def _region_runs(region: Region) -> tuple[tuple[int, int, int, int], ...]:
+    """The region's strip runs, built on first use and kept on the region:
+    (u, v, k, n) stands for the n cells of strip u at rows v .. v+n-1,
+    cells k .. k+n-1 of the sorted cells.  Each run is maximal, so each
+    cell lies in exactly one, and the runs come in cell order."""
+    memo = region.__dict__
+    runs = memo.get("_runs")
+    if runs is None:
+        cells = region.cells
+        # a run starts where a cell does not continue its predecessor's
+        starts = [0] if cells else []
+        starts += [k for k, p, c in zip(count(1), cells, cells[1:])
+                   if c[1] != p[1] + 1 or c[0] != p[0]]
+        runs = memo["_runs"] = tuple(
+            [(cells[k][0], cells[k][1], k, end - k)
+             for k, end in zip(starts, starts[1:] + [len(cells)])])
+    return runs
 
 
 def _region_centroid(region: Region):
-    """The region's _centroid2, built on first use and kept on the
-    region, which every symmetry of it maps about."""
+    """Twice the mean tripled centroid of the region's cells, (cx2, cy2),
+    each a Fraction where it is no integer, built on first use and kept
+    on the region, which every symmetry of it maps about; ContractError
+    for no cells.  It sums each strip run in closed form: its cells
+    alternate in orientation, so a pair of them adds 3 to the sum of
+    the x offsets, (u + v) odd making a lone first cell "U", offset 1."""
     memo = region.__dict__
     centroid = memo.get("_centroid")
     if centroid is None:
-        centroid = memo["_centroid"] = _centroid2(region.cells)
+        n = len(region.cells)
+        if not n:
+            raise ContractError("an empty region has no centroid")
+        sx = sy = 0
+        for u, v, _, m in _region_runs(region):
+            sx += 3 * u * m + 3 * (m >> 1) + (m & 1) * (2 - ((u + v) & 1))
+            sy += m * (2 * v + m - 1)  # twice the sum of the rows
+        centroid = memo["_centroid"] = tuple(
+            s // n if s % n == 0 else Fraction(s, n) for s in (2 * sx, 3 * sy))
     return centroid
 
 
@@ -417,17 +450,42 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
     those of its image makes the map an automorphism; that and
     injectivity are checked once, a failure raising ContractError.  The
     region keeps the element; a refusal is not kept and raises again.
-    The centroid and the cell index are the region's own, shared by
-    every kind.
+    The centroid, the cell index and the strip runs are the region's
+    own, shared by every kind.  A map that keeps strips looks up only
+    the images of each run's two end cells, as the module docstring
+    says, and the first run with a cell that has no image ends the
+    pass; perm, and each refusal, is that of mapping every cell.
     """
     if kind in region._symmetries:
         return region._symmetries[kind]
     cells = region.cells
     pmap = _point_map(kind, *_region_centroid(region))
     get = _region_index(region).get
-    # _centroid3 inlined: each cell's image, looked up as it is mapped
-    perm = [get((x // 3, y // 3)) for u, v, orient in cells
-            for x, y in [pmap((3 * u + (1 if orient == UP else 2), 3 * v))]]
+
+    def images(run: Sequence[TriCell]) -> list[int | None]:
+        # _centroid3 inlined: each cell's image, looked up as it is mapped
+        return [get((x // 3, y // 3)) for u, v, orient in run
+                for x, y in [pmap((3 * u + (1 if orient == UP else 2),
+                                   3 * v))]]
+
+    if pmap((0, 3))[0] != pmap((0, 0))[0]:
+        perm = images(cells)  # the map turns strips
+    else:
+        perm = []
+        for u, v, k, n in _region_runs(region):
+            # the tripled centroids of the run's first and last cells
+            xa, ya = pmap((3 * u + 2 - ((u + v) & 1), 3 * v))
+            w = v + n - 1
+            xb, yb = pmap((3 * u + 2 - ((u + w) & 1), 3 * w))
+            a, b = get((xa // 3, ya // 3)), get((xb // 3, yb // 3))
+            if (a is None or b is None or xa // 3 != xb // 3
+                    or abs(b - a) != n - 1):
+                perm += images(cells[k:k + n])
+                if None in perm:
+                    break  # the refusal names this run's unmapped cell
+            else:
+                step = 1 if a <= b else -1
+                perm += range(a, b + step, step)
     if None in perm:
         k = perm.index(None)
         x, y = pmap(_centroid3(cells[k]))
@@ -535,24 +593,33 @@ def _quotient_parts(elem: SymmetryElement,
         while cur != start:
             orbit.append(cur)
             cur = perm[cur]
+        o = len(orbits)
         for v in orbit:
-            orbit_of[v] = len(orbits)
+            orbit_of[v] = o
         orbits.append(orbit)
     m = max(len(o) for o in orbits)
     if any(len(o) != m for o in orbits):
         raise ContractError(
             "symmetry does not act freely on cells; quotient undefined")
-    # each orbit is found from its least cell and the cells are sorted,
-    # so the orbits already come in the order of their tags
-    tags = tuple(tuple([cells[v] for v in sorted(o)]) for o in orbits)
     n_q = len(orbits)
 
+    tags = []
     edges: list[tuple[int, int, Fraction]] = []
     loops: list[tuple[int, Fraction]] = []
     rotations = []
-    adjacency = _cell_rotations(index, [cells[orbit[0]] for orbit in orbits])
-    for o, (orbit, adjacent) in enumerate(zip(orbits, adjacency)):
-        nbs = [orbit_of[c] for c in adjacent]
+    get = index.get
+    for o, orbit in enumerate(orbits):
+        # each orbit is found from its least cell and the cells are
+        # sorted, so the orbits already come in the order of their tags
+        tags.append(tuple([cells[c] for c in sorted(orbit)]))
+        # the least cell's neighbours in counterclockwise order, as
+        # _cell_rotations reads them, each as its orbit
+        u, v, orient = cells[orbit[0]]
+        if orient == UP:
+            adjacent = (get((u, v + 1)), get((u - 1, v)), get((u, v - 1)))
+        else:
+            adjacent = (get((u + 1, v)), get((u, v + 1)), get((u, v - 1)))
+        nbs = [orbit_of[c] for c in adjacent if c is not None]
         if o not in nbs and len(set(nbs)) == len(nbs):
             # distinct other orbits: unit edges and no loop
             rotations.append(tuple(nbs))
@@ -562,12 +629,13 @@ def _quotient_parts(elem: SymmetryElement,
         rotations.append(rot)
         edges += [(o, q, _COUNTS[nbs.count(q)]) for q in sorted(rot) if q > o]
         if o in nbs:
-            ts = [orbit.index(c) for c in adjacent if orbit_of[c] == o]
+            ts = [orbit.index(c) for c in adjacent
+                  if c is not None and orbit_of[c] == o]
             k = sum(1 for t in ts
                     if 2 * t == m or (2 * t < m and n_q % 2 == 0))
             if k:
                 loops.append((o, _COUNTS[k]))
-    fields = (tags, tuple(edges), tuple(loops), tuple(rotations))
+    fields = (tuple(tags), tuple(edges), tuple(loops), tuple(rotations))
     return fields, orbits, orbit_of
 
 

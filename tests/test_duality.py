@@ -870,23 +870,32 @@ def test_region_memo_is_invisible_and_per_region():
         smaller = _filled(used._replace(cells=used.cells[1:]))
         assert duality._region_index(smaller) == duality._cell_index(
             smaller.cells)
-        assert duality._region_centroid(smaller) == duality._centroid2(
+        assert duality._region_centroid(smaller) == _centroid2(
             smaller.cells) != duality._region_centroid(used)
         assert dual_graph(smaller).tags == smaller.cells
         assert smaller.cell_set == frozenset(used.cells[1:])
 
 
 def test_a_check_builds_its_region_index_and_centroid_once(monkeypatch):
-    built = {"_cell_index": [], "_centroid2": []}
-    for name in built:
-        def spy(cells, name=name, original=getattr(duality, name)):
-            built[name].append(cells)
-            return original(cells)
+    built = {"_cell_index": [], "_region_runs": [], "_region_centroid": []}
+
+    def index_spy(cells, original=duality._cell_index):
+        built["_cell_index"].append(cells)
+        return original(cells)
+
+    monkeypatch.setattr(duality, "_cell_index", index_spy)
+    # the runs and the centroid are built by the call that finds no memo
+    for name, key in (("_region_runs", "_runs"),
+                      ("_region_centroid", "_centroid")):
+        def spy(region, name=name, key=key, original=getattr(duality, name)):
+            if key not in region.__dict__:
+                built[name].append(region.cells)
+            return original(region)
         monkeypatch.setattr(duality, name, spy)
     result = check("E3_1", a=2, b=1, ks=())
     assert result.verdict is True
     cells = holed_hexagon(4, 1, []).cells
-    assert built == {"_cell_index": [cells], "_centroid2": [cells]}
+    assert built == dict.fromkeys(built, [cells])
 
 
 def test_central_split_refuses_an_axis_that_does_not_permute_orbits():
@@ -1266,6 +1275,139 @@ def _corner_symmetry(region, kind):
                 % (kind, tuple(cell), tuple(image)))
         mapping[cell] = image
     return mapping
+
+
+def _centroid2(cells):
+    """Reference: twice the mean tripled centroid of the cells, (cx2,
+    cy2), each a Fraction where it is no integer, summed cell by cell."""
+    n = len(cells)
+    sums = [2 * sum(duality._centroid3(c)[i] for c in cells) for i in (0, 1)]
+    return tuple(s // n if s % n == 0 else Fraction(s, n) for s in sums)
+
+
+def _per_cell_symmetry(region, kind):
+    """Reference: the permutation from looking up every cell's image,
+    with the refusals of symmetry in its order and with its texts."""
+    cells = region.cells
+    if not cells:
+        raise ContractError("an empty region has no centroid")
+    pmap = duality._point_map(kind, *_centroid2(cells))
+    index = duality._cell_index(cells)
+    perm = []
+    for cell in cells:
+        x, y = pmap(duality._centroid3(cell))
+        if (x // 3, y // 3) not in index:
+            raise SymmetryAbsentError(
+                "%s does not map the region to itself (cell %r -> %r)"
+                % (kind, tuple(cell), (x // 3, y // 3,
+                                       "U" if x % 3 == 1 else "D")))
+        perm.append(index[x // 3, y // 3])
+    if len(set(perm)) != len(cells):
+        raise ContractError("%s is not injective" % (kind,))
+    if ({pmap(duality._centroid3(nb)) for nb in cell_neighbors(cells[0])}
+            != {duality._centroid3(nb)
+                for nb in cell_neighbors(cells[perm[0]])}):
+        raise ContractError("%s is not a graph automorphism" % (kind,))
+    return tuple(perm)
+
+
+def _family_box():
+    """Every family over a small parameter box: hexagons with sides up
+    to 4, holed hexagons with a up to 6 and every hole list (k1 = 1
+    included), cored hexagons with a up to 4, whose cores split strips,
+    d regions with a up to 3 and rbar regions with max(q) up to 3."""
+    regions = [hexagon(a, b, c) for a, b, c in product(range(1, 5), repeat=3)]
+    regions += [holed_hexagon(a, b, ks) for a in range(1, 7) for b in (1, 2)
+                for ks in _legal_ks(a // 2)]
+    regions += [cored_hexagon(a, b, ks, x) for a in range(1, 5) for b in (1, 2)
+                for x in range(1, a + 1) for ks in _legal_ks(a - x)]
+    regions += [d_region(a, b, eps, is_) for a in (1, 2, 3) for b in (1, 2)
+                for eps in (-1, 0) for is_ in _legal_ks(a)]
+    for a in (1, 2, 3):
+        for q in _legal_ks(a):
+            if q and q[-1] == a:
+                even = tuple(d for d in range(1, a) if d + 1 in q)
+                regions += [rbar_region(l, q, base) for l in (q, even)
+                            for base in (1, 2)]
+    return regions
+
+
+def test_strip_runs_partition_the_cells():
+    # each cell lies in exactly one maximal run of consecutive rows and
+    # indices, and the centroid summed over the runs is the per-cell one
+    split = 0
+    for region in _family_box():
+        cells, runs = region.cells, duality._region_runs(region)
+        assert duality._region_runs(region) is runs
+        assert [k for _, _, k, n in runs for k in range(k, k + n)] == list(
+            range(len(cells)))
+        for u, v, k, n in runs:
+            assert n >= 1
+            assert [c[:2] for c in cells[k:k + n]] == [
+                (u, v + i) for i in range(n)]
+        for (u, v, k, n), (p, q, _, _) in zip(runs, runs[1:]):
+            assert (p, q) != (u, v + n)  # maximal
+        split += len(runs) > len({u for u, _, _, _ in runs})
+        assert duality._region_centroid(region) == _centroid2(cells)
+    # holes and cores split strips into several runs
+    assert split == 82
+    empty = Region("hand", (), ())
+    assert duality._region_runs(empty) == ()
+
+
+def _symmetry_or_refusal(fn, region, kind):
+    try:
+        return fn(region, kind)
+    except (ContractError, SymmetryAbsentError) as exc:
+        return type(exc), str(exc)
+
+
+def test_symmetry_matches_the_per_cell_map():
+    # every kind over the family box, the regions of the cross-route
+    # corpus, the pinned regions, some with a cell missing inside a run's
+    # image, and the empty region: the same perm, or the same refusal
+    from test_counting import _cross_cases
+    regions = _family_box() + [Region("hand", (), ())]
+    regions += list({id(r): r for r, _, _ in _cross_cases()}.values())
+    regions += _pinned_symmetry_regions()
+    outcomes = {"map": 0, "refused": 0}
+    for region in regions:
+        for kind in KINDS:
+            want = _symmetry_or_refusal(_per_cell_symmetry, region, kind)
+            got = _symmetry_or_refusal(symmetry, Region(*region), kind)
+            if isinstance(got, SymmetryElement):
+                got = got.perm
+                outcomes["map"] += 1
+            else:
+                outcomes["refused"] += 1
+            assert got == want, (region.family, region.params, kind)
+    assert outcomes == {"map": 2374, "refused": 3740}
+
+
+class _CountingIndex(dict):
+    """A cell index that counts its lookups."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def test_a_strip_keeping_map_looks_up_only_run_ends():
+    # a map that keeps strips looks up at most two cells per run; one
+    # that turns them, every cell
+    for kind in ("ReflH", "ReflV", "Rot180", "Rot120"):
+        region = hexagon(12, 12, 12)
+        index = region.__dict__["_index"] = _CountingIndex(
+            duality._cell_index(region.cells))
+        perm = symmetry(region, kind).perm
+        assert perm == _per_cell_symmetry(region, kind)
+        runs = duality._region_runs(region)
+        if kind == "Rot120":
+            assert index.gets == len(region.cells) == 864
+        else:
+            assert index.gets <= 2 * len(runs) == 48
 
 
 def _outcome(fn, *args):
