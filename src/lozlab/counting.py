@@ -59,9 +59,8 @@ from .duality import (
     ONE,
     MatchGraph,
     _cell_rotations,
-    _induced,
+    _drop_forced_loop,
     _quotient_parts,
-    _region_index,
     dual_graph,
     normalize_loops,
     symmetry,
@@ -512,7 +511,7 @@ def _cell_moves(region: Region, perms) -> list[list[tuple[int, int]]]:
             least.append(k)
             size.append(len(images))
     moves: list[list[tuple[int, int]]] = []
-    rotations = _cell_rotations(_region_index(region),
+    rotations = _cell_rotations(region.cell_index,
                                 [cells[k] for k in least])
     order = len(perms)
     for o, (k, rot) in enumerate(zip(least, rotations)):
@@ -546,7 +545,7 @@ def count_tilings_free(region: Region) -> int:
     _cell_moves gives for the one-element group, and a cell hosting a
     free edge may also be removed alone, each mask relative to k.
     """
-    index = _region_index(region)
+    index = region.cell_index
     moves = [[(1 | 1 << j - k, 1) for j in rot if j > k]
              for k, rot in enumerate(_cell_rotations(index, region.cells))]
     for u, v, _ in region.free_cell_map().values():
@@ -600,23 +599,6 @@ def _filter_count(region: Region, groups) -> list[int]:
     return counts
 
 
-def _quotient_count(region: Region, kind: str) -> int:
-    """count_matchings of the quotient graph of the region's named
-    rotation, from its unchecked parts: an odd quotient's forced loop
-    drops its vertex before the one graph counted is built and checked,
-    and the refusals are those of the chain, with the same text and
-    order."""
-    fields = _quotient_parts(symmetry(region, kind), _region_index(region))[0]
-    tags, _, loops, _ = fields
-    if len(loops) > 1:
-        raise ContractError("cannot normalize %d loops" % len(loops))
-    weight = ONE
-    if loops and len(tags) % 2:
-        (v, weight), = loops
-        fields = _induced(fields, {v})
-    return _as_count(weight * count_matchings_pfaffian(MatchGraph(*fields)))
-
-
 def count_symmetric_tilings(region: Region, kinds: Sequence[str],
                             method: str = "auto") -> int:
     """Tilings invariant under the group generated by the named symmetries.
@@ -645,7 +627,12 @@ def count_symmetric_tilings(region: Region, kinds: Sequence[str],
         kind = _ROTATION_OF_ORDER[lcm(*[_ORDER[k] for k in kinds])]
         if kind == "Identity":
             return count_tilings(region)
-        return _quotient_count(region, kind)
+        # an odd quotient's forced loop drops its vertex from the
+        # unchecked parts before the one graph counted is built
+        fields, weight, _ = _drop_forced_loop(
+            _quotient_parts(symmetry(region, kind), region.cell_index)[0])
+        g = MatchGraph(*fields)
+        return _as_count(weight * count_matchings_pfaffian(g))
     if method == "orbit":
         group = symmetry_group(region, kinds)
         return _sweep(_cell_moves(region, [e.perm for e in group]))

@@ -25,23 +25,19 @@ unless it is a lattice isometry about that point, which the point map
 alone decides.  Every cell's tripled centroid, an integer point, is
 mapped to the tripled centroid of its image; the map is affine, so one
 cell and its three lattice neighbours check it once.  A group is closed
-by composing its generators with the newest elements.  Each region
-keeps one cell index keyed by (u, v), one centroid and its strip runs,
-each built on first use: the index serves the symmetries, the dual
-graph, counting's cell searches and the central quotient, so a region's
-cells are indexed once, and only the public quotient_graph, which holds
-the element alone, builds its own.
+by composing its generators with the newest elements.  The region owns
+its cell index keyed by (u, v), its strip runs and its centroid, as
+lattice says: the index serves the symmetries, the dual graph,
+counting's cell searches and the central quotient, so a region's cells
+are indexed once, and only the public quotient_graph, which holds the
+element alone, builds its own through the same lattice function.
 
-A strip run (u, v, k, n) is the n cells of strip u at rows v .. v+n-1,
-which are the sorted cells k .. k+n-1; each cell lies in exactly one
-maximal run, and the runs are found in one pass over the sorted cells.
-The centroid is a closed-form sum over the runs.  The identity, both
-mirrors and the half turn keep strips, sending each strip onto a strip
-row by row, so symmetry looks up only the images of each run's two end
-cells: when they lie in one strip n - 1 indices apart, the run's image
-is that index range.  Any other run, and every cell under Rot60 or
-Rot120, is looked up cell by cell, so perm and every refusal are those
-of the per-cell map.
+The identity, both mirrors and the half turn keep strips, sending each
+strip onto a strip row by row, so symmetry looks up only the images of
+each run's two end cells: when they lie in one strip n - 1 indices
+apart, the run's image is that index range.  Any other run, and every
+cell under Rot60 or Rot120, is looked up cell by cell, so perm and
+every refusal are those of the per-cell map.
 
 The quotient under a rotation identifies each orbit of cells to one
 vertex, in one pass over the cycles of perm, and reads that vertex off
@@ -73,7 +69,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from itertools import count
 from operator import ge
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
@@ -83,6 +78,8 @@ from .lattice import (
     UP,
     Region,
     TriCell,
+    _cell_index,
+    _centroid3,
     cell_neighbors,
 )
 
@@ -287,25 +284,6 @@ def graph_text(g: MatchGraph) -> str:
 # dual graphs
 
 
-def _cell_index(cells: Sequence[TriCell]) -> dict[tuple[int, int], int]:
-    """Each cell's index among the sorted cells, keyed by its (u, v): in
-    a region the parity of u + v fixes the orientation.  A region keeps
-    its own, which _region_index gives; only a caller that holds no
-    region, as quotient_graph, builds one here."""
-    return {(u, v): k for k, (u, v, _) in enumerate(cells)}
-
-
-def _region_index(region: Region) -> dict[tuple[int, int], int]:
-    """The region's cell index, built on first use and kept on the
-    region beside its symmetry elements, so that the symmetries, the
-    dual graph, the quotient and both cell searches share one."""
-    memo = region.__dict__  # Region refuses attribute assignment
-    index = memo.get("_index")
-    if index is None:
-        index = memo["_index"] = _cell_index(region.cells)
-    return index
-
-
 def _cell_rotations(index: dict[tuple[int, int], int],
                     cells: Iterable[TriCell]) -> tuple[tuple[int, ...], ...]:
     """For each of the given cells, the indices of its neighbours in the
@@ -330,7 +308,7 @@ def dual_graph(region: Region) -> MatchGraph:
     Free boundary edges do not contribute edges here; they matter only
     to the free-boundary counting routines.
     """
-    rotations = _cell_rotations(_region_index(region), region.cells)
+    rotations = _cell_rotations(region.cell_index, region.cells)
     # cells sort by (u, v), so a "U" cell's one higher neighbour is
     # (u, v+1), and a "D" cell's are (u, v+1) < (u+1, v): read backwards,
     # each rotation gives its higher neighbours in order, and the edges
@@ -391,51 +369,6 @@ def _point_map(kind: str, cx2, cy2):
     raise SymmetryAbsentError("unknown symmetry kind %r" % (kind,))
 
 
-def _centroid3(cell: TriCell) -> tuple[int, int]:
-    return (3 * cell.u + (1 if cell.orient == UP else 2), 3 * cell.v)
-
-
-def _region_runs(region: Region) -> tuple[tuple[int, int, int, int], ...]:
-    """The region's strip runs, built on first use and kept on the region:
-    (u, v, k, n) stands for the n cells of strip u at rows v .. v+n-1,
-    cells k .. k+n-1 of the sorted cells.  Each run is maximal, so each
-    cell lies in exactly one, and the runs come in cell order."""
-    memo = region.__dict__
-    runs = memo.get("_runs")
-    if runs is None:
-        cells = region.cells
-        # a run starts where a cell does not continue its predecessor's
-        starts = [0] if cells else []
-        starts += [k for k, p, c in zip(count(1), cells, cells[1:])
-                   if c[1] != p[1] + 1 or c[0] != p[0]]
-        runs = memo["_runs"] = tuple(
-            [(cells[k][0], cells[k][1], k, end - k)
-             for k, end in zip(starts, starts[1:] + [len(cells)])])
-    return runs
-
-
-def _region_centroid(region: Region):
-    """Twice the mean tripled centroid of the region's cells, (cx2, cy2),
-    each a Fraction where it is no integer, built on first use and kept
-    on the region, which every symmetry of it maps about; ContractError
-    for no cells.  It sums each strip run in closed form: its cells
-    alternate in orientation, so a pair of them adds 3 to the sum of
-    the x offsets, (u + v) odd making a lone first cell "U", offset 1."""
-    memo = region.__dict__
-    centroid = memo.get("_centroid")
-    if centroid is None:
-        n = len(region.cells)
-        if not n:
-            raise ContractError("an empty region has no centroid")
-        sx = sy = 0
-        for u, v, _, m in _region_runs(region):
-            sx += 3 * u * m + 3 * (m >> 1) + (m & 1) * (2 - ((u + v) & 1))
-            sy += m * (2 * v + m - 1)  # twice the sum of the rows
-        centroid = memo["_centroid"] = tuple(
-            s // n if s % n == 0 else Fraction(s, n) for s in (2 * sx, 3 * sy))
-    return centroid
-
-
 def symmetry(region: Region, kind: str) -> SymmetryElement:
     """The named symmetry as a cell permutation of the region.
 
@@ -459,8 +392,8 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
     if kind in region._symmetries:
         return region._symmetries[kind]
     cells = region.cells
-    pmap = _point_map(kind, *_region_centroid(region))
-    get = _region_index(region).get
+    pmap = _point_map(kind, *region.centroid)
+    get = region.cell_index.get
 
     def images(run: Sequence[TriCell]) -> list[int | None]:
         # _centroid3 inlined: each cell's image, looked up as it is mapped
@@ -472,7 +405,7 @@ def symmetry(region: Region, kind: str) -> SymmetryElement:
         perm = images(cells)  # the map turns strips
     else:
         perm = []
-        for u, v, k, n in _region_runs(region):
+        for u, v, k, n in region.strip_runs:
             # the tripled centroids of the run's first and last cells
             xa, ya = pmap((3 * u + 2 - ((u + v) & 1), 3 * v))
             w = v + n - 1
@@ -673,20 +606,29 @@ def remove_loop_vertex(g: MatchGraph) -> tuple[MatchGraph, Fraction]:
     return without_vertices(g, {v}), w
 
 
-def normalize_loops(g: MatchGraph) -> tuple[MatchGraph, Fraction]:
-    """Remove a forced loop so the determinant applies, keeping the count.
+def _drop_forced_loop(g):
+    """The loop rule of the determinant, on g, a MatchGraph or its
+    unchecked fields: (h, weight, v).  With a single loop parity
+    decides: on an even vertex count no perfect matching can use it, so
+    h is g itself, dead-weight loop and all; on an odd count it is
+    forced, so h is the fields of g less its vertex v, and weight its
+    loop's.  Without a loop h is g, weight 1 and v None.  Two or more
+    loops can be used in pairs, which is out of scope: ContractError."""
+    tags, _, loops, _ = g
+    if len(loops) > 1:
+        raise ContractError("cannot normalize %d loops" % len(loops))
+    if not loops or len(tags) % 2 == 0:
+        return g, ONE, None
+    (v, weight), = loops
+    return _induced(g, {v}), weight, v
 
-    With a single loop parity decides: on an even vertex count no
-    perfect matching can use it, so the graph is returned as it is and
-    the determinant ignores the loop; on an odd count it is forced, so
-    its vertex is removed and its weight remembered.  Two or more loops
-    can be used in pairs, which is out of scope.
-    """
-    if len(g.loops) > 1:
-        raise ContractError("cannot normalize %d loops" % len(g.loops))
-    if not g.loops or g.n % 2 == 0:
-        return g, ONE
-    return remove_loop_vertex(g)
+
+def normalize_loops(g: MatchGraph) -> tuple[MatchGraph, Fraction]:
+    """Remove a forced loop so the determinant applies, keeping the count:
+    g itself, or g less its forced loop's vertex, and that loop's weight
+    (1 without one), by _drop_forced_loop's rule."""
+    h, weight, v = _drop_forced_loop(g)
+    return (g if v is None else MatchGraph(*h)), weight
 
 
 # ---------------------------------------------------------------------
@@ -818,24 +760,20 @@ def central_axis_split(region: Region) -> tuple[FactorSplit, Fraction]:
     order, and builds and checks only the subgraph it returns.
     """
     rot = symmetry(region, "Rot180")
-    q, orbits, orbit_of = _quotient_parts(rot, _region_index(region))
-    loops = q[2]
-    if len(loops) > 1:
-        raise ContractError("cannot normalize %d loops" % len(loops))
-    axis = symmetry(region, "ReflH")
+    q, orbits, orbit_of = _quotient_parts(rot, region.cell_index)
     # an even quotient keeps its loop; an odd one's is forced, so its
-    # vertex goes and its weight stays
-    if loops and len(orbits) % 2 == 0:
+    # vertex v goes and its weight stays
+    h, loop_weight, v = _drop_forced_loop(q)
+    axis = symmetry(region, "ReflH")
+    if h[2]:
         raise ContractError(_LOOPED)
     perm = axis.perm
     sigma = [orbit_of[perm[o[0]]] for o in orbits]
     if ([orbit_of[k] for k in perm] != [sigma[o] for o in orbit_of]
-            or any(sigma[v] != v for v, _ in loops)):
+            or v is not None and sigma[v] != v):
         raise SymmetryAbsentError(_UNPERMUTED)
     row = [rot.cells[o[0]].v for o in orbits]
-    if not loops:
-        return _axis_surgery(q, sigma, row), ONE
-    (v, loop_weight), = loops
-    del row[v]
-    sigma = [s - (s > v) for s in sigma if s != v]
-    return _axis_surgery(_induced(q, {v}), sigma, row), loop_weight
+    if v is not None:
+        del row[v]
+        sigma = [s - (s > v) for s in sigma if s != v]
+    return _axis_surgery(h, sigma, row), loop_weight

@@ -38,7 +38,7 @@ class BudgetError(LozlabError):
 
 class ContractError(LozlabError):
     """An input breaks a routine's contract, such as a graph reduction
-    meeting a shape it cannot normalize."""
+    meeting a shape outside its scope, as two loops are for the loop rule."""
 
 
 class FormulaRangeError(LozlabError):

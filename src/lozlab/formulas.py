@@ -12,11 +12,11 @@ Conventions shared by all entry points:
 
 * a is the half-side of the ambient hexagon (side 2a or 2a+1).
 * Parameters are checked by the region constructors' own checks from
-  the lattice module, so a formula and its region refuse the same
-  input with the same message.  Hole indices ks are strictly
-  increasing with 1 <= k <= a.  k_1 = 1 is accepted everywhere; the
-  products below cover that case directly, no parameter rewrite is
-  needed first.
+  the lattice module (cored_count and d_count run their regions' size
+  functions), so a formula and its region refuse the same input with
+  the same message.  Hole indices ks are strictly increasing with
+  1 <= k <= a.  k_1 = 1 is accepted everywhere; the products below
+  cover that case directly, no parameter rewrite is needed first.
 * Every function evaluates an exact Fraction and raises
   FormulaRangeError if the value fails to clear to an integer, which
   signals a misuse (for example an off-contract evaluation point), not
@@ -30,7 +30,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import FormulaRangeError
-from .lattice import require_core, require_eps, require_indices, require_int
+from .lattice import _cored_size, _d_size, require_indices, require_int
 
 __all__ = [
     "HoleLists",
@@ -207,11 +207,7 @@ def cored_count(a: int, b: int, ks, x: int) -> int:
     Raises HoleCollisionError when some k > a-x, by the region
     constructor's own check.
     """
-    require_int("a", a)
-    require_int("b", b)
-    require_int("x", x)
-    ks = require_indices("ks", ks)
-    require_core(a, ks, x)
+    (_, _, ks, _), _ = _cored_size(a, b, ks, x)
     drop = {a - k for k in ks}
     d = tuple(v for v in range(x, a) if v not in drop)
     alpha = a - 1
@@ -227,10 +223,7 @@ def d_count(a: int, b: int, eps: int, is_) -> int:
     by pairwise difference-over-sum factors.  The -1 offset inside the
     binomial and the pair sums applies exactly when eps is -1.
     """
-    require_int("a", a)
-    require_int("b", b)
-    require_eps(eps)
-    is_ = require_indices("is", is_, a)
+    (_, _, _, is_), _ = _d_size(a, b, eps, is_)
     off = 1 if eps == -1 else 0
     out = Fraction(1)
     for i in is_:

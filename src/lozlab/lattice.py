@@ -38,6 +38,14 @@ generated constructor per cell, and Region checks all its cells in one
 comprehension; a region keeps the cell set and free-cell map its
 checks build.
 
+A region also owns what it derives from its cells, each built on first
+use: its cell index keyed by (u, v), its strip runs and its centroid.
+A strip run (u, v, k, n) is the n cells of strip u at rows v .. v+n-1,
+which are the sorted cells k .. k+n-1; each cell lies in exactly one
+maximal run, and the runs are found in one pass over the sorted cells.
+The centroid, twice the mean of the cells' tripled centroids, is a
+closed-form sum over the runs.
+
 Region families:
 
 * hexagon(a, b, c): sides a, b, c, a, b, c clockwise from the northwest
@@ -65,7 +73,9 @@ uses floating point.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from operator import ge
 from typing import NamedTuple
 
@@ -154,6 +164,17 @@ def edge_cells(edge: Edge) -> tuple[TriCell, ...]:
     return ()
 
 
+def _centroid3(cell: TriCell) -> tuple[int, int]:
+    """The cell's tripled centroid, an integer point."""
+    return (3 * cell.u + (1 if cell.orient == UP else 2), 3 * cell.v)
+
+
+def _cell_index(cells) -> dict[tuple[int, int], int]:
+    """Each cell's index among the sorted cells, keyed by its (u, v): in
+    a region the parity of u + v fixes the orientation."""
+    return {(u, v): k for k, (u, v, _) in enumerate(cells)}
+
+
 class _RegionFields(NamedTuple):
     family: str
     params: tuple[tuple[str, object], ...]
@@ -170,9 +191,9 @@ class Region(_RegionFields):
     lattice edge (endpoints in sorted order) with exactly one bordering
     cell in the region, else ParameterError.  A region keeps what is
     derived from its cells: the cell set and the free-cell map its
-    checks build, and the cell index, centroid and symmetry elements
-    that duality builds on first use.  ==, hash and serialization read
-    none of them, and a copy starts without them.
+    checks build, its cell index, strip runs and centroid, each built on
+    first use, and the symmetry elements duality builds.  ==, hash and
+    serialization read none of them, and a copy starts without them.
     """
 
     def __new__(cls, family, params, cells, free_edges=()):
@@ -210,6 +231,42 @@ class Region(_RegionFields):
     @cached_property
     def cell_set(self) -> frozenset[TriCell]:
         return frozenset(self.cells)
+
+    @cached_property
+    def cell_index(self) -> dict[tuple[int, int], int]:
+        """Each cell's index among the sorted cells, keyed by its (u, v)."""
+        return _cell_index(self.cells)
+
+    @cached_property
+    def strip_runs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(u, v, k, n) stands for the n cells of strip u at rows
+        v .. v+n-1, cells k .. k+n-1 of the sorted cells.  Each run is
+        maximal, so each cell lies in exactly one, and the runs come in
+        cell order."""
+        cells = self.cells
+        # a run starts where a cell does not continue its predecessor's
+        starts = [0] if cells else []
+        starts += [k for k, p, c in zip(count(1), cells, cells[1:])
+                   if c[1] != p[1] + 1 or c[0] != p[0]]
+        return tuple([(cells[k][0], cells[k][1], k, end - k)
+                      for k, end in zip(starts, starts[1:] + [len(cells)])])
+
+    @cached_property
+    def centroid(self):
+        """Twice the mean tripled centroid of the cells, (cx2, cy2), each a
+        Fraction where it is no integer; ContractError for no cells.  It
+        sums each strip run in closed form: its cells alternate in
+        orientation, so a pair of them adds 3 to the sum of the x
+        offsets, (u + v) odd making a lone first cell "U", offset 1."""
+        n = len(self.cells)
+        if not n:
+            raise ContractError("an empty region has no centroid")
+        sx = sy = 0
+        for u, v, _, m in self.strip_runs:
+            sx += 3 * u * m + 3 * (m >> 1) + (m & 1) * (2 - ((u + v) & 1))
+            sy += m * (2 * v + m - 1)  # twice the sum of the rows
+        return tuple(s // n if s % n == 0 else Fraction(s, n)
+                     for s in (2 * sx, 3 * sy))
 
     def param(self, name: str):
         for key, value in self.params:
@@ -531,10 +588,11 @@ def deserialize_region(data: bytes) -> Region:
     for key in ("v", "family", "params", "cells", "free_edges"):
         if key not in doc:
             _fail(data, "", "missing field %r" % key)
-    if doc["v"] != 1:
+    # true and 1.0 equal 1, and a list or an object cannot be a key
+    if not _is_int(doc["v"]) or doc["v"] != 1:
         _fail(data, '"v"', "unsupported schema version %r" % (doc["v"],))
     family = doc["family"]
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         _fail(data, '"family"', "unknown family %r" % (family,))
     raw_params = doc["params"]
     if not isinstance(raw_params, dict):

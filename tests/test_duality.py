@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import lozlab
-from lozlab import counting, duality
+from lozlab import counting, duality, lattice
 from lozlab.duality import (
     FactorSplit,
     MatchGraph,
@@ -488,6 +488,43 @@ def test_remove_loop_vertex_requires_one_loop():
         remove_loop_vertex(g)
 
 
+def _path(tags, loops=()):
+    """A hand-built path on the tags, with the given loops."""
+    n = len(tags)
+    edges = tuple((i, i + 1, ONE) for i in range(n - 1))
+    return MatchGraph(tuple(tags), edges, tuple(loops),
+                      tuple(tuple(j for j in (i - 1, i + 1) if 0 <= j < n)
+                            for i in range(n)))
+
+
+def test_the_loop_rule_keeps_drops_or_refuses_a_loop():
+    # on a checked graph and on its unchecked fields alike
+    three = Fraction(3)
+    for wrap in (lambda g: g, tuple):
+        # no loop, and one loop on an even graph: the input itself
+        for g in (_path("abcd"), _path("abcd", [(1, three)])):
+            g = wrap(g)
+            assert duality._drop_forced_loop(g) == (g, ONE, None)
+            assert duality._drop_forced_loop(g)[0] is g
+        # one loop on an odd graph: its vertex goes, the ranks above it
+        # shift down by one, and its weight comes back
+        h, weight, v = duality._drop_forced_loop(
+            wrap(_path("abcde", [(1, three)])))
+        assert (weight, v) == (three, 1)
+        assert h == (tuple("acde"), ((1, 2, ONE), (2, 3, ONE)), (),
+                     ((), (2,), (1, 3), (2,)))
+        assert MatchGraph(*h).n == 4
+        # two loops: refused, on either parity, with normalize_loops' text
+        for tags in ("abcd", "abcde"):
+            g = _path(tags, [(0, ONE), (2, three)])
+            with pytest.raises(ContractError) as info:
+                duality._drop_forced_loop(wrap(g))
+            assert str(info.value) == "cannot normalize 2 loops"
+            with pytest.raises(ContractError) as again:
+                duality.normalize_loops(g)
+            assert str(again.value) == str(info.value)
+
+
 def _split_of(region) -> FactorSplit:
     q = quotient_graph(symmetry(region, "Rot180"))
     if q.loops:
@@ -865,33 +902,26 @@ def test_region_memo_is_invisible_and_per_region():
         assert serialize_region(used) == serialize_region(fresh)
         copy = used._replace()
         assert copy == used and copy is not used and not copy._symmetries
-        assert duality._region_index(copy) is not duality._region_index(used)
+        assert copy.cell_index is not used.cell_index
         # a copy with other cells indexes, and maps about, its own cells
         smaller = _filled(used._replace(cells=used.cells[1:]))
-        assert duality._region_index(smaller) == duality._cell_index(
-            smaller.cells)
-        assert duality._region_centroid(smaller) == _centroid2(
-            smaller.cells) != duality._region_centroid(used)
+        assert smaller.cell_index == lattice._cell_index(smaller.cells)
+        assert smaller.centroid == _centroid2(
+            smaller.cells) != used.centroid
         assert dual_graph(smaller).tags == smaller.cells
         assert smaller.cell_set == frozenset(used.cells[1:])
 
 
 def test_a_check_builds_its_region_index_and_centroid_once(monkeypatch):
-    built = {"_cell_index": [], "_region_runs": [], "_region_centroid": []}
+    built = {"cell_index": [], "strip_runs": [], "centroid": []}
+    # each property's function runs only when the region has no value
+    for name in built:
+        prop = getattr(Region, name)
 
-    def index_spy(cells, original=duality._cell_index):
-        built["_cell_index"].append(cells)
-        return original(cells)
-
-    monkeypatch.setattr(duality, "_cell_index", index_spy)
-    # the runs and the centroid are built by the call that finds no memo
-    for name, key in (("_region_runs", "_runs"),
-                      ("_region_centroid", "_centroid")):
-        def spy(region, name=name, key=key, original=getattr(duality, name)):
-            if key not in region.__dict__:
-                built[name].append(region.cells)
+        def spy(region, name=name, original=prop.func):
+            built[name].append(region.cells)
             return original(region)
-        monkeypatch.setattr(duality, name, spy)
+        monkeypatch.setattr(prop, "func", spy)
     result = check("E3_1", a=2, b=1, ks=())
     assert result.verdict is True
     cells = holed_hexagon(4, 1, []).cells
@@ -1281,7 +1311,7 @@ def _centroid2(cells):
     """Reference: twice the mean tripled centroid of the cells, (cx2,
     cy2), each a Fraction where it is no integer, summed cell by cell."""
     n = len(cells)
-    sums = [2 * sum(duality._centroid3(c)[i] for c in cells) for i in (0, 1)]
+    sums = [2 * sum(lattice._centroid3(c)[i] for c in cells) for i in (0, 1)]
     return tuple(s // n if s % n == 0 else Fraction(s, n) for s in sums)
 
 
@@ -1292,10 +1322,10 @@ def _per_cell_symmetry(region, kind):
     if not cells:
         raise ContractError("an empty region has no centroid")
     pmap = duality._point_map(kind, *_centroid2(cells))
-    index = duality._cell_index(cells)
+    index = lattice._cell_index(cells)
     perm = []
     for cell in cells:
-        x, y = pmap(duality._centroid3(cell))
+        x, y = pmap(lattice._centroid3(cell))
         if (x // 3, y // 3) not in index:
             raise SymmetryAbsentError(
                 "%s does not map the region to itself (cell %r -> %r)"
@@ -1304,8 +1334,8 @@ def _per_cell_symmetry(region, kind):
         perm.append(index[x // 3, y // 3])
     if len(set(perm)) != len(cells):
         raise ContractError("%s is not injective" % (kind,))
-    if ({pmap(duality._centroid3(nb)) for nb in cell_neighbors(cells[0])}
-            != {duality._centroid3(nb)
+    if ({pmap(lattice._centroid3(nb)) for nb in cell_neighbors(cells[0])}
+            != {lattice._centroid3(nb)
                 for nb in cell_neighbors(cells[perm[0]])}):
         raise ContractError("%s is not a graph automorphism" % (kind,))
     return tuple(perm)
@@ -1337,8 +1367,8 @@ def test_strip_runs_partition_the_cells():
     # indices, and the centroid summed over the runs is the per-cell one
     split = 0
     for region in _family_box():
-        cells, runs = region.cells, duality._region_runs(region)
-        assert duality._region_runs(region) is runs
+        cells, runs = region.cells, region.strip_runs
+        assert region.strip_runs is runs
         assert [k for _, _, k, n in runs for k in range(k, k + n)] == list(
             range(len(cells)))
         for u, v, k, n in runs:
@@ -1348,11 +1378,11 @@ def test_strip_runs_partition_the_cells():
         for (u, v, k, n), (p, q, _, _) in zip(runs, runs[1:]):
             assert (p, q) != (u, v + n)  # maximal
         split += len(runs) > len({u for u, _, _, _ in runs})
-        assert duality._region_centroid(region) == _centroid2(cells)
+        assert region.centroid == _centroid2(cells)
     # holes and cores split strips into several runs
     assert split == 82
     empty = Region("hand", (), ())
-    assert duality._region_runs(empty) == ()
+    assert empty.strip_runs == ()
 
 
 def _symmetry_or_refusal(fn, region, kind):
@@ -1399,11 +1429,11 @@ def test_a_strip_keeping_map_looks_up_only_run_ends():
     # that turns them, every cell
     for kind in ("ReflH", "ReflV", "Rot180", "Rot120"):
         region = hexagon(12, 12, 12)
-        index = region.__dict__["_index"] = _CountingIndex(
-            duality._cell_index(region.cells))
+        index = region.__dict__["cell_index"] = _CountingIndex(
+            lattice._cell_index(region.cells))
         perm = symmetry(region, kind).perm
         assert perm == _per_cell_symmetry(region, kind)
-        runs = duality._region_runs(region)
+        runs = region.strip_runs
         if kind == "Rot120":
             assert index.gets == len(region.cells) == 864
         else:

@@ -694,6 +694,22 @@ def test_deserialize_refusals_name_the_field_and_its_offset(name):
     assert info.value.offset == (data.index(needle) if needle else 0)
 
 
+def test_deserialize_refuses_a_family_or_version_of_the_wrong_type():
+    # a list or an object is no family name, and true or 1.0 no schema
+    # version, though true == 1.0 == 1: each a FormatError at its field
+    for fields, message, needle in (
+            ({"family": []}, "unknown family []", b'"family"'),
+            ({"family": {"a": 1}}, "unknown family {'a': 1}", b'"family"'),
+            ({"v": True}, "unsupported schema version True", b'"v"'),
+            ({"v": 1.0}, "unsupported schema version 1.0", b'"v"')):
+        data = _hexagon_doc(**fields)
+        with pytest.raises(FormatError) as info:
+            deserialize_region(data)
+        assert str(info.value) == message
+        assert info.value.offset == data.index(needle)
+    assert deserialize_region(_hexagon_doc(v=1)) == hexagon(1, 1, 1)
+
+
 def test_deserialize_reads_a_str_document_as_its_utf8_bytes():
     blob = serialize_region(d_region(2, 1, -1, [1]))
     assert deserialize_region(blob.decode("utf-8")) == deserialize_region(blob)

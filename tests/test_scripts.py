@@ -8,7 +8,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 def _script(name):
     path = SCRIPTS / name
-    namespace = {"__name__": path.stem}
+    namespace = {"__name__": path.stem, "__file__": str(path)}
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
          namespace)
     return namespace
@@ -40,3 +40,24 @@ def test_ab_bench_verdicts_follow_the_pair_rule():
     assert verdict(wide, [0.9] * 6, lower, 0.25) == "no change"
     assert verdict(parent, parent, lower, None) == "no bound"
     assert verdict(parent, [0.9 * x for x in parent], lower, None) == "gain"
+
+
+def test_the_refusal_battery_reads_its_lines_as_the_shell_loop_did():
+    runner = _script("run_refusals.py")
+    refusals = runner["read_refusals"](SCRIPTS / "refusals.txt")
+    assert len(refusals) == 22
+    # argv split on whitespace, the fragment less one leading space
+    assert refusals[4] == ("count --family holed --a 4 --b 1 --ks 1,x".split(),
+                           "")
+    assert refusals[7] == (["sweep", "--id", "I1_9", "--grid", "a=1;a=2;b=1"],
+                           "")
+    argv, fragment = refusals[-1]
+    assert (argv, fragment) == (
+        "count --family holed --a 4 --b 1 --ks 3".split(), "up to 2")
+    workflow = SCRIPTS.parent / ".github" / "workflows" / "tests.yml"
+    assert "run: python scripts/run_refusals.py" in workflow.read_text()
+    # one line in a fresh process, and the same line expecting the
+    # wrong fragment
+    assert runner["refusal_fault"](argv, fragment) is None
+    assert runner["refusal_fault"](argv, "up to 3") == (
+        "no 'up to 3' on stderr")
