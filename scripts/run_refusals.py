@@ -1,7 +1,7 @@
 """Run the refusal battery: each line of scripts/refusals.txt in a
 fresh process.
 
-    python3 scripts/run_refusals.py [FILE]
+    python3 scripts/run_refusals.py
 
 Each line is "argv | fragment": argv is split on whitespace and run as
 `python -m lozlab ARGV` from the repository root, with src/ on
@@ -61,10 +61,9 @@ def refusal_fault(argv: list[str], fragment: str) -> str | None:
     return None
 
 
-def main(args: list[str]) -> int:
-    path = Path(args[0]) if args else REFUSALS
+def main() -> int:
     faults = []
-    for argv, fragment in read_refusals(path):
+    for argv, fragment in read_refusals(REFUSALS):
         fault = refusal_fault(argv, fragment)
         if fault:
             faults.append("lozlab %s: %s" % (" ".join(argv), fault))
@@ -74,4 +73,4 @@ def main(args: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -628,7 +628,7 @@ def normalize_loops(g: MatchGraph) -> tuple[MatchGraph, Fraction]:
     g itself, or g less its forced loop's vertex, and that loop's weight
     (1 without one), by _drop_forced_loop's rule."""
     h, weight, v = _drop_forced_loop(g)
-    return (g if v is None else MatchGraph(*h)), weight
+    return (h if v is None else MatchGraph(*h)), weight
 
 
 # ---------------------------------------------------------------------

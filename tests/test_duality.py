@@ -914,8 +914,21 @@ def test_region_memo_is_invisible_and_per_region():
 
 def test_a_check_builds_its_region_index_and_centroid_once(monkeypatch):
     built = {"cell_index": [], "strip_runs": [], "centroid": []}
+
+    original_index = lattice._cell_index
+
+    def index_spy(cells):
+        built["cell_index"].append(cells)
+        return original_index(cells)
+
+    # every (u, v) index counts, whether the region's property, a
+    # quotient or a direct call builds it
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("lozlab")
+                and getattr(module, "_cell_index", None) is original_index):
+            monkeypatch.setattr(module, "_cell_index", index_spy)
     # each property's function runs only when the region has no value
-    for name in built:
+    for name in ("strip_runs", "centroid"):
         prop = getattr(Region, name)
 
         def spy(region, name=name, original=prop.func):
